@@ -12,8 +12,9 @@ from .kernel import (ChordSet, Params, chords, dq4_dn, grad_q4, grad_q4_many,
                      k4_constant, q4, q4_many, singularity_envelope,
                      weighted_dq4_dn_many)
 from .specfun import (F2Args, appell_f2, appell_f2_many, appell_f2_series,
-                      f2_param_shift, gauss_2f1, gauss_2f1_at_one,
-                      ln_gamma, log_singular_3f2, pochhammer)
+                      f2_kernel_families, f2_param_shift, gauss_2f1,
+                      gauss_2f1_at_one, ln_gamma, log_singular_3f2,
+                      pochhammer)
 from .potential import (Density, GaugeIdentityResult, QuadratureRule,
                         Q4Solution, boundary_trace, classify, contour_flux,
                         double_layer, energy_residual, flux_residual,
@@ -41,7 +42,7 @@ __all__ = [
     "weighted_dq4_dn_many",
     # specfun
     "F2Args", "appell_f2", "appell_f2_many", "appell_f2_series",
-    "f2_param_shift", "gauss_2f1", "gauss_2f1_at_one", "ln_gamma",
+    "f2_kernel_families", "f2_param_shift", "gauss_2f1", "gauss_2f1_at_one", "ln_gamma",
     "log_singular_3f2", "pochhammer",
     # potential
     "Density", "GaugeIdentityResult", "QuadratureRule", "Q4Solution",

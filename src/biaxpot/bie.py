@@ -31,8 +31,9 @@ import scipy.linalg as la
 from .errors import DomainError, SolveError
 from .geometry import Curve, Point
 from .kernel import Params, q4_many, weighted_dq4_dn_many
-from .potential import (Density, QuadratureRule, _leg, _panel_nodes,
-                        double_layer, kernel_K4_log_split)
+from .potential import (Density, QuadratureRule, _panel_nodes, double_layer,
+                        kernel_K4_log_split)
+from .specfun import gauss_rule
 
 __all__ = [
     "GUARD_FRAC", "PANEL_ORDER", "NystromSystem",
@@ -59,7 +60,7 @@ def _lagrange_coeffs(order: int) -> np.ndarray:
     """
     coeffs = _lagrange_cache.get(order)
     if coeffs is None:
-        u, _ = _leg(order)
+        u, _ = gauss_rule(order)
         vander = np.vander(u, order, increasing=True)
         coeffs = np.linalg.inv(vander)
         _lagrange_cache[order] = coeffs

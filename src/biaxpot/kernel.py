@@ -16,9 +16,13 @@ with xi = -4 x x0 / r^2, eta = -4 y y0 / r^2.  It vanishes on both axes
 and carries a logarithmic singularity at (x0, y0).
 
 Derivative formulas need three more F2 parameter families (the x-shift,
-the y-shift, and the a-shift of the main family); every kernel-type
-evaluation here computes the required families through the same appell_f2
-continuation, in batch over curve points where the caller has many.
+the y-shift, and the a-shift of the main family).  The batched evaluators
+(q4_many, grad_q4_many, weighted_dq4_dn_many, and the scalar q4 and grad_q4
+that wrap them) take all four from one pass over the Euler double integral
+of the main family (specfun.f2_kernel_families).  dq4_dn evaluates the
+four families separately through the appell_f2 continuation and assembles
+a grouped closed form; it is kept as an independent second evaluation tree
+that the tests check the batched route against.
 
 Argument convention: the first point is the integration/evaluation
 variable (x, y), the second the fixed field point (x0, y0).  q4 itself is
@@ -27,6 +31,7 @@ symmetric under the swap.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -34,7 +39,7 @@ import numpy as np
 
 from .errors import CoincidentPointsError, DomainError, SingularPairError
 from .geometry import CurvePoint, Point
-from .specfun import appell_f2_many, ln_gamma
+from .specfun import appell_f2_many, f2_kernel_families, ln_gamma
 
 # A pair is treated as numerically singular when r^2 falls below this
 # fraction of the larger chord scale; quadrature layouts must keep nodes
@@ -94,6 +99,7 @@ def chords(P: Point, Q: Point) -> ChordSet:
                     xi=-fx / r2, eta=-fy / r2)
 
 
+@functools.lru_cache(maxsize=64)
 def k4_constant(p: Params) -> float:
     """Normalization constant of q4.
 
@@ -149,8 +155,7 @@ def _chord_arrays(xs, ys, x0: float, y0: float):
 def q4_many(p: Params, xs, ys, Q: Point) -> np.ndarray:
     """q4 at many first-argument points against a fixed second point."""
     xs, ys, _, _, r2, xi, eta = _chord_arrays(xs, ys, Q.x, Q.y)
-    fam = _family_params(p)
-    f_main = appell_f2_many(*fam["main"], xi, eta)
+    f_main = f2_kernel_families(*_family_params(p)["main"], xi, eta)[0]
     a, b = p.alpha, p.beta
     with np.errstate(invalid="ignore"):
         pref = ((xs * Q.x) ** (1.0 - 2.0 * a) * (ys * Q.y) ** (1.0 - 2.0 * b)
@@ -178,11 +183,8 @@ def grad_q4_many(p: Params, xs, ys, Q: Point):
     if np.any(xs <= 0.0) or np.any(ys <= 0.0):
         raise DomainError("grad_q4 needs points strictly inside the quadrant")
     xs, ys, dx, dy, r2, xi, eta = _chord_arrays(xs, ys, Q.x, Q.y)
-    fam = _family_params(p)
-    f_main = appell_f2_many(*fam["main"], xi, eta)
-    f_dx = appell_f2_many(*fam["dx"], xi, eta)
-    f_dy = appell_f2_many(*fam["dy"], xi, eta)
-    f_da = appell_f2_many(*fam["da"], xi, eta)
+    f_main, f_dx, f_dy, f_da = f2_kernel_families(
+        *_family_params(p)["main"], xi, eta)
     a, b = p.alpha, p.beta
     k4 = k4_constant(p)
     astar = 2.0 - a - b
@@ -253,11 +255,8 @@ def weighted_dq4_dn_many(p: Params, xs, ys, nxs, nys, Q: Point) -> np.ndarray:
     nxs = np.asarray(nxs, dtype=float)
     nys = np.asarray(nys, dtype=float)
     xs, ys, dx, dy, r2, xi, eta = _chord_arrays(xs, ys, Q.x, Q.y)
-    fam = _family_params(p)
-    f_main = appell_f2_many(*fam["main"], xi, eta)
-    f_dx = appell_f2_many(*fam["dx"], xi, eta)
-    f_dy = appell_f2_many(*fam["dy"], xi, eta)
-    f_da = appell_f2_many(*fam["da"], xi, eta)
+    f_main, f_dx, f_dy, f_da = f2_kernel_families(
+        *_family_params(p)["main"], xi, eta)
     a, b = p.alpha, p.beta
     k4 = k4_constant(p)
     astar = 2.0 - a - b

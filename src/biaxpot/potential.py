@@ -22,14 +22,13 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
-from scipy.special import roots_jacobi, roots_legendre
 
 from .errors import (AmbiguousClassificationError, ConvergenceError,
                      DomainError)
 from .geometry import Curve, Point
-from .kernel import (Params, dq4_dn, grad_q4_many, k4_constant, q4_many,
+from .kernel import (Params, grad_q4_many, k4_constant, q4_many,
                      weighted_dq4_dn_many)
-from .specfun import gauss_2f1
+from .specfun import gauss_2f1, gauss_rule
 
 __all__ = [
     "Density", "QuadratureRule", "smooth_rule", "graded_rule",
@@ -54,25 +53,6 @@ AMBIGUOUS_DIST = 1.0e-6
 
 # Absolute error target for the adaptive near-boundary evaluator.
 NEAR_FIELD_TOL = 1.0e-8
-
-_LEG_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _leg(order: int) -> tuple[np.ndarray, np.ndarray]:
-    rule = _LEG_CACHE.get(order)
-    if rule is None:
-        rule = roots_legendre(order)
-        _LEG_CACHE[order] = rule
-    return rule
-
-
-def _jacobi01(n: int, exponent: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights for int_0^1 s^exponent f(s) ds, exponent > -1."""
-    x, w = roots_jacobi(n, 0.0, exponent)
-    nodes = 0.5 * (x + 1.0)
-    weights = w * 0.5 ** (exponent + 1.0)
-    return nodes, weights
-
 
 class Density:
     """Boundary density mu(s) on [0, l], closed form or sampled.
@@ -151,7 +131,7 @@ class QuadratureRule:
 
 def _panel_nodes(edges: np.ndarray, order: int):
     """Gauss-Legendre nodes/weights on each [edges[k], edges[k+1]] panel."""
-    x, w = _leg(order)
+    x, w = gauss_rule(order)
     lo = edges[:-1][:, None]
     hi = edges[1:][:, None]
     nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
@@ -271,7 +251,8 @@ def kernel_K4_diagonal(p: Params, curve: Curve, s: float) -> float:
         sides = [t for t in (s - delta, s + delta) if 0.0 < t < curve.length]
         if not sides:
             raise DomainError("diagonal limit needs room on at least one side")
-        value = float(np.mean([kernel_K4(p, curve, s, t) for t in sides]))
+        value = float(np.mean(_weighted_row(p, curve, np.array(sides),
+                                            _curve_source(curve, s))))
         cache[key] = value
     return value
 
@@ -280,9 +261,8 @@ def kernel_K4(p: Params, curve: Curve, s: float, t: float) -> float:
     """Double-layer kernel K4(s, t) = x(t)^(2a) y(t)^(2b) dq4/dn_t."""
     if t == s:
         return kernel_K4_diagonal(p, curve, s)
-    cp = curve.point_at(t)
-    weight = cp.x ** (2.0 * p.alpha) * cp.y ** (2.0 * p.beta)
-    return weight * dq4_dn(p, cp, _curve_source(curve, s))
+    return float(_weighted_row(p, curve, np.array([float(t)]),
+                               _curve_source(curve, s))[0])
 
 
 # Offsets (fractions of arclength) bracketing the two-point fit of the
@@ -301,8 +281,9 @@ def kernel_K4_log_split(p: Params, curve: Curve,
     """
     outer = LOG_FIT_OUTER_FRAC * curve.length
     inner = DIAG_OFFSET_FRAC * curve.length
-    d_outer = 0.5 * (kernel_K4(p, curve, s, s - outer)
-                     + kernel_K4(p, curve, s, s + outer))
+    d_outer = float(np.mean(_weighted_row(p, curve,
+                                          np.array([s - outer, s + outer]),
+                                          _curve_source(curve, s))))
     d_inner = kernel_K4_diagonal(p, curve, s)
     slope = (d_outer - d_inner) / math.log(outer / inner)
     regular = d_inner - slope * math.log(inner)
@@ -394,7 +375,7 @@ def classify(curve: Curve, P: Point) -> str:
 
 def _layer_panel(p: Params, curve: Curve, mu: Density, P0: Point,
                  lo: float, hi: float, order: int) -> float:
-    x, w = _leg(order)
+    x, w = gauss_rule(order)
     s = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
     weights = 0.5 * (hi - lo) * w
     vals = _weighted_row(p, curve, s, P0)
@@ -624,8 +605,12 @@ def energy_residual(p: Params, curve: Curve, u, rule2d: int = 32,
     if n < 4:
         raise DomainError("2-d rule needs at least 4 points per direction")
     q, a, b = curve.q, curve.a, curve.b
-    xi, wxi = _jacobi01(n, -2.0 * p.alpha)
-    w, ww = _jacobi01(n, -2.0 * p.beta)
+    # Gauss-Jacobi rules for int_0^1 s^e f(s) ds, e = -2a and e = -2b
+    rules = []
+    for e in (-2.0 * p.alpha, -2.0 * p.beta):
+        nodes, weights = gauss_rule(n, e)
+        rules.append((0.5 * (nodes + 1.0), weights * 0.5 ** (e + 1.0)))
+    (xi, wxi), (w, ww) = rules
     zeta = -np.expm1(q * np.log1p(-w))          # 1 - (1-w)^q, stable near 0
     ys = b * zeta
     dyd_w = b * q * (1.0 - w) ** (q - 1.0)

@@ -24,19 +24,33 @@ close), through the Euler integral representation
 valid for c1 > b1 > 0, c2 > b2 > 0, which all kernel parameter families
 satisfy.  The integrand is elementary and positive for x, y <= 0, so graded
 Gauss-Jacobi/Legendre panels give uniform relative accuracy arbitrarily
-close to the kernel singularity.
+close to the kernel singularity.  ``appell_f2`` also sends points to it
+whose inner connection formula would run at a near-integer excess.
 
-Everything is a pure function of its arguments; nothing here keeps state.
+Two routes therefore serve F2:
+
+* ``f2_kernel_families`` evaluates the main family and its x-, y- and
+  a-shifted families (the four the kernel derivatives need) together, on
+  the main family's Euler nodes, over whole argument vectors.  Every
+  batched kernel evaluation goes through it, at any distance.
+* ``appell_f2`` / ``appell_f2_many`` serve one parameter set at a time,
+  including sets with c <= b that the Euler integral cannot take.  The
+  kernel uses them only in ``kernel.dq4_dn``, the independent evaluation
+  tree the batched route is checked against.
+
+Log-gamma comes from the library (``math.lgamma``, ``scipy.special.gammaln``).
+The Gauss rules, the Euler node sets and the Euler prefactors are cached;
+otherwise every function is a pure function of its arguments.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
-from scipy.special import roots_jacobi
+from scipy.special import gammaln, roots_jacobi
 
 from .errors import ConvergenceError, DivergenceError, DomainError
 
@@ -74,35 +88,17 @@ _INT_TOL = 1.0e-12
 # log-gamma and friends
 # ---------------------------------------------------------------------------
 
-# Stirling series coefficients B_{2k} / (2k (2k-1)) for k = 1..7.  With the
-# argument shifted above _STIRLING_CUT the truncation error is below 3e-17.
-_STIRLING_COF = (
-    1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0,
-    1.0 / 1188.0, -691.0 / 360360.0, 1.0 / 156.0,
-)
-_STIRLING_CUT = 10.0
-_HALF_LN_2PI = 0.9189385332046727
-
-
 def ln_gamma(x):
     """Natural log of Gamma(x) for x > 0 (scalar or ndarray)."""
+    if np.ndim(x) == 0:
+        x = float(x)
+        if x <= 0.0:
+            raise DomainError("ln_gamma requires x > 0")
+        return math.lgamma(x)
     arr = np.asarray(x, dtype=float)
     if np.any(arr <= 0.0):
         raise DomainError("ln_gamma requires x > 0")
-    scalar = arr.ndim == 0
-    z = np.atleast_1d(arr).astype(float).copy()
-    shift = np.zeros_like(z)
-    mask = z < _STIRLING_CUT
-    while np.any(mask):
-        shift[mask] += np.log(z[mask])
-        z[mask] += 1.0
-        mask = z < _STIRLING_CUT
-    w = 1.0 / (z * z)
-    ser = np.zeros_like(z)
-    for c in reversed(_STIRLING_COF):
-        ser = ser * w + c
-    out = (z - 0.5) * np.log(z) - z + _HALF_LN_2PI + ser / z - shift
-    return float(out[0]) if scalar else out
+    return gammaln(arr)
 
 
 def _sinpi(x: float) -> float:
@@ -457,90 +453,180 @@ def _f2_product_core(a, b1, b2, c1, c2, u,
     return u ** b1 * v ** b2 * total, stalled
 
 
-def _f2_product_many(a, b1, b2, c1, c2, u, v) -> np.ndarray:
-    """Batched product expansion; raises if any point fails to converge."""
-    values, stalled = _f2_product_core(a, b1, b2, c1, c2, u, v)
-    if np.any(stalled):
-        t = (1.0 - np.asarray(u)) * (1.0 - np.asarray(v))
-        raise ConvergenceError(
-            "F2 product expansion hit the outer term cap "
-            f"(max t = {t.max():.6g}; arguments too close to the singular point)")
-    return values
+# -- Euler integral route ----------------------------------------------------
 
+@functools.lru_cache(maxsize=256)
+def gauss_rule(n: int, exponent: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss nodes and weights on [-1, 1] for the weight (1 + t)^exponent,
+    exponent > -1; exponent 0 gives the Gauss-Legendre rule.
 
-def _f2_product_expansion(a, b1, b2, c1, c2, u, v) -> float:
-    """Single-point wrapper around the batched product expansion."""
-    return float(_f2_product_many(a, b1, b2, c1, c2,
-                                  np.array([u]), np.array([v]))[0])
+    Cached; the returned arrays are read-only.
+    """
+    nodes, weights = roots_jacobi(n, 0.0, exponent)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
-
-# -- Euler integral route for the near-singular regime ----------------------
 
 _EULER_LEG_N = 12
 _EULER_JAC_N = 24
-_LEG_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-_JAC_CACHE: dict[tuple[int, float], tuple[np.ndarray, np.ndarray]] = {}
+
+# Euler batches are cut so that the (points, s, t) node tensor stays near
+# this many bytes.
+EULER_CHUNK_BYTES = 1 << 20
 
 
-def _leg_rule(n):
-    if n not in _LEG_CACHE:
-        _LEG_CACHE[n] = leggauss(n)
-    return _LEG_CACHE[n]
-
-
-def _jac_rule(n, beta_exp):
-    key = (n, round(beta_exp, 14))
-    if key not in _JAC_CACHE:
-        # weight (1 + t)^beta_exp on [-1, 1]
-        _JAC_CACHE[key] = roots_jacobi(n, 0.0, beta_exp)
-    return _JAC_CACHE[key]
-
-
-def _euler_axis(b, cb, absx):
-    """Nodes/weights for int_0^1 s^(b-1) (1-s)^(cb-1) g(s|x|) ds.
+@functools.lru_cache(maxsize=256)
+def _euler_axis(b: float, cb: float, level: int):
+    """Nodes/weights for int_0^1 s^(b-1) (1-s)^(cb-1) g(s|x|) ds, |x| <= 2^level.
 
     Returns nodes s_k and weights that already include the full beta-type
-    weight s^(b-1) (1-s)^(cb-1).  Panels are graded dyadically from the
-    scale 1/|x| so that the remaining factor (1 + s|x| + ...)^(-a) is
-    smooth on every panel.
+    weight s^(b-1) (1-s)^(cb-1).  Panels are graded dyadically from
+    h0 = 2^-(level+1) <= 1/(2|x|), so that the remaining factor
+    (1 + s|x| + ...)^(-a) is smooth on every panel.  Cached per dyadic
+    level; the returned arrays are read-only.
     """
     nodes = []
     weights = []
-    h0 = 0.5 / max(absx, 1.0)
+    h0 = 0.5 ** (level + 1)
     # left Gauss-Jacobi panel [0, h0] absorbing s^(b-1)
-    tj, wj = _jac_rule(_EULER_JAC_N, b - 1.0)
+    tj, wj = gauss_rule(_EULER_JAC_N, b - 1.0)
     s = 0.5 * h0 * (tj + 1.0)
     w = wj * (0.5 * h0) ** b * (1.0 - s) ** (cb - 1.0)
     nodes.append(s)
     weights.append(w)
     # dyadic Gauss-Legendre panels [h0 2^k, h0 2^(k+1)] up to 1/2
-    tl, wl = _leg_rule(_EULER_LEG_N)
+    tl, wl = gauss_rule(_EULER_LEG_N)
     lo = h0
     while lo < 0.5:
-        hi = min(2.0 * lo, 0.5)
+        hi = 2.0 * lo
         s = 0.5 * (hi + lo) + 0.5 * (hi - lo) * tl
         w = wl * 0.5 * (hi - lo) * s ** (b - 1.0) * (1.0 - s) ** (cb - 1.0)
         nodes.append(s)
         weights.append(w)
         lo = hi
     # right Gauss-Jacobi panel [1/2, 1] absorbing (1-s)^(cb-1)
-    tj, wj = _jac_rule(_EULER_JAC_N, cb - 1.0)
+    tj, wj = gauss_rule(_EULER_JAC_N, cb - 1.0)
     s = 1.0 - 0.25 * (tj + 1.0)
     w = wj * 0.25 ** cb * s ** (b - 1.0)
     nodes.append(s)
     weights.append(w)
-    return np.concatenate(nodes), np.concatenate(weights)
+    nodes = np.concatenate(nodes)
+    weights = np.concatenate(weights)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
-def _f2_euler(a, b1, b2, c1, c2, x, y) -> float:
-    """F2 by the 2-D Euler integral; requires c1 > b1 > 0, c2 > b2 > 0."""
-    s, ws = _euler_axis(b1, c1 - b1, abs(x))
-    tt, wt = _euler_axis(b2, c2 - b2, abs(y))
-    core = (1.0 - s[:, None] * x - tt[None, :] * y) ** (-a)
-    val = ws @ core @ wt
-    ln_pref = (ln_gamma(c1) + ln_gamma(c2) - ln_gamma(b1) - ln_gamma(c1 - b1)
-               - ln_gamma(b2) - ln_gamma(c2 - b2))
-    return float(math.exp(ln_pref) * val)
+@functools.lru_cache(maxsize=256)
+def _euler_prefactor(b1: float, c1: float, b2: float, c2: float) -> float:
+    """C = G(c1) G(c2) / (G(b1) G(c1-b1) G(b2) G(c2-b2)) of the Euler integral."""
+    return math.exp(ln_gamma(c1) + ln_gamma(c2) - ln_gamma(b1)
+                    - ln_gamma(c1 - b1) - ln_gamma(b2) - ln_gamma(c2 - b2))
+
+
+def _euler_batches(b1, cb1, b2, cb2, x, y):
+    """Split argument vectors into batches that share one Euler node set.
+
+    Points are grouped by the dyadic levels ceil(log2 max(|x|, 1)) and
+    ceil(log2 max(|y|, 1)), and each group is cut into chunks whose
+    (points, s, t) tensor stays near EULER_CHUNK_BYTES.  Yields
+    (idx, s, ws, t, wt) with the point indices of one chunk.
+    """
+    kx = np.ceil(np.log2(np.maximum(np.abs(x), 1.0))).astype(np.int64)
+    ky = np.ceil(np.log2(np.maximum(np.abs(y), 1.0))).astype(np.int64)
+    # one key per level pair; levels of finite doubles stay below 1025
+    keys, group = np.unique(kx * 2048 + ky, return_inverse=True)
+    for g, key in enumerate(keys.tolist()):
+        idx = np.nonzero(group == g)[0]
+        s, ws = _euler_axis(b1, cb1, key // 2048)
+        t, wt = _euler_axis(b2, cb2, key % 2048)
+        per = max(1, EULER_CHUNK_BYTES // (8 * s.size * t.size))
+        for lo in range(0, idx.size, per):
+            yield idx[lo:lo + per], s, ws, t, wt
+
+
+def _euler_base(x, y, s, t) -> np.ndarray:
+    """B = 1 - s x - t y on the (points, s, t) tensor; B >= 1 for x, y <= 0."""
+    return ((1.0 - x[:, None, None] * s[None, :, None])
+            - y[:, None, None] * t[None, None, :])
+
+
+def _f2_euler_many(a, b1, b2, c1, c2, x, y) -> np.ndarray:
+    """F2 by the 2-D Euler integral over flat argument vectors x, y <= 0;
+    requires c1 > b1 > 0, c2 > b2 > 0."""
+    out = np.empty(x.size)
+    pref = _euler_prefactor(b1, c1, b2, c2)
+    for idx, s, ws, t, wt in _euler_batches(b1, c1 - b1, b2, c2 - b2, x, y):
+        core = _euler_base(x[idx], y[idx], s, t)
+        np.power(core, -a, out=core)
+        # one matrix-vector product per point, then a row reduction, so a
+        # point's value does not depend on the batch it arrives in
+        out[idx] = pref * np.sum((core @ wt) * ws, axis=1)
+    return out
+
+
+def _check_f2_arguments(x, y, c1, c2):
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape != y.shape:
+        raise DomainError("F2 arguments x and y must have equal shapes")
+    if np.any(x > 0.0) or np.any(y > 0.0):
+        raise DomainError("appell_f2 is defined for x <= 0 and y <= 0")
+    if _is_nonpos_int(c1) or _is_nonpos_int(c2):
+        raise DomainError("appell_f2: c parameters must not be nonpositive integers")
+    return x, y
+
+
+def f2_kernel_families(a: float, b1: float, b2: float, c1: float, c2: float,
+                       x, y):
+    """F2 and its three first-shift families on one Euler node set.
+
+    Returns (main, dx, dy, da) over argument vectors x <= 0, y <= 0:
+
+        main = F2(a; b1, b2; c1, c2; x, y)
+        dx   = F2(a+1; b1+1, b2; c1+1, c2; x, y)
+        dy   = F2(a+1; b1, b2+1; c1, c2+1; x, y)
+        da   = F2(a+1; b1, b2; c1, c2; x, y)
+
+    With B = 1 - s x - t y, P = B^(-a-1) and w the Euler weight of the main
+    family, da = C int w P, dx = C (c1/b1) int w s P, dy = C (c2/b2)
+    int w t P, and main = C int w B P = da - x C int w s P - y C int w t P.
+    Every term of the last sum is nonnegative for x, y <= 0, so nothing
+    cancels.  One power per node serves all four families.  Requires
+    c1 > b1 > 0 and c2 > b2 > 0.  Each point's values are independent of
+    the batch it is evaluated in.
+    """
+    x, y = _check_f2_arguments(x, y, c1, c2)
+    if not ((c1 > b1 > 0.0) and (c2 > b2 > 0.0)):
+        raise DomainError(
+            "f2_kernel_families needs c1 > b1 > 0 and c2 > b2 > 0")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise DomainError("f2_kernel_families needs finite arguments")
+    shape = x.shape
+    x = x.ravel()
+    y = y.ravel()
+    i0 = np.empty(x.size)
+    i_s = np.empty(x.size)
+    i_t = np.empty(x.size)
+    pref = _euler_prefactor(b1, c1, b2, c2)
+    for idx, s, ws, t, wt in _euler_batches(b1, c1 - b1, b2, c2 - b2, x, y):
+        core = _euler_base(x[idx], y[idx], s, t)
+        np.power(core, -a - 1.0, out=core)
+        # one matrix product per point, then row reductions, so a point's
+        # values do not depend on the batch it arrives in
+        inner = core @ np.stack((wt, wt * t), axis=1)
+        i0[idx] = np.sum(inner[:, :, 0] * ws, axis=1)
+        i_s[idx] = np.sum(inner[:, :, 0] * (ws * s), axis=1)
+        i_t[idx] = np.sum(inner[:, :, 1] * ws, axis=1)
+    da = pref * i0
+    i_s *= pref
+    i_t *= pref
+    main = da - x * i_s - y * i_t
+    dx = (c1 / b1) * i_s
+    dy = (c2 / b2) * i_t
+    return (main.reshape(shape), dx.reshape(shape), dy.reshape(shape),
+            da.reshape(shape))
 
 
 def appell_f2_many(a: float, b1: float, b2: float, c1: float, c2: float,
@@ -548,18 +634,15 @@ def appell_f2_many(a: float, b1: float, b2: float, c1: float, c2: float,
     """Appell F2 at fixed parameters over argument vectors x <= 0, y <= 0.
 
     Dispatches per point between the Burchnall-Chaundy product expansion
-    (mid range) and the Euler double integral (both transformed arguments
-    near 1, the near-singular regime of the kernels).  Agrees with
-    ``appell_f2_series`` on the overlap |x| + |y| < 1.
+    (mid range) and the Euler double integral.  The Euler integral takes
+    the near-singular regime (both transformed arguments near 1), the
+    points whose inner connection formula would run at an excess a - b1 or
+    a - b2 within EXCESS_INT_TOL of an integer (the rule gauss_2f1 applies
+    to its own connection formula), and the points the product expansion
+    fails to converge on; it needs c1 > b1 > 0 and c2 > b2 > 0.  Agrees
+    with ``appell_f2_series`` on the overlap |x| + |y| < 1.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise DomainError("appell_f2_many: x and y must have equal shapes")
-    if np.any(x > 0.0) or np.any(y > 0.0):
-        raise DomainError("appell_f2 is defined for x <= 0 and y <= 0")
-    if _is_nonpos_int(c1) or _is_nonpos_int(c2):
-        raise DomainError("appell_f2: c parameters must not be nonpositive integers")
+    x, y = _check_f2_arguments(x, y, c1, c2)
     shape = x.shape
     x = x.ravel()
     y = y.ravel()
@@ -568,9 +651,13 @@ def appell_f2_many(a: float, b1: float, b2: float, c1: float, c2: float,
     t = (1.0 - u) * (1.0 - v)
     out = np.empty(x.size)
     euler_ok = (c1 > b1 > 0.0) and (c2 > b2 > 0.0)
-    near = (t > BC_T_MAX) & euler_ok
-    for j in np.nonzero(near)[0]:
-        out[j] = _f2_euler(a, b1, b2, c1, c2, x[j], y[j])
+    near = t > BC_T_MAX
+    for excess, w in ((a - b1, u), (a - b2, v)):
+        if abs(excess - round(excess)) <= EXCESS_INT_TOL:
+            near |= w < Z_SWITCH
+    near &= euler_ok
+    if np.any(near):
+        out[near] = _f2_euler_many(a, b1, b2, c1, c2, x[near], y[near])
     mid = np.nonzero(~near)[0]
     if mid.size:
         values, stalled = _f2_product_core(a, b1, b2, c1, c2, u[mid], v[mid])
@@ -580,8 +667,8 @@ def appell_f2_many(a: float, b1: float, b2: float, c1: float, c2: float,
                 raise ConvergenceError(
                     "F2 product expansion stalled and the Euler integral "
                     "needs c1 > b1 > 0 and c2 > b2 > 0")
-            for j in mid[stalled]:
-                out[j] = _f2_euler(a, b1, b2, c1, c2, x[j], y[j])
+            redo = mid[stalled]
+            out[redo] = _f2_euler_many(a, b1, b2, c1, c2, x[redo], y[redo])
     return out.reshape(shape)
 
 

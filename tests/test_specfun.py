@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 from biaxpot import (ConvergenceError, DivergenceError, DomainError, F2Args,
-                     appell_f2, appell_f2_series, f2_param_shift, gauss_2f1,
+                     appell_f2, appell_f2_many, appell_f2_series,
+                     f2_kernel_families, f2_param_shift, gauss_2f1,
                      gauss_2f1_at_one, ln_gamma, log_singular_3f2, pochhammer)
+from biaxpot.specfun import gauss_rule
 
 REL = lambda got, want: abs(got - want) / abs(want)
 
@@ -57,6 +59,55 @@ def test_ln_gamma_matches_stdlib_on_working_range():
         want = math.lgamma(x)
         got = ln_gamma(float(x))
         assert abs(got - want) <= 1.0e-13 * max(1.0, abs(want))
+
+
+# 21-digit references for log Gamma at the exact double inputs, computed at
+# 40-digit precision and frozen here; they avoid the neighbourhoods of
+# the zeros at 1 and 2, where only an absolute accuracy is meaningful.
+LN_GAMMA_REFERENCES = (
+    (1e-06, 13.8155099807494317145),
+    (0.001, 6.90717888538385366168),
+    (0.1, 2.25271265173420590201),
+    (0.3, 1.09579799481807556056),
+    (0.75, 0.203280951431295371481),
+    (1.5, -0.120782237635245222346),
+    (2.5, 0.284682870472919159632),
+    (3.7, 1.4280723266653881292),
+    (12.125, 17.8083170332209730631),
+    (33.3, 82.6037235816549430078),
+    (150.5, 602.513954870585411951),
+    (2500.75, 17062.9899730112323819),
+    (1.0e6, 12815504.56914761166),
+)
+
+
+@pytest.mark.parametrize("x, want", LN_GAMMA_REFERENCES)
+def test_ln_gamma_frozen_references(x, want):
+    assert abs(ln_gamma(x) - want) <= 2.0e-15 * max(1.0, abs(want))
+    got = ln_gamma(np.array([x]))
+    assert abs(got[0] - want) <= 2.0e-15 * max(1.0, abs(want))
+
+
+def test_ln_gamma_duplication_identity():
+    # Legendre: ln G(2x) = (2x - 1) ln 2 - ln(pi)/2 + ln G(x) + ln G(x + 1/2)
+    for x in np.geomspace(1.0e-4, 300.0, 120):
+        lhs = ln_gamma(2.0 * x)
+        rhs = ((2.0 * x - 1.0) * math.log(2.0) - 0.5 * math.log(math.pi)
+               + ln_gamma(x) + ln_gamma(x + 0.5))
+        assert abs(lhs - rhs) <= 1.0e-13 * max(1.0, abs(lhs))
+
+
+def test_ln_gamma_array_matches_scalar():
+    xs = np.concatenate([np.geomspace(1.0e-6, 1.0, 50),
+                         np.linspace(1.0, 60.0, 150)])
+    arr = ln_gamma(xs)
+    assert isinstance(arr, np.ndarray) and arr.shape == xs.shape
+    for x, got in zip(xs, arr):
+        want = ln_gamma(float(x))
+        assert isinstance(want, float)
+        assert abs(got - want) <= 1.0e-14 * max(1.0, abs(want))
+    with pytest.raises(DomainError):
+        ln_gamma(np.array([1.0, 0.0]))
 
 
 def test_ln_gamma_rejects_nonpositive():
@@ -223,6 +274,102 @@ def test_f2_contiguous_relation():
         at = appell_f2(F2Args(*base))
         scale = max(abs(up), abs(at), 1.0)
         assert abs(lhs - (up - at)) <= 1.0e-9 * scale
+
+
+def test_f2_contiguous_relation_at_near_integer_excess():
+    # a - b2 = -2.08e-4: the inner connection formula of the product
+    # expansion would cancel two nearly opposite gamma factors here
+    a, b1, b2 = 1.1670268095962184, 1.0106648752340812, 1.1672350250846228
+    c1, c2 = 2.749182427100841, 2.8078362358953264
+    x, y = -0.08482690459446762, -1.4024856848406408
+    lhs = (b1 / c1 * x * appell_f2(F2Args(a + 1, b1 + 1, b2, c1 + 1, c2,
+                                          x, y))
+           + b2 / c2 * y * appell_f2(F2Args(a + 1, b1, b2 + 1, c1, c2 + 1,
+                                            x, y)))
+    rhs = (appell_f2(F2Args(a + 1, b1, b2, c1, c2, x, y))
+           - appell_f2(F2Args(a, b1, b2, c1, c2, x, y)))
+    assert abs(lhs - rhs) <= 1.0e-12 * abs(rhs)
+
+
+# -- the four kernel families on one Euler node set --------------------------------
+
+KERNEL_PARAMS = [(0.25, 0.25), (0.1, 0.4), (0.01, 0.49), (0.49, 0.01)]
+
+
+def kernel_families(alpha, beta):
+    """The (a; b1, b2; c1, c2) sets that f2_kernel_families returns, in its
+    order main, dx, dy, da; it takes the first as its input."""
+    a, b1, b2 = 2.0 - alpha - beta, 1.0 - alpha, 1.0 - beta
+    c1, c2 = 2.0 - 2.0 * alpha, 2.0 - 2.0 * beta
+    return [(a, b1, b2, c1, c2), (a + 1, b1 + 1, b2, c1 + 1, c2),
+            (a + 1, b1, b2 + 1, c1, c2 + 1), (a + 1, b1, b2, c1, c2)]
+
+
+@pytest.mark.parametrize("alpha, beta", KERNEL_PARAMS)
+def test_f2_kernel_families_match_series_inside_disk(alpha, beta):
+    families = kernel_families(alpha, beta)
+    rng = np.random.default_rng(24)
+    x = -rng.uniform(0.0, 0.9, 30)
+    y = -rng.uniform(0.0, 1.0, 30) * (0.95 - np.abs(x))
+    values = f2_kernel_families(*families[0], x, y)
+    for params, got in zip(families, values):
+        for j in range(x.size):
+            want = appell_f2_series(F2Args(*params, x[j], y[j]))
+            assert REL(got[j], want) <= 1.0e-13
+
+
+@pytest.mark.parametrize("alpha, beta", KERNEL_PARAMS)
+def test_f2_kernel_families_match_continuation(alpha, beta):
+    families = kernel_families(alpha, beta)
+    # mid range, one axis large, and near-singular pairs at |xi| ~ 1e6, 1e9
+    x = np.array([-0.6, -1.7, -4.0, -25.0, -0.02, -300.0,
+                  -1.0e6, -2.5e6, -1.0e9, -3.0e9, -0.4])
+    y = np.array([-1.2, -0.3, -9.0, -2.0, -40.0, -0.05,
+                  -2.0e6, -0.7e6, -2.0e9, -1.1e9, -1.0e9])
+    values = f2_kernel_families(*families[0], x, y)
+    for params, got in zip(families, values):
+        want = appell_f2_many(*params, x, y)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1.0e-12
+
+
+@pytest.mark.parametrize("alpha, beta", KERNEL_PARAMS)
+def test_f2_kernel_families_batch_equals_single_points(alpha, beta):
+    # a point's values must not depend on the batch or chunk it lands in,
+    # or identical configs could write different artifacts
+    main = kernel_families(alpha, beta)[0]
+    rng = np.random.default_rng(25)
+    x = -np.exp(rng.uniform(math.log(1.0e-3), math.log(1.0e9), 500))
+    y = -np.exp(rng.uniform(math.log(1.0e-3), math.log(1.0e9), 500))
+    batch = f2_kernel_families(*main, x, y)
+    for j in range(0, x.size, 5):
+        single = f2_kernel_families(*main, x[j:j + 1], y[j:j + 1])
+        for fam_batch, fam_single in zip(batch, single):
+            assert fam_batch[j] == fam_single[0]
+
+
+def test_f2_kernel_families_rejects_bad_input():
+    main = kernel_families(0.25, 0.25)[0]
+    with pytest.raises(DomainError):
+        f2_kernel_families(*main, np.array([0.1]), np.array([-0.1]))
+    with pytest.raises(DomainError):
+        f2_kernel_families(*main, np.array([-0.1, -0.2]), np.array([-0.1]))
+    with pytest.raises(DomainError):
+        f2_kernel_families(1.5, 1.5, 0.75, 1.2, 1.5,
+                           np.array([-0.1]), np.array([-0.1]))
+
+
+def test_gauss_rule_integrates_jacobi_moments():
+    # on u = (1 + t)/2 the rule integrates u^e u^k over [0, 1] to 1/(e+k+1)
+    # for k up to 2n - 1
+    n = 6
+    for e in (0.0, -0.5, 0.3):
+        nodes, weights = gauss_rule(n, e)
+        assert not nodes.flags.writeable and not weights.flags.writeable
+        assert gauss_rule(n, e)[0] is nodes
+        u = 0.5 * (nodes + 1.0)
+        for k in range(2 * n):
+            got = 0.5 ** (e + 1.0) * np.dot(weights, u ** k)
+            assert REL(got, 1.0 / (e + k + 1.0)) <= 1.0e-14
 
 
 # -- parameter shifts -------------------------------------------------------------
