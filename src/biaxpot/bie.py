@@ -26,8 +26,6 @@ from typing import Callable
 
 import numpy as np
 
-import scipy.linalg as la
-
 from .errors import DomainError, SolveError
 from .geometry import Curve, Point
 from .kernel import Params, q4_many, weighted_dq4_dn_many
@@ -157,11 +155,7 @@ def assemble(p: Params, curve: Curve, n: int,
     edges = np.linspace(guard, length - guard, panels + 1)
     nodes, weights = _panel_nodes(edges, PANEL_ORDER)
 
-    cps = curve.points_at(nodes)
-    xs = np.array([c.x for c in cps])
-    ys = np.array([c.y for c in cps])
-    nxs = np.array([c.normal[0] for c in cps])
-    nys = np.array([c.normal[1] for c in cps])
+    xs, ys, _, _, nxs, nys, _ = curve.frames(nodes)
 
     matrix = np.empty((n, n))
     log_slope = np.empty(n)
@@ -209,39 +203,16 @@ def assemble(p: Params, curve: Curve, n: int,
                          log_slope=log_slope, regular_diag=regular_diag)
 
 
-def condition_estimate(sys: NystromSystem, iterations: int = 30) -> float:
-    """Two-norm condition estimate by power iteration.
+def condition_estimate(sys: NystromSystem) -> float:
+    """Two-norm condition number of the collocation matrix.
 
-    Largest singular value from iterating A^T A; smallest from iterating
-    its inverse through an LU factorisation.
+    Singular or non-finite matrices give math.inf.
     """
-    a = sys.matrix
-    rng = np.random.default_rng(7)
-    v = rng.standard_normal(sys.n)
-    v /= np.linalg.norm(v)
-    smax_sq = 0.0
-    for _ in range(iterations):
-        w = a.T @ (a @ v)
-        smax_sq = float(np.linalg.norm(w))
-        v = w / smax_sq
     try:
-        lu, piv = la.lu_factor(a)
-    except (np.linalg.LinAlgError, ValueError):
+        cond = float(np.linalg.cond(sys.matrix, 2))
+    except np.linalg.LinAlgError:
         return math.inf
-    u = rng.standard_normal(sys.n)
-    u /= np.linalg.norm(u)
-    inv_sq = 0.0
-    for _ in range(iterations):
-        try:
-            w = la.lu_solve((lu, piv), la.lu_solve((lu, piv), u, trans=1))
-        except ValueError:
-            # a zero pivot passed lu_factor silently; the solve blew up
-            return math.inf
-        inv_sq = float(np.linalg.norm(w))
-        if not math.isfinite(inv_sq) or inv_sq == 0.0:
-            return math.inf
-        u = w / inv_sq
-    return math.sqrt(smax_sq) * math.sqrt(inv_sq)
+    return cond if math.isfinite(cond) else math.inf
 
 
 def solve_dirichlet(sys: NystromSystem,
@@ -301,9 +272,7 @@ def manufactured_data(p: Params, curve: Curve,
     src = default_exterior_source(curve) if source is None else source
 
     def f(s):
-        cps = curve.points_at(np.atleast_1d(np.asarray(s, dtype=float)))
-        xs = np.array([c.x for c in cps])
-        ys = np.array([c.y for c in cps])
+        xs, ys = curve.frames(np.atleast_1d(np.asarray(s, dtype=float)))[:2]
         vals = q4_many(p, xs, ys, src)
         return vals if np.ndim(s) else float(vals[0])
 

@@ -275,9 +275,10 @@ def suite_gauge(cfg: RunConfig):
     jump_for = {"inside": 1.0, "on": 0.5, "outside": 0.0}
     rows, checks = [], []
     for count, scale in ((n_int, 0.6), (n_on, 1.0), (n_ext, 1.25)):
-        for frac in np.linspace(0.08, 0.92, count):
-            cp = curve.point_at(float(frac) * curve.length)
-            P0 = Point(scale * cp.x, scale * cp.y)
+        fracs = np.linspace(0.08, 0.92, count)
+        xs, ys = curve.frames(fracs * curve.length)[:2]
+        for x, y in zip(xs.tolist(), ys.tolist()):
+            P0 = Point(scale * x, scale * y)
             res = gauge_identity_verify(p, curve, P0)
             k_val = res.rhs + jump_for[res.classification]
             rows.append((P0.x, P0.y, res.lhs, k_val, res.residual,
@@ -368,8 +369,7 @@ def suite_gradient(cfg: RunConfig):
 
     worst = 0.0
     source = Point(1.5 * curve.a, 1.5 * curve.b)
-    for frac in np.linspace(0.05, 0.95, 25):
-        cp = curve.point_at(float(frac) * curve.length)
+    for cp in curve.points_at(np.linspace(0.05, 0.95, 25) * curve.length):
         dn = dq4_dn(p, cp, source)
         gx, gy = grad_q4(p, Point(cp.x, cp.y), source)
         ndotg = cp.normal[0] * gx + cp.normal[1] * gy

@@ -12,6 +12,11 @@ x/a = y/b: near B the arc is the graph x -> (x, y(x)), near A the graph
 y -> (x(y), y).  Both graphs have bounded slope on their half, so speed,
 tangent and curvature follow from stable closed forms, and the only
 numerical content is the arclength table used to invert s -> parameter.
+
+``Curve.frames(s)`` is the array evaluator: point, unit tangent, outward
+normal and curvature at a whole batch of arclengths, with one vectorized
+Newton polish of the table inverse per branch.  ``point_at`` and
+``points_at`` wrap it in ``CurvePoint`` objects.
 """
 
 from __future__ import annotations
@@ -126,49 +131,75 @@ class Curve:
         self._y_of_s = PchipInterpolator(self.length - s_of_y[::-1],
                                          self._y_edges[::-1])
 
-    def _refine(self, s: float, par: float, branch: int) -> float:
-        """Newton-polish the table inverse so point_at is consistent with
-        the analytic speed to machine accuracy."""
+    def _branch_frames(self, s: np.ndarray, branch: int):
+        """(x, y, tx, ty, kappa) at arclengths s on one graph branch.
+
+        The table inverse seeds a Newton polish that makes the parameter
+        consistent with the analytic speed to machine accuracy.  The seed
+        is clamped into the branch's range first: the PCHIP inverse can
+        land a rounding error outside it (y = -8e-24 at s = l), where the
+        graph's fractional powers are NaN.
+        """
+        if branch == 1:
+            graph, s_of, par_of, edge, sign = (
+                self._graph_over_x, self._s_of_x, self._x_of_s,
+                self._x_edges[-1], -1.0)
+        else:
+            graph, s_of, par_of, edge, sign = (
+                self._graph_over_y, self._s_of_y, self._y_of_s,
+                self._y_edges[-1], 1.0)
+        par = np.clip(par_of(s), 0.0, edge)
         for _ in range(3):
-            if branch == 1:
-                _, dy, _ = self._graph_over_x(np.array([par]))
-                f = float(self._s_of_x(par)) - s
-                par -= f / float(np.hypot(1.0, dy[0]))
-                par = min(max(par, 0.0), self._x_edges[-1])
-            else:
-                _, dx, _ = self._graph_over_y(np.array([par]))
-                f = float(self._s_of_y(par)) - s
-                par += f / float(np.hypot(1.0, dx[0]))
-                par = min(max(par, 0.0), self._y_edges[-1])
-        return par
+            _, dpar, _ = graph(par)
+            par = par + sign * ((s_of(par) - s) / np.hypot(1.0, dpar))
+            par = np.clip(par, 0.0, edge)
+        other, d1, d2 = graph(par)
+        sp = np.hypot(1.0, d1)
+        kappa = d2 / sp ** 3
+        if branch == 1:
+            # ds points toward growing x on this branch
+            return par, other, 1.0 / sp, d1 / sp, kappa
+        # ds points toward falling y on this branch, so dx/ds = -dx/dy / sp
+        return other, par, -d1 / sp, -1.0 / sp, kappa
+
+    def frames(self, s) -> tuple[np.ndarray, ...]:
+        """Arrays (x, y, tx, ty, nx, ny, kappa) at arclengths s in [0, l].
+
+        Point, unit tangent (dx/ds, dy/ds), outward unit normal (-ty, tx)
+        and signed curvature, each with the shape of ``s``.  One array
+        Newton polish per graph branch serves the whole batch.
+        """
+        s = np.asarray(s, dtype=float)
+        if not np.all(np.isfinite(s)):
+            raise DomainError("arclength must be finite")
+        outside = (s < -1e-12 * self.length) | (s > self.length * (1 + 1e-12))
+        if np.any(outside):
+            raise DomainError(f"arclength {s[outside].flat[0]} outside "
+                              f"[0, {self.length}]")
+        shape = s.shape
+        s = np.clip(s, 0.0, self.length).ravel()
+        out = np.empty((5, s.size))
+        first = s <= self._s_glue
+        for branch, sel in ((1, first), (2, ~first)):
+            if sel.any():
+                out[:, sel] = self._branch_frames(s[sel], branch)
+        x, y, tx, ty, kappa = out.reshape((5,) + shape)
+        return x, y, tx, ty, -ty, tx, kappa
 
     def point_at(self, s: float) -> CurvePoint:
         """Boundary point, frame and curvature at arclength s in [0, l]."""
-        if s < -1e-12 * self.length or s > self.length * (1.0 + 1e-12):
-            raise DomainError(f"arclength {s} outside [0, {self.length}]")
-        s = min(max(s, 0.0), self.length)
-        if s <= self._s_glue:
-            x = self._refine(s, float(self._x_of_s(s)), branch=1)
-            ya, dy, d2y = self._graph_over_x(np.array([x]))
-            y, dy, d2y = float(ya[0]), float(dy[0]), float(d2y[0])
-            sp = np.hypot(1.0, dy)
-            # ds points toward growing x on this branch
-            tx, ty = 1.0 / sp, dy / sp
-            kappa = d2y / sp ** 3
-        else:
-            y = self._refine(s, float(self._y_of_s(s)), branch=2)
-            xa, dx, d2x = self._graph_over_y(np.array([y]))
-            x, dx, d2x = float(xa[0]), float(dx[0]), float(d2x[0])
-            sp = np.hypot(1.0, dx)
-            # ds points toward falling y on this branch, so dx/ds = -dx/dy / sp
-            tx, ty = -dx / sp, -1.0 / sp
-            kappa = d2x / sp ** 3
-        nx, ny = -ty, tx
-        return CurvePoint(s=s, x=x, y=y, tangent=(tx, ty),
-                          normal=(nx, ny), curvature=kappa)
+        x, y, tx, ty, nx, ny, k = (float(v) for v in self.frames(s))
+        return CurvePoint(s=min(max(float(s), 0.0), self.length), x=x, y=y,
+                          tangent=(tx, ty), normal=(nx, ny), curvature=k)
 
-    def points_at(self, s: np.ndarray) -> list[CurvePoint]:
-        return [self.point_at(float(v)) for v in np.asarray(s, dtype=float)]
+    def points_at(self, s) -> list[CurvePoint]:
+        """``CurvePoint`` objects at the arclengths s, built by ``frames``."""
+        s = np.asarray(s, dtype=float).ravel()
+        rows = zip(np.clip(s, 0.0, self.length).tolist(),
+                   *(v.tolist() for v in self.frames(s)))
+        return [CurvePoint(s=si, x=x, y=y, tangent=(tx, ty), normal=(nx, ny),
+                           curvature=k)
+                for si, x, y, tx, ty, nx, ny, k in rows]
 
 
 class SuperellipseCurve(Curve):
@@ -247,14 +278,11 @@ def check_endpoint_conditions(curve: Curve, eps: float = 1.0,
     offs = l * 2.0 ** (-np.arange(4, 4 + n_dyadic, dtype=float))
 
     def probe(end_at_x_axis: bool):
-        ratios = []
-        for d in offs:
-            p = curve.point_at(l - d if end_at_x_axis else d)
-            if end_at_x_axis:
-                ratios.append(abs(p.tangent[0]) / p.y ** (1.0 + eps))
-            else:
-                ratios.append(abs(p.tangent[1]) / p.x ** (1.0 + eps))
-        ratios = np.array(ratios)
+        x, y, tx, ty = curve.frames(l - offs if end_at_x_axis else offs)[:4]
+        if end_at_x_axis:
+            ratios = np.abs(tx) / y ** (1.0 + eps)
+        else:
+            ratios = np.abs(ty) / x ** (1.0 + eps)
         grow = ratios[-1] / ratios[0]
         return ratios, grow
 

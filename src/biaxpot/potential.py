@@ -293,11 +293,7 @@ def kernel_K4_log_split(p: Params, curve: Curve,
 def _weighted_row(p: Params, curve: Curve, ts: np.ndarray,
                   source: Point) -> np.ndarray:
     """Weighted conormal derivative of q4(.; source) at curve points ts."""
-    cps = curve.points_at(ts)
-    xs = np.array([c.x for c in cps])
-    ys = np.array([c.y for c in cps])
-    nxs = np.array([c.normal[0] for c in cps])
-    nys = np.array([c.normal[1] for c in cps])
+    xs, ys, _, _, nxs, nys, _ = curve.frames(ts)
     return weighted_dq4_dn_many(p, xs, ys, nxs, nys, source)
 
 
@@ -323,9 +319,8 @@ def nearest_arclength(curve: Curve, P: Point) -> tuple[float, float]:
     condition (Gamma(s) - P) . T(s) = 0.
     """
     ss = np.linspace(0.0, curve.length, 257)
-    cps = curve.points_at(ss)
-    d2 = [(c.x - P.x) ** 2 + (c.y - P.y) ** 2 for c in cps]
-    s = float(ss[int(np.argmin(d2))])
+    xs, ys = curve.frames(ss)[:2]
+    s = float(ss[int(np.argmin((xs - P.x) ** 2 + (ys - P.y) ** 2))])
     for _ in range(8):
         cp = curve.point_at(s)
         rx, ry = cp.x - P.x, cp.y - P.y
@@ -373,32 +368,15 @@ def classify(curve: Curve, P: Point) -> str:
 
 # -- double-layer potential ----------------------------------------------------
 
-def _layer_panel(p: Params, curve: Curve, mu: Density, P0: Point,
-                 lo: float, hi: float, order: int) -> float:
-    x, w = gauss_rule(order)
-    s = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
-    weights = 0.5 * (hi - lo) * w
-    vals = _weighted_row(p, curve, s, P0)
-    return float(np.dot(weights, vals * mu(s)))
-
-
-def _layer_adaptive(p: Params, curve: Curve, mu: Density, P0: Point,
-                    lo: float, hi: float, parent: float, budget: float,
-                    order: int, depth: int) -> float:
-    mid = 0.5 * (lo + hi)
-    left = _layer_panel(p, curve, mu, P0, lo, mid, order)
-    right = _layer_panel(p, curve, mu, P0, mid, hi, order)
-    if abs(parent - (left + right)) <= budget or depth >= 48:
-        if depth >= 48 and abs(parent - (left + right)) > budget:
-            raise ConvergenceError(
-                "near-boundary subdivision stalled; evaluation point is "
-                "effectively on the curve, use boundary_trace")
-        return left + right
-    half = 0.5 * budget
-    return (_layer_adaptive(p, curve, mu, P0, lo, mid, left, half, order,
-                            depth + 1)
-            + _layer_adaptive(p, curve, mu, P0, mid, hi, right, half, order,
-                              depth + 1))
+def _layer_panels(p: Params, curve: Curve, mu: Density, P0: Point,
+                  lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """12-point Gauss values of the layer integral on the panels
+    [lo[k], hi[k]], from one frames call and one kernel call for all."""
+    x, w = gauss_rule(12)
+    half = 0.5 * (hi - lo)[:, None]
+    s = 0.5 * (lo + hi)[:, None] + half * x
+    vals = _weighted_row(p, curve, s.ravel(), P0) * mu(s.ravel())
+    return np.einsum("ij,ij->i", half * w, vals.reshape(s.shape))
 
 
 def double_layer(p: Params, curve: Curve, mu: Density, P0: Point,
@@ -411,8 +389,11 @@ def double_layer(p: Params, curve: Curve, mu: Density, P0: Point,
     applied directly; otherwise the integral is computed by adaptive panel
     bisection until the local error estimates sum below ``tol``, which keeps
     the near-boundary peak (width comparable to the distance to the curve)
-    resolved.  ``support`` restricts the integration to a sub-arc (used for
-    densities that live on a trimmed node range).
+    resolved.  The bisection is breadth-first: each level evaluates the
+    halves of all its live panels in one kernel call, accepts a panel when
+    |parent - (left + right)| is within its budget, and halves the budget
+    for the next level.  ``support`` restricts the integration to a sub-arc
+    (used for densities that live on a trimmed node range).
     """
     if P0.x <= 0.0 or P0.y <= 0.0:
         raise DomainError("evaluation point must lie in the open quadrant")
@@ -427,13 +408,29 @@ def double_layer(p: Params, curve: Curve, mu: Density, P0: Point,
     if not 0.0 <= lo0 < hi0 <= curve.length:
         raise DomainError("support must be a sub-interval of [0, length]")
     edges = lo0 + _smooth_edges(hi0 - lo0, 40, 14)
+    lo, hi = edges[:-1], edges[1:]
+    parent = _layer_panels(p, curve, mu, P0, lo, hi)
+    budget = tol / lo.size
     total = 0.0
-    budget = tol / (len(edges) - 1)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        parent = _layer_panel(p, curve, mu, P0, lo, hi, 12)
-        total += _layer_adaptive(p, curve, mu, P0, lo, hi, parent, budget,
-                                 12, 0)
-    return total
+    for depth in range(49):
+        mid = 0.5 * (lo + hi)
+        halves = _layer_panels(p, curve, mu, P0, np.concatenate((lo, mid)),
+                               np.concatenate((mid, hi)))
+        left, right = np.split(halves, 2)
+        pair = left + right
+        done = np.abs(parent - pair) <= budget
+        total += float(np.sum(pair[done]))
+        if done.all():
+            return total
+        if depth == 48:
+            raise ConvergenceError(
+                "near-boundary subdivision stalled; evaluation point is "
+                "effectively on the curve, use boundary_trace")
+        live = ~done
+        lo, hi = (np.concatenate((lo[live], mid[live])),
+                  np.concatenate((mid[live], hi[live])))
+        parent = np.concatenate((left[live], right[live]))
+        budget *= 0.5
 
 
 # -- gauge function ------------------------------------------------------------
@@ -626,11 +623,7 @@ def energy_residual(p: Params, curve: Curve, u, rule2d: int = 32,
     area = float(np.dot(outer, inner))
 
     rule = smooth_rule(curve.length, n_boundary)
-    cps = curve.points_at(rule.nodes)
-    bx = np.array([c.x for c in cps])
-    by = np.array([c.y for c in cps])
-    bnx = np.array([c.normal[0] for c in cps])
-    bny = np.array([c.normal[1] for c in cps])
+    bx, by, _, _, bnx, bny, _ = curve.frames(rule.nodes)
     flux = u.weighted_conormal_many(bx, by, bnx, bny)
     vals = u.value_many(bx, by)
     boundary = float(np.dot(rule.weights, vals * flux))

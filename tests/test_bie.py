@@ -1,5 +1,8 @@
 """Nystrom discretization and the interior Dirichlet solve."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -87,6 +90,17 @@ def test_condition_estimate_finite(curve, manufactured):
     c = condition_estimate(sys)
     assert np.isfinite(c)
     assert 1.0 <= c <= 1.0e3
+
+
+def test_condition_estimate_is_the_two_norm_condition(manufactured):
+    # independent route: extreme eigenvalues of A^T A
+    _, _, sys, _ = manufactured
+    eig = np.linalg.eigvalsh(sys.matrix.T @ sys.matrix)
+    assert condition_estimate(sys) == pytest.approx(
+        np.sqrt(eig[-1] / eig[0]), rel=1e-8)
+    for bad in (np.zeros_like(sys.matrix), np.full_like(sys.matrix, np.nan)):
+        assert condition_estimate(dataclasses.replace(sys, matrix=bad)) \
+            == math.inf
 
 
 # -- solve ------------------------------------------------------------------------

@@ -115,3 +115,62 @@ def test_endpoint_conditions_quartic_wide():
     assert report["ok"] is True
     assert np.all(np.isfinite(report["x_axis_ratios"]))
     assert np.all(np.isfinite(report["y_axis_ratios"]))
+
+
+# -- array frames ----------------------------------------------------------------
+
+@pytest.mark.parametrize("q", [2.0, 2.5, 3.0, 8.0])
+@pytest.mark.parametrize("a, b", [(1.0, 1.0), (6.0, 1.0)])
+def test_frames_match_point_at_bitwise(q, a, b):
+    curve = superellipse_curve(a, b, q)
+    ss = np.sort(np.append(np.linspace(0.0, curve.length, 257),
+                           curve._s_glue))
+    frames = np.array(curve.frames(ss))
+    scalar = np.array([
+        (cp.x, cp.y, cp.tangent[0], cp.tangent[1], cp.normal[0],
+         cp.normal[1], cp.curvature)
+        for cp in (curve.point_at(float(s)) for s in ss)]).T
+    assert np.all(np.isfinite(frames))
+    assert np.array_equal(frames, scalar)
+    assert [cp.s for cp in curve.points_at(ss)] == ss.tolist()
+
+
+def test_frames_keep_shape_and_reject_out_of_range(curve):
+    ss = np.linspace(0.0, curve.length, 12).reshape(3, 4)
+    out = curve.frames(ss)
+    assert len(out) == 7
+    assert all(v.shape == (3, 4) for v in out)
+    flat = curve.frames(ss.ravel())
+    for v, w in zip(out, flat):
+        assert np.array_equal(v.ravel(), w)
+    x, y, tx, ty, nx, ny, _ = out
+    assert np.array_equal(nx, -ty) and np.array_equal(ny, tx)
+    assert np.all(np.abs(x ** 3 + y ** 3 - 1.0) <= 1.0e-10)
+    with pytest.raises(DomainError):
+        curve.frames(np.array([[0.1, 0.2], [0.3, -1.0e-9]]))
+    with pytest.raises(DomainError):
+        curve.frames(np.array([0.1, curve.length * (1.0 + 1.0e-9)]))
+
+
+@pytest.mark.parametrize("q", [2.0, 2.5, 3.7, 8.0])
+@pytest.mark.parametrize("a, b", [(1.0, 1.0), (6.0, 1.0)])
+def test_endpoints_finite_for_all_shapes(q, a, b):
+    # the table inverse can seed the Newton polish a rounding error below
+    # zero at s = l, where the graph's fractional powers are NaN
+    curve = superellipse_curve(a, b, q)
+    start = curve.point_at(0.0)
+    end = curve.point_at(curve.length)
+    for cp in (start, end):
+        assert np.all(np.isfinite([cp.x, cp.y, *cp.tangent, *cp.normal,
+                                   cp.curvature]))
+    assert (start.x, start.y) == pytest.approx((0.0, b), abs=1e-14)
+    assert (end.x, end.y) == pytest.approx((a, 0.0), abs=1e-14)
+    assert np.all(np.isfinite(curve.frames(np.array([0.0, curve.length]))))
+
+
+def test_point_at_rejects_non_finite(curve):
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            curve.point_at(bad)
+    with pytest.raises(DomainError):
+        curve.frames(np.array([0.1, math.nan]))

@@ -16,7 +16,10 @@ from biaxpot import (AmbiguousClassificationError, Density, DomainError,
                      gauge_identity_verify, graded_rule, k_gauge, kernel_K4,
                      kernel_K4_log_split, kernel_K4_row, nearest_arclength,
                      smooth_rule)
-from biaxpot.potential import _trace_integral, boundary_trace
+from biaxpot import potential
+from biaxpot.potential import (NEAR_FIELD_TOL, _smooth_edges, _trace_integral,
+                               _weighted_row, boundary_trace)
+from biaxpot.specfun import gauss_rule
 
 P25 = Params(0.25, 0.25)
 
@@ -147,6 +150,71 @@ def test_nearest_arclength_recovers_curve_point(curve):
 def test_double_layer_zero_density(curve):
     zero = Density.constant(0.0)
     assert double_layer(P25, curve, zero, Point(0.4, 0.5)) == 0.0
+
+
+def _depth_first_layer(p, curve, mu, P0, tol):
+    """Reference for the adaptive double layer: the recursive bisection,
+    one single-panel kernel call at a time.  Returns (value, leaf panels)."""
+    x, w = gauss_rule(12)
+
+    def panel(lo, hi):
+        s = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
+        return float(np.dot(0.5 * (hi - lo) * w,
+                            _weighted_row(p, curve, s, P0) * mu(s)))
+
+    leaves = 0
+
+    def bisect(lo, hi, parent, budget, depth):
+        nonlocal leaves
+        mid = 0.5 * (lo + hi)
+        left, right = panel(lo, mid), panel(mid, hi)
+        if abs(parent - (left + right)) <= budget:
+            leaves += 2
+            return left + right
+        assert depth < 48
+        return (bisect(lo, mid, left, 0.5 * budget, depth + 1)
+                + bisect(mid, hi, right, 0.5 * budget, depth + 1))
+
+    edges = _smooth_edges(curve.length, 40, 14)
+    budget = tol / (len(edges) - 1)
+    total = sum(bisect(lo, hi, panel(lo, hi), budget, 0)
+                for lo, hi in zip(edges[:-1], edges[1:]))
+    return total, leaves
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.25, 0.25), (0.1, 0.4)])
+@pytest.mark.parametrize("dist, tol", [(0.4, NEAR_FIELD_TOL),
+                                       (0.05, NEAR_FIELD_TOL),
+                                       (0.005, NEAR_FIELD_TOL),
+                                       # deep enough for the budget halving
+                                       # to change which panels split
+                                       (0.005, 1.0e-10)])
+def test_double_layer_batched_matches_depth_first(curve, monkeypatch,
+                                                  alpha, beta, dist, tol):
+    p = Params(alpha, beta)
+    l = curve.length
+    mu = Density(lambda t: 1.0 + 0.5 * np.sin(np.pi * np.asarray(t) / l))
+    cp = curve.point_at(0.43 * l)
+    P0 = Point(cp.x - dist * cp.normal[0], cp.y - dist * cp.normal[1])
+
+    sizes = []
+    batched = potential._layer_panels
+
+    def recording(*args):
+        sizes.append(args[4].size)
+        return batched(*args)
+
+    monkeypatch.setattr(potential, "_layer_panels", recording)
+    value = double_layer(p, curve, mu, P0, tol=tol)
+    ref, ref_leaves = _depth_first_layer(p, curve, mu, P0, tol)
+    # sizes = [roots, 2 L_0, 2 L_1, ...] with L_d live panels at depth d:
+    # every child evaluated is a leaf unless it is split at the next level
+    live = [n // 2 for n in sizes[1:]]
+    leaves = 2 * sum(live) - sum(live[1:])
+    assert abs(value - ref) <= 1.0e-13 * abs(ref)
+    assert leaves == ref_leaves
+    # one kernel call per level instead of one per panel
+    assert len(sizes) < ref_leaves
 
 
 def test_unit_density_exterior_equals_gauge(curve):
