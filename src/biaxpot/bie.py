@@ -28,7 +28,8 @@ import numpy as np
 
 from .errors import DomainError, SolveError
 from .geometry import Curve, Point
-from .kernel import Params, q4_many, weighted_dq4_dn_many
+from .kernel import (Params, kernel_families, q4_many,
+                     weighted_dq4_dn_many)
 from .potential import (Density, QuadratureRule, _panel_nodes, double_layer,
                         kernel_K4_log_split)
 from .specfun import gauss_rule
@@ -139,7 +140,9 @@ def assemble(p: Params, curve: Curve, n: int,
     ``guard_frac`` sets the excluded endpoint fraction.  By default it
     shrinks with the mesh (the stock fraction anchored at the minimum
     node count), so the endpoint truncation bias refines along with the
-    quadrature error instead of flooring it.
+    quadrature error instead of flooring it.  A kernel evaluation that
+    fails raises SolveError naming the first failing row and its
+    arclength.
     """
     if n < 16:
         raise DomainError(f"need at least 16 nodes, got {n}")
@@ -157,40 +160,39 @@ def assemble(p: Params, curve: Curve, n: int,
 
     xs, ys, _, _, nxs, nys, _ = curve.frames(nodes)
 
-    matrix = np.empty((n, n))
-    log_slope = np.empty(n)
-    regular_diag = np.empty(n)
+    # Row i is the source node, column j the curve point.  The F2 families
+    # are symmetric in the pair, so one call on the upper triangle serves
+    # both halves; only the closed forms differ.
+    iu, ju = np.triu_indices(n, 1)
+    kernel = np.zeros((n, n))
+    try:
+        families = kernel_families(p, xs[ju], ys[ju], (xs[iu], ys[iu]))
+        kernel[iu, ju] = weighted_dq4_dn_many(
+            p, xs[ju], ys[ju], nxs[ju], nys[ju], (xs[iu], ys[iu]), families)
+        kernel[ju, iu] = weighted_dq4_dn_many(
+            p, xs[iu], ys[iu], nxs[iu], nys[iu], (xs[ju], ys[ju]), families)
+        log_slope, regular_diag = kernel_K4_log_split(p, curve, nodes)
+    except Exception as exc:
+        i, exc = _first_failure(p, curve, nodes, xs, ys, nxs, nys, exc)
+        where = "" if i is None else f" on row {i} (s = {nodes[i]:.6f})"
+        raise SolveError(f"kernel evaluation failed{where}: {exc}") from exc
+
+    matrix = weights * kernel
     for i in range(n):
         s_i = float(nodes[i])
-        source = Point(float(xs[i]), float(ys[i]))
-        try:
-            others = np.arange(n) != i
-            row = np.empty(n)
-            row[others] = weighted_dq4_dn_many(p, xs[others], ys[others],
-                                               nxs[others], nys[others],
-                                               source)
-            slope, regular = kernel_K4_log_split(p, curve, s_i)
-        except Exception as exc:
-            raise SolveError(
-                f"kernel evaluation failed on row {i} (s = {s_i:.6f}): {exc}"
-            ) from exc
-        row[i] = 0.0
-        log_slope[i] = slope
-        regular_diag[i] = regular
-
-        arow = weights * row
+        slope = log_slope[i]
         panel_i = i // PANEL_ORDER
         for q in range(max(0, panel_i - 1), min(panels, panel_i + 2)):
             sl = slice(q * PANEL_ORDER, (q + 1) * PANEL_ORDER)
             lam = _log_panel_weights(edges[q], edges[q + 1], s_i, PANEL_ORDER)
             for k, j in enumerate(range(sl.start, sl.stop)):
                 if j == i:
-                    arow[j] = weights[j] * regular + slope * lam[k]
+                    matrix[i, j] = (weights[j] * regular_diag[i]
+                                    + slope * lam[k])
                 else:
                     gap = math.log(abs(nodes[j] - s_i))
-                    arow[j] = (weights[j] * (row[j] - slope * gap)
-                               + slope * lam[k])
-        matrix[i] = arow
+                    matrix[i, j] = (weights[j] * (kernel[i, j] - slope * gap)
+                                    + slope * lam[k])
     matrix[np.arange(n), np.arange(n)] += -0.5
 
     rhs = None
@@ -201,6 +203,22 @@ def assemble(p: Params, curve: Curve, n: int,
     return NystromSystem(p=p, curve=curve, n=n, nodes=nodes, weights=weights,
                          edges=edges, matrix=matrix, rhs=rhs,
                          log_slope=log_slope, regular_diag=regular_diag)
+
+
+def _first_failure(p: Params, curve: Curve, nodes, xs, ys, nxs, nys,
+                   exc: Exception) -> tuple[int | None, Exception]:
+    """The first row whose kernel evaluations raise, replayed row by row as
+    the row's off-diagonal pairs and then its log split, with its error;
+    (None, exc) when no row fails on its own."""
+    for i in range(nodes.size):
+        others = np.arange(nodes.size) != i
+        try:
+            weighted_dq4_dn_many(p, xs[others], ys[others], nxs[others],
+                                 nys[others], Point(xs[i], ys[i]))
+            kernel_K4_log_split(p, curve, float(nodes[i]))
+        except Exception as row_exc:
+            return i, row_exc
+    return None, exc
 
 
 def condition_estimate(sys: NystromSystem) -> float:

@@ -24,6 +24,13 @@ four families separately through the appell_f2 continuation and assembles
 a grouped closed form; it is kept as an independent second evaluation tree
 that the tests check the batched route against.
 
+The batched evaluators take the second point either as a fixed Point or
+as per-pair arrays (x0s, y0s), broadcast against the first points; a
+Point is broadcast the same way, so both run one closed form with the
+same elementwise arithmetic.  xi and eta are bitwise symmetric under the
+swap of the two points (x x0 commutes, and (x - x0)^2 = (x0 - x)^2), so
+one kernel_families call serves a pair in both orders.
+
 Argument convention: the first point is the integration/evaluation
 variable (x, y), the second the fixed field point (x0, y0).  q4 itself is
 symmetric under the swap.
@@ -129,40 +136,60 @@ def _family_params(p: Params):
     }
 
 
-def _chord_arrays(xs, ys, x0: float, y0: float):
-    """Vectorized chord data with the singular-pair guard."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    dx = xs - x0
-    dy = ys - y0
+def _chord_arrays(xs, ys, Q):
+    """Vectorized chord data with the singular-pair guard.
+
+    Q is the second point: a Point, or per-pair arrays (x0s, y0s).  All
+    coordinates are broadcast to one shape, so a fixed source runs the
+    same elementwise arithmetic as per-pair sources.
+    """
+    x0s, y0s = (Q.x, Q.y) if isinstance(Q, Point) else Q
+    xs, ys, x0s, y0s = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (xs, ys, x0s, y0s)))
+    dx = xs - x0s
+    dy = ys - y0s
     r2 = dx * dx + dy * dy
-    fx = 4.0 * xs * x0
-    fy = 4.0 * ys * y0
+    fx = 4.0 * xs * x0s
+    fy = 4.0 * ys * y0s
     r1sq = r2 + fx
     r2sq = r2 + fy
     bad = r2 < SINGULAR_R2_FRAC * np.maximum(r1sq, r2sq)
     if np.any(bad):
         j = int(np.argmax(bad))
         raise SingularPairError(
-            f"pair ({xs.flat[j]}, {ys.flat[j]}) vs ({x0}, {y0}) too close "
-            f"to the kernel singularity (r^2 = {r2.flat[j]:.3e})")
+            f"pair ({xs.flat[j]}, {ys.flat[j]}) vs ({x0s.flat[j]}, "
+            f"{y0s.flat[j]}) too close to the kernel singularity "
+            f"(r^2 = {r2.flat[j]:.3e})")
     with np.errstate(divide="ignore"):
         xi = -fx / r2
         eta = -fy / r2
-    return xs, ys, dx, dy, r2, xi, eta
+    return xs, ys, x0s, y0s, dx, dy, r2, xi, eta
 
 
-def q4_many(p: Params, xs, ys, Q: Point) -> np.ndarray:
-    """q4 at many first-argument points against a fixed second point."""
-    xs, ys, _, _, r2, xi, eta = _chord_arrays(xs, ys, Q.x, Q.y)
+def kernel_families(p: Params, xs, ys, Q):
+    """The four F2 families (main, dx, dy, da) of q4 at the pairs
+    ((xs, ys), Q), with Q a Point or per-pair arrays (x0s, y0s).
+
+    xi and eta are bitwise symmetric under the swap of the two points, so
+    the result also serves the swapped pairs (the ``families`` argument of
+    weighted_dq4_dn_many).
+    """
+    xi, eta = _chord_arrays(xs, ys, Q)[-2:]
+    return f2_kernel_families(*_family_params(p)["main"], xi, eta)
+
+
+def q4_many(p: Params, xs, ys, Q) -> np.ndarray:
+    """q4 at many first-argument points against a second point Q, either a
+    fixed Point or per-pair arrays (x0s, y0s) broadcast against them."""
+    xs, ys, x0s, y0s, _, _, r2, xi, eta = _chord_arrays(xs, ys, Q)
     f_main = f2_kernel_families(*_family_params(p)["main"], xi, eta)[0]
     a, b = p.alpha, p.beta
     with np.errstate(invalid="ignore"):
-        pref = ((xs * Q.x) ** (1.0 - 2.0 * a) * (ys * Q.y) ** (1.0 - 2.0 * b)
+        pref = ((xs * x0s) ** (1.0 - 2.0 * a) * (ys * y0s) ** (1.0 - 2.0 * b)
                 * r2 ** (a + b - 2.0))
     out = k4_constant(p) * pref * f_main
     # on-axis points: the prefactor vanishes identically
-    out = np.where((xs == 0.0) | (ys == 0.0) | (Q.x == 0.0) | (Q.y == 0.0),
+    out = np.where((xs == 0.0) | (ys == 0.0) | (x0s == 0.0) | (y0s == 0.0),
                    np.where(r2 > 0.0, 0.0, np.nan), out)
     return out
 
@@ -172,8 +199,9 @@ def q4(p: Params, P: Point, Q: Point) -> float:
     return float(q4_many(p, np.array([P.x]), np.array([P.y]), Q)[0])
 
 
-def grad_q4_many(p: Params, xs, ys, Q: Point):
-    """(d/dx, d/dy) of q4 in its first argument, at many points.
+def grad_q4_many(p: Params, xs, ys, Q):
+    """(d/dx, d/dy) of q4 in its first argument, at many points against a
+    second point Q (a Point, or per-pair arrays (x0s, y0s)).
 
     Points must sit strictly inside the quadrant (the x-derivative carries
     an x^(-2 alpha) factor, and symmetrically in y).
@@ -182,13 +210,12 @@ def grad_q4_many(p: Params, xs, ys, Q: Point):
     ys = np.asarray(ys, dtype=float)
     if np.any(xs <= 0.0) or np.any(ys <= 0.0):
         raise DomainError("grad_q4 needs points strictly inside the quadrant")
-    xs, ys, dx, dy, r2, xi, eta = _chord_arrays(xs, ys, Q.x, Q.y)
+    xs, ys, x0, y0, dx, dy, r2, xi, eta = _chord_arrays(xs, ys, Q)
     f_main, f_dx, f_dy, f_da = f2_kernel_families(
         *_family_params(p)["main"], xi, eta)
     a, b = p.alpha, p.beta
     k4 = k4_constant(p)
     astar = 2.0 - a - b
-    x0, y0 = Q.x, Q.y
     base = k4 * x0 ** (1.0 - 2.0 * a) * y0 ** (1.0 - 2.0 * b)
     r2m2 = r2 ** (a + b - 2.0)
     r2m3 = r2 ** (a + b - 3.0)
@@ -217,7 +244,7 @@ def dq4_dn(p: Params, cp: CurvePoint, Q: Point) -> float:
     """
     xs = np.array([cp.x])
     ys = np.array([cp.y])
-    xs, ys, dxv, dyv, r2, xi, eta = _chord_arrays(xs, ys, Q.x, Q.y)
+    _, _, _, _, dxv, dyv, r2, xi, eta = _chord_arrays(xs, ys, Q)
     fam = _family_params(p)
     f_main = float(appell_f2_many(*fam["main"], xi, eta)[0])
     f_dx = float(appell_f2_many(*fam["dx"], xi, eta)[0])
@@ -244,23 +271,27 @@ def dq4_dn(p: Params, cp: CurvePoint, Q: Point) -> float:
         + (1.0 - 2.0 * b) * r2m2 * xp * y ** (-2.0 * b) * f_main * tx)
 
 
-def weighted_dq4_dn_many(p: Params, xs, ys, nxs, nys, Q: Point) -> np.ndarray:
+def weighted_dq4_dn_many(p: Params, xs, ys, nxs, nys, Q,
+                         families=None) -> np.ndarray:
     """x^(2 alpha) y^(2 beta) times the outward conormal derivative of q4,
-    at many curve points (positions and outward normals) for a fixed Q.
+    at many curve points (positions and outward normals) against a second
+    point Q, either a fixed Point or per-pair arrays (x0s, y0s).
 
     The weight is folded into the closed form so that every power of the
     curve coordinates is nonnegative; the result stays finite (and tends
-    to zero) at the on-axis curve endpoints.
+    to zero) at the on-axis curve endpoints.  ``families`` takes the F2
+    families of the pairs from kernel_families, for callers that evaluate
+    both orders of each pair.
     """
     nxs = np.asarray(nxs, dtype=float)
     nys = np.asarray(nys, dtype=float)
-    xs, ys, dx, dy, r2, xi, eta = _chord_arrays(xs, ys, Q.x, Q.y)
-    f_main, f_dx, f_dy, f_da = f2_kernel_families(
-        *_family_params(p)["main"], xi, eta)
+    xs, ys, x0, y0, dx, dy, r2, xi, eta = _chord_arrays(xs, ys, Q)
+    if families is None:
+        families = f2_kernel_families(*_family_params(p)["main"], xi, eta)
+    f_main, f_dx, f_dy, f_da = families
     a, b = p.alpha, p.beta
     k4 = k4_constant(p)
     astar = 2.0 - a - b
-    x0, y0 = Q.x, Q.y
     base = k4 * x0 ** (1.0 - 2.0 * a) * y0 ** (1.0 - 2.0 * b)
     r2m2 = r2 ** (a + b - 2.0)
     r2m3 = r2 ** (a + b - 3.0)

@@ -237,6 +237,30 @@ def _curve_source(curve: Curve, s: float) -> Point:
     return Point(cp.x, cp.y)
 
 
+def _diagonal_sides(curve: Curve, s: np.ndarray) -> np.ndarray:
+    """The one-sided offsets s -/+ DIAG_OFFSET_FRAC * length of the
+    diagonal limit, as (len(s), 2); NaN marks a side outside (0, l)."""
+    delta = DIAG_OFFSET_FRAC * curve.length
+    sides = s[:, None] + np.array([-delta, delta])
+    sides[(sides <= 0.0) | (sides >= curve.length)] = np.nan
+    if np.any(np.all(np.isnan(sides), axis=1)):
+        raise DomainError("diagonal limit needs room on at least one side")
+    return sides
+
+
+def _side_means(p: Params, curve: Curve, s: np.ndarray,
+                ts: np.ndarray) -> np.ndarray:
+    """Row means of K4(s_i, ts[i, k]) over the non-NaN entries of ts,
+    from one pairwise kernel call."""
+    keep = ~np.isnan(ts)
+    src = np.broadcast_to(s[:, None], ts.shape)[keep]
+    xs, ys, _, _, nxs, nys, _ = curve.frames(ts[keep])
+    x0s, y0s = curve.frames(src)[:2]
+    values = np.full(ts.shape, np.nan)
+    values[keep] = weighted_dq4_dn_many(p, xs, ys, nxs, nys, (x0s, y0s))
+    return np.nanmean(values, axis=1)
+
+
 def kernel_K4_diagonal(p: Params, curve: Curve, s: float) -> float:
     """Continuous diagonal limit of K4 at t = s.
 
@@ -247,12 +271,9 @@ def kernel_K4_diagonal(p: Params, curve: Curve, s: float) -> float:
     key = (p.alpha, p.beta, float(s))
     value = cache.get(key)
     if value is None:
-        delta = DIAG_OFFSET_FRAC * curve.length
-        sides = [t for t in (s - delta, s + delta) if 0.0 < t < curve.length]
-        if not sides:
-            raise DomainError("diagonal limit needs room on at least one side")
-        value = float(np.mean(_weighted_row(p, curve, np.array(sides),
-                                            _curve_source(curve, s))))
+        s_arr = np.array([float(s)])
+        value = float(_side_means(p, curve, s_arr,
+                                  _diagonal_sides(curve, s_arr))[0])
         cache[key] = value
     return value
 
@@ -270,24 +291,37 @@ def kernel_K4(p: Params, curve: Curve, s: float, t: float) -> float:
 LOG_FIT_OUTER_FRAC = 1.0e-3
 
 
-def kernel_K4_log_split(p: Params, curve: Curve,
-                        s: float) -> tuple[float, float]:
+def kernel_K4_log_split(p: Params, curve: Curve, s):
     """Log slope and regular part of the kernel near its diagonal.
 
     The log coefficient of q4 varies with the source point, so the kernel
     keeps a residual c(s) * ln|t - s| term; near the diagonal
     K4(s, t) ~ c(s) * ln|t - s| + regular(s).  Both constants come from the
-    symmetrised kernel values at two offsets.
+    symmetrised kernel values at two offsets: the outer pair at
+    LOG_FIT_OUTER_FRAC * length and the diagonal limit (cached per node).
+
+    ``s`` is one arclength or an array of them; an array gives arrays of
+    its shape, from one pairwise kernel call for all offsets.
     """
+    s_arr = np.asarray(s, dtype=float).ravel()
+    cache = _diag_cache.setdefault(curve, {})
+    keys = [(p.alpha, p.beta, float(v)) for v in s_arr]
+    missing = np.array([key not in cache for key in keys], dtype=bool)
     outer = LOG_FIT_OUTER_FRAC * curve.length
     inner = DIAG_OFFSET_FRAC * curve.length
-    d_outer = float(np.mean(_weighted_row(p, curve,
-                                          np.array([s - outer, s + outer]),
-                                          _curve_source(curve, s))))
-    d_inner = kernel_K4_diagonal(p, curve, s)
+    ts = np.concatenate((s_arr[:, None] + np.array([-outer, outer]),
+                         _diagonal_sides(curve, s_arr[missing])))
+    means = _side_means(p, curve, np.concatenate((s_arr, s_arr[missing])),
+                        ts)
+    for i, value in zip(np.nonzero(missing)[0], means[s_arr.size:]):
+        cache[keys[i]] = float(value)
+    d_outer = means[:s_arr.size]
+    d_inner = np.array([cache[key] for key in keys])
     slope = (d_outer - d_inner) / math.log(outer / inner)
     regular = d_inner - slope * math.log(inner)
-    return slope, regular
+    if np.ndim(s) == 0:
+        return float(slope[0]), float(regular[0])
+    return slope.reshape(np.shape(s)), regular.reshape(np.shape(s))
 
 
 def _weighted_row(p: Params, curve: Curve, ts: np.ndarray,

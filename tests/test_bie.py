@@ -1,16 +1,21 @@
 """Nystrom discretization and the interior Dirichlet solve."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
 from biaxpot import (Density, DomainError, Params, Point, SolveError,
-                     k_gauge, kernel_K4)
-from biaxpot.bie import (PANEL_ORDER, assemble, condition_estimate,
-                         convergence_study, default_exterior_source,
-                         evaluate, manufactured_data, solve_dirichlet)
+                     k_gauge, kernel_K4, kernel_K4_log_split,
+                     superellipse_curve, weighted_dq4_dn_many)
+from biaxpot import kernel as kernel_mod
+from biaxpot.bie import (PANEL_ORDER, _log_panel_weights, assemble,
+                         condition_estimate, convergence_study,
+                         default_exterior_source, evaluate,
+                         manufactured_data, solve_dirichlet)
+from biaxpot.cli import main
 from biaxpot.kernel import q4
 
 P25 = Params(0.25, 0.25)
@@ -83,6 +88,79 @@ def test_assemble_row_sums_match_unit_density_trace(curve, manufactured):
         cp = curve.point_at(sys.nodes[i])
         want = k_gauge(P25, 1.0, 1.0, Point(cp.x, cp.y)) - 0.5
         assert abs(rows[i] - want) <= 1.0e-4
+
+
+def _row_by_row(p, curve, sys):
+    """The collocation matrix, log slopes and regular diagonals of ``sys``
+    rebuilt row by row: one weighted_dq4_dn_many call per row with the
+    row's node as a fixed Point source, and the scalar log split."""
+    n, nodes, weights, edges = sys.n, sys.nodes, sys.weights, sys.edges
+    xs, ys, _, _, nxs, nys, _ = curve.frames(nodes)
+    matrix = np.empty((n, n))
+    slopes = np.empty(n)
+    regulars = np.empty(n)
+    for i in range(n):
+        others = np.arange(n) != i
+        row = np.zeros(n)
+        row[others] = weighted_dq4_dn_many(p, xs[others], ys[others],
+                                           nxs[others], nys[others],
+                                           Point(xs[i], ys[i]))
+        slope, regular = kernel_K4_log_split(p, curve, float(nodes[i]))
+        slopes[i], regulars[i] = slope, regular
+        arow = weights * row
+        panel = i // PANEL_ORDER
+        for q in range(max(0, panel - 1), min(n // PANEL_ORDER, panel + 2)):
+            lam = _log_panel_weights(edges[q], edges[q + 1], nodes[i],
+                                     PANEL_ORDER)
+            for k in range(PANEL_ORDER):
+                j = q * PANEL_ORDER + k
+                if j == i:
+                    arow[j] = weights[j] * regular + slope * lam[k]
+                else:
+                    gap = math.log(abs(nodes[j] - nodes[i]))
+                    arow[j] = (weights[j] * (row[j] - slope * gap)
+                               + slope * lam[k])
+        matrix[i] = arow
+    matrix[np.arange(n), np.arange(n)] -= 0.5
+    return matrix, slopes, regulars
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.25, 0.25), (0.1, 0.4)])
+@pytest.mark.parametrize("a, b, q", [(1.0, 1.0, 3.0), (1.0, 6.0, 2.0)])
+def test_symmetric_assembly_matches_row_by_row(alpha, beta, a, b, q,
+                                               monkeypatch):
+    p = Params(alpha, beta)
+    calls = []
+    families = kernel_mod.f2_kernel_families
+
+    def counted(*args):
+        calls.append(np.size(args[5]))
+        return families(*args)
+
+    monkeypatch.setattr(kernel_mod, "f2_kernel_families", counted)
+    sys = assemble(p, superellipse_curve(a, b, q), 32)
+    # one F2 call for the upper triangle, one for the log-split offsets
+    assert calls == [32 * 31 // 2, 4 * 32]
+    # a fresh curve, so that the reference fills its own diagonal cache
+    want = _row_by_row(p, superellipse_curve(a, b, q), sys)
+    for got, ref in zip((sys.matrix, sys.log_slope, sys.regular_diag), want):
+        assert np.all(np.abs(got - ref) <= 1.0e-14 * np.abs(ref))
+
+
+def test_assemble_names_the_first_failing_row(curve, monkeypatch, tmp_path):
+    nodes = assemble(P25, curve, 16).nodes
+    # every pair now counts as singular, so row 0 fails first
+    monkeypatch.setattr(kernel_mod, "SINGULAR_R2_FRAC", 1.0)
+    with pytest.raises(SolveError,
+                       match=rf"row 0 \(s = {nodes[0]:.6f}\).*too close"):
+        assemble(P25, superellipse_curve(1.0, 1.0, 3.0), 16)
+    (tmp_path / "config.json").write_text('{"nodes": 16}', encoding="utf-8")
+    rc = main(["--config", str(tmp_path / "config.json"),
+               "--out", str(tmp_path / "out"), "solve-dirichlet"])
+    assert rc == 1
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["status"] == "fail"
+    assert "row 0" in summary["error"]
 
 
 def test_condition_estimate_finite(curve, manufactured):

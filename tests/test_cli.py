@@ -130,6 +130,28 @@ def test_verify_gradient(tmp_path):
     assert summary["status"] == "pass"
 
 
+def test_verify_gradient_batches_and_reproduces(tmp_path, monkeypatch):
+    import biaxpot.cli as cli
+
+    calls = []
+    for name in ("q4_many", "grad_q4_many"):
+        def counted(*args, _name=name, _fn=getattr(cli, name)):
+            calls.append((_name, len(args[1])))
+            return _fn(*args)
+        monkeypatch.setattr(cli, name, counted)
+    outputs = []
+    for sub in ("one", "two"):
+        base = tmp_path / sub
+        base.mkdir()
+        assert run(base, {"gradient_pairs": 12}, "verify", "gradient") == 0
+        outputs.append((base / "out" / "verify_gradient.csv").read_bytes())
+    # one gradient call for the pairs, one q4 call for their four
+    # difference stencils, one gradient call for the conormal points
+    assert calls == 2 * [("grad_q4_many", 12), ("q4_many", 48),
+                         ("grad_q4_many", 25)]
+    assert outputs[0] == outputs[1]
+
+
 def test_verify_gauge(tmp_path):
     cfg = {"interior_points": 1, "oncurve_points": 1, "exterior_points": 1}
     assert run(tmp_path, cfg, "verify", "gauge") == 0

@@ -14,6 +14,7 @@ from biaxpot import (CoincidentPointsError, DomainError, Params, Point,
                      SingularPairError, chords, dq4_dn, grad_q4, grad_q4_many,
                      k4_constant, q4, q4_many, singularity_envelope,
                      weighted_dq4_dn_many)
+from biaxpot.kernel import kernel_families
 
 P25 = Params(0.25, 0.25)
 
@@ -225,6 +226,46 @@ def test_grad_many_matches_scalar():
         gx, gy = grad_q4(P25, Point(xs[i], ys[i]), Q)
         assert gxs[i] == pytest.approx(gx, rel=1e-13)
         assert gys[i] == pytest.approx(gy, rel=1e-13)
+
+
+def test_pairwise_sources_match_fixed_sources():
+    # per-pair source arrays run the same closed forms as a fixed Point,
+    # pair by pair, bitwise
+    rng = np.random.default_rng(45)
+    xs, ys = rng.uniform(0.1, 1.4, (2, 12))
+    theta = rng.uniform(0.0, 1.5, 12)
+    nxs, nys = np.cos(theta), np.sin(theta)
+    x0s, y0s = rng.uniform(0.1, 1.4, (2, 12))
+    pair_q4 = q4_many(P25, xs, ys, (x0s, y0s))
+    pair_gx, pair_gy = grad_q4_many(P25, xs, ys, (x0s, y0s))
+    pair_dn = weighted_dq4_dn_many(P25, xs, ys, nxs, nys, (x0s, y0s))
+    for k in range(12):
+        Q = Point(x0s[k], y0s[k])
+        one = slice(k, k + 1)
+        assert q4_many(P25, xs[one], ys[one], Q)[0] == pair_q4[k]
+        gx, gy = grad_q4_many(P25, xs[one], ys[one], Q)
+        assert (gx[0], gy[0]) == (pair_gx[k], pair_gy[k])
+        assert weighted_dq4_dn_many(P25, xs[one], ys[one], nxs[one],
+                                    nys[one], Q)[0] == pair_dn[k]
+    # the F2 families do not change when the two points swap
+    fwd = kernel_families(P25, xs, ys, (x0s, y0s))
+    back = kernel_families(P25, x0s, y0s, (xs, ys))
+    for f, g in zip(fwd, back):
+        assert np.array_equal(f, g)
+    assert np.array_equal(
+        weighted_dq4_dn_many(P25, xs, ys, nxs, nys, (x0s, y0s), back),
+        pair_dn)
+
+
+def test_pairwise_sources_broadcast_and_guard():
+    xs = np.array([0.3, 0.9, 1.4])
+    ys = np.array([1.1, 0.2, 0.8])
+    # a scalar pair broadcast against the targets is a fixed source
+    assert np.array_equal(q4_many(P25, xs, ys, (0.6, 0.7)),
+                          q4_many(P25, xs, ys, Point(0.6, 0.7)))
+    with pytest.raises(SingularPairError, match="vs"):
+        q4_many(P25, xs, ys, (np.array([0.1, 0.9, 0.5]),
+                              np.array([0.1, 0.2, 0.5])))
 
 
 # -- conormal derivative ----------------------------------------------------------

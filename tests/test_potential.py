@@ -15,7 +15,7 @@ from biaxpot import (AmbiguousClassificationError, Density, DomainError,
                      double_layer, dq4_dn, energy_residual, flux_residual,
                      gauge_identity_verify, graded_rule, k_gauge, kernel_K4,
                      kernel_K4_log_split, kernel_K4_row, nearest_arclength,
-                     smooth_rule)
+                     smooth_rule, superellipse_curve)
 from biaxpot import potential
 from biaxpot.potential import (NEAR_FIELD_TOL, _smooth_edges, _trace_integral,
                                _weighted_row, boundary_trace)
@@ -103,6 +103,32 @@ def test_kernel_log_split_models_near_diagonal(curve):
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] <= 2.0e-5
     assert errs[2] <= errs[0] / 30.0
+
+
+def test_kernel_log_split_array_matches_scalar(monkeypatch):
+    # fresh curves, so that neither form reads diagonals the other cached
+    ss = np.linspace(0.01, 0.99, 9)
+    calls = []
+    pairwise = potential.weighted_dq4_dn_many
+
+    def counted(*args):
+        calls.append(np.size(args[1]))
+        return pairwise(*args)
+
+    monkeypatch.setattr(potential, "weighted_dq4_dn_many", counted)
+    c_array = superellipse_curve(1.0, 1.0, 3.0)
+    slopes, regulars = kernel_K4_log_split(P25, c_array, ss * c_array.length)
+    assert calls == [4 * ss.size]  # one pairwise call for every offset
+    c_scalar = superellipse_curve(1.0, 1.0, 3.0)
+    for k, s in enumerate(ss * c_scalar.length):
+        assert (slopes[k], regulars[k]) == kernel_K4_log_split(P25, c_scalar,
+                                                               float(s))
+    # cached diagonals are reused, and give the same split
+    calls.clear()
+    again = kernel_K4_log_split(P25, c_scalar, ss[:3] * c_scalar.length)
+    assert calls == [2 * 3]
+    assert np.array_equal(again[0], slopes[:3])
+    assert np.array_equal(again[1], regulars[:3])
 
 
 def test_kernel_row_matches_scalar(curve):

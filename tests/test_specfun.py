@@ -14,7 +14,7 @@ from biaxpot import (ConvergenceError, DivergenceError, DomainError, F2Args,
                      appell_f2, appell_f2_many, appell_f2_series,
                      f2_kernel_families, f2_param_shift, gauss_2f1,
                      gauss_2f1_at_one, ln_gamma, log_singular_3f2, pochhammer)
-from biaxpot.specfun import gauss_rule
+from biaxpot.specfun import _f2_euler_many, gauss_rule
 
 REL = lambda got, want: abs(got - want) / abs(want)
 
@@ -345,6 +345,30 @@ def test_f2_kernel_families_batch_equals_single_points(alpha, beta):
         single = f2_kernel_families(*main, x[j:j + 1], y[j:j + 1])
         for fam_batch, fam_single in zip(batch, single):
             assert fam_batch[j] == fam_single[0]
+
+
+STAIRCASE_PARAMS = [(0.25, 0.25), (0.1, 0.4), (0.01, 0.49), (0.49, 0.01),
+                    (0.45, 0.45), (0.05, 0.05)]
+
+
+@pytest.mark.parametrize("alpha, beta", STAIRCASE_PARAMS)
+def test_f2_kernel_families_staircase_matches_tensor_route(alpha, beta):
+    # the staircase node set of f2_kernel_families against the full tensor
+    # product of the same axis panels (appell_f2_many's Euler route), per
+    # family: log-uniform |xi|, |eta| over [1e-3, 1e11] plus correlated
+    # near-singular pairs, where xi and eta grow together
+    families = kernel_families(alpha, beta)
+    rng = np.random.default_rng(26)
+    span = (math.log(1.0e-3), math.log(1.0e11))
+    x = -np.exp(rng.uniform(*span, 300))
+    y = -np.exp(rng.uniform(*span, 300))
+    near = np.exp(rng.uniform(math.log(1.0e2), span[1], 100))
+    x = np.concatenate((x, -near))
+    y = np.concatenate((y, -near * rng.uniform(0.2, 5.0, 100)))
+    values = f2_kernel_families(*families[0], x, y)
+    for params, got in zip(families, values):
+        want = _f2_euler_many(*params, x, y)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 2.0e-13
 
 
 def test_f2_kernel_families_rejects_bad_input():
