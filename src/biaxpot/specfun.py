@@ -6,26 +6,28 @@ double precision.  ``gauss_2f1`` covers z <= 1 through a three-way strategy
 (direct series, Pfaff reflection for negative z, connection formula near
 z = 1 with the Gauss summation handling z = 1 itself).  ``appell_f2``
 continues the F2 double series to the third quadrant x <= 0, y <= 0, which
-is the regime produced by the chord variables of the fundamental solution:
-mid-range through the Burchnall-Chaundy product expansion
-
-    F2(a;b1,b2;c1,c2;x,y) = (1-x)^(-b1) (1-y)^(-b2)
-        * sum_i  (a)_i (b1)_i (b2)_i / ((c1)_i (c2)_i i!)
-          * (x/(1-x))^i (y/(1-y))^i
-          * 2F1(c1-a, b1+i; c1+i; x/(x-1)) * 2F1(c2-a, b2+i; c2+i; y/(y-1))
-
-whose transformed arguments sit in [0,1), and, once the product expansion
-needs too many terms (both arguments near 1, i.e. field and source point
-close), through the Euler integral representation
+is the regime produced by the chord variables of the fundamental solution.
+For c1 > b1 > 0, c2 > b2 > 0, which all kernel parameter families satisfy,
+it takes the Euler integral representation (Erdelyi et al., Higher
+Transcendental Functions I, 5.8)
 
     F2 = C * int_0^1 int_0^1 s^(b1-1) (1-s)^(c1-b1-1) t^(b2-1) (1-t)^(c2-b2-1)
-             * (1 - s x - t y)^(-a) ds dt,
+             * (1 - s x - t y)^(-a) ds dt
 
-valid for c1 > b1 > 0, c2 > b2 > 0, which all kernel parameter families
-satisfy.  The integrand is elementary and positive for x, y <= 0, so graded
-Gauss-Jacobi/Legendre panels give uniform relative accuracy arbitrarily
-close to the kernel singularity.  ``appell_f2`` also sends points to it
-whose inner connection formula would run at a near-integer excess.
+at every point of the quadrant.  The integrand is elementary and positive
+for x, y <= 0, so graded Gauss-Jacobi/Legendre panels give uniform
+relative accuracy arbitrarily close to the kernel singularity.  Any other
+parameter set goes through Appell's transformation (ibid., 5.11)
+
+    F2(a; b1, b2; c1, c2; x, y) = (1-x-y)^(-a)
+        * F2(a; c1-b1, c2-b2; c1, c2; x/(x+y-1), y/(x+y-1)),
+
+which maps the whole quadrant into the series disk: both new arguments
+are nonnegative and sum to (|x|+|y|)/(1+|x|+|y|) < 1.  Near the disk
+edge the leading terms of the series underflow before its rows have
+decayed, so from about |x| + |y| = 100 on (x and y alike) this branch
+raises ConvergenceError; it serves moderate arguments, and the kernel
+never takes it.
 
 Two routes therefore serve F2:
 
@@ -61,9 +63,12 @@ the two axes combine:
   the tensor product.
 
 Log-gamma comes from the library (``math.lgamma``, ``scipy.special.gammaln``).
-The Gauss rules, the per-axis Euler node sets and prefix rules, and the
-Euler prefactors are cached; a level pair's staircase is gathered from its
-two axes on each call, since one workload touches hundreds of level pairs.
+The Gauss rules, the staircase axes and prefix rules, and the Euler
+prefactors are cached; a level pair's staircase is gathered from its two
+axes on each call, since one workload touches hundreds of level pairs.
+The tensor axes and the prefactor of ``appell_f2_many`` are computed on
+each call, past those caches: its callers draw a new parameter set for
+almost every call, and caching them only grows memory.
 Otherwise every function is a pure function of its arguments.
 """
 
@@ -71,6 +76,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,16 +100,10 @@ Z_SWITCH = 0.5
 EXCESS_INT_TOL = 5.0e-2
 Z_SERIES_MAX = 0.995
 
-# Product-expansion outer ratio beyond which appell_f2 switches to the
-# Euler integral.  The outer series needs ~ -37/ln(t) terms, and the inner
-# 2F1 grids lose accuracy once the parameter shift grows past roughly a
-# thousand, so the boundary keeps the worst case near 900 terms.
+# Threshold on t = xy/((1-x)(1-y)) by which the benchmark tracer
+# perfbench/tracing.py splits appell_f2_many points into two route counts.
+# That tracer is its only reader; nothing in biaxpot uses it.
 BC_T_MAX = 0.96
-
-# Outer terms per block of the product expansion.  Small blocks let
-# fast-converging points leave the working set before the inner grids
-# reach large, expensive parameter shifts.
-BC_BLOCK_CAP = 256
 
 _INT_TOL = 1.0e-12
 
@@ -301,7 +301,17 @@ class F2Args:
 
 
 def appell_f2_series(args: F2Args) -> float:
-    """F2 by its double power series; requires |x| + |y| < 1."""
+    """F2 by its double power series; requires |x| + |y| < 1.
+
+    A term (or row) counts towards convergence only once it is small and
+    no larger than its predecessor: near the disk edge the terms of a row
+    grow towards a crest first, and a growing term that is still small
+    says nothing about the tail.  Each row is summed to its own relative
+    accuracy, so that the truncation errors of the rows do not pile up in
+    the total; the floor at SERIES_RTOL of the total keeps a row that
+    cancels to nearly zero finite.  Raises ConvergenceError once the
+    leading term of a row underflows before the sum has converged.
+    """
     if abs(args.x) + abs(args.y) >= 1.0:
         raise DomainError(
             "appell_f2_series requires |x| + |y| < 1 "
@@ -310,6 +320,7 @@ def appell_f2_series(args: F2Args) -> float:
     x, y = args.x, args.y
     total = 0.0
     lead = 1.0  # (a)_m (b1)_m / ((c1)_m m!) x^m
+    prev_row = math.inf
     small_rows = 0
     for m in range(MAX_TERMS):
         # row over n at fixed m
@@ -317,9 +328,12 @@ def appell_f2_series(args: F2Args) -> float:
         row = term
         small = 0
         for n in range(MAX_TERMS):
+            prev = abs(term)
             term *= (a + m + n) * (b2 + n) * y / ((c2 + n) * (n + 1))
             row += term
-            if abs(term) <= SERIES_RTOL * max(abs(total), abs(row), 1e-300):
+            if (abs(term) <= prev
+                    and abs(term) <= SERIES_RTOL * max(
+                        abs(row), SERIES_RTOL * abs(total), 1e-300)):
                 small += 1
                 if small >= SERIES_RUN:
                     break
@@ -328,13 +342,19 @@ def appell_f2_series(args: F2Args) -> float:
         else:
             raise ConvergenceError("appell_f2_series: inner index hit the term cap")
         total += row
-        if abs(row) <= SERIES_RTOL * max(abs(total), 1e-300) and abs(lead) <= SERIES_RTOL * max(abs(total), 1e-300):
+        floor = SERIES_RTOL * max(abs(total), 1e-300)
+        if abs(row) <= min(prev_row, floor) and abs(lead) <= floor:
             small_rows += 1
             if small_rows >= SERIES_RUN:
                 return total
         else:
             small_rows = 0
+        prev_row = abs(row)
         lead *= (a + m) * (b1 + m) * x / ((c1 + m) * (m + 1))
+        if 0.0 < abs(lead) < sys.float_info.min:
+            # rows built on a subnormal lead lose digits, then vanish
+            raise ConvergenceError(
+                "appell_f2_series: terms underflow before the sum converges")
     raise ConvergenceError("appell_f2_series: outer index hit the term cap")
 
 
@@ -350,131 +370,6 @@ def f2_param_shift(args: F2Args, m: int, n: int) -> tuple[float, F2Args]:
     shifted = F2Args(args.a + m + n, args.b1 + m, args.b2 + n,
                      args.c1 + m, args.c2 + n, args.x, args.y)
     return coef, shifted
-
-
-# -- vectorised inner 2F1 families for the product expansion ----------------
-
-def _hyp_series_grid(a0, da, b0, db, c0, dc, z, n, max_terms=1200):
-    """2F1(a0 + da*i, b0 + db*i; c0 + dc*i; z_j), i = 0..n-1, as an (n, npts)
-    grid over the argument vector z with |z_j| <= 0.5.
-
-    The shift pattern (da, db, dc in {0, 1}) covers both the direct regime
-    (b and c shift together) and the two component series of the connection
-    formula (a-slot or b-slot shifts, c fixed).  When a numerator slot
-    shifts with i the terms crest around m ~ i*z/(1-z) before decaying;
-    the product-expansion driver keeps i small enough that the crest stays
-    well under the cap.
-    """
-    i = np.arange(n, dtype=float)[:, None]
-    z = np.asarray(z, dtype=float)[None, :]
-    term = np.ones((n, z.shape[1]))
-    total = np.ones_like(term)
-    small = 0
-    for m in range(max_terms):
-        term = term * ((a0 + da * i + m) * (b0 + db * i + m) * z
-                       / ((c0 + dc * i + m) * (m + 1)))
-        total = total + term
-        if np.max(np.abs(term)) <= SERIES_RTOL * max(np.max(np.abs(total)), 1e-300):
-            small += 1
-            if small >= SERIES_RUN:
-                return total
-        else:
-            small = 0
-    raise ConvergenceError("vectorised 2F1 series hit the term cap")
-
-
-def _hyp_connection_grid(A, B0, C0, u, n):
-    """2F1(A, B0 + i; C0 + i; 1-u_j) on the (n, npts) grid, 0 < u_j < 0.5.
-
-    Uses the 1-z connection formula; the excess s = C0 - A - B0 is shared
-    by every member of the family.  Requires s not an integer, C0 - B0 > 0
-    and C0 - A > 0 (the kernel families guarantee both).
-    """
-    s = C0 - A - B0
-    if abs(s - round(s)) < 1e-8:
-        raise ConvergenceError(
-            "connection formula unusable: integer parameter excess")
-    i = np.arange(n, dtype=float)
-    u = np.asarray(u, dtype=float)
-    lg_s, sg_s = _ln_gamma_signed(s)
-    lg_ms, sg_ms = _ln_gamma_signed(-s)
-    lg_cb = ln_gamma(C0 - B0)
-    # g1_i = G(C0+i) G(s) / (G(C0-A+i) G(C0-B0))
-    g1 = sg_s * np.exp(ln_gamma(C0 + i) - ln_gamma(C0 - A + i) + lg_s - lg_cb)
-    f1 = _hyp_series_grid(A, 0.0, B0, 1.0, 1.0 - s, 0.0, u, n)
-    out = g1[:, None] * f1
-    lgA, sgA = _ln_gamma_signed(A)
-    if sgA != 0.0:
-        g2 = (sg_ms * sgA
-              * np.exp(ln_gamma(C0 + i) - ln_gamma(B0 + i) + lg_ms - lgA))
-        f2 = _hyp_series_grid(C0 - A, 1.0, C0 - B0, 0.0, 1.0 + s, 0.0, u, n)
-        out = out + u[None, :] ** s * g2[:, None] * f2
-    return out
-
-
-def _bc_outer_need(t_max: float) -> int:
-    """Outer terms needed for the product expansion to reach ~1e-16 t^i
-    decay; the estimate is sharp because the outer coefficients are O(1)."""
-    if t_max <= 0.0:
-        return 4
-    return int(min(MAX_TERMS, 37.0 / -np.log(min(t_max, 0.9999)) + 16.0))
-
-
-def _f2_product_core(a, b1, b2, c1, c2, u,
-                     v) -> tuple[np.ndarray, np.ndarray]:
-    """Burchnall-Chaundy outer sum over a batch of points; u_j = 1/(1-x_j),
-    v_j = 1/(1-y_j) in (0, 1].
-
-    Returns (values, stalled): values include the (1-x)^(-b1) (1-y)^(-b2)
-    = u^b1 v^b2 prefactor, and stalled flags the points whose outer tail
-    never passed the convergence test.  Points converge at different outer
-    orders, so finished points drop out of the working set block by block;
-    the block cap keeps the inner series away from the large shifts only
-    the slowest points would visit.
-    """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    t = (1.0 - u) * (1.0 - v)
-    npts = u.size
-    total = np.zeros(npts)
-    active = np.arange(npts)
-    gamma_next = 1.0  # (a)_i (b1)_i (b2)_i / ((c1)_i (c2)_i i!) at block start
-    start = 0
-    cap = _bc_outer_need(float(np.max(t))) + 2 * BC_BLOCK_CAP
-    while start < cap:
-        nblk = min(max(_bc_outer_need(float(np.max(t[active]))) - start, 16),
-                   BC_BLOCK_CAP, cap - start)
-        i = np.arange(start, start + nblk, dtype=float)
-        ratios = ((a + i) * (b1 + i) * (b2 + i)
-                  / ((c1 + i) * (c2 + i) * (i + 1.0)))
-        gam = gamma_next * np.concatenate(([1.0], np.cumprod(ratios[:-1])))
-        gamma_next = gam[-1] * ratios[-1]
-        ua, va, ta = u[active], v[active], t[active]
-        # inner families split by argument regime on each axis
-        phi1 = np.empty((nblk, active.size))
-        phi2 = np.empty((nblk, active.size))
-        for phi, w, (A, B0, C0) in (
-                (phi1, ua, (c1 - a, b1 + start, c1 + start)),
-                (phi2, va, (c2 - a, b2 + start, c2 + start))):
-            big = w >= Z_SWITCH
-            if np.any(big):
-                phi[:, big] = _hyp_series_grid(
-                    A, 0.0, B0, 1.0, C0, 1.0, 1.0 - w[big], nblk)
-            if np.any(~big):
-                phi[:, ~big] = _hyp_connection_grid(A, B0, C0, w[~big], nblk)
-        with np.errstate(under="ignore"):
-            terms = gam[:, None] * phi1 * phi2 * ta[None, :] ** i[:, None]
-        total[active] += terms.sum(axis=0)
-        floor = SERIES_RTOL * np.maximum(np.abs(total[active]), 1e-300)
-        tail = np.abs(terms[-SERIES_RUN:]) if nblk >= SERIES_RUN else np.abs(terms)
-        done = np.all(tail <= floor[None, :], axis=0)
-        active = active[~done]
-        if active.size == 0:
-            break
-        start += nblk
-    stalled = np.zeros(npts, dtype=bool)
-    stalled[active] = True
-    return u ** b1 * v ** b2 * total, stalled
 
 
 # -- Euler integral route ----------------------------------------------------
@@ -507,7 +402,6 @@ _STAIR_JAC_N = 20
 EULER_CHUNK_BYTES = 1 << 20
 
 
-@functools.lru_cache(maxsize=256)
 def _euler_axis(b: float, cb: float, level: int, leg: int = _EULER_LEG_N,
                 jac: int = _EULER_JAC_N):
     """Nodes/weights for int_0^1 s^(b-1) (1-s)^(cb-1) g(s|x|) ds, |x| <= 2^level.
@@ -518,14 +412,15 @@ def _euler_axis(b: float, cb: float, level: int, leg: int = _EULER_LEG_N,
     remaining factor (1 + s|x| + ...)^(-a) is smooth on every panel: panel
     0 is [0, h0] (``jac`` Gauss-Jacobi nodes), panels 1..level are
     [h0 2^(k-1), h0 2^k] (``leg`` Gauss-Legendre nodes each), and panel
-    level + 1 is [1/2, 1] (``jac`` Gauss-Jacobi nodes).  Cached per dyadic
-    level; the returned arrays are read-only.
+    level + 1 is [1/2, 1] (``jac`` Gauss-Jacobi nodes).  Built on each call,
+    with the two parameter-dependent Jacobi rules taken past the rule cache;
+    the returned arrays are read-only.
     """
     nodes = []
     weights = []
     h0 = 0.5 ** (level + 1)
     # left Gauss-Jacobi panel [0, h0] absorbing s^(b-1)
-    tj, wj = gauss_rule(jac, b - 1.0)
+    tj, wj = gauss_rule.__wrapped__(jac, b - 1.0)
     s = 0.5 * h0 * (tj + 1.0)
     w = wj * (0.5 * h0) ** b * (1.0 - s) ** (cb - 1.0)
     nodes.append(s)
@@ -541,7 +436,7 @@ def _euler_axis(b: float, cb: float, level: int, leg: int = _EULER_LEG_N,
         weights.append(w)
         lo = hi
     # right Gauss-Jacobi panel [1/2, 1] absorbing (1-s)^(cb-1)
-    tj, wj = gauss_rule(jac, cb - 1.0)
+    tj, wj = gauss_rule.__wrapped__(jac, cb - 1.0)
     s = 1.0 - 0.25 * (tj + 1.0)
     w = wj * 0.25 ** cb * s ** (b - 1.0)
     nodes.append(s)
@@ -637,10 +532,13 @@ def _f2_euler_many(a, b1, b2, c1, c2, x, y) -> np.ndarray:
     tree independent of the staircase of ``f2_kernel_families``.
     """
     out = np.empty(x.size)
-    pref = _euler_prefactor(b1, c1, b2, c2)
+    pref = _euler_prefactor.__wrapped__(b1, c1, b2, c2)
+    # each axis is built once per level for this call only
+    x_axis = functools.cache(functools.partial(_euler_axis, b1, c1 - b1))
+    y_axis = functools.cache(functools.partial(_euler_axis, b2, c2 - b2))
     for level_x, level_y, group in _level_groups(x, y):
-        s, ws, _ = _euler_axis(b1, c1 - b1, level_x)
-        t, wt, _ = _euler_axis(b2, c2 - b2, level_y)
+        s, ws, _ = x_axis(level_x)
+        t, wt, _ = y_axis(level_y)
         for idx in _chunks(group, s.size * t.size):
             # B = 1 - s x - t y on the (points, s, t) tensor
             core = ((1.0 - x[idx][:, None, None] * s[None, :, None])
@@ -657,6 +555,8 @@ def _check_f2_arguments(x, y, c1, c2):
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
         raise DomainError("F2 arguments x and y must have equal shapes")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise DomainError("F2 arguments x and y must be finite")
     if np.any(x > 0.0) or np.any(y > 0.0):
         raise DomainError("appell_f2 is defined for x <= 0 and y <= 0")
     if _is_nonpos_int(c1) or _is_nonpos_int(c2):
@@ -687,8 +587,6 @@ def f2_kernel_families(a: float, b1: float, b2: float, c1: float, c2: float,
     if not ((c1 > b1 > 0.0) and (c2 > b2 > 0.0)):
         raise DomainError(
             "f2_kernel_families needs c1 > b1 > 0 and c2 > b2 > 0")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise DomainError("f2_kernel_families needs finite arguments")
     shape = x.shape
     x = x.ravel()
     y = y.ravel()
@@ -726,42 +624,28 @@ def appell_f2_many(a: float, b1: float, b2: float, c1: float, c2: float,
                    x, y) -> np.ndarray:
     """Appell F2 at fixed parameters over argument vectors x <= 0, y <= 0.
 
-    Dispatches per point between the Burchnall-Chaundy product expansion
-    (mid range) and the Euler double integral.  The Euler integral takes
-    the near-singular regime (both transformed arguments near 1), the
-    points whose inner connection formula would run at an excess a - b1 or
-    a - b2 within EXCESS_INT_TOL of an integer (the rule gauss_2f1 applies
-    to its own connection formula), and the points the product expansion
-    fails to converge on; it needs c1 > b1 > 0 and c2 > b2 > 0.  Agrees
-    with ``appell_f2_series`` on the overlap |x| + |y| < 1.
+    For c1 > b1 > 0 and c2 > b2 > 0 the Euler double integral on the
+    tensor product of the two graded axes takes every point; the origin,
+    where the quadrature leaves a last-digit error, is set to exactly 1.
+    Any other parameter set goes through Appell's transformation to the
+    double series at x/(x+y-1), y/(x+y-1), one point at a time; that series
+    raises ConvergenceError where its terms underflow before it converges
+    (see the module docstring).  Agrees with ``appell_f2_series`` on the
+    disk |x| + |y| < 1.
     """
     x, y = _check_f2_arguments(x, y, c1, c2)
     shape = x.shape
     x = x.ravel()
     y = y.ravel()
-    u = 1.0 / (1.0 - x)
-    v = 1.0 / (1.0 - y)
-    t = (1.0 - u) * (1.0 - v)
-    out = np.empty(x.size)
-    euler_ok = (c1 > b1 > 0.0) and (c2 > b2 > 0.0)
-    near = t > BC_T_MAX
-    for excess, w in ((a - b1, u), (a - b2, v)):
-        if abs(excess - round(excess)) <= EXCESS_INT_TOL:
-            near |= w < Z_SWITCH
-    near &= euler_ok
-    if np.any(near):
-        out[near] = _f2_euler_many(a, b1, b2, c1, c2, x[near], y[near])
-    mid = np.nonzero(~near)[0]
-    if mid.size:
-        values, stalled = _f2_product_core(a, b1, b2, c1, c2, u[mid], v[mid])
-        out[mid] = values
-        if np.any(stalled):
-            if not euler_ok:
-                raise ConvergenceError(
-                    "F2 product expansion stalled and the Euler integral "
-                    "needs c1 > b1 > 0 and c2 > b2 > 0")
-            redo = mid[stalled]
-            out[redo] = _f2_euler_many(a, b1, b2, c1, c2, x[redo], y[redo])
+    if (c1 > b1 > 0.0) and (c2 > b2 > 0.0):
+        out = _f2_euler_many(a, b1, b2, c1, c2, x, y)
+        out[(x == 0.0) & (y == 0.0)] = 1.0
+    else:
+        out = np.array([
+            (1.0 - xj - yj) ** (-a) * appell_f2_series(F2Args(
+                a, c1 - b1, c2 - b2, c1, c2,
+                xj / (xj + yj - 1.0), yj / (xj + yj - 1.0)))
+            for xj, yj in zip(x.tolist(), y.tolist())], dtype=float)
     return out.reshape(shape)
 
 

@@ -5,7 +5,9 @@ arbitrary-precision evaluation (direct series or gamma-product formulas)
 and are frozen here as decimal literals.
 """
 
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -14,7 +16,8 @@ from biaxpot import (ConvergenceError, DivergenceError, DomainError, F2Args,
                      appell_f2, appell_f2_many, appell_f2_series,
                      f2_kernel_families, f2_param_shift, gauss_2f1,
                      gauss_2f1_at_one, ln_gamma, log_singular_3f2, pochhammer)
-from biaxpot.specfun import _f2_euler_many, gauss_rule
+from biaxpot.specfun import (_euler_prefactor, _f2_euler_many, _stair_axis,
+                             gauss_rule)
 
 REL = lambda got, want: abs(got - want) / abs(want)
 
@@ -214,6 +217,15 @@ def test_f2_series_rejects_divergent_arguments():
         appell_f2_series(F2Args(1.5, 0.75, 0.75, 1.5, 1.5, -0.6, -0.5))
 
 
+def test_f2_series_sums_past_the_crest_of_a_row():
+    # near the disk edge at positive arguments the terms of late rows grow
+    # before they decay; 30-digit reference of the double series
+    args = F2Args(1.5749078802178267, 0.9678725010533668, 1.4484874592602872,
+                  1.6511501723072097, 1.8005905651157152,
+                  0.32149970052137294, 0.5520107184548619)
+    assert REL(appell_f2_series(args), 7.31237123279686245233) <= 1.0e-13
+
+
 # -- appell F2 continuation -------------------------------------------------------
 
 def test_f2_at_origin():
@@ -289,6 +301,78 @@ def test_f2_contiguous_relation_at_near_integer_excess():
     rhs = (appell_f2(F2Args(a + 1, b1, b2, c1, c2, x, y))
            - appell_f2(F2Args(a, b1, b2, c1, c2, x, y)))
     assert abs(lhs - rhs) <= 1.0e-12 * abs(rhs)
+
+
+def test_f2_rejects_non_finite_arguments():
+    for bad in (math.nan, -math.inf):
+        with pytest.raises(DomainError):
+            appell_f2(F2Args(1.5, 0.75, 0.75, 1.5, 1.5, bad, -0.1))
+        with pytest.raises(DomainError):
+            appell_f2_many(1.5, 0.75, 0.75, 1.5, 1.5,
+                           np.array([-0.2, -0.1]), np.array([-0.3, bad]))
+        with pytest.raises(DomainError):
+            f2_kernel_families(1.5, 0.75, 0.75, 1.5, 1.5,
+                               np.array([bad]), np.array([-0.1]))
+
+
+def test_f2_leaves_the_rule_caches_alone():
+    # appell_f2 serves a new parameter set on almost every call; its tensor
+    # axes and prefactors must not pile up in the caches the kernel route
+    # relies on
+    def cache_state():
+        # misses as well as sizes, so that a full cache that evicts still
+        # shows a new entry
+        return [(cached.cache_info().currsize, cached.cache_info().misses)
+                for cached in (gauss_rule, _stair_axis, _euler_prefactor)]
+
+    rng = np.random.default_rng(27)
+    appell_f2(F2Args(1.5, 0.75, 0.75, 1.5, 1.5, -0.2, -0.3))
+    before = cache_state()
+    for _ in range(20):
+        b1, b2 = rng.uniform(0.2, 1.2, 2)
+        args = F2Args(rng.uniform(0.3, 2.0), b1, b2,
+                      b1 + rng.uniform(0.4, 1.8), b2 + rng.uniform(0.4, 1.8),
+                      -rng.uniform(0.05, 30.0), -rng.uniform(0.05, 30.0))
+        appell_f2(args)
+    assert cache_state() == before
+
+
+# -- frozen high-precision references (tests/data/make_references.py) -------------
+
+F2_REFERENCES = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "f2_references.json").read_text())
+
+
+@pytest.mark.parametrize("case", F2_REFERENCES["kernel"],
+                         ids=lambda c: f"{c['alpha']}-{c['beta']}")
+def test_f2_matches_frozen_kernel_references(case):
+    # 30-digit values through Appell's transformation and the series,
+    # which share no representation with either Euler route
+    x, y = np.array(F2_REFERENCES["points"]).T
+    families = kernel_families(case["alpha"], case["beta"])
+    batched = f2_kernel_families(*families[0], x, y)
+    for params, got, name in zip(families, batched, ("main", "dx", "dy", "da")):
+        want = np.array([float(v) for v in case["values"][name]])
+        assert np.max(np.abs(got - want) / want) <= 1.0e-13
+        single = appell_f2_many(*params, x, y)
+        assert np.max(np.abs(single - want) / want) <= 1.0e-13
+
+
+@pytest.mark.parametrize("case", F2_REFERENCES["general"],
+                         ids=lambda c: f"{c['x']}-{c['y']}")
+def test_f2_matches_frozen_references_for_c_below_b(case):
+    # c1 < b1: outside the Euler integral, served through Appell's
+    # transformation to the double series
+    args = F2Args(*case["params"], case["x"], case["y"])
+    assert REL(appell_f2(args), float(case["value"])) <= 1.0e-13
+
+
+def test_f2_for_c_below_b_fails_loudly_where_the_series_underflows():
+    # at (-150, -150) the transformed series' leading terms underflow
+    # while its rows still carry about 1e-9 of the sum; summing on gave a
+    # value 6.6e-8 off the single-sum continuation
+    with pytest.raises(ConvergenceError):
+        appell_f2(F2Args(1.3, 1.1, 0.9, 1.05, 1.8, -150.0, -150.0))
 
 
 # -- the four kernel families on one Euler node set --------------------------------
