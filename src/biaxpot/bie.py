@@ -66,39 +66,42 @@ def _lagrange_coeffs(order: int) -> np.ndarray:
     return coeffs
 
 
-def _log_moment(power: int, lo: float, hi: float) -> float:
-    """int_lo^hi tau^power * ln|tau| dtau, valid across tau = 0."""
-
-    def anti(t: float) -> float:
-        if t == 0.0:
-            return 0.0
-        r = power + 1
-        return t ** r / r * (math.log(abs(t)) - 1.0 / r)
-
-    return anti(hi) - anti(lo)
-
-
-def _log_panel_weights(lo: float, hi: float, s0: float,
-                       order: int) -> np.ndarray:
+def _log_panel_weights(lo, hi, s0, order: int) -> np.ndarray:
     """Weights integrating ln|t - s0| against panel-node values exactly.
 
     lambda_k = int_lo^hi ln|t - s0| L_k(t) dt for the Gauss-order Lagrange
     basis on [lo, hi]; exact for data from polynomials of the panel degree.
+    Scalar arguments give the ``order`` weights, arrays a row per panel.
+    With s0 at nu on the panel mapped to [-1, 1], the log moments come from
+    the monomial recursion (Helsing & Ojala 2008, J. Comput. Phys.
+    227:8820): (r+1) int_{-1}^{1} u^r ln|u - nu| du = ln|1-nu| +
+    (-1)^r ln|1+nu| + T_r, T_r = nu T_(r-1) - int u^r, T_(-1) =
+    ln|(1+nu)/(1-nu)|; for |nu| >= 1.5, where that step loses a factor |nu|,
+    T_r runs down from T_(order-1) = 2 sum_(odd k > order) nu^(order-k)/k.
     """
-    half = 0.5 * (hi - lo)
-    nu = (s0 - 0.5 * (lo + hi)) / half
-    powers = np.arange(order)
-    # int_{-1}^{1} u^r ln|u - nu| du via the binomial expansion around nu
-    log_part = np.zeros(order)
-    for r in range(order):
-        total = 0.0
-        for qq in range(r + 1):
-            total += (math.comb(r, qq) * nu ** (r - qq)
-                      * _log_moment(qq, -1.0 - nu, 1.0 - nu))
-        log_part[r] = total
-    plain = np.where(powers % 2 == 0, 2.0 / (powers + 1.0), 0.0)
-    moments = half * (math.log(half) * plain + log_part)
-    return _lagrange_coeffs(order).T @ moments
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    half = np.atleast_1d(0.5 * (hi - lo))
+    nu = np.atleast_1d((s0 - 0.5 * (lo + hi))) / half
+    with np.errstate(divide="ignore"):
+        logs = np.log(np.abs(1.0 - nu)), np.log(np.abs(1.0 + nu))
+    # a log is infinite only at nu = +-1, where its coefficient vanishes
+    lp, lm = (np.where(np.isinf(v), 0.0, v) for v in logs)
+    r = np.arange(order)
+    plain = np.where(r % 2 == 0, 2.0 / (r + 1.0), 0.0)
+    t = np.empty((nu.size, order))
+    near, far = np.abs(nu) < 1.5, np.abs(nu) >= 1.5
+    prev = (lm - lp)[near]
+    for k in range(order):
+        prev = t[near, k] = nu[near] * prev - plain[k]
+    inv = 1.0 / nu[far]
+    odd = np.arange(order + 1 + order % 2, order + 121, 2)
+    t[far, -1] = 2.0 * (inv[:, None] ** (odd - order) / odd).sum(axis=1)
+    for k in range(order - 1, 0, -1):
+        t[far, k - 1] = (t[far, k] + plain[k]) * inv
+    log_part = (lp[:, None] + (-1.0) ** r * lm[:, None] + t) / (r + 1.0)
+    moments = half[:, None] * (np.log(half)[:, None] * plain + log_part)
+    lam = np.einsum("nr,rk->nk", moments, _lagrange_coeffs(order))
+    return lam.reshape(np.shape(s0 - lo + hi) + (order,))
 
 
 @dataclass
@@ -178,21 +181,24 @@ def assemble(p: Params, curve: Curve, n: int,
         raise SolveError(f"kernel evaluation failed{where}: {exc}") from exc
 
     matrix = weights * kernel
-    for i in range(n):
+    # the product-integration weights of every (row, adjacent panel) pair
+    pairs = [(i, q) for i in range(n)
+             for q in range(max(0, i // PANEL_ORDER - 1),
+                            min(panels, i // PANEL_ORDER + 2))]
+    rows, cols = np.array(pairs).T
+    lams = _log_panel_weights(edges[cols], edges[cols + 1], nodes[rows],
+                              PANEL_ORDER)
+    for (i, q), lam in zip(pairs, lams):
         s_i = float(nodes[i])
         slope = log_slope[i]
-        panel_i = i // PANEL_ORDER
-        for q in range(max(0, panel_i - 1), min(panels, panel_i + 2)):
-            sl = slice(q * PANEL_ORDER, (q + 1) * PANEL_ORDER)
-            lam = _log_panel_weights(edges[q], edges[q + 1], s_i, PANEL_ORDER)
-            for k, j in enumerate(range(sl.start, sl.stop)):
-                if j == i:
-                    matrix[i, j] = (weights[j] * regular_diag[i]
-                                    + slope * lam[k])
-                else:
-                    gap = math.log(abs(nodes[j] - s_i))
-                    matrix[i, j] = (weights[j] * (kernel[i, j] - slope * gap)
-                                    + slope * lam[k])
+        for k, j in enumerate(range(q * PANEL_ORDER, (q + 1) * PANEL_ORDER)):
+            if j == i:
+                matrix[i, j] = (weights[j] * regular_diag[i]
+                                + slope * lam[k])
+            else:
+                gap = math.log(abs(nodes[j] - s_i))
+                matrix[i, j] = (weights[j] * (kernel[i, j] - slope * gap)
+                                + slope * lam[k])
     matrix[np.arange(n), np.arange(n)] += -0.5
 
     rhs = None

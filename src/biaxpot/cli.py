@@ -19,12 +19,13 @@ generator seeded by the ``seed`` field (default 0), so they are
 deterministic too unless the seed is changed.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 malformed
-or inconsistent config, 3 evaluation or solver infrastructure failure.
+or inconsistent config, 3 evaluation or solver failure (status "error").
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -627,6 +628,12 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     except Exception as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        command = (f"verify {args.suite}" if args.command == "verify"
+                   else args.command)
+        with contextlib.suppress(OSError):  # the output dir may be at fault
+            write_summary(cfg, command, [], [], {
+                "status": "error",
+                "error": {"type": type(exc).__name__, "message": str(exc)}})
         return EXIT_INFRA
 
 

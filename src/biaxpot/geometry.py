@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from .errors import DomainError
 
@@ -58,6 +57,46 @@ class CurvePoint:
 
 _TABLE_CELLS = 1024
 _GAUSS_PTS = 7
+
+
+def _cubic_spline(x, y):
+    """Not-a-knot cubic spline through (x[i], y[i]), x strictly increasing,
+    at least four knots; a vectorised evaluator that extends the end cubics.
+    The knot slopes solve the tridiagonal system in one Thomas sweep."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if (x.ndim != 1 or x.shape != y.shape or x.size < 4
+            or not np.all(np.diff(x) > 0.0)):
+        raise DomainError("spline needs four or more increasing 1-d knots")
+    dx = np.diff(x)
+    m = np.diff(y) / dx
+    # row i: lower[i-1] s[i-1] + diag[i] s[i] + upper[i] s[i+1] = rhs[i];
+    # the first and last rows are the not-a-knot conditions
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    lower, upper = [*dx[1:].tolist(), d1], [d0, *dx[:-1].tolist()]
+    diag = [dx[1], *(2.0 * (dx[:-1] + dx[1:])).tolist(), dx[-2]]
+    rhs = [((dx[0] + 2.0 * d0) * dx[1] * m[0] + dx[0] ** 2 * m[1]) / d0,
+           *(3.0 * (dx[1:] * m[:-1] + dx[:-1] * m[1:])).tolist(),
+           (dx[-1] ** 2 * m[-2] + (2.0 * d1 + dx[-1]) * dx[-2] * m[-1]) / d1]
+    for i in range(1, x.size):
+        w = lower[i - 1] / diag[i - 1]
+        diag[i] -= w * upper[i - 1]
+        rhs[i] -= w * rhs[i - 1]
+    s = [rhs[-1] / diag[-1]]
+    for i in range(x.size - 2, -1, -1):
+        s.append((rhs[i] - upper[i] * s[-1]) / diag[i])
+    s = np.array(s[::-1])
+    # power-form coefficients per interval, constant term first
+    t = (s[:-1] + s[1:] - 2.0 * m) / dx
+    coef = (y[:-1], s[:-1], (m - s[:-1]) / dx - t, t / dx)
+
+    def spline(u):
+        u = np.asarray(u, dtype=float)
+        k = np.clip(np.searchsorted(x, u, side="right") - 1, 0, x.size - 2)
+        d = u - x[k]
+        return coef[0][k] + coef[1][k] * d + coef[2][k] * (d * d) \
+            + coef[3][k] * (d * d * d)
+
+    return spline
 
 
 class Curve:
@@ -106,49 +145,34 @@ class Curve:
                            @ gl_w)
             return edges, np.concatenate(([0.0], np.cumsum(cell)))
 
-        def speed_x(x):
-            _, dy, _ = self._graph_over_x(x)
-            return np.hypot(1.0, dy)
-
-        def speed_y(y):
-            _, dx, _ = self._graph_over_y(y)
-            return np.hypot(1.0, dx)
-
-        self._x_edges, s_of_x = table(x_star, speed_x)
-        self._y_edges, s_of_y = table(y_star, speed_y)
-        len1 = s_of_x[-1]
-        len2 = s_of_y[-1]
-        self.length = len1 + len2
-        self._s_glue = len1
-        # branch 1: s grows with x from B; branch 2: s = length - (arclength
-        # measured from A), so it grows as y falls.  Forward maps are cubic
-        # splines (smooth data, near machine accuracy at this resolution);
-        # the inverse maps only seed the Newton polish, so the monotone
-        # PCHIP form is the right tool there.
-        self._s_of_x = CubicSpline(self._x_edges, s_of_x)
-        self._x_of_s = PchipInterpolator(s_of_x, self._x_edges)
-        self._s_of_y = CubicSpline(self._y_edges, self.length - s_of_y)
-        self._y_of_s = PchipInterpolator(self.length - s_of_y[::-1],
-                                         self._y_edges[::-1])
+        x_edges, s_of_x = table(
+            x_star, lambda x: np.hypot(1.0, self._graph_over_x(x)[1]))
+        y_edges, s_of_y = table(
+            y_star, lambda y: np.hypot(1.0, self._graph_over_y(y)[1]))
+        self._s_glue = s_of_x[-1]
+        self.length = s_of_x[-1] + s_of_y[-1]
+        # Per branch: graph, forward map s(par) (not-a-knot spline, near
+        # machine accuracy on smooth data), (s, par) table whose linear
+        # reading seeds the Newton polish, par range end, sign of -ds/dpar
+        # (s grows with x from B on branch 1, falls with y on branch 2).
+        s_of_y = self.length - s_of_y
+        self._branches = (
+            (self._graph_over_x, _cubic_spline(x_edges, s_of_x),
+             (s_of_x, x_edges), x_star, -1.0),
+            (self._graph_over_y, _cubic_spline(y_edges, s_of_y),
+             (s_of_y[::-1], y_edges[::-1]), y_star, 1.0))
 
     def _branch_frames(self, s: np.ndarray, branch: int):
         """(x, y, tx, ty, kappa) at arclengths s on one graph branch.
 
         The table inverse seeds a Newton polish that makes the parameter
         consistent with the analytic speed to machine accuracy.  The seed
-        is clamped into the branch's range first: the PCHIP inverse can
-        land a rounding error outside it (y = -8e-24 at s = l), where the
+        and every step are clamped into the branch's range: rounding can
+        land a parameter just outside it (y = -8e-24 at s = l), where the
         graph's fractional powers are NaN.
         """
-        if branch == 1:
-            graph, s_of, par_of, edge, sign = (
-                self._graph_over_x, self._s_of_x, self._x_of_s,
-                self._x_edges[-1], -1.0)
-        else:
-            graph, s_of, par_of, edge, sign = (
-                self._graph_over_y, self._s_of_y, self._y_of_s,
-                self._y_edges[-1], 1.0)
-        par = np.clip(par_of(s), 0.0, edge)
+        graph, s_of, table, edge, sign = self._branches[branch - 1]
+        par = np.clip(np.interp(s, *table), 0.0, edge)
         for _ in range(3):
             _, dpar, _ = graph(par)
             par = par + sign * ((s_of(par) - s) / np.hypot(1.0, dpar))

@@ -20,12 +20,10 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
 
 from .errors import (AmbiguousClassificationError, ConvergenceError,
                      DomainError)
-from .geometry import Curve, Point
+from .geometry import Curve, Point, _cubic_spline
 from .kernel import (Params, grad_q4_many, k4_constant, q4_many,
                      weighted_dq4_dn_many)
 from .specfun import gauss_2f1, gauss_rule
@@ -57,9 +55,9 @@ NEAR_FIELD_TOL = 1.0e-8
 class Density:
     """Boundary density mu(s) on [0, l], closed form or sampled.
 
-    Wraps a vectorised callable of arclength; ``from_samples`` builds a cubic
-    spline through node values so that solver output can be re-evaluated at
-    arbitrary quadrature nodes.
+    Wraps a vectorised callable of arclength; ``from_samples`` builds a
+    not-a-knot cubic spline through node values (at least four) so that
+    solver output can be re-evaluated at arbitrary quadrature nodes.
     """
 
     def __init__(self, func: Callable):
@@ -90,7 +88,7 @@ class Density:
             raise DomainError("sampled density needs matching 1-d nodes/values")
         if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(values))):
             raise DomainError("sampled density must be finite")
-        den = cls(CubicSpline(nodes, values))
+        den = cls(_cubic_spline(nodes, values))
         den.nodes = nodes.copy()
         den.values = values.copy()
         return den
@@ -402,15 +400,54 @@ def classify(curve: Curve, P: Point) -> str:
 
 # -- double-layer potential ----------------------------------------------------
 
+def _gauss_panels(f: Callable, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """12-point Gauss values of int f on each [lo[k], hi[k]], one f call."""
+    x, w = gauss_rule(12)
+    half = 0.5 * (hi - lo)[:, None]
+    s = 0.5 * (lo + hi)[:, None] + half * x
+    return np.einsum("ij,ij->i", half * w, f(s.ravel()).reshape(s.shape))
+
+
 def _layer_panels(p: Params, curve: Curve, mu: Density, P0: Point,
                   lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """12-point Gauss values of the layer integral on the panels
     [lo[k], hi[k]], from one frames call and one kernel call for all."""
-    x, w = gauss_rule(12)
-    half = 0.5 * (hi - lo)[:, None]
-    s = 0.5 * (lo + hi)[:, None] + half * x
-    vals = _weighted_row(p, curve, s.ravel(), P0) * mu(s.ravel())
-    return np.einsum("ij,ij->i", half * w, vals.reshape(s.shape))
+    return _gauss_panels(lambda s: _weighted_row(p, curve, s, P0) * mu(s),
+                         lo, hi)
+
+
+def _bisect(panels: Callable, lo: np.ndarray, hi: np.ndarray, tol: float,
+            rtol: float = 0.0) -> tuple[float, float]:
+    """Adaptive sum of ``panels(lo, hi)``, the per-panel integral values.
+
+    Breadth-first bisection: each level evaluates the halves of all live
+    panels in one call and accepts a panel when |parent - (left + right)|
+    is within its budget (``tol`` shared by the root panels, halved at every
+    level) plus ``rtol`` |left + right|.  Splitting stops after 49 levels or
+    beyond 1024 live panels.  Returns the integral and the sum of the
+    |parent - (left + right)| of all panels accepted or left live at the
+    stop: with rtol = 0, above ``tol`` only if the subdivision stalled.
+    """
+    parent = panels(lo, hi)
+    budget = tol / lo.size
+    total = err = 0.0
+    for depth in range(49):
+        mid = 0.5 * (lo + hi)
+        left, right = np.split(panels(np.concatenate((lo, mid)),
+                                      np.concatenate((mid, hi))), 2)
+        pair = left + right
+        diff = np.abs(parent - pair)
+        done = diff <= budget + rtol * np.abs(pair)
+        done |= depth == 48 or np.count_nonzero(~done) > 1024
+        total += float(np.sum(pair[done]))
+        err += float(np.sum(diff[done]))
+        if done.all():
+            return total, err
+        live = ~done
+        lo, hi = (np.concatenate((lo[live], mid[live])),
+                  np.concatenate((mid[live], hi[live])))
+        parent = np.concatenate((left[live], right[live]))
+        budget *= 0.5
 
 
 def double_layer(p: Params, curve: Curve, mu: Density, P0: Point,
@@ -421,13 +458,10 @@ def double_layer(p: Params, curve: Curve, mu: Density, P0: Point,
 
     With a rule supplied and P0 well separated from the curve the rule is
     applied directly; otherwise the integral is computed by adaptive panel
-    bisection until the local error estimates sum below ``tol``, which keeps
-    the near-boundary peak (width comparable to the distance to the curve)
-    resolved.  The bisection is breadth-first: each level evaluates the
-    halves of all its live panels in one kernel call, accepts a panel when
-    |parent - (left + right)| is within its budget, and halves the budget
-    for the next level.  ``support`` restricts the integration to a sub-arc
-    (used for densities that live on a trimmed node range).
+    bisection (``_bisect``) to the absolute error ``tol``, which keeps the
+    near-boundary peak (width comparable to the distance to the curve)
+    resolved.  ``support`` restricts the integration to a sub-arc (used for
+    densities that live on a trimmed node range).
     """
     if P0.x <= 0.0 or P0.y <= 0.0:
         raise DomainError("evaluation point must lie in the open quadrant")
@@ -442,66 +476,27 @@ def double_layer(p: Params, curve: Curve, mu: Density, P0: Point,
     if not 0.0 <= lo0 < hi0 <= curve.length:
         raise DomainError("support must be a sub-interval of [0, length]")
     edges = lo0 + _smooth_edges(hi0 - lo0, 40, 14)
-    lo, hi = edges[:-1], edges[1:]
-    parent = _layer_panels(p, curve, mu, P0, lo, hi)
-    budget = tol / lo.size
-    total = 0.0
-    for depth in range(49):
-        mid = 0.5 * (lo + hi)
-        halves = _layer_panels(p, curve, mu, P0, np.concatenate((lo, mid)),
-                               np.concatenate((mid, hi)))
-        left, right = np.split(halves, 2)
-        pair = left + right
-        done = np.abs(parent - pair) <= budget
-        total += float(np.sum(pair[done]))
-        if done.all():
-            return total
-        if depth == 48:
-            raise ConvergenceError(
-                "near-boundary subdivision stalled; evaluation point is "
-                "effectively on the curve, use boundary_trace")
-        live = ~done
-        lo, hi = (np.concatenate((lo[live], mid[live])),
-                  np.concatenate((mid[live], hi[live])))
-        parent = np.concatenate((left[live], right[live]))
-        budget *= 0.5
+    total, err = _bisect(lambda lo, hi: _layer_panels(
+        p, curve, mu, P0, lo, hi), edges[:-1], edges[1:], tol)
+    if err > tol:
+        raise ConvergenceError(
+            "near-boundary subdivision stalled; evaluation point is "
+            "effectively on the curve, use boundary_trace")
+    return total
 
 
 # -- gauge function ------------------------------------------------------------
-
-def _axis_density_x(p: Params, x: float, P0: Point) -> float:
-    """Limit of y^(2b) dq4/dy on the x axis, without the gauge prefactor.
-
-    The only term of the y gradient surviving the y -> 0 limit is the one
-    carrying y^(-2b); its two-variable series collapses to a Gauss 2F1 in
-    the single remaining chord variable.
-    """
-    if x == 0.0:
-        return 0.0
-    d2 = (x - P0.x) ** 2 + P0.y ** 2
-    z = -4.0 * x * P0.x / d2
-    f = gauss_2f1(2.0 - p.alpha - p.beta, 1.0 - p.alpha,
-                  2.0 - 2.0 * p.alpha, z)
-    return x * d2 ** (p.alpha + p.beta - 2.0) * f
-
-
-def _axis_density_y(p: Params, y: float, P0: Point) -> float:
-    """Limit of x^(2a) dq4/dx on the y axis, without the gauge prefactor."""
-    if y == 0.0:
-        return 0.0
-    d2 = P0.x ** 2 + (y - P0.y) ** 2
-    z = -4.0 * y * P0.y / d2
-    f = gauss_2f1(2.0 - p.alpha - p.beta, 1.0 - p.beta,
-                  2.0 - 2.0 * p.beta, z)
-    return y * d2 ** (p.alpha + p.beta - 2.0) * f
-
 
 def k_gauge(p: Params, a: float, b: float, P0: Point) -> float:
     """Gauge function k(x0, y0): the axis-segment flux of q4(.; P0).
 
     Two 1-d integrals over the axis segments [0, a] and [0, b] of the
-    analytic axis limits of the weighted gradient, computed adaptively to
-    absolute accuracy 1e-10.  Defined for any P0 in the open quadrant.
+    analytic axis limits of the weighted gradient, each split at the foot
+    of P0 and bisected adaptively (``_bisect``) to an error of 1e-12 plus
+    1e-12 of the integral.  On the x axis the limit is that of y^(2b) dq4/dy,
+    whose only term surviving y -> 0 carries y^(-2b) and collapses to a 2F1
+    in the chord variable (the y axis swaps the roles).  Defined for any P0
+    in the open quadrant.
     """
     if a <= 0.0 or b <= 0.0:
         raise DomainError("axis segment lengths must be positive")
@@ -509,15 +504,25 @@ def k_gauge(p: Params, a: float, b: float, P0: Point) -> float:
         raise DomainError("gauge function needs a point in the open quadrant")
     pref = (k4_constant(p) * P0.x ** (1.0 - 2.0 * p.alpha)
             * P0.y ** (1.0 - 2.0 * p.beta))
-    vx, ex = quad(lambda x: _axis_density_x(p, x, P0), 0.0, a,
-                  epsabs=1.0e-12, epsrel=1.0e-12, limit=400,
-                  points=[P0.x] if 0.0 < P0.x < a else None)
-    vy, ey = quad(lambda y: _axis_density_y(p, y, P0), 0.0, b,
-                  epsabs=1.0e-12, epsrel=1.0e-12, limit=400,
-                  points=[P0.y] if 0.0 < P0.y < b else None)
-    if max(ex, ey) > 1.0e-9:
+    ab = p.alpha + p.beta
+
+    def axis(length, c, h, e):
+        # source at c along the axis and h off it, weight exponent e along
+        def limit(t):
+            d2 = (t - c) ** 2 + h ** 2
+            f = [gauss_2f1(2.0 - ab, 1.0 - e, 2.0 - 2.0 * e, z)
+                 for z in (-4.0 * t * c / d2).tolist()]
+            return t * d2 ** (ab - 2.0) * np.array(f)
+        edges = np.array([0.0, c, length] if c < length else [0.0, length])
+        return _bisect(lambda lo, hi: _gauss_panels(limit, lo, hi),
+                       edges[:-1], edges[1:], 1.0e-12, 1.0e-12)
+
+    vx, ex = axis(a, P0.x, P0.y, p.alpha)
+    vy, ey = axis(b, P0.y, P0.x, p.beta)
+    err = abs(pref) * ((1.0 - 2.0 * p.beta) * ex + (1.0 - 2.0 * p.alpha) * ey)
+    if err > 1.0e-9:
         raise ConvergenceError(
-            f"gauge quadrature error estimate {max(ex, ey):.2e} too large")
+            f"gauge quadrature error estimate {err:.2e} too large")
     return pref * ((1.0 - 2.0 * p.beta) * vx + (1.0 - 2.0 * p.alpha) * vy)
 
 

@@ -62,7 +62,7 @@ the two axes combine:
   at L = 12 and 14,400 at L = 33, against 2,304, 36,864 and 197,136 for
   the tensor product.
 
-Log-gamma comes from the library (``math.lgamma``, ``scipy.special.gammaln``).
+Log-gamma comes from the library (``math.lgamma``, mapped over arrays).
 The Gauss rules, the staircase axes and prefix rules, and the Euler
 prefactors are cached; a level pair's staircase is gathered from its two
 axes on each call, since one workload touches hundreds of level pairs.
@@ -80,7 +80,7 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, roots_jacobi
+from scipy.special import roots_jacobi
 
 from .errors import ConvergenceError, DivergenceError, DomainError
 
@@ -122,7 +122,7 @@ def ln_gamma(x):
     arr = np.asarray(x, dtype=float)
     if np.any(arr <= 0.0):
         raise DomainError("ln_gamma requires x > 0")
-    return gammaln(arr)
+    return np.vectorize(math.lgamma, otypes=[float])(arr)
 
 
 def _sinpi(x: float) -> float:
@@ -718,7 +718,8 @@ def log_singular_3f2(a1: float, a2: float, a3: float,
     coefficients turn the tail into polylogarithms Li1..Li3 (Li1 carries
     the ln(1-z) factor, the reflection identities of Li2/Li3 carry the
     higher (1-z)^k ln(1-z) terms) plus an explicitly summed, absolutely
-    convergent remainder.
+    convergent remainder.  Standalone library API: no pipeline code
+    (kernel, potential, solver or CLI) calls it.
     """
     if not (0.0 < z < 1.0):
         raise DomainError("log_singular_3f2 requires 0 < z < 1")

@@ -11,12 +11,14 @@ from biaxpot import (Density, DomainError, Params, Point, SolveError,
                      k_gauge, kernel_K4, kernel_K4_log_split,
                      superellipse_curve, weighted_dq4_dn_many)
 from biaxpot import kernel as kernel_mod
-from biaxpot.bie import (PANEL_ORDER, _log_panel_weights, assemble,
+from biaxpot.bie import (PANEL_ORDER, _lagrange_coeffs, _log_panel_weights,
+                         assemble,
                          condition_estimate, convergence_study,
                          default_exterior_source, evaluate,
                          manufactured_data, solve_dirichlet)
 from biaxpot.cli import main
 from biaxpot.kernel import q4
+from biaxpot.specfun import gauss_rule
 
 P25 = Params(0.25, 0.25)
 
@@ -123,6 +125,95 @@ def _row_by_row(p, curve, sys):
         matrix[i] = arow
     matrix[np.arange(n), np.arange(n)] -= 0.5
     return matrix, slopes, regulars
+
+
+# nu = (s0 - panel centre) / panel half-width: inside the panel, at its
+# edges, and across both neighbours out to the far edges
+LOG_WEIGHT_NUS = np.concatenate((np.linspace(-3.0, 3.0, 41),
+                                 [-1.0, 1.0, 1.0 + 1e-9, -1.0 - 1e-9,
+                                  1.4999999, 1.5, -1.5, 2.96, -2.96]))
+
+
+def _binomial_log_weights(lo, hi, s0, order):
+    """The product-integration weights by binomial expansion of the log
+    moments around s0: the former construction, kept as a reference."""
+    def anti(power, t):
+        r = power + 1
+        return 0.0 if t == 0.0 else t ** r / r * (math.log(abs(t)) - 1.0 / r)
+
+    half = 0.5 * (hi - lo)
+    nu = (s0 - 0.5 * (lo + hi)) / half
+    moments = []
+    for r in range(order):
+        part = sum(math.comb(r, k) * nu ** (r - k)
+                   * (anti(k, 1.0 - nu) - anti(k, -1.0 - nu))
+                   for k in range(r + 1))
+        plain = 2.0 / (r + 1.0) if r % 2 == 0 else 0.0
+        moments.append(half * (math.log(half) * plain + part))
+    return _lagrange_coeffs(order).T @ np.array(moments)
+
+
+def test_log_panel_weights_match_quad():
+    from scipy.integrate import quad
+    lo, hi, order = 0.2, 0.7, PANEL_ORDER
+    u, _ = gauss_rule(order)
+    nodes = 0.45 + 0.25 * u
+
+    def basis(k, t):
+        others = np.delete(nodes, k)
+        return np.prod((t - others) / (nodes[k] - others))
+
+    def from_s0(k, s0, x):
+        # int_s0^x L_k(t) ln|t - s0| dt, quad's algebraic-log weight taking
+        # the log at the s0 end exactly
+        def f(t):
+            return basis(k, t)
+        if x > s0:
+            return quad(f, s0, x, weight="alg-loga", wvar=(0.0, 0.0),
+                        epsabs=1.0e-14, epsrel=1.0e-14)[0]
+        if x < s0:
+            return -quad(f, x, s0, weight="alg-logb", wvar=(0.0, 0.0),
+                         epsabs=1.0e-14, epsrel=1.0e-14)[0]
+        return 0.0
+
+    for nu in LOG_WEIGHT_NUS:
+        s0 = 0.45 + 0.25 * nu
+        got = _log_panel_weights(lo, hi, s0, order)
+        for k in range(order):
+            if abs(nu) > 1.25:  # smooth on the panel
+                want = quad(lambda t: basis(k, t) * math.log(abs(t - s0)),
+                            lo, hi, epsabs=1.0e-14, epsrel=1.0e-14)[0]
+            else:
+                want = from_s0(k, s0, hi) - from_s0(k, s0, lo)
+            assert abs(got[k] - want) <= 1.0e-13, (nu, k)
+
+
+def test_log_panel_weights_match_the_binomial_expansion():
+    # the expansion keeps its digits only for s0 inside the panel; from its
+    # edges on it cancels (on [-1, 1], 1.4e-13 off at nu = 1 and 1e-9 at
+    # nu = 2.96 against 40-digit moments), so the comparison stays inside
+    for nu in LOG_WEIGHT_NUS[np.abs(LOG_WEIGHT_NUS) < 1.0]:
+        s0 = 0.45 + 0.25 * nu
+        got = _log_panel_weights(0.2, 0.7, s0, PANEL_ORDER)
+        want = _binomial_log_weights(0.2, 0.7, s0, PANEL_ORDER)
+        assert np.max(np.abs(got - want)) <= 1.0e-13, nu
+
+
+def test_log_panel_weights_batch_equals_scalar_calls(curve):
+    sys = assemble(P25, curve, 32)
+    edges, nodes = sys.edges, sys.nodes
+    pairs = [(i, q) for i in range(sys.n)
+             for q in range(max(0, i // PANEL_ORDER - 1),
+                            min(sys.n // PANEL_ORDER, i // PANEL_ORDER + 2))]
+    rows, cols = np.array(pairs).T
+    batch = _log_panel_weights(edges[cols], edges[cols + 1], nodes[rows],
+                               PANEL_ORDER)
+    assert batch.shape == (len(pairs), PANEL_ORDER)
+    for (i, q), lam in zip(pairs, batch):
+        one = _log_panel_weights(edges[q], edges[q + 1], nodes[i],
+                                 PANEL_ORDER)
+        assert one.shape == (PANEL_ORDER,)
+        assert np.array_equal(one, lam)
 
 
 @pytest.mark.parametrize("alpha, beta", [(0.25, 0.25), (0.1, 0.4)])

@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -64,6 +68,49 @@ def test_eval_q4_rejects_coincident_pair(tmp_path):
 def test_eval_q4_near_coincident_is_infrastructure_failure(tmp_path):
     cfg = {"pairs": [[0.5, 0.5, 0.5, 0.500000001]]}
     assert run(tmp_path, cfg, "eval-q4") == 3
+
+
+def test_infrastructure_failure_writes_an_error_summary(tmp_path, capsys):
+    cfg = {"pairs": [[0.5, 0.5, 0.5, 0.500000001]]}
+    assert run(tmp_path, cfg, "eval-q4") == 3
+    err = capsys.readouterr().err
+    summary = read_summary(tmp_path)
+    assert summary["status"] == "error"
+    assert summary["command"] == "eval-q4"
+    assert summary["config"]["alpha"] == 0.25
+    assert summary["checks"] == [] and summary["outputs"] == []
+    assert set(summary["error"]) == {"type", "message"}
+    assert summary["error"]["type"] == "SingularPairError"
+    # the stderr line is the one it always was
+    assert err == (f"{summary['error']['type']}: "
+                   f"{summary['error']['message']}\n")
+
+
+def test_import_path_leaves_scipy_interpolate_and_integrate_out(tmp_path):
+    # a fresh interpreter: other tests import these scipy modules
+    script = f"""
+import json, sys
+from biaxpot.cli import main
+out = {str(tmp_path)!r}
+cfg = out + "/config.json"
+with open(cfg, "w") as f:
+    json.dump({{"nodes": 16, "probes": [[0.3, 0.3]], "interior_points": 1,
+               "oncurve_points": 1, "exterior_points": 1}}, f)
+codes = [main(["--config", cfg, "--out", out + "/solve", "solve-dirichlet"]),
+         main(["--config", cfg, "--out", out + "/gauge", "verify", "gauge"])]
+print(json.dumps({{"codes": codes, "loaded": sorted(
+    m for m in ("scipy.interpolate", "scipy.integrate", "scipy.optimize")
+    if m in sys.modules)}}))
+"""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result == {"codes": [0, 0], "loaded": []}
 
 
 # -- config validation ------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 from biaxpot import (DomainError, Point, check_endpoint_conditions,
                      superellipse_curve)
+from biaxpot import geometry
 
 
 def test_point_rejects_negative_coordinates():
@@ -174,3 +175,69 @@ def test_point_at_rejects_non_finite(curve):
             curve.point_at(bad)
     with pytest.raises(DomainError):
         curve.frames(np.array([0.1, math.nan]))
+
+
+# -- the not-a-knot spline behind the arclength tables -------------------------
+
+def _spline_gap(x, y, u):
+    from scipy.interpolate import CubicSpline
+    want = CubicSpline(x, y)(u)
+    got = geometry._cubic_spline(x, y)(u)
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("n", [4, 5, 9, 64, 1025])
+def test_cubic_spline_matches_scipy_not_a_knot_random_knots(n):
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        x = np.sort(rng.uniform(-2.0, 3.0, n))
+        y = rng.normal(size=n)
+        # inside, at the knots, and past both ends (the end cubics extend)
+        u = np.concatenate((rng.uniform(x[0] - 0.5, x[-1] + 0.5, 400), x))
+        assert _spline_gap(x, y, u) <= 1.0e-14
+
+
+def test_cubic_spline_matches_scipy_on_the_stock_arclength_tables(curve):
+    for _, _, (s_table, par), _, _ in curve._branches:
+        assert par.size == 1025
+        knots, values = (par, s_table) if par[0] < par[-1] else (
+            par[::-1], s_table[::-1])
+        u = np.concatenate((np.linspace(knots[0], knots[-1], 20001), knots))
+        assert _spline_gap(knots, values, u) <= 1.0e-14
+
+
+def test_cubic_spline_reproduces_cubics_and_rejects_bad_knots():
+    # not-a-knot is exact on cubics, the smallest knot count included
+    x = np.array([0.0, 0.5, 1.5, 3.0])
+    u = np.linspace(-1.0, 4.0, 21)
+    cubic = lambda t: 1.0 - 2.0 * t + 0.5 * t ** 3  # noqa: E731
+    got = geometry._cubic_spline(x, cubic(x))(u)
+    assert np.max(np.abs(got - cubic(u))) <= 1.0e-13
+    assert np.ndim(geometry._cubic_spline(x, cubic(x))(0.7)) == 0
+    # two and three knots are refused, not given a different interpolant
+    for x, y in (([0.0], [1.0]), ([0.0, 2.0], [1.0, 5.0]),
+                 ([0.0, 1.0, 3.0], [0.0, 1.0, 9.0]),
+                 ([0.0, 1.0, 1.0, 2.0], [0.0, 1.0, 2.0, 3.0]),
+                 ([3.0, 2.0, 1.0, 0.0], [0.0, 1.0, 2.0, 3.0]),
+                 ([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0])):
+        with pytest.raises(DomainError):
+            geometry._cubic_spline(x, y)
+
+
+@pytest.mark.parametrize("q", [2.0, 2.5, 3.0, 8.0])
+@pytest.mark.parametrize("a, b", [(1.0, 1.0), (1.0, 6.0), (6.0, 1.0)])
+def test_frames_match_a_scipy_spline_curve(monkeypatch, q, a, b):
+    # the same curve with scipy's not-a-knot spline as the forward map: the
+    # Newton polish removes the seed, so only the spline's rounding remains
+    from scipy.interpolate import CubicSpline
+    mine = superellipse_curve(a, b, q)
+    monkeypatch.setattr(geometry, "_cubic_spline", CubicSpline)
+    ref = superellipse_curve(a, b, q)
+    assert ref.length == mine.length
+    s = np.linspace(0.0, mine.length, 4001)
+    got, want = mine.frames(s), ref.frames(s)
+    for k in (0, 1):
+        assert np.max(np.abs(got[k] - want[k])) <= 1.0e-14
+    for k in range(2, 7):
+        scale = np.max(np.abs(want[k]))
+        assert np.max(np.abs(got[k] - want[k])) <= 1.0e-12 * scale

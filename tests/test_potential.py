@@ -19,7 +19,9 @@ from biaxpot import (AmbiguousClassificationError, Density, DomainError,
 from biaxpot import potential
 from biaxpot.potential import (NEAR_FIELD_TOL, _smooth_edges, _trace_integral,
                                _weighted_row, boundary_trace)
-from biaxpot.specfun import gauss_rule
+from biaxpot.errors import ConvergenceError
+from biaxpot.kernel import k4_constant
+from biaxpot.specfun import gauss_2f1, gauss_rule
 
 P25 = Params(0.25, 0.25)
 
@@ -277,6 +279,56 @@ def test_k_gauge_decays_far_away():
 def test_k_gauge_rejects_axis_points():
     with pytest.raises(DomainError):
         k_gauge(P25, 1.0, 1.0, Point(0.0, 0.5))
+
+
+def _quad_gauge(p, a, b, P0):
+    """k_gauge's two axis integrals by scipy's adaptive quad (test-only
+    reference), split at the foot of P0 as quad's break point."""
+    from scipy.integrate import quad
+
+    def integral(length, c, h, along):
+        def f(t):
+            d2 = (t - c) ** 2 + h ** 2
+            return (t * d2 ** (p.alpha + p.beta - 2.0)
+                    * gauss_2f1(2.0 - p.alpha - p.beta, 1.0 - along,
+                                2.0 - 2.0 * along, -4.0 * t * c / d2))
+        value, _ = quad(f, 0.0, length, epsabs=1.0e-13, epsrel=1.0e-13,
+                        limit=2000, points=[c] if c < length else None)
+        return value
+
+    vx = integral(a, P0.x, P0.y, p.alpha)
+    vy = integral(b, P0.y, P0.x, p.beta)
+    pref = (k4_constant(p) * P0.x ** (1.0 - 2.0 * p.alpha)
+            * P0.y ** (1.0 - 2.0 * p.beta))
+    return pref * ((1.0 - 2.0 * p.beta) * vx + (1.0 - 2.0 * p.alpha) * vy)
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.25, 0.25), (0.1, 0.4),
+                                         (0.01, 0.49)])
+def test_k_gauge_matches_quad(curve, alpha, beta):
+    p = Params(alpha, beta)
+    cp = curve.point_at(0.3 * curve.length)
+    points = [Point(0.5, 1.0e-3), Point(0.7, 1.0e-2),      # near the x axis
+              Point(1.0e-3, 0.7), Point(1.0e-2, 0.4),      # near the y axis
+              Point(cp.x, cp.y),                           # on the arc
+              Point(0.999 * cp.x, 0.999 * cp.y),           # just inside
+              Point(0.5, 0.5), Point(1.5, 0.4), Point(2.0, 2.0)]
+    for P0 in points:
+        assert abs(k_gauge(p, 1.0, 1.0, P0)
+                   - _quad_gauge(p, 1.0, 1.0, P0)) <= 1.0e-11
+    # unequal segments, the foot of P0 beyond one of them
+    P0 = Point(1.3, 0.2)
+    assert abs(k_gauge(p, 1.0, 2.0, P0)
+               - _quad_gauge(p, 1.0, 2.0, P0)) <= 1.0e-11
+
+
+def test_k_gauge_raises_when_the_bisection_stalls(monkeypatch):
+    # an integrand that never settles leaves an error estimate above 1e-9
+    rng = np.random.default_rng(0)
+    monkeypatch.setattr(potential, "gauss_2f1",
+                        lambda *args: rng.normal())
+    with pytest.raises(ConvergenceError):
+        k_gauge(P25, 1.0, 1.0, Point(0.5, 0.5))
 
 
 # -- boundary traces --------------------------------------------------------------

@@ -113,6 +113,16 @@ def test_ln_gamma_array_matches_scalar():
         ln_gamma(np.array([1.0, 0.0]))
 
 
+def test_ln_gamma_array_is_bitwise_the_scalar_calls():
+    xs = np.concatenate([np.geomspace(1.0e-8, 1.0e6, 300),
+                         np.linspace(0.5, 3.0, 25)])
+    for arr in (xs, xs.reshape(13, 25), xs[7:8].reshape(1, 1, 1)):
+        got = ln_gamma(arr)
+        assert got.shape == arr.shape and got.dtype == np.float64
+        want = np.array([ln_gamma(float(x)) for x in arr.ravel()])
+        assert np.array_equal(got.ravel(), want)
+
+
 def test_ln_gamma_rejects_nonpositive():
     with pytest.raises(DomainError):
         ln_gamma(0.0)
