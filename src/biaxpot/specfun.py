@@ -63,12 +63,13 @@ the two axes combine:
   the tensor product.
 
 Log-gamma comes from the library (``math.lgamma``, mapped over arrays).
-The Gauss rules, the staircase axes and prefix rules, and the Euler
-prefactors are cached; a level pair's staircase is gathered from its two
-axes on each call, since one workload touches hundreds of level pairs.
-The tensor axes and the prefactor of ``appell_f2_many`` are computed on
-each call, past those caches: its callers draw a new parameter set for
-almost every call, and caching them only grows memory.
+Gauss rules come from ``jacobi_rules`` by Golub-Welsch.  ``gauss_rule``,
+the staircase axes and prefix rules, and the Euler prefactors are cached;
+a level pair's staircase is gathered from its two axes on each call, since
+one workload touches hundreds of level pairs.  The tensor axes, their four
+end-panel rules (one batched call) and the prefactor of ``appell_f2_many``
+are computed on each call, past those caches: its callers draw a new
+parameter set for almost every call, and caching them only grows memory.
 Otherwise every function is a pure function of its arguments.
 """
 
@@ -80,7 +81,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .errors import ConvergenceError, DivergenceError, DomainError
 
@@ -374,16 +374,62 @@ def f2_param_shift(args: F2Args, m: int, n: int) -> tuple[float, F2Args]:
 
 # -- Euler integral route ----------------------------------------------------
 
+def jacobi_rules(n: int, exponents, right_exponents=0.0):
+    """Gauss-Jacobi rules on [-1, 1] for the weights
+    (1 - t)^right_exponents[i] (1 + t)^exponents[i], all exponents > -1.
+
+    Returns (nodes, weights) as (m, n) arrays, one rule per exponent pair,
+    nodes ascending; each row is bitwise the rule of its pair alone.
+    Golub-Welsch (Golub & Welsch 1969, Math. Comp. 23:221): the nodes are
+    the eigenvalues of the symmetric Jacobi matrices, the weights the
+    Christoffel numbers mu0 / sum_k p_k(t)^2 of the orthonormal
+    polynomials, a sum of positive terms with nothing to cancel.
+    """
+    beta, alpha = np.broadcast_arrays(
+        np.atleast_1d(np.asarray(exponents, dtype=float)),
+        np.asarray(right_exponents, dtype=float))
+    if not (n >= 1 and float(n).is_integer()) or not np.all(
+            (alpha > -1.0) & (beta > -1.0) & np.isfinite(alpha + beta)):
+        raise DomainError("jacobi_rules needs an integer n >= 1 and finite "
+                          "exponents > -1")
+    n = int(n)
+    k = np.arange(n)[:, None]
+    t = 2.0 * k + alpha + beta
+    # recurrence coefficients over (k, rule), the removable 0/0 at k = 0 of
+    # the diagonal and at k = 1 of the subdiagonal cancelled by hand
+    diag = ((beta - alpha) * np.where(k == 0, 1.0, alpha + beta)
+            / (np.where(k == 0, 1.0, t) * (t + 2.0)))
+    sub = np.zeros_like(diag)  # sub[k] couples p_k and p_(k-1)
+    sub[1:] = 2.0 / t[1:] * np.sqrt(
+        k[1:] * (k[1:] + alpha) * (k[1:] + beta) / (t[1:] + 1.0)
+        * np.where(k[1:] == 1, 1.0, k[1:] + alpha + beta)
+        / np.where(k[1:] == 1, 1.0, t[1:] - 1.0))
+    jac = diag.T[:, :, None] * np.eye(n)
+    jac[:, range(1, n), range(n - 1)] = sub[1:].T
+    nodes = np.linalg.eigvalsh(jac)
+    # p_(k+1) = x_k p_k - c_k p_(k-1) at every node, c_0 = 0
+    x = (nodes - diag[:-1, :, None]) / sub[1:, :, None]
+    c = sub[:-1, :, None] / sub[1:, :, None]
+    p = np.ones((n,) + nodes.shape)
+    for j in range(n - 1):
+        np.multiply(x[j], p[j], out=p[j + 1])
+        p[j + 1] -= c[j] * p[j - 1]
+    mu0 = np.array([math.exp((a + b + 1.0) * math.log(2.0) + math.lgamma(a + 1.0)
+                             + math.lgamma(b + 1.0) - math.lgamma(a + b + 2.0))
+                    for a, b in zip(alpha.tolist(), beta.tolist())])
+    return nodes, mu0[:, None] / np.sum(p * p, axis=0)
+
+
 @functools.lru_cache(maxsize=256)
 def gauss_rule(n: int, exponent: float = 0.0,
                right_exponent: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Gauss nodes and weights on [-1, 1] for the weight
     (1 - t)^right_exponent (1 + t)^exponent, both exponents > -1; the
-    defaults give the Gauss-Legendre rule.
+    defaults give the Gauss-Legendre rule.  One row of ``jacobi_rules``.
 
     Cached; the returned arrays are read-only.
     """
-    nodes, weights = roots_jacobi(n, right_exponent, exponent)
+    nodes, weights = (v[0] for v in jacobi_rules(n, exponent, right_exponent))
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights
@@ -402,25 +448,24 @@ _STAIR_JAC_N = 20
 EULER_CHUNK_BYTES = 1 << 20
 
 
-def _euler_axis(b: float, cb: float, level: int, leg: int = _EULER_LEG_N,
-                jac: int = _EULER_JAC_N):
+def _euler_axis(b: float, cb: float, left, right, level: int,
+                leg: int = _EULER_LEG_N):
     """Nodes/weights for int_0^1 s^(b-1) (1-s)^(cb-1) g(s|x|) ds, |x| <= 2^level.
 
     Returns nodes s_k, weights that already include the full beta-type
     weight s^(b-1) (1-s)^(cb-1), and the panel index of each node.  Panels
     are graded dyadically from h0 = 2^-(level+1) <= 1/(2|x|), so that the
     remaining factor (1 + s|x| + ...)^(-a) is smooth on every panel: panel
-    0 is [0, h0] (``jac`` Gauss-Jacobi nodes), panels 1..level are
-    [h0 2^(k-1), h0 2^k] (``leg`` Gauss-Legendre nodes each), and panel
-    level + 1 is [1/2, 1] (``jac`` Gauss-Jacobi nodes).  Built on each call,
-    with the two parameter-dependent Jacobi rules taken past the rule cache;
-    the returned arrays are read-only.
+    0 is [0, h0], panels 1..level are [h0 2^(k-1), h0 2^k] (``leg``
+    Gauss-Legendre nodes each), and panel level + 1 is [1/2, 1].  The end
+    panels take the caller's Golub-Welsch Gauss-Jacobi rules (nodes,
+    weights) on [-1, 1]: ``left`` for the weight (1 + t)^(b-1), ``right``
+    for (1 + t)^(cb-1).  The returned arrays are read-only.
     """
-    nodes = []
-    weights = []
+    nodes, weights = [], []
     h0 = 0.5 ** (level + 1)
     # left Gauss-Jacobi panel [0, h0] absorbing s^(b-1)
-    tj, wj = gauss_rule.__wrapped__(jac, b - 1.0)
+    tj, wj = left
     s = 0.5 * h0 * (tj + 1.0)
     w = wj * (0.5 * h0) ** b * (1.0 - s) ** (cb - 1.0)
     nodes.append(s)
@@ -436,7 +481,7 @@ def _euler_axis(b: float, cb: float, level: int, leg: int = _EULER_LEG_N,
         weights.append(w)
         lo = hi
     # right Gauss-Jacobi panel [1/2, 1] absorbing (1-s)^(cb-1)
-    tj, wj = gauss_rule.__wrapped__(jac, cb - 1.0)
+    tj, wj = right
     s = 1.0 - 0.25 * (tj + 1.0)
     w = wj * 0.25 ** cb * s ** (b - 1.0)
     nodes.append(s)
@@ -459,9 +504,10 @@ def _stair_axis(b: float, cb: float, level: int):
     absorb s^(b-1); the last covers the whole of [0, 1] and absorbs both
     ends.  Cached per dyadic level; the returned arrays are read-only.
     """
-    s, ws, panel = _euler_axis(b, cb, level, _STAIR_LEG_N, _STAIR_JAC_N)
+    tj, wj = left = gauss_rule(_STAIR_JAC_N, b - 1.0)
+    s, ws, panel = _euler_axis(b, cb, left, gauss_rule(_STAIR_JAC_N, cb - 1.0),
+                               level, _STAIR_LEG_N)
     half = 0.5 ** np.arange(level + 2, 1, -1)[:, None]  # half of each end
-    tj, wj = gauss_rule(_STAIR_JAC_N, b - 1.0)
     qs = half * (tj + 1.0)
     qw = wj * half ** b * (1.0 - qs) ** (cb - 1.0)
     tj, wj = gauss_rule(_STAIR_JAC_N, b - 1.0, cb - 1.0)
@@ -533,9 +579,13 @@ def _f2_euler_many(a, b1, b2, c1, c2, x, y) -> np.ndarray:
     """
     out = np.empty(x.size)
     pref = _euler_prefactor.__wrapped__(b1, c1, b2, c2)
-    # each axis is built once per level for this call only
-    x_axis = functools.cache(functools.partial(_euler_axis, b1, c1 - b1))
-    y_axis = functools.cache(functools.partial(_euler_axis, b2, c2 - b2))
+    # the four end-panel rules in one batch, and each axis built once per
+    # level, for this call only
+    tj, wj = jacobi_rules(_EULER_JAC_N, [b1 - 1, c1 - b1 - 1, b2 - 1, c2 - b2 - 1])
+    x_axis = functools.cache(functools.partial(
+        _euler_axis, b1, c1 - b1, (tj[0], wj[0]), (tj[1], wj[1])))
+    y_axis = functools.cache(functools.partial(
+        _euler_axis, b2, c2 - b2, (tj[2], wj[2]), (tj[3], wj[3])))
     for level_x, level_y, group in _level_groups(x, y):
         s, ws, _ = x_axis(level_x)
         t, wt, _ = y_axis(level_y)

@@ -1,4 +1,5 @@
-"""Generate the frozen Appell F2 references in ``f2_references.json``.
+"""Generate the frozen Appell F2 references in ``f2_references.json`` and
+the Gauss-Jacobi rules in ``gauss_jacobi_references.json``.
 
 Run once, offline, from the repository root:
 
@@ -21,6 +22,18 @@ with ``mpmath.hyp2f1`` continuing the inner Gauss function,
 
 (or the same with the roles of x and y swapped), and stops unless the two
 agree to 25 digits.
+
+The Gauss-Jacobi nodes for the weight (1 - t)^r (1 + t)^e are the zeros of
+the Jacobi polynomial P_n^(r, e), summed from its explicit binomial form,
+bracketed by sign changes on a grid uniform in arccos t, bisected and
+polished by Newton's method.  The weights come from the closed form
+
+    w_j = 2^(r+e+1) G(n+r+1) G(n+e+1) / (G(n+r+e+1) n!)
+          / ((1 - t_j^2) P_n'(t_j)^2),
+
+and the script stops unless there are n zeros and the weights sum to the
+weight's integral to 30 digits.  Neither step shares anything with the
+Golub-Welsch eigenvalue route of ``biaxpot.specfun.jacobi_rules``.
 """
 
 import json
@@ -42,6 +55,14 @@ KERNEL_POINTS = [(-0.6, -0.5), (-1.7, -0.3), (-4.0, -9.0), (-25.0, -2.0),
 # parameter sets with c1 <= b1, outside the Euler integral's range
 GENERAL_CASES = [((1.3, 1.1, 0.9, 1.05, 1.8), (-3.0, -2.0)),
                  ((1.3, 1.1, 0.9, 1.05, 1.8), (-2.0, -5.0))]
+
+
+# Gauss-Jacobi rules: orders, one-ended exponents e (r = 0), and two-ended
+# pairs (e, r) like those of the staircase's whole-interval prefix rule
+RULE_ORDERS = [6, 12, 20, 24]
+RULE_EXPONENTS = [-0.999, -0.99, -0.75, -0.5, 0.0, 0.6, 0.99]
+RULE_PAIRS = [(-0.25, -0.25), (-0.49, -0.49), (-0.9, 0.3)]
+RULE_GRID = 400
 
 
 def kernel_families(alpha, beta):
@@ -81,8 +102,62 @@ def reference(params, x, y):
     return mp.nstr(value, STORE_DIGITS)
 
 
+def jacobi_p(n, r, e):
+    """P_n^(r, e) as a function of t, from its explicit binomial sum."""
+    coeffs = [mp.binomial(n + r, n - k) * mp.binomial(n + e, k)
+              for k in range(n + 1)]
+    return lambda t: mp.fsum(c * ((t - 1) / 2) ** k * ((t + 1) / 2) ** (n - k)
+                             for k, c in enumerate(coeffs))
+
+
+def gauss_jacobi(n, e, r):
+    e, r = mp.mpf(e), mp.mpf(r)
+    p = jacobi_p(n, r, e)
+    dp_scaled = jacobi_p(n - 1, r + 1, e + 1)
+    dp = lambda t: (n + r + e + 1) / 2 * dp_scaled(t)
+    grid = [mp.cos(mp.pi * (RULE_GRID - i) / RULE_GRID)
+            for i in range(RULE_GRID + 1)]
+    signs = [mp.sign(p(t)) for t in grid]
+    nodes = []
+    for i in range(RULE_GRID):
+        if signs[i] * signs[i + 1] < 0:
+            lo, hi = grid[i], grid[i + 1]
+            for _ in range(60):
+                mid = (lo + hi) / 2
+                if mp.sign(p(mid)) == signs[i]:
+                    lo = mid
+                else:
+                    hi = mid
+            t = (lo + hi) / 2
+            for _ in range(3):
+                t -= p(t) / dp(t)
+            nodes.append(t)
+    if len(nodes) != n:
+        raise SystemExit(f"found {len(nodes)} zeros of P_{n}^({r}, {e})")
+    scale = (2 ** (r + e + 1) * mp.gamma(n + r + 1) * mp.gamma(n + e + 1)
+             / (mp.gamma(n + r + e + 1) * mp.factorial(n)))
+    weights = [scale / ((1 - t * t) * dp(t) ** 2) for t in nodes]
+    mu0 = 2 ** (r + e + 1) * mp.beta(r + 1, e + 1)
+    if abs(mp.fsum(weights) - mu0) > mp.mpf(10) ** -30 * mu0:
+        raise SystemExit(f"weights of P_{n}^({r}, {e}) miss the integral")
+    return ([mp.nstr(t, STORE_DIGITS) for t in nodes],
+            [mp.nstr(w, STORE_DIGITS) for w in weights])
+
+
+def rules():
+    cases = []
+    for n in RULE_ORDERS:
+        for e, r in [(e, 0.0) for e in RULE_EXPONENTS] + RULE_PAIRS:
+            nodes, weights = gauss_jacobi(n, e, r)
+            cases.append({"n": n, "exponent": e, "right_exponent": r,
+                          "nodes": nodes, "weights": weights})
+    return {"rules": cases}
+
+
 def main():
     mp.mp.dps = WORK_DPS
+    path = pathlib.Path(__file__).with_name("gauss_jacobi_references.json")
+    path.write_text(json.dumps(rules(), indent=1) + "\n")
     kernel = []
     for alpha, beta in KERNEL_PARAMS:
         families = {}

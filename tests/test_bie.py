@@ -372,6 +372,30 @@ def test_convergence_study_order(curve):
     assert study["order"] >= 2.0
 
 
+@pytest.mark.parametrize("a, b", [(1.0, 1.0), (6.0, 1.0)])
+@pytest.mark.parametrize("q", [2.0, 3.0, 8.0])
+@pytest.mark.parametrize("alpha, beta", [(0.01, 0.49), (0.49, 0.01),
+                                         (0.45, 0.45), (0.1, 0.4),
+                                         (0.01, 0.01), (0.25, 0.25)])
+def test_convergence_study_across_the_domain(alpha, beta, q, a, b):
+    # exponents near both edges of 0 < 2 alpha, 2 beta < 1 and unequal
+    # pairs, on round, stock and nearly square arcs, stretched or not
+    study = convergence_study(Params(alpha, beta), superellipse_curve(a, b, q),
+                              [16, 32], [Point(0.35 * a, 0.3 * b)])
+    assert study["errors"][1] <= 2.0e-4
+    assert study["order"] >= 1.8
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.0])
+def test_exponents_outside_the_domain_are_typed_errors(tmp_path, alpha):
+    with pytest.raises(DomainError):
+        Params(alpha, 0.25)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"params": {"alpha": alpha}}), encoding="utf-8")
+    assert main(["--config", str(path), "--out", str(tmp_path / "out"),
+                 "solve-dirichlet"]) == 2
+
+
 def test_density_stays_smooth_under_refinement(curve, manufactured):
     src, f, _, mu64 = manufactured
     sys = assemble(P25, curve, 128, f=f)

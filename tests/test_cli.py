@@ -113,6 +113,34 @@ print(json.dumps({{"codes": codes, "loaded": sorted(
     assert result == {"codes": [0, 0], "loaded": []}
 
 
+def test_runtime_loads_no_scipy_module(tmp_path):
+    # a fresh interpreter: the tests themselves use scipy as a reference
+    script = f"""
+import json, sys
+from biaxpot.cli import main
+out = {str(tmp_path)!r}
+cfg = out + "/config.json"
+with open(cfg, "w") as f:
+    json.dump({{"nodes": 16, "probes": [[0.3, 0.3]], "interior_points": 1,
+               "oncurve_points": 1, "exterior_points": 1, "cases": 5}}, f)
+codes = [main(["--config", cfg, "--out", out + "/solve", "solve-dirichlet"]),
+         main(["--config", cfg, "--out", out + "/specfun", "verify",
+               "specfun"]),
+         main(["--config", cfg, "--out", out + "/gauge", "verify", "gauge"])]
+print(json.dumps({{"codes": codes, "loaded": sorted(
+    m for m in sys.modules if m == "scipy" or m.startswith("scipy."))}}))
+"""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result == {"codes": [0, 0, 0], "loaded": []}
+
+
 # -- config validation ------------------------------------------------------------
 
 def test_config_must_be_json(tmp_path):

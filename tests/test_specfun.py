@@ -17,7 +17,7 @@ from biaxpot import (ConvergenceError, DivergenceError, DomainError, F2Args,
                      f2_kernel_families, f2_param_shift, gauss_2f1,
                      gauss_2f1_at_one, ln_gamma, log_singular_3f2, pochhammer)
 from biaxpot.specfun import (_euler_prefactor, _f2_euler_many, _stair_axis,
-                             gauss_rule)
+                             gauss_rule, jacobi_rules)
 
 REL = lambda got, want: abs(got - want) / abs(want)
 
@@ -488,6 +488,64 @@ def test_gauss_rule_integrates_jacobi_moments():
         for k in range(2 * n):
             got = 0.5 ** (e + 1.0) * np.dot(weights, u ** k)
             assert REL(got, 1.0 / (e + k + 1.0)) <= 1.0e-14
+
+
+# -- Gauss-Jacobi rules against 40-digit references (tests/data/make_references.py)
+
+RULE_REFERENCES = json.loads(
+    (pathlib.Path(__file__).parent / "data"
+     / "gauss_jacobi_references.json").read_text())["rules"]
+RULE_ORDERS = sorted({case["n"] for case in RULE_REFERENCES})
+
+
+def assert_rule_matches(nodes, weights, case):
+    # nodes to 2e-15 absolute, weights to 5e-13 relative; scipy's
+    # roots_jacobi misses the weight bound by three orders at -0.999
+    want_nodes = np.array([float(v) for v in case["nodes"]])
+    want_weights = np.array([float(v) for v in case["weights"]])
+    assert np.max(np.abs(nodes - want_nodes)) <= 2.0e-15
+    assert np.max(np.abs(weights / want_weights - 1.0)) <= 5.0e-13
+
+
+@pytest.mark.parametrize(
+    "case", RULE_REFERENCES,
+    ids=lambda c: f"{c['n']}-{c['exponent']}-{c['right_exponent']}")
+def test_gauss_rule_matches_mpmath_references(case):
+    nodes, weights = gauss_rule(case["n"], case["exponent"],
+                                case["right_exponent"])
+    assert_rule_matches(nodes, weights, case)
+
+
+@pytest.mark.parametrize("n", RULE_ORDERS)
+def test_jacobi_rules_batch_matches_references_and_single_rows(n):
+    cases = [case for case in RULE_REFERENCES if case["n"] == n]
+    exponents = [case["exponent"] for case in cases]
+    right = [case["right_exponent"] for case in cases]
+    nodes, weights = jacobi_rules(n, exponents, right)
+    assert nodes.shape == weights.shape == (len(cases), n)
+    for i, case in enumerate(cases):
+        assert_rule_matches(nodes[i], weights[i], case)
+        # a row of the batch is bitwise the rule of that pair alone
+        one_nodes, one_weights = jacobi_rules(n, [exponents[i]], [right[i]])
+        assert np.array_equal(one_nodes[0], nodes[i])
+        assert np.array_equal(one_weights[0], weights[i])
+
+
+def test_jacobi_rules_reject_bad_orders_and_exponents():
+    for bad in (-1.0, -1.5, math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            gauss_rule(6, bad)
+        with pytest.raises(DomainError):
+            gauss_rule(6, 0.0, bad)
+        with pytest.raises(DomainError):
+            jacobi_rules(6, [0.5, bad])
+        with pytest.raises(DomainError):
+            jacobi_rules(6, [0.5, 0.5], [0.0, bad])
+    for n in (0, -3, 2.5, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            gauss_rule(n)
+        with pytest.raises(DomainError):
+            jacobi_rules(n, [0.0])
 
 
 # -- parameter shifts -------------------------------------------------------------
