@@ -23,7 +23,7 @@ from .potential import (Density, GaugeIdentityResult, QuadratureRule,
                         kernel_K4_row, nearest_arclength, smooth_rule)
 from .bie import (NystromSystem, assemble, condition_estimate,
                   convergence_study, default_exterior_source, evaluate,
-                  manufactured_data, solve_dirichlet)
+                  evaluate_many, manufactured_data, solve_dirichlet)
 
 __version__ = "0.1.0"
 
@@ -53,6 +53,6 @@ __all__ = [
     "smooth_rule",
     # bie
     "NystromSystem", "assemble", "condition_estimate", "convergence_study",
-    "default_exterior_source", "evaluate", "manufactured_data",
-    "solve_dirichlet",
+    "default_exterior_source", "evaluate", "evaluate_many",
+    "manufactured_data", "solve_dirichlet",
 ]

@@ -16,6 +16,10 @@ Collocation nodes live on [g, l - g] with a small guard band g at the axis
 endpoints, where the curve meets the axes and the trace relation is not
 established; the kernel's endpoint decay keeps the truncated mass small and
 the convergence study tracks it.
+
+The solved potential is evaluated by ``evaluate_many`` on the density's own
+spline knots: pieces far from a target take one fixed Gauss rule, batched
+over all targets, and only the near pieces are bisected adaptively.
 """
 
 from __future__ import annotations
@@ -26,17 +30,17 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, SolveError
+from .errors import ConvergenceError, DomainError, SolveError
 from .geometry import Curve, Point
 from .kernel import (Params, kernel_families, q4_many,
                      weighted_dq4_dn_many)
-from .potential import (Density, QuadratureRule, _panel_nodes, double_layer,
-                        kernel_K4_log_split)
+from .potential import (NEAR_FIELD_TOL, Density, _bisect, _layer_panels,
+                        _panel_nodes, kernel_K4_log_split)
 from .specfun import gauss_rule
 
 __all__ = [
     "GUARD_FRAC", "PANEL_ORDER", "NystromSystem",
-    "assemble", "solve_dirichlet", "evaluate",
+    "assemble", "solve_dirichlet", "evaluate", "evaluate_many",
     "manufactured_data", "default_exterior_source", "convergence_study",
     "condition_estimate",
 ]
@@ -48,6 +52,9 @@ GUARD_FRAC = 0.025
 
 # Gauss order of the collocation panels.
 PANEL_ORDER = 8
+
+# Gauss order of the rule on the far pieces of evaluate_many.
+_FAR_ORDER = 12
 
 _lagrange_cache: dict[int, np.ndarray] = {}
 
@@ -129,9 +136,6 @@ class NystromSystem:
     @property
     def support(self) -> tuple[float, float]:
         return float(self.edges[0]), float(self.edges[-1])
-
-    def rule(self) -> QuadratureRule:
-        return QuadratureRule(self.nodes, self.weights, PANEL_ORDER, "smooth")
 
 
 def assemble(p: Params, curve: Curve, n: int,
@@ -268,21 +272,82 @@ def solve_dirichlet(sys: NystromSystem,
     return Density.from_samples(sys.nodes, mu)
 
 
+def evaluate_many(p: Params, curve: Curve, mu: Density, targets,
+                  sys: NystromSystem | None = None) -> np.ndarray:
+    """Potential of a sampled density at many interior points.
+
+    ``targets`` are Points in the open quadrant; the result holds one value
+    per target.  The integral runs over the support
+    ``sys.support``, or the density's node range when ``sys`` is None.
+
+    The support is cut into pieces at the density's own spline knots
+    (``mu.nodes`` inside the support) plus the two support ends, so the
+    density is one cubic on each piece.  A piece [lo, hi] of length h is
+    far from a target P when h <= |P - Gamma(mid)| - h/2, a lower bound of
+    the distance from P to the piece (arclength is at least the chord).
+    All far pieces of all targets take one 12-point Gauss rule, from
+    one frames call and one kernel call with per-pair sources.  A target's
+    near pieces are the root panels of the adaptive bisection
+    (``potential._bisect``) to the absolute error NEAR_FIELD_TOL; a stalled
+    subdivision raises ConvergenceError (the point is effectively on the
+    curve).  Each target is summed in a fixed order from its own pieces
+    only, so its value does not depend on the other targets of the batch.
+
+    A density without knots raises DomainError: closed-form densities go
+    to ``potential.double_layer``.
+    """
+    knots = getattr(mu, "nodes", None)
+    if knots is None:
+        raise DomainError("evaluate_many needs a sampled density with "
+                          "knots; use double_layer for closed forms")
+    xy = np.array([(t.x, t.y) for t in targets], dtype=float).reshape(-1, 2)
+    if not np.all(np.isfinite(xy) & (xy > 0.0)):
+        raise DomainError("evaluation points must lie in the open quadrant")
+    lo, hi = (sys.support if sys is not None
+              else (float(knots[0]), float(knots[-1])))
+    if not 0.0 <= lo < hi <= curve.length:
+        raise DomainError("support must be a sub-interval of [0, length]")
+    edges = np.concatenate(([lo], knots[(knots > lo) & (knots < hi)], [hi]))
+    h = np.diff(edges)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    mx, my = curve.frames(mid)[:2]
+    bound = np.hypot(xy[:, :1] - mx, xy[:, 1:] - my) - 0.5 * h
+    far = h <= bound
+
+    # every far (target, piece) pair in one batch, grouped by target
+    rows, cols = np.nonzero(far)
+    x, w = gauss_rule(_FAR_ORDER)
+    half = 0.5 * h[cols, None]
+    s = (mid[cols, None] + half * x).ravel()
+    xs, ys, _, _, nxs, nys, _ = curve.frames(s)
+    kern = weighted_dq4_dn_many(p, xs, ys, nxs, nys,
+                                (np.repeat(xy[rows, 0], _FAR_ORDER),
+                                 np.repeat(xy[rows, 1], _FAR_ORDER)))
+    terms = (half * w).ravel() * kern * mu(s)
+    cuts = _FAR_ORDER * np.searchsorted(rows, np.arange(xy.shape[0] + 1))
+
+    out = np.empty(xy.shape[0])
+    for i, (px, py) in enumerate(xy.tolist()):
+        out[i] = float(np.sum(terms[cuts[i]:cuts[i + 1]]))
+        near = ~far[i]
+        if near.any():
+            P = Point(px, py)
+            total, err = _bisect(lambda a, b: _layer_panels(
+                p, curve, mu, P, a, b), edges[:-1][near], edges[1:][near],
+                NEAR_FIELD_TOL)
+            if err > NEAR_FIELD_TOL:
+                raise ConvergenceError(
+                    "near-boundary subdivision stalled; evaluation point is "
+                    "effectively on the curve, use boundary_trace")
+            out[i] += total
+    return out
+
+
 def evaluate(p: Params, curve: Curve, mu: Density, P0: Point,
              sys: NystromSystem | None = None) -> float:
-    """Potential of the solved density at an interior point.
-
-    Uses the collocation rule directly when P0 is well separated from the
-    curve and the adaptive near-field integrator otherwise; the integration
-    is restricted to the density's node range.
-    """
-    if sys is not None:
-        return double_layer(p, curve, mu, P0, rule=sys.rule(),
-                            support=sys.support)
-    nodes = getattr(mu, "nodes", None)
-    support = ((float(nodes[0]), float(nodes[-1]))
-               if nodes is not None else None)
-    return double_layer(p, curve, mu, P0, support=support)
+    """Potential of a sampled density at one interior point: the one-target
+    case of ``evaluate_many``, with the same pieces and the same rules."""
+    return float(evaluate_many(p, curve, mu, [P0], sys)[0])
 
 
 def default_exterior_source(curve: Curve) -> Point:
@@ -308,8 +373,8 @@ def convergence_study(p: Params, curve: Curve, ns, probes,
     """Manufactured-solution study over node counts.
 
     For each n: assemble with the mesh-scaled default guard, solve,
-    evaluate at the probes, and compare with the exact exterior-source
-    solution.  Returns per-n max probe errors and the least-squares
+    evaluate at all probes in one ``evaluate_many`` call, and compare with
+    the exact exterior-source solution.  Returns per-n max probe errors and the least-squares
     convergence order.
     """
     src = default_exterior_source(curve) if source is None else source
@@ -324,8 +389,7 @@ def convergence_study(p: Params, curve: Curve, ns, probes,
     for n in ns:
         sys = assemble(p, curve, n, f=f)
         mu = solve_dirichlet(sys)
-        values = np.array([evaluate(p, curve, mu, q, sys=sys)
-                           for q in probes])
+        values = evaluate_many(p, curve, mu, probes, sys=sys)
         errors.append(float(np.max(np.abs(values - exact))))
     slope = np.polyfit(np.log(np.asarray(ns, dtype=float)),
                        np.log(np.asarray(errors)), 1)[0]

@@ -36,12 +36,12 @@ from pathlib import Path
 import numpy as np
 
 from .bie import (assemble, condition_estimate, convergence_study,
-                  default_exterior_source, evaluate, manufactured_data,
+                  default_exterior_source, evaluate_many, manufactured_data,
                   solve_dirichlet)
 from .errors import ConfigError, DomainError, SolveError
 from .geometry import Point, SuperellipseCurve
 from .kernel import Params, dq4_dn, grad_q4, grad_q4_many, q4, q4_many
-from .potential import (Density, boundary_trace, contour_flux,
+from .potential import (Density, boundary_trace, classify, contour_flux,
                         gauge_identity_verify)
 from .specfun import (F2Args, appell_f2, appell_f2_series, gauss_2f1,
                       gauss_2f1_at_one)
@@ -504,13 +504,38 @@ def cmd_verify(cfg: RunConfig, suite: str) -> int:
 
 # -- solve-dirichlet -------------------------------------------------------------
 
+def _interior_probes(curve: SuperellipseCurve, probes) -> list[Point]:
+    """The probes as Points, each classified inside the domain; any other
+    probe is a config error naming its index."""
+    points = []
+    for k, (x, y) in enumerate(probes):
+        try:
+            P = Point(x, y)
+            where = classify(curve, P)
+        except DomainError as exc:
+            raise ConfigError(f"probe {k} ({x}, {y}): {exc}") from None
+        if where != "inside":
+            place = "on the curve" if where == "on" else "outside the domain"
+            raise ConfigError(f"probe {k} ({x}, {y}) lies {place}; the "
+                              "solution is evaluated inside only")
+        points.append(P)
+    return points
+
+
 def cmd_solve(cfg: RunConfig) -> int:
     p, curve = cfg.params, cfg.curve
-    probes = _point_list(cfg.raw, "probes", 2, _DEFAULT_PROBES)
+    probes = _interior_probes(
+        curve, _point_list(cfg.raw, "probes", 2, _DEFAULT_PROBES))
     data_kind = cfg.raw.get("data", "manufactured")
     if data_kind not in ("manufactured", "zero"):
         raise ConfigError(f"config field 'data' must be 'manufactured' or "
                           f"'zero', got {data_kind!r}")
+    study_ns = cfg.raw.get("study_ns")
+    if study_ns is not None and (
+            not isinstance(study_ns, list) or len(study_ns) < 2
+            or not all(isinstance(n, int) and n >= 16 for n in study_ns)):
+        raise ConfigError("config field 'study_ns' must be a list of at "
+                          "least two node counts >= 16")
 
     if data_kind == "zero":
         def f(s):
@@ -547,14 +572,14 @@ def cmd_solve(cfg: RunConfig) -> int:
     density_rows = list(zip(system.nodes.tolist(), mu.values.tolist()))
     probe_rows, checks = [], []
     worst = 0.0
-    for (x, y) in probes:
-        P = Point(x, y)
-        u = evaluate(p, curve, mu, P, system)
+    values = evaluate_many(p, curve, mu, probes, system)
+    for P, u in zip(probes, values.tolist()):
         u_ref = exact(P)
         err = abs(u - u_ref)
         worst = max(worst, err)
-        probe_rows.append((x, y, u, u_ref, err))
-        checks.append(check(f"probe ({x:.4f}, {y:.4f})", err, cfg.tolerance))
+        probe_rows.append((P.x, P.y, u, u_ref, err))
+        checks.append(check(f"probe ({P.x:.4f}, {P.y:.4f})", err,
+                            cfg.tolerance))
     if data_kind == "zero":
         checks.append(check("density vanishes",
                             float(np.max(np.abs(mu.values))), 1.0e-10))
@@ -565,14 +590,8 @@ def cmd_solve(cfg: RunConfig) -> int:
               ["x", "y", "u", "u_exact", "error"], probe_rows)
 
     extra = {"condition_estimate": cond, "max_probe_error": worst}
-    study_ns = cfg.raw.get("study_ns")
     if study_ns is not None:
-        if (not isinstance(study_ns, list) or len(study_ns) < 2
-                or not all(isinstance(n, int) and n >= 16 for n in study_ns)):
-            raise ConfigError("config field 'study_ns' must be a list of at "
-                              "least two node counts >= 16")
-        study = convergence_study(p, curve, study_ns,
-                                  [Point(x, y) for (x, y) in probes])
+        study = convergence_study(p, curve, study_ns, probes)
         write_csv(cfg.out / "study.csv", ["n", "error"],
                   list(zip(study["ns"], study["errors"])))
         outputs.append("study.csv")

@@ -10,12 +10,15 @@ import pytest
 from biaxpot import (Density, DomainError, Params, Point, SolveError,
                      k_gauge, kernel_K4, kernel_K4_log_split,
                      superellipse_curve, weighted_dq4_dn_many)
+from biaxpot import bie as bie_mod
 from biaxpot import kernel as kernel_mod
+from biaxpot import potential as potential_mod
 from biaxpot.bie import (PANEL_ORDER, _lagrange_coeffs, _log_panel_weights,
                          assemble,
                          condition_estimate, convergence_study,
-                         default_exterior_source, evaluate,
+                         default_exterior_source, evaluate, evaluate_many,
                          manufactured_data, solve_dirichlet)
+from biaxpot.potential import NEAR_FIELD_TOL, double_layer
 from biaxpot.cli import main
 from biaxpot.kernel import q4
 from biaxpot.specfun import gauss_rule
@@ -358,6 +361,92 @@ def test_evaluate_axis_vanishing_rates(curve, manufactured):
             for y in (1e-3, 1e-4)]
     slope = np.log(vals[0] / vals[1]) / np.log(10.0)
     assert abs(slope - (1.0 - 2.0 * P25.beta)) <= 1.0e-3
+
+
+def _inward(curve, frac: float, depth: float) -> Point:
+    """The point ``depth`` inside the arc along the normal at frac * l."""
+    cp = curve.point_at(frac * curve.length)
+    return Point(cp.x - depth * cp.normal[0], cp.y - depth * cp.normal[1])
+
+
+@pytest.mark.parametrize("alpha, beta, q, a, n", [
+    (0.25, 0.25, 3.0, 1.0, 16),
+    (0.1, 0.4, 8.0, 6.0, 64),
+    (0.01, 0.49, 2.0, 1.0, 64),
+])
+def test_evaluate_many_matches_the_tight_double_layer(monkeypatch, alpha,
+                                                      beta, q, a, n):
+    # against the generic adaptive integrator at tol 1e-12 on the same
+    # support: all-far targets to 5e-11, targets with near pieces to the
+    # near-field tolerance
+    p, curve = Params(alpha, beta), superellipse_curve(a, 1.0, q)
+    sys = assemble(p, curve, n, f=manufactured_data(p, curve))
+    mu = solve_dirichlet(sys)
+    bisected = []
+
+    def spy(*args, **kwargs):
+        bisected.append(True)
+        return potential_mod._bisect(*args, **kwargs)
+
+    monkeypatch.setattr(bie_mod, "_bisect", spy)
+    all_far = 0
+    for depth in (0.4, 0.1, 0.03, 3.0e-3):
+        P = _inward(curve, 0.55, depth)
+        bisected.clear()
+        u = evaluate_many(p, curve, mu, [P], sys=sys)[0]
+        ref = double_layer(p, curve, mu, P, tol=1.0e-12, support=sys.support)
+        assert abs(u - ref) <= (NEAR_FIELD_TOL if bisected else 5.0e-11)
+        all_far += not bisected
+        if depth <= 0.03:
+            assert bisected
+    assert all_far >= 1
+
+
+def test_evaluate_many_is_independent_of_the_batch(curve, manufactured):
+    _, _, sys, mu = manufactured
+    targets = [Point(0.35, 0.3), _inward(curve, 0.45, 0.03),
+               Point(0.2, 0.75), _inward(curve, 0.7, 3.0e-3),
+               Point(0.6, 0.5)]
+    batch = evaluate_many(P25, curve, mu, targets, sys=sys)
+    assert batch.shape == (5,)
+    for k, P in enumerate(targets):
+        alone = evaluate_many(P25, curve, mu, [P], sys=sys)
+        assert alone[0] == batch[k]
+    reordered = evaluate_many(P25, curve, mu, targets[::-1], sys=sys)
+    assert np.array_equal(reordered[::-1], batch)
+    P = targets[0]
+    assert evaluate(P25, curve, mu, P, sys=sys) == batch[0]
+
+
+def test_evaluate_many_far_targets_take_one_kernel_call(curve, monkeypatch):
+    sys = assemble(P25, curve, 16, f=manufactured_data(P25, curve))
+    mu = solve_dirichlet(sys)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(np.size(args[1]))
+        return weighted_dq4_dn_many(*args, **kwargs)
+
+    monkeypatch.setattr(bie_mod, "weighted_dq4_dn_many", counted)
+    monkeypatch.setattr(potential_mod, "weighted_dq4_dn_many", counted)
+    targets = [Point(0.35, 0.3), Point(0.3, 0.45), Point(0.45, 0.25)]
+    values = evaluate_many(P25, curve, mu, targets, sys=sys)
+    # 16 knots inside the support make 17 pieces of 12 nodes per target
+    assert calls == [3 * 17 * 12]
+    assert np.all(np.isfinite(values))
+
+
+def test_evaluate_many_empty_and_invalid_targets(curve, manufactured):
+    _, _, sys, mu = manufactured
+    empty = evaluate_many(P25, curve, mu, [], sys=sys)
+    assert empty.shape == (0,)
+    for bad in (Point(0.0, 0.3), Point(0.3, 0.0), Point(math.nan, 0.3)):
+        with pytest.raises(DomainError):
+            evaluate_many(P25, curve, mu, [Point(0.3, 0.3), bad], sys=sys)
+    with pytest.raises(DomainError):
+        evaluate_many(P25, curve, Density.constant(1.0), [Point(0.3, 0.3)])
+    with pytest.raises(DomainError):
+        evaluate(P25, curve, Density.constant(1.0), Point(0.3, 0.3))
 
 
 # -- refinement behavior ----------------------------------------------------------

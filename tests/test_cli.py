@@ -289,6 +289,35 @@ def test_solve_reports_solver_failure(tmp_path, monkeypatch):
     assert "synthetic failure" in summary["error"]
 
 
+def assert_config_error_before_solving(tmp_path, cfg: dict) -> None:
+    assert run(tmp_path, cfg, "solve-dirichlet") == 2
+    out = tmp_path / "out"
+    assert not (out.exists() and list(out.glob("*.csv")))
+
+
+def test_solve_rejects_a_probe_off_the_quadrant(tmp_path):
+    assert_config_error_before_solving(
+        tmp_path, {"nodes": 16, "probes": [[0.35, 0.3], [-0.1, 0.3]]})
+
+
+def test_solve_rejects_a_probe_outside_the_domain(tmp_path):
+    # the exact solution holds only inside, so its "error" there is moot
+    assert_config_error_before_solving(
+        tmp_path, {"nodes": 16, "probes": [[1.2, 1.2]]})
+
+
+def test_solve_rejects_a_probe_on_the_arc(tmp_path, capsys):
+    on_arc = 0.5 ** (1.0 / 3.0)   # x^3 + y^3 = 1 at x = y
+    assert_config_error_before_solving(
+        tmp_path, {"nodes": 16, "probes": [[0.35, 0.3], [on_arc, on_arc]]})
+    assert "probe 1" in capsys.readouterr().err
+
+
+def test_solve_rejects_a_short_study_before_assembly(tmp_path):
+    assert_config_error_before_solving(tmp_path,
+                                       {"nodes": 16, "study_ns": [16]})
+
+
 # -- determinism ------------------------------------------------------------------
 
 def test_identical_configs_reproduce_bitwise(tmp_path):
