@@ -24,6 +24,7 @@ over all targets, and only the near pieces are bisected adaptively.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -56,21 +57,14 @@ PANEL_ORDER = 8
 # Gauss order of the rule on the far pieces of evaluate_many.
 _FAR_ORDER = 12
 
-_lagrange_cache: dict[int, np.ndarray] = {}
-
-
+@functools.cache
 def _lagrange_coeffs(order: int) -> np.ndarray:
     """Monomial coefficients of the Lagrange basis on Gauss nodes in [-1, 1].
 
     Column k holds the coefficients of L_k, lowest power first.
     """
-    coeffs = _lagrange_cache.get(order)
-    if coeffs is None:
-        u, _ = gauss_rule(order)
-        vander = np.vander(u, order, increasing=True)
-        coeffs = np.linalg.inv(vander)
-        _lagrange_cache[order] = coeffs
-    return coeffs
+    u, _ = gauss_rule(order)
+    return np.linalg.inv(np.vander(u, order, increasing=True))
 
 
 def _log_panel_weights(lo, hi, s0, order: int) -> np.ndarray:
@@ -192,17 +186,16 @@ def assemble(p: Params, curve: Curve, n: int,
     rows, cols = np.array(pairs).T
     lams = _log_panel_weights(edges[cols], edges[cols + 1], nodes[rows],
                               PANEL_ORDER)
-    for (i, q), lam in zip(pairs, lams):
-        s_i = float(nodes[i])
-        slope = log_slope[i]
-        for k, j in enumerate(range(q * PANEL_ORDER, (q + 1) * PANEL_ORDER)):
-            if j == i:
-                matrix[i, j] = (weights[j] * regular_diag[i]
-                                + slope * lam[k])
-            else:
-                gap = math.log(abs(nodes[j] - s_i))
-                matrix[i, j] = (weights[j] * (kernel[i, j] - slope * gap)
-                                + slope * lam[k])
+    # on those panels the kernel minus its fitted log term is regular (the
+    # diagonal takes the regular part), and lams integrate the log term
+    i = rows[:, None]
+    j = cols[:, None] * PANEL_ORDER + np.arange(PANEL_ORDER)
+    diag = j == i
+    slope = log_slope[i]
+    gap = np.log(np.where(diag, 1.0, np.abs(nodes[j] - nodes[i])))
+    matrix[i, j] = (weights[j] * np.where(diag, regular_diag[i],
+                                          kernel[i, j] - slope * gap)
+                    + slope * lams)
     matrix[np.arange(n), np.arange(n)] += -0.5
 
     rhs = None

@@ -35,9 +35,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .bie import (assemble, condition_estimate, convergence_study,
-                  default_exterior_source, evaluate_many, manufactured_data,
-                  solve_dirichlet)
+from .bie import (PANEL_ORDER, assemble, condition_estimate,
+                  convergence_study, default_exterior_source, evaluate_many,
+                  manufactured_data, solve_dirichlet)
 from .errors import ConfigError, DomainError, SolveError
 from .geometry import Point, SuperellipseCurve
 from .kernel import Params, dq4_dn, grad_q4, grad_q4_many, q4, q4_many
@@ -97,21 +97,21 @@ class RunConfig:
 
 
 def _want(raw: dict, key: str, kind, default):
-    """Fetch raw[key] coerced to kind, or the default; type errors are
-    config errors."""
+    """Fetch raw[key] coerced to kind (int or float), or the default; type
+    errors are config errors.  Bools and strings are neither, floats must
+    be finite, and integral for an int."""
     if key not in raw:
         return default
     value = raw[key]
     try:
-        if kind is int:
-            # bool is an int subclass and floats must be integral
-            if isinstance(value, bool) or (isinstance(value, float)
-                                           and value != int(value)):
-                raise ValueError
-            return int(value)
+        # bool is an int subclass
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not math.isfinite(value)
+                or (kind is int and value != int(value))):
+            raise ValueError
         return kind(value)
-    except (TypeError, ValueError):
-        noun = "an integer" if kind is int else "a number"
+    except (OverflowError, ValueError):
+        noun = "an integer" if kind is int else "a finite number"
         raise ConfigError(f"config field {key!r} must be {noun}, "
                           f"got {value!r}") from None
 
@@ -175,8 +175,9 @@ def load_config(path: str | None, out_dir: str | None,
         raise ConfigError(str(exc)) from exc
 
     n = nodes if nodes is not None else _want(raw, "nodes", int, 64)
-    if n < 16:
-        raise ConfigError(f"node count must be at least 16, got {n}")
+    if n < 16 or n % PANEL_ORDER:
+        raise ConfigError(f"node count must be a multiple of {PANEL_ORDER} "
+                          f"and at least 16, got {n}")
     rng_seed = seed if seed is not None else _want(raw, "seed", int, 0)
     tol = _want(raw, "tolerance", float, 1.0e-4)
     if not 0.0 < tol < 1.0:
@@ -533,9 +534,11 @@ def cmd_solve(cfg: RunConfig) -> int:
     study_ns = cfg.raw.get("study_ns")
     if study_ns is not None and (
             not isinstance(study_ns, list) or len(study_ns) < 2
-            or not all(isinstance(n, int) and n >= 16 for n in study_ns)):
+            or not all(isinstance(n, int) and n >= 16 and n % PANEL_ORDER == 0
+                       for n in study_ns)):
         raise ConfigError("config field 'study_ns' must be a list of at "
-                          "least two node counts >= 16")
+                          "least two node counts >= 16, each a multiple of "
+                          f"{PANEL_ORDER}")
 
     if data_kind == "zero":
         def f(s):

@@ -98,17 +98,14 @@ class Density:
 class QuadratureRule:
     """Immutable quadrature rule on an arclength interval.
 
-    ``kind`` is "smooth" for composite Gauss-Legendre layouts and
-    "log-graded" for rules with dyadic panels accumulating at
-    ``singular_at``; the latter leave out the innermost gap recorded in
-    ``gap``, whose contribution the caller supplies from the diagonal limit.
+    ``gap`` is None for the composite Gauss-Legendre layouts of
+    ``smooth_rule``.  The log-graded rules of ``graded_rule`` leave out the
+    innermost gap around their grading point and record it in ``gap``; the
+    caller supplies its contribution from the diagonal limit.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
-    order: int
-    kind: str
-    singular_at: float | None = None
     gap: tuple[float, float] | None = None
 
     def __post_init__(self):
@@ -122,9 +119,6 @@ class QuadratureRule:
         weights.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
-
-    def __len__(self) -> int:
-        return self.nodes.size
 
 
 def _panel_nodes(edges: np.ndarray, order: int):
@@ -175,7 +169,7 @@ def smooth_rule(length: float, n: int, order: int = 8) -> QuadratureRule:
     nodes, weights = _panel_nodes(edges, order)
     if abs(weights.sum() - length) > 1.0e-12 * max(1.0, length):
         raise ConvergenceError("smooth rule weights failed the length check")
-    return QuadratureRule(nodes, weights, order, "smooth")
+    return QuadratureRule(nodes, weights)
 
 
 # Smallest excluded half-gap of the graded rule, as a fraction of the
@@ -221,19 +215,10 @@ def graded_rule(length: float, s0: float, levels: int = 16,
     weights = np.concatenate(weight_parts)
     idx = np.argsort(nodes, kind="stable")
     gap = (s0 - half_gaps[0], s0 + half_gaps[1])
-    return QuadratureRule(nodes[idx], weights[idx], order, "log-graded",
-                          singular_at=s0, gap=gap)
+    return QuadratureRule(nodes[idx], weights[idx], gap)
 
 
 # -- kernel ------------------------------------------------------------------
-
-_diag_cache: "weakref.WeakKeyDictionary[Curve, dict]" = weakref.WeakKeyDictionary()
-
-
-def _curve_source(curve: Curve, s: float) -> Point:
-    cp = curve.point_at(s)
-    return Point(cp.x, cp.y)
-
 
 def _diagonal_sides(curve: Curve, s: np.ndarray) -> np.ndarray:
     """The one-sided offsets s -/+ DIAG_OFFSET_FRAC * length of the
@@ -260,28 +245,17 @@ def _side_means(p: Params, curve: Curve, s: np.ndarray,
 
 
 def kernel_K4_diagonal(p: Params, curve: Curve, s: float) -> float:
-    """Continuous diagonal limit of K4 at t = s.
-
-    Computed as the average of the two one-sided values at offset
-    DIAG_OFFSET_FRAC * length and cached per node.
-    """
-    cache = _diag_cache.setdefault(curve, {})
-    key = (p.alpha, p.beta, float(s))
-    value = cache.get(key)
-    if value is None:
-        s_arr = np.array([float(s)])
-        value = float(_side_means(p, curve, s_arr,
-                                  _diagonal_sides(curve, s_arr))[0])
-        cache[key] = value
-    return value
+    """Continuous diagonal limit of K4 at t = s: the mean of the two
+    one-sided values at offset DIAG_OFFSET_FRAC * length (one side only
+    where the other leaves (0, l))."""
+    s_arr = np.array([float(s)])
+    return float(_side_means(p, curve, s_arr,
+                             _diagonal_sides(curve, s_arr))[0])
 
 
 def kernel_K4(p: Params, curve: Curve, s: float, t: float) -> float:
     """Double-layer kernel K4(s, t) = x(t)^(2a) y(t)^(2b) dq4/dn_t."""
-    if t == s:
-        return kernel_K4_diagonal(p, curve, s)
-    return float(_weighted_row(p, curve, np.array([float(t)]),
-                               _curve_source(curve, s))[0])
+    return float(kernel_K4_row(p, curve, s, [t])[0])
 
 
 # Offsets (fractions of arclength) bracketing the two-point fit of the
@@ -296,25 +270,19 @@ def kernel_K4_log_split(p: Params, curve: Curve, s):
     keeps a residual c(s) * ln|t - s| term; near the diagonal
     K4(s, t) ~ c(s) * ln|t - s| + regular(s).  Both constants come from the
     symmetrised kernel values at two offsets: the outer pair at
-    LOG_FIT_OUTER_FRAC * length and the diagonal limit (cached per node).
+    LOG_FIT_OUTER_FRAC * length and the diagonal limit.
 
     ``s`` is one arclength or an array of them; an array gives arrays of
-    its shape, from one pairwise kernel call for all offsets.
+    its shape.  Every call evaluates the outer and inner offsets of every
+    arclength in one pairwise kernel call: 4 len(s) pairs, nothing cached.
     """
     s_arr = np.asarray(s, dtype=float).ravel()
-    cache = _diag_cache.setdefault(curve, {})
-    keys = [(p.alpha, p.beta, float(v)) for v in s_arr]
-    missing = np.array([key not in cache for key in keys], dtype=bool)
     outer = LOG_FIT_OUTER_FRAC * curve.length
     inner = DIAG_OFFSET_FRAC * curve.length
     ts = np.concatenate((s_arr[:, None] + np.array([-outer, outer]),
-                         _diagonal_sides(curve, s_arr[missing])))
-    means = _side_means(p, curve, np.concatenate((s_arr, s_arr[missing])),
-                        ts)
-    for i, value in zip(np.nonzero(missing)[0], means[s_arr.size:]):
-        cache[keys[i]] = float(value)
-    d_outer = means[:s_arr.size]
-    d_inner = np.array([cache[key] for key in keys])
+                         _diagonal_sides(curve, s_arr)))
+    d_outer, d_inner = np.split(
+        _side_means(p, curve, np.tile(s_arr, 2), ts), 2)
     slope = (d_outer - d_inner) / math.log(outer / inner)
     regular = d_inner - slope * math.log(inner)
     if np.ndim(s) == 0:
@@ -330,13 +298,15 @@ def _weighted_row(p: Params, curve: Curve, ts: np.ndarray,
 
 
 def kernel_K4_row(p: Params, curve: Curve, s: float, ts) -> np.ndarray:
-    """Vectorised K4(s, t) over an array of arclengths t."""
+    """Vectorised K4(s, t) over an array of arclengths t; entries with
+    t == s take the diagonal limit ``kernel_K4_diagonal``."""
     ts = np.asarray(ts, dtype=float)
     out = np.empty(ts.shape, dtype=float)
     diag = ts == s
     if np.any(~diag):
+        x0, y0 = curve.frames(float(s))[:2]
         out[~diag] = _weighted_row(p, curve, ts[~diag],
-                                   _curve_source(curve, s))
+                                   Point(float(x0), float(y0)))
     if np.any(diag):
         out[diag] = kernel_K4_diagonal(p, curve, s)
     return out
@@ -451,27 +421,17 @@ def _bisect(panels: Callable, lo: np.ndarray, hi: np.ndarray, tol: float,
 
 
 def double_layer(p: Params, curve: Curve, mu: Density, P0: Point,
-                 rule: QuadratureRule | None = None,
                  tol: float = NEAR_FIELD_TOL,
                  support: tuple[float, float] | None = None) -> float:
-    """Double-layer potential at an off-curve point P0.
+    """Double-layer potential of any density at an off-curve point P0.
 
-    With a rule supplied and P0 well separated from the curve the rule is
-    applied directly; otherwise the integral is computed by adaptive panel
-    bisection (``_bisect``) to the absolute error ``tol``, which keeps the
-    near-boundary peak (width comparable to the distance to the curve)
-    resolved.  ``support`` restricts the integration to a sub-arc (used for
-    densities that live on a trimmed node range).
+    Adaptive panel bisection (``_bisect``) to the absolute error ``tol``
+    keeps the near-boundary peak (width comparable to the distance to the
+    curve) resolved.  ``support`` restricts the integration to a sub-arc
+    (used for densities that live on a trimmed node range).
     """
     if P0.x <= 0.0 or P0.y <= 0.0:
         raise DomainError("evaluation point must lie in the open quadrant")
-    if rule is not None:
-        panels = max(1, len(rule) // rule.order)
-        _, dist = nearest_arclength(curve, P0)
-        if dist >= 4.0 * curve.length / panels:
-            row = _weighted_row(p, curve, rule.nodes, P0)
-            return float(np.dot(rule.weights, row * mu(rule.nodes)))
-    # adaptive path, also the default
     lo0, hi0 = support if support is not None else (0.0, curve.length)
     if not 0.0 <= lo0 < hi0 <= curve.length:
         raise DomainError("support must be a sub-interval of [0, length]")
@@ -561,17 +521,18 @@ def _trace_integral(p: Params, curve: Curve, mu: Density, s: float,
 
 
 def boundary_trace(p: Params, curve: Curve, mu: Density, s: float,
-                   side: str, levels: int = 16, order: int = 12) -> float:
+                   side: str) -> float:
     """One-sided limit of the double-layer potential on the curve.
 
     interior trace = -mu(s)/2 + w0(s), exterior trace = +mu(s)/2 + w0(s),
-    where w0 is the on-curve integral computed with the log-graded rule.
+    where w0 is the on-curve integral computed with the log-graded rule
+    (16 levels of 12-point panels).  Both sides share the same w0.
     """
     if side not in ("interior", "exterior"):
         raise DomainError(f"side must be 'interior' or 'exterior', got {side!r}")
     if not 0.0 < s < curve.length:
         raise DomainError("trace arclength must lie strictly inside (0, l)")
-    w0 = _trace_integral(p, curve, mu, s, levels, order)
+    w0 = _trace_integral(p, curve, mu, s, levels=16, order=12)
     jump = -0.5 if side == "interior" else 0.5
     return jump * float(mu(s)) + w0
 
@@ -678,8 +639,8 @@ class GaugeIdentityResult(NamedTuple):
     residual: float
 
 
-def gauge_identity_verify(p: Params, curve: Curve, P0: Point,
-                          n: int = 512) -> GaugeIdentityResult:
+def gauge_identity_verify(p: Params, curve: Curve,
+                          P0: Point) -> GaugeIdentityResult:
     """Check the constant-density double-layer value against the gauge function.
 
     The unit-density potential w1 equals k(P0) - 1 inside the domain,

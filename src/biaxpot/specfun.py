@@ -214,11 +214,7 @@ def _hyp2f1_connection(a: float, b: float, c: float, z: float) -> float:
     """
     u = 1.0 - z
     s = c - a - b
-    lg_c = ln_gamma(c) if c > 0 else None
-    if lg_c is None:
-        lgc, sgc = _ln_gamma_signed(c)
-    else:
-        lgc, sgc = lg_c, 1.0
+    lgc, sgc = _ln_gamma_signed(c)
 
     def coeff(top: float, bot1: float, bot2: float) -> float:
         lt, st = _ln_gamma_signed(top)

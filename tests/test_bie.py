@@ -235,7 +235,7 @@ def test_symmetric_assembly_matches_row_by_row(alpha, beta, a, b, q,
     sys = assemble(p, superellipse_curve(a, b, q), 32)
     # one F2 call for the upper triangle, one for the log-split offsets
     assert calls == [32 * 31 // 2, 4 * 32]
-    # a fresh curve, so that the reference fills its own diagonal cache
+    # a separate curve, so that the reference shares no curve state
     want = _row_by_row(p, superellipse_curve(a, b, q), sys)
     for got, ref in zip((sys.matrix, sys.log_slope, sys.regular_diag), want):
         assert np.all(np.abs(got - ref) <= 1.0e-14 * np.abs(ref))

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -316,6 +317,19 @@ def test_solve_rejects_a_probe_on_the_arc(tmp_path, capsys):
 def test_solve_rejects_a_short_study_before_assembly(tmp_path):
     assert_config_error_before_solving(tmp_path,
                                        {"nodes": 16, "study_ns": [16]})
+
+
+@pytest.mark.parametrize("cfg", [
+    {"nodes": 20},                          # not a multiple of PANEL_ORDER
+    {"nodes": 16, "study_ns": [16, 20]},
+    {"nodes": 16, "domain": {"a": True}},   # a bool is not a number
+    {"nodes": 16, "domain": {"exponent": "inf"}},
+    {"nodes": 16, "domain": {"a": math.nan}},
+    {"nodes": 16, "params": {"alpha": math.inf}},
+    {"nodes": 16, "seed": math.inf},        # int(inf) overflows
+], ids=["nodes", "study_ns", "bool", "string", "nan", "inf", "inf-int"])
+def test_solve_rejects_bad_counts_and_numbers_before_solving(tmp_path, cfg):
+    assert_config_error_before_solving(tmp_path, cfg)
 
 
 # -- determinism ------------------------------------------------------------------

@@ -108,7 +108,7 @@ def test_kernel_log_split_models_near_diagonal(curve):
 
 
 def test_kernel_log_split_array_matches_scalar(monkeypatch):
-    # fresh curves, so that neither form reads diagonals the other cached
+    # separate curves, so that the two forms share no curve state
     ss = np.linspace(0.01, 0.99, 9)
     calls = []
     pairwise = potential.weighted_dq4_dn_many
@@ -125,10 +125,11 @@ def test_kernel_log_split_array_matches_scalar(monkeypatch):
     for k, s in enumerate(ss * c_scalar.length):
         assert (slopes[k], regulars[k]) == kernel_K4_log_split(P25, c_scalar,
                                                                float(s))
-    # cached diagonals are reused, and give the same split
+    # a repeat call on the same curve evaluates every offset again, in one
+    # call, and gives the same split
     calls.clear()
     again = kernel_K4_log_split(P25, c_scalar, ss[:3] * c_scalar.length)
-    assert calls == [2 * 3]
+    assert calls == [4 * 3]
     assert np.array_equal(again[0], slopes[:3])
     assert np.array_equal(again[1], regulars[:3])
 
@@ -140,6 +141,18 @@ def test_kernel_row_matches_scalar(curve):
     for j, t in enumerate(ts):
         assert row[j] == pytest.approx(kernel_K4(P25, curve, s, float(t)),
                                        rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.25, 0.25), (0.1, 0.4)])
+def test_kernel_row_takes_the_diagonal_limit_at_t_equal_s(curve, alpha, beta):
+    p = Params(alpha, beta)
+    s = 0.35 * curve.length
+    t0, t1 = 0.2 * curve.length, 0.6 * curve.length
+    row = kernel_K4_row(p, curve, s, [t0, s, t1])
+    assert row[1] == kernel_K4(p, curve, s, s)
+    assert row[1] == potential.kernel_K4_diagonal(p, curve, s)
+    assert row[0] == kernel_K4(p, curve, s, t0)
+    assert row[2] == kernel_K4(p, curve, s, t1)
 
 
 # -- classification ---------------------------------------------------------------
@@ -408,7 +421,8 @@ def test_layer_potential_satisfies_pde(curve):
     rule = smooth_rule(l, 512)
 
     def w(x, y):
-        return double_layer(P25, curve, mu, Point(x, y), rule=rule)
+        row = _weighted_row(P25, curve, rule.nodes, Point(x, y))
+        return float(np.dot(rule.weights, row * mu(rule.nodes)))
 
     x0, y0 = 0.35, 0.4
     res = []
