@@ -21,6 +21,7 @@ Newton polish of the table inverse per branch.  ``point_at`` and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,11 +32,14 @@ from .errors import DomainError
 
 @dataclass(frozen=True)
 class Point:
-    """A point of the closed quarter plane."""
+    """A point of the closed quarter plane.  Infinite coordinates are
+    rejected; a NaN is left to each evaluator's open-quadrant check."""
     x: float
     y: float
 
     def __post_init__(self):
+        if math.isinf(self.x) or math.isinf(self.y):
+            raise DomainError(f"point ({self.x}, {self.y}) is not finite")
         if self.x < 0.0 or self.y < 0.0:
             raise DomainError(f"point ({self.x}, {self.y}) leaves the quarter plane")
 

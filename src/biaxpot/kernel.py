@@ -312,7 +312,7 @@ def singularity_envelope(p: Params, P: Point, Q: Point) -> float:
     absolute value fixes its sign; the envelope is meant for ratio tests
     |q4| / envelope, not as a certified bound.
     """
-    if P.x <= 0.0 or P.y <= 0.0 or Q.x <= 0.0 or Q.y <= 0.0:
+    if not (P.x > 0.0 and P.y > 0.0 and Q.x > 0.0 and Q.y > 0.0):
         raise DomainError("singularity_envelope needs strictly interior points")
     ch = chords(P, Q)
     u = ch.u

@@ -346,7 +346,7 @@ def classify(curve: Curve, P: Point) -> str:
     points within AMBIGUOUS_DIST of the arc that miss the band raise
     AmbiguousClassificationError.
     """
-    if P.x <= 0.0 or P.y <= 0.0:
+    if not (P.x > 0.0 and P.y > 0.0):  # false for NaN as well
         raise DomainError("classification needs a point in the open quadrant")
     if not hasattr(curve, "implicit_value"):
         raise DomainError("classification needs a curve with an implicit form")
@@ -430,7 +430,7 @@ def double_layer(p: Params, curve: Curve, mu: Density, P0: Point,
     curve) resolved.  ``support`` restricts the integration to a sub-arc
     (used for densities that live on a trimmed node range).
     """
-    if P0.x <= 0.0 or P0.y <= 0.0:
+    if not (P0.x > 0.0 and P0.y > 0.0):  # false for NaN as well
         raise DomainError("evaluation point must lie in the open quadrant")
     lo0, hi0 = support if support is not None else (0.0, curve.length)
     if not 0.0 <= lo0 < hi0 <= curve.length:
@@ -460,7 +460,7 @@ def k_gauge(p: Params, a: float, b: float, P0: Point) -> float:
     """
     if a <= 0.0 or b <= 0.0:
         raise DomainError("axis segment lengths must be positive")
-    if P0.x <= 0.0 or P0.y <= 0.0:
+    if not (P0.x > 0.0 and P0.y > 0.0):  # false for NaN as well
         raise DomainError("gauge function needs a point in the open quadrant")
     pref = (k4_constant(p) * P0.x ** (1.0 - 2.0 * p.alpha)
             * P0.y ** (1.0 - 2.0 * p.beta))

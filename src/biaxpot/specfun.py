@@ -60,16 +60,18 @@ the two axes combine:
   10-point Legendre and 20-point Jacobi rules.  That is
   (60 + 10 Lx + 10 Ly) rows of 20 nodes per point: 1,200 at L = 0, 6,000
   at L = 12 and 14,400 at L = 33, against 2,304, 36,864 and 197,136 for
-  the tensor product.
+  the tensor product.  In both blocks (s-panel rows, t-panel rows) a row's
+  own node and weight scale its 20-node sums, outside the node tensor.
 
 Log-gamma comes from the library (``math.lgamma``, mapped over arrays).
 Gauss rules come from ``jacobi_rules`` by Golub-Welsch.  ``gauss_rule``,
 the staircase axes and prefix rules, and the Euler prefactors are cached;
-a level pair's staircase is gathered from its two axes on each call, since
-one workload touches hundreds of level pairs.  The tensor axes, their four
-end-panel rules (one batched call) and the prefactor of ``appell_f2_many``
-are computed on each call, past those caches: its callers draw a new
-parameter set for almost every call, and caching them only grows memory.
+a level pair's two blocks are gathered from its two axes on each call,
+since one workload touches hundreds of level pairs.  The tensor axes, their
+four end-panel rules (one batched call) and the prefactor of
+``appell_f2_many`` are computed on each call, past those caches: its callers
+draw a new parameter set for almost every call, and caching them only grows
+memory.
 Otherwise every function is a pure function of its arguments.
 """
 
@@ -440,7 +442,7 @@ _STAIR_LEG_N = 10
 _STAIR_JAC_N = 20
 
 # Euler batches are cut so that the (points, nodes) tensor stays near this
-# many bytes.
+# many bytes; the staircase counts both its blocks, evaluated in turn.
 EULER_CHUNK_BYTES = 1 << 20
 
 
@@ -493,12 +495,13 @@ def _euler_axis(b: float, cb: float, left, right, level: int,
 def _stair_axis(b: float, cb: float, level: int):
     """One axis of the staircase layout, |x| <= 2^level.
 
-    Returns (s, ws, panel, qs, qw): the panels of ``_euler_axis`` at the
-    staircase orders, and the prefix rules as (level + 2, J) arrays, where
-    row k holds J Gauss-Jacobi nodes and weights for the weight
-    s^(b-1) (1-s)^(cb-1) on [0, end of panel k].  The rows below the last
-    absorb s^(b-1); the last covers the whole of [0, 1] and absorbs both
-    ends.  Cached per dyadic level; the returned arrays are read-only.
+    Returns (s, ws, panel, qs, qw, qwq): the panels of ``_euler_axis`` at
+    the staircase orders, and the prefix rules as (level + 2, J) arrays,
+    where row k holds J Gauss-Jacobi nodes and weights for the weight
+    s^(b-1) (1-s)^(cb-1) on [0, end of panel k], and their products
+    qwq = qw qs.  The rows below the last absorb s^(b-1); the last covers
+    the whole of [0, 1] and absorbs both ends.  Cached per dyadic level;
+    the returned arrays are read-only.
     """
     tj, wj = left = gauss_rule(_STAIR_JAC_N, b - 1.0)
     s, ws, panel = _euler_axis(b, cb, left, gauss_rule(_STAIR_JAC_N, cb - 1.0),
@@ -509,35 +512,33 @@ def _stair_axis(b: float, cb: float, level: int):
     tj, wj = gauss_rule(_STAIR_JAC_N, b - 1.0, cb - 1.0)
     qs = np.vstack((qs, 0.5 * (tj + 1.0)))
     qw = np.vstack((qw, wj * 0.5 ** (b + cb - 1.0)))
-    qs.flags.writeable = False
-    qw.flags.writeable = False
-    return s, ws, panel, qs, qw
+    qwq = qw * qs
+    for arr in (qs, qw, qwq):
+        arr.flags.writeable = False
+    return s, ws, panel, qs, qw, qwq
 
 
 def _staircase(b1: float, cb1: float, level_x: int, b2: float, cb2: float,
                level_y: int):
-    """Nodes (S, T) and weights W of the staircase layout, as (rows, J)
-    arrays, for one pair of dyadic levels.
+    """The two blocks of the staircase layout for one pair of dyadic levels,
+    each (node, w, q, qw, qwq): its own axis's row nodes and weights as
+    (rows,) arrays, and the other axis's prefix rule per row as (rows, J)
+    arrays of nodes q, weights qw and products qw q.
 
-    The lower part pairs every s-node with the t prefix rule up to the end
-    of the s-node's panel; the upper part pairs every t-node of panel
+    The lower block pairs every s-node with the t prefix rule up to the end
+    of the s-node's panel; the upper block pairs every t-node of panel
     k >= 1 with the s prefix rule up to the end of panel k - 1 (panel
     indices past an axis's last panel mean the whole of [0, 1]).  The two
-    parts tile the unit square, and on each tile the integrand is smooth
+    blocks tile the unit square, and on each tile the integrand is smooth
     in both variables.
     """
-    s, ws, ps, qs, qws = _stair_axis(b1, cb1, level_x)
-    t, wt, pt, qt, qwt = _stair_axis(b2, cb2, level_y)
+    s, ws, ps, qs, qws, qwqs = _stair_axis(b1, cb1, level_x)
+    t, wt, pt, qt, qwt, qwqt = _stair_axis(b2, cb2, level_y)
     ky = np.minimum(ps, qt.shape[0] - 1)
     up = pt >= 1
     kx = np.minimum(pt[up] - 1, qs.shape[0] - 1)
-    nt = int(np.count_nonzero(up))
-    S = np.concatenate((np.broadcast_to(s[:, None], (s.size, _STAIR_JAC_N)),
-                        qs[kx]))
-    T = np.concatenate((qt[ky], np.broadcast_to(t[up][:, None],
-                                                 (nt, _STAIR_JAC_N))))
-    W = np.concatenate((ws[:, None] * qwt[ky], wt[up][:, None] * qws[kx]))
-    return S, T, W
+    return ((s, ws, qt[ky], qwt[ky], qwqt[ky]),
+            (t[up], wt[up], qs[kx], qws[kx], qwqs[kx]))
 
 
 @functools.lru_cache(maxsize=256)
@@ -625,9 +626,12 @@ def f2_kernel_families(a: float, b1: float, b2: float, c1: float, c2: float,
     family, da = C int w P, dx = C (c1/b1) int w s P, dy = C (c2/b2)
     int w t P, and main = C int w B P = da - x C int w s P - y C int w t P.
     Every term of the last sum is nonnegative for x, y <= 0, so nothing
-    cancels.  One power per node serves all four families.  Requires
-    c1 > b1 > 0 and c2 > b2 > 0.  Each point's values are independent of
-    the batch it is evaluated in.
+    cancels.  One power per node serves all four families.  On a lower
+    block row, B = (1 - x s_r) - y q_rj and v_r = sum_j qw_rj P_rj, so the
+    block adds sum_r w_r v_r to int w P and sum_r w_r s_r v_r to int w s P;
+    only int w t P takes a second sum over j, with qw q (the upper block
+    swaps s, x and t, y).  Requires c1 > b1 > 0 and c2 > b2 > 0.  Each
+    point's values are independent of the batch it is evaluated in.
     """
     x, y = _check_f2_arguments(x, y, c1, c2)
     if not ((c1 > b1 > 0.0) and (c2 > b2 > 0.0)):
@@ -641,21 +645,23 @@ def f2_kernel_families(a: float, b1: float, b2: float, c1: float, c2: float,
     i_t = np.empty(x.size)
     pref = _euler_prefactor(b1, c1, b2, c2)
     for level_x, level_y, group in _level_groups(x, y):
-        S, T, W = _staircase(b1, c1 - b1, level_x, b2, c2 - b2, level_y)
-        WS = W * S
-        WT = W * T
-        for idx in _chunks(group, S.size):
-            # B = 1 - s x - t y on the (points, rows, J) tensor, in place
-            # so that one chunk holds at most two such tensors at a time
-            core = x[idx][:, None, None] * S
-            np.subtract(1.0, core, out=core)
-            core -= y[idx][:, None, None] * T
-            np.power(core, -a - 1.0, out=core)
-            # a dot product per node row, then a row reduction per point,
-            # so a point's values do not depend on the batch it arrives in
-            i0[idx] = np.sum(np.vecdot(core, W), axis=1)
-            i_s[idx] = np.sum(np.vecdot(core, WS), axis=1)
-            i_t[idx] = np.sum(np.vecdot(core, WT), axis=1)
+        lower, upper = _staircase(b1, c1 - b1, level_x, b2, c2 - b2, level_y)
+        for idx in _chunks(group, lower[2].size + upper[2].size):
+            moments = []
+            for (node, w, q, qw, qwq), u, v in ((lower, x[idx], y[idx]),
+                                                (upper, y[idx], x[idx])):
+                # B = (1 - u node) - v q on the (points, rows, J) tensor
+                core = v[:, None, None] * q
+                np.subtract((1.0 - u[:, None] * node)[:, :, None], core,
+                            out=core)
+                np.power(core, -a - 1.0, out=core)
+                # a dot product per row, then one over rows, per point: a
+                # point's values do not depend on the batch it arrives in
+                rows = np.vecdot(core, qw)
+                moments.append((np.vecdot(rows, w), np.vecdot(rows, w * node),
+                                np.vecdot(np.vecdot(core, qwq), w)))
+            (lo0, lo_s, lo_t), (up0, up_t, up_s) = moments
+            i0[idx], i_s[idx], i_t[idx] = lo0 + up0, lo_s + up_s, lo_t + up_t
     da = pref * i0
     i_s *= pref
     i_t *= pref

@@ -17,6 +17,14 @@ def test_point_rejects_negative_coordinates():
         Point(0.5, -1.0e-12)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf])
+def test_point_rejects_infinite_coordinates(bad):
+    with pytest.raises(DomainError):
+        Point(bad, 0.3)
+    with pytest.raises(DomainError):
+        Point(0.3, bad)
+
+
 def test_superellipse_endpoints(curve):
     start = curve.point_at(0.0)
     end = curve.point_at(curve.length)

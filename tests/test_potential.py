@@ -294,6 +294,19 @@ def test_k_gauge_rejects_axis_points():
         k_gauge(P25, 1.0, 1.0, Point(0.0, 0.5))
 
 
+@pytest.mark.parametrize("bad", [Point(math.nan, 0.3), Point(0.3, math.nan)],
+                         ids=["x", "y"])
+def test_nan_points_fail_the_open_quadrant_checks(curve, bad):
+    # a NaN passed "x <= 0 or y <= 0", and k_gauge then ran a 2F1 series
+    # to its term cap and raised ConvergenceError instead of DomainError
+    with pytest.raises(DomainError):
+        k_gauge(P25, 1.0, 1.0, bad)
+    with pytest.raises(DomainError):
+        classify(curve, bad)
+    with pytest.raises(DomainError):
+        double_layer(P25, curve, Density.constant(1.0), bad)
+
+
 def _quad_gauge(p, a, b, P0):
     """k_gauge's two axis integrals by scipy's adaptive quad (test-only
     reference), split at the foot of P0 as quad's break point."""

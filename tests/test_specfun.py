@@ -16,6 +16,7 @@ from biaxpot import (ConvergenceError, DivergenceError, DomainError, F2Args,
                      appell_f2, appell_f2_many, appell_f2_series,
                      f2_kernel_families, f2_param_shift, gauss_2f1,
                      gauss_2f1_at_one, ln_gamma, log_singular_3f2, pochhammer)
+from biaxpot import specfun
 from biaxpot.specfun import (_euler_prefactor, _f2_euler_many, _stair_axis,
                              gauss_rule, jacobi_rules)
 
@@ -463,6 +464,41 @@ def test_f2_kernel_families_staircase_matches_tensor_route(alpha, beta):
     for params, got in zip(families, values):
         want = _f2_euler_many(*params, x, y)
         assert np.max(np.abs(got - want) / np.abs(want)) <= 2.0e-13
+
+
+@pytest.mark.parametrize("alpha, beta", STAIRCASE_PARAMS)
+def test_f2_kernel_families_exact_at_a_minus_one(alpha, beta):
+    # at a = -1 the integrand is B itself: the shifted families are F2 with
+    # a = 0, exactly 1, and main = 1 - (b1/c1) x - (b2/c2) y.  This checks
+    # that the two staircase blocks tile the square and carry both moments;
+    # log-uniform |xi|, |eta| up to 1e11 reach every level pair up to 37
+    _, b1, b2, c1, c2 = kernel_families(alpha, beta)[0]
+    rng = np.random.default_rng(28)
+    span = (math.log(1.0e-3), math.log(1.0e11))
+    x = -np.exp(rng.uniform(*span, 400))
+    y = -np.exp(rng.uniform(*span, 400))
+    main, *shifted = f2_kernel_families(-1.0, b1, b2, c1, c2, x, y)
+    for got in shifted:
+        assert np.max(np.abs(got - 1.0)) <= 1.0e-14
+    want = 1.0 - (b1 / c1) * x - (b2 / c2) * y
+    assert np.max(np.abs(main - want) / want) <= 1.0e-14
+
+
+def test_f2_kernel_families_chunk_boundaries_move_no_bits(monkeypatch):
+    # one point per chunk, and one chunk per level group, must both give
+    # bitwise the values of the default chunking
+    rng = np.random.default_rng(29)
+    span = (math.log(1.0e-3), math.log(1.0e11))
+    x = -np.exp(rng.uniform(*span, 500))
+    y = -np.exp(rng.uniform(*span, 500))
+    for alpha, beta in [(0.25, 0.25), (0.1, 0.4)]:
+        main = kernel_families(alpha, beta)[0]
+        default = f2_kernel_families(*main, x, y)
+        for chunk_bytes in (1, 1 << 30):
+            monkeypatch.setattr(specfun, "EULER_CHUNK_BYTES", chunk_bytes)
+            for got, want in zip(f2_kernel_families(*main, x, y), default):
+                assert np.array_equal(got, want)
+            monkeypatch.undo()
 
 
 def test_f2_kernel_families_rejects_bad_input():
