@@ -10,7 +10,7 @@ c(s) * log|t - s| term there (the log coefficient of q4 varies with the
 source point, so its normal derivative keeps a logarithm).  Plain Nystrom
 weights would lose that term, so the panels adjacent to each collocation
 node use product-integration weights built from exact log moments, with the
-regular part of the kernel recovered by subtracting the fitted log slope.
+regular part recovered by subtracting the closed-form log slope.
 
 Collocation nodes live on [g, l - g] with a small guard band g at the axis
 endpoints, where the curve meets the axes and the trace relation is not
@@ -18,8 +18,8 @@ established; the kernel's endpoint decay keeps the truncated mass small and
 the convergence study tracks it.
 
 The solved potential is evaluated by ``evaluate_many`` on the density's own
-spline knots: pieces far from a target take one fixed Gauss rule, batched
-over all targets, and only the near pieces are bisected adaptively.
+spline knots: far pieces take a Gauss rule sized by their standoff from the
+target, batched over all targets, and only near pieces are bisected.
 """
 
 from __future__ import annotations
@@ -54,8 +54,13 @@ GUARD_FRAC = 0.025
 # Gauss order of the collocation panels.
 PANEL_ORDER = 8
 
-# Gauss order of the rule on the far pieces of evaluate_many.
-_FAR_ORDER = 12
+
+def _far_orders(ratio: np.ndarray) -> np.ndarray:
+    """Gauss order of a far piece at standoff ratio = bound / h >= 1: the
+    fewest points m whose Bernstein-ellipse bound (4 ratio)^(-2 m) stays
+    within 4^(-24), the 12-point bound at ratio 1."""
+    return np.where(ratio < 4.0, 12, np.where(ratio < 16.0, 6, 4))
+
 
 @functools.cache
 def _lagrange_coeffs(order: int) -> np.ndarray:
@@ -112,8 +117,8 @@ class NystromSystem:
     ``matrix`` is -I/2 plus the quadrature of the kernel; rows belonging to
     panels adjacent to the collocation node carry the product-integration
     correction for the kernel's diagonal log term.  ``log_slope`` stores the
-    fitted per-node log coefficients, ``regular_diag`` the log-free diagonal
-    values.
+    closed-form per-node log coefficients, ``regular_diag`` the log-free
+    diagonal values.
     """
 
     p: Params
@@ -186,7 +191,7 @@ def assemble(p: Params, curve: Curve, n: int,
     rows, cols = np.array(pairs).T
     lams = _log_panel_weights(edges[cols], edges[cols + 1], nodes[rows],
                               PANEL_ORDER)
-    # on those panels the kernel minus its fitted log term is regular (the
+    # on those panels the kernel minus its log term is regular (the
     # diagonal takes the regular part), and lams integrate the log term
     i = rows[:, None]
     j = cols[:, None] * PANEL_ORDER + np.arange(PANEL_ORDER)
@@ -278,9 +283,10 @@ def evaluate_many(p: Params, curve: Curve, mu: Density, targets,
     density is one cubic on each piece.  A piece [lo, hi] of length h is
     far from a target P when h <= |P - Gamma(mid)| - h/2, a lower bound of
     the distance from P to the piece (arclength is at least the chord).
-    All far pieces of all targets take one 12-point Gauss rule, from
-    one frames call and one kernel call with per-pair sources.  A target's
-    near pieces are the root panels of the adaptive bisection
+    A far piece takes the 12-, 6- or 4-point Gauss rule ``_far_orders``
+    gives its standoff ratio bound / h; all far pieces of all targets come
+    from one frames call and one kernel call with per-pair sources.  A
+    target's near pieces are the root panels of the adaptive bisection
     (``potential._bisect``) to the absolute error NEAR_FIELD_TOL; a stalled
     subdivision raises ConvergenceError (the point is effectively on the
     curve).  Each target is summed in a fixed order from its own pieces
@@ -307,17 +313,25 @@ def evaluate_many(p: Params, curve: Curve, mu: Density, targets,
     bound = np.hypot(xy[:, :1] - mx, xy[:, 1:] - my) - 0.5 * h
     far = h <= bound
 
-    # every far (target, piece) pair in one batch, grouped by target
+    # every far (target, piece) pair in one batch, one block per order,
+    # then grouped by target, each in order 12, 6, 4 and by piece
     rows, cols = np.nonzero(far)
-    x, w = gauss_rule(_FAR_ORDER)
-    half = 0.5 * h[cols, None]
-    s = (mid[cols, None] + half * x).ravel()
+    orders = _far_orders(bound[rows, cols] / h[cols])
+    parts = []
+    for m in (12, 6, 4):
+        pick = orders == m
+        x, w = gauss_rule(m)
+        half = 0.5 * h[cols[pick], None]
+        parts.append(((mid[cols[pick], None] + half * x).ravel(),
+                      (half * w).ravel(), np.repeat(rows[pick], m)))
+    s, wts, owner = (np.concatenate(v) for v in zip(*parts))
+    by_target = np.argsort(owner, kind="stable")
+    s, wts, owner = s[by_target], wts[by_target], owner[by_target]
     xs, ys, _, _, nxs, nys, _ = curve.frames(s)
     kern = weighted_dq4_dn_many(p, xs, ys, nxs, nys,
-                                (np.repeat(xy[rows, 0], _FAR_ORDER),
-                                 np.repeat(xy[rows, 1], _FAR_ORDER)))
-    terms = (half * w).ravel() * kern * mu(s)
-    cuts = _FAR_ORDER * np.searchsorted(rows, np.arange(xy.shape[0] + 1))
+                                (xy[owner, 0], xy[owner, 1]))
+    terms = wts * kern * mu(s)
+    cuts = np.searchsorted(owner, np.arange(xy.shape[0] + 1))
 
     out = np.empty(xy.shape[0])
     for i, (px, py) in enumerate(xy.tolist()):

@@ -258,33 +258,27 @@ def kernel_K4(p: Params, curve: Curve, s: float, t: float) -> float:
     return float(kernel_K4_row(p, curve, s, [t])[0])
 
 
-# Offsets (fractions of arclength) bracketing the two-point fit of the
-# kernel's diagonal log slope; the inner one matches DIAG_OFFSET_FRAC.
-LOG_FIT_OUTER_FRAC = 1.0e-3
-
-
 def kernel_K4_log_split(p: Params, curve: Curve, s):
     """Log slope and regular part of the kernel near its diagonal.
 
     The log coefficient of q4 varies with the source point, so the kernel
     keeps a residual c(s) * ln|t - s| term; near the diagonal
-    K4(s, t) ~ c(s) * ln|t - s| + regular(s).  Both constants come from the
-    symmetrised kernel values at two offsets: the outer pair at
-    LOG_FIT_OUTER_FRAC * length and the diagonal limit.
+    K4(s, t) ~ c(s) * ln|t - s| + regular(s).  The slope has the closed
+    form c(s) = (alpha n_x / x + beta n_y / y) / (2 pi) at Gamma(s), the
+    leading term of q4 at coincident points; the regular part is the
+    diagonal limit at offset d = DIAG_OFFSET_FRAC * length minus c ln d.
 
-    ``s`` is one arclength or an array of them; an array gives arrays of
-    its shape.  Every call evaluates the outer and inner offsets of every
-    arclength in one pairwise kernel call: 4 len(s) pairs, nothing cached.
+    ``s`` is one arclength or an array of them inside (0, l); an array
+    gives arrays of its shape.  Every call evaluates the diagonal offsets
+    of every arclength in one pairwise kernel call: 2 len(s) pairs.
     """
     s_arr = np.asarray(s, dtype=float).ravel()
-    outer = LOG_FIT_OUTER_FRAC * curve.length
-    inner = DIAG_OFFSET_FRAC * curve.length
-    ts = np.concatenate((s_arr[:, None] + np.array([-outer, outer]),
-                         _diagonal_sides(curve, s_arr)))
-    d_outer, d_inner = np.split(
-        _side_means(p, curve, np.tile(s_arr, 2), ts), 2)
-    slope = (d_outer - d_inner) / math.log(outer / inner)
-    regular = d_inner - slope * math.log(inner)
+    if not np.all((s_arr > 0.0) & (s_arr < curve.length)):
+        raise DomainError("log split needs arclengths strictly inside (0, l)")
+    x, y, _, _, nx, ny, _ = curve.frames(s_arr)
+    slope = (p.alpha * nx / x + p.beta * ny / y) / (2.0 * math.pi)
+    d_inner = _side_means(p, curve, s_arr, _diagonal_sides(curve, s_arr))
+    regular = d_inner - slope * math.log(DIAG_OFFSET_FRAC * curve.length)
     if np.ndim(s) == 0:
         return float(slope[0]), float(regular[0])
     return slope.reshape(np.shape(s)), regular.reshape(np.shape(s))

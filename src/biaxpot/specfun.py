@@ -554,9 +554,13 @@ def _level_groups(x, y):
     kx = np.ceil(np.log2(np.maximum(np.abs(x), 1.0))).astype(np.int64)
     ky = np.ceil(np.log2(np.maximum(np.abs(y), 1.0))).astype(np.int64)
     # one key per level pair; levels of finite doubles stay below 1025
-    keys, group = np.unique(kx * 2048 + ky, return_inverse=True)
-    for g, key in enumerate(keys.tolist()):
-        yield key // 2048, key % 2048, np.nonzero(group == g)[0]
+    keys, group, counts = np.unique(kx * 2048 + ky, return_inverse=True,
+                                    return_counts=True)
+    # one stable sort keeps each group's indices ascending
+    members = np.split(np.argsort(group, kind="stable"),
+                       np.cumsum(counts)[:-1])
+    for key, idx in zip(keys.tolist(), members):
+        yield key // 2048, key % 2048, idx
 
 
 def _chunks(idx: np.ndarray, nodes: int):

@@ -234,7 +234,7 @@ def test_symmetric_assembly_matches_row_by_row(alpha, beta, a, b, q,
     monkeypatch.setattr(kernel_mod, "f2_kernel_families", counted)
     sys = assemble(p, superellipse_curve(a, b, q), 32)
     # one F2 call for the upper triangle, one for the log-split offsets
-    assert calls == [32 * 31 // 2, 4 * 32]
+    assert calls == [32 * 31 // 2, 2 * 32]
     # a separate curve, so that the reference shares no curve state
     want = _row_by_row(p, superellipse_curve(a, b, q), sys)
     for got, ref in zip((sys.matrix, sys.log_slope, sys.regular_diag), want):
@@ -402,6 +402,49 @@ def test_evaluate_many_matches_the_tight_double_layer(monkeypatch, alpha,
     assert all_far >= 1
 
 
+@pytest.mark.parametrize("alpha, beta, q, a, spots", [
+    (0.25, 0.25, 3.0, 1.0, [(0.2, 0.15), (0.5, 0.3), (0.8, 0.08)]),
+    (0.1, 0.4, 8.0, 6.0, [(0.2, 0.3), (0.5, 0.15), (0.8, 0.3)]),
+    (0.01, 0.49, 2.0, 1.0, [(0.2, 0.15), (0.5, 0.3), (0.8, 0.08)]),
+])
+def test_evaluate_many_tiered_far_rule_matches_the_tight_double_layer(
+        monkeypatch, alpha, beta, q, a, spots):
+    # all-far targets whose pieces take all three Gauss orders, in one batch,
+    # each to 5e-11 of the generic adaptive integrator at tol 1e-12
+    p, curve = Params(alpha, beta), superellipse_curve(a, 1.0, q)
+    sys = assemble(p, curve, 64, f=manufactured_data(p, curve))
+    mu = solve_dirichlet(sys)
+    orders, bisected = [], []
+    far_orders = bie_mod._far_orders
+
+    def spy(ratio):
+        orders.append(far_orders(ratio))
+        return orders[-1]
+
+    def bisect_spy(*args, **kwargs):
+        bisected.append(True)
+        return potential_mod._bisect(*args, **kwargs)
+
+    monkeypatch.setattr(bie_mod, "_far_orders", spy)
+    monkeypatch.setattr(bie_mod, "_bisect", bisect_spy)
+    targets = [_inward(curve, frac, depth) for frac, depth in spots]
+    values = evaluate_many(p, curve, mu, targets, sys=sys)
+    assert not bisected and len(orders) == 1
+    assert set(orders[0].tolist()) == {4, 6, 12}
+    for P, u in zip(targets, values):
+        ref = double_layer(p, curve, mu, P, tol=1.0e-12, support=sys.support)
+        assert abs(u - ref) <= 5.0e-11
+
+
+def test_far_orders_take_the_larger_rule_below_each_edge():
+    edges = np.array([1.0, 4.0, 16.0])
+    below = np.nextafter(edges, 0.0)
+    assert bie_mod._far_orders(below[1:]).tolist() == [12, 6]
+    assert bie_mod._far_orders(edges).tolist() == [12, 6, 4]
+    assert bie_mod._far_orders(np.array([3.999, 15.99, 1.0e6])).tolist() == [
+        12, 6, 4]
+
+
 def test_evaluate_many_is_independent_of_the_batch(curve, manufactured):
     _, _, sys, mu = manufactured
     targets = [Point(0.35, 0.3), _inward(curve, 0.45, 0.03),
@@ -431,8 +474,9 @@ def test_evaluate_many_far_targets_take_one_kernel_call(curve, monkeypatch):
     monkeypatch.setattr(potential_mod, "weighted_dq4_dn_many", counted)
     targets = [Point(0.35, 0.3), Point(0.3, 0.45), Point(0.45, 0.25)]
     values = evaluate_many(P25, curve, mu, targets, sys=sys)
-    # 16 knots inside the support make 17 pieces of 12 nodes per target
-    assert calls == [3 * 17 * 12]
+    # 16 knots inside the support make 17 pieces per target; of the 51,
+    # 7 take 12 nodes, 35 take 6 and 9 take 4
+    assert calls == [7 * 12 + 35 * 6 + 9 * 4]
     assert np.all(np.isfinite(values))
 
 

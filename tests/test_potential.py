@@ -120,7 +120,7 @@ def test_kernel_log_split_array_matches_scalar(monkeypatch):
     monkeypatch.setattr(potential, "weighted_dq4_dn_many", counted)
     c_array = superellipse_curve(1.0, 1.0, 3.0)
     slopes, regulars = kernel_K4_log_split(P25, c_array, ss * c_array.length)
-    assert calls == [4 * ss.size]  # one pairwise call for every offset
+    assert calls == [2 * ss.size]  # one pairwise call for every offset
     c_scalar = superellipse_curve(1.0, 1.0, 3.0)
     for k, s in enumerate(ss * c_scalar.length):
         assert (slopes[k], regulars[k]) == kernel_K4_log_split(P25, c_scalar,
@@ -129,9 +129,45 @@ def test_kernel_log_split_array_matches_scalar(monkeypatch):
     # call, and gives the same split
     calls.clear()
     again = kernel_K4_log_split(P25, c_scalar, ss[:3] * c_scalar.length)
-    assert calls == [4 * 3]
+    assert calls == [2 * 3]
     assert np.array_equal(again[0], slopes[:3])
     assert np.array_equal(again[1], regulars[:3])
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.25, 0.25), (0.1, 0.4),
+                                         (0.01, 0.49)])
+@pytest.mark.parametrize("q", [2.0, 3.0, 8.0])
+@pytest.mark.parametrize("a", [1.0, 6.0])
+def test_kernel_log_slope_is_the_limit_of_offset_fits(alpha, beta, q, a):
+    # two-offset fits (D(o1) - D(o2)) / ln(o1 / o2) of the symmetrised
+    # kernel D converge to the closed-form slope as the offsets shrink, near
+    # the ends as well as inside; the regular part is the diagonal limit
+    # minus slope * ln(offset), bitwise
+    p, curve = Params(alpha, beta), superellipse_curve(a, 1.0, q)
+    fracs = np.array([0.05, 0.3, 0.5, 0.7, 0.95])
+    s = fracs * curve.length
+    slope, regular = kernel_K4_log_split(p, curve, s)
+    offsets = np.array([1.0e-3, 1.0e-4, 1.0e-5]) * curve.length
+    ts = np.concatenate([s[:, None] + np.array([-d, d]) for d in offsets])
+    d1, d2, d3 = potential._side_means(p, curve, np.tile(s, 3), ts).reshape(
+        3, -1)
+    coarse = (d1 - d2) / math.log(10.0)
+    fine = (d2 - d3) / math.log(10.0)
+    assert np.all(slope > 0.0)
+    assert np.all(np.abs(fine - slope) < np.abs(coarse - slope))
+    rel = np.abs(fine - slope) / slope
+    assert np.all(rel <= 5.0e-4)
+    assert np.all(rel[(fracs >= 0.3) & (fracs <= 0.7)] <= 2.0e-5)
+    inner = potential._side_means(p, curve, s,
+                                  potential._diagonal_sides(curve, s))
+    want = inner - slope * math.log(potential.DIAG_OFFSET_FRAC * curve.length)
+    assert np.array_equal(regular, want)
+
+
+def test_kernel_log_split_rejects_arclengths_off_the_open_arc(curve):
+    for s in (0.0, curve.length, -0.1, math.nan):
+        with pytest.raises(DomainError):
+            kernel_K4_log_split(P25, curve, s)
 
 
 def test_kernel_row_matches_scalar(curve):

@@ -501,6 +501,26 @@ def test_f2_kernel_families_chunk_boundaries_move_no_bits(monkeypatch):
             monkeypatch.undo()
 
 
+def test_level_groups_match_the_scan_per_group():
+    # the sort-and-split grouping against one scan of all points per group:
+    # the same level pairs in the same order, with the same ascending
+    # indices, on random level pairs including points below level 0
+    rng = np.random.default_rng(31)
+    for size in (0, 1, 7, 2000):
+        x = -np.exp(rng.uniform(-3.0, 25.0, size))
+        y = -np.exp(rng.uniform(-3.0, 25.0, size))
+        kx = np.ceil(np.log2(np.maximum(np.abs(x), 1.0))).astype(np.int64)
+        ky = np.ceil(np.log2(np.maximum(np.abs(y), 1.0))).astype(np.int64)
+        keys, group = np.unique(kx * 2048 + ky, return_inverse=True)
+        want = [(key // 2048, key % 2048, np.nonzero(group == g)[0])
+                for g, key in enumerate(keys.tolist())]
+        got = list(specfun._level_groups(x, y))
+        assert [g[:2] for g in got] == [w[:2] for w in want]
+        for (_, _, idx), (_, _, ref) in zip(got, want):
+            assert idx.dtype == ref.dtype and np.array_equal(idx, ref)
+    assert len(want) > 100
+
+
 def test_f2_kernel_families_rejects_bad_input():
     main = kernel_families(0.25, 0.25)[0]
     with pytest.raises(DomainError):
