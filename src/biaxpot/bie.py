@@ -56,9 +56,9 @@ PANEL_ORDER = 8
 
 
 def _far_orders(ratio: np.ndarray) -> np.ndarray:
-    """Gauss order of a far piece at standoff ratio = bound / h >= 1: the
+    """Gauss order of a far piece at ratio = min(bound, 1/|kappa|) / h: the
     fewest points m whose Bernstein-ellipse bound (4 ratio)^(-2 m) stays
-    within 4^(-24), the 12-point bound at ratio 1."""
+    within 4^(-24), the 12-point bound at ratio 1 (12 points below it)."""
     return np.where(ratio < 4.0, 12, np.where(ratio < 16.0, 6, 4))
 
 
@@ -284,13 +284,17 @@ def evaluate_many(p: Params, curve: Curve, mu: Density, targets,
     far from a target P when h <= |P - Gamma(mid)| - h/2, a lower bound of
     the distance from P to the piece (arclength is at least the chord).
     A far piece takes the 12-, 6- or 4-point Gauss rule ``_far_orders``
-    gives its standoff ratio bound / h; all far pieces of all targets come
-    from one frames call and one kernel call with per-pair sources.  A
-    target's near pieces are the root panels of the adaptive bisection
-    (``potential._bisect``) to the absolute error NEAR_FIELD_TOL; a stalled
-    subdivision raises ConvergenceError (the point is effectively on the
-    curve).  Each target is summed in a fixed order from its own pieces
-    only, so its value does not depend on the other targets of the batch.
+    gives its ratio min(bound, 1/|kappa|) / h: the target's standoff, or
+    the radius of curvature where that is shorter (near a sharp corner the
+    curve's own parametrisation limits the rule), with |kappa| the largest
+    at the midpoints of the piece and its two neighbours.  All far pieces
+    of all targets come from one frames call and one kernel call with
+    per-pair sources.  A target's near pieces are the root panels of the
+    adaptive bisection (``potential._bisect``) to the absolute error
+    NEAR_FIELD_TOL; a stalled subdivision raises ConvergenceError (the
+    point is effectively on the curve).  Each target is summed in a fixed
+    order from its own pieces only, so its value does not depend on the
+    other targets of the batch.
 
     A density without knots raises DomainError: closed-form densities go
     to ``potential.double_layer``.
@@ -309,14 +313,20 @@ def evaluate_many(p: Params, curve: Curve, mu: Density, targets,
     edges = np.concatenate(([lo], knots[(knots > lo) & (knots < hi)], [hi]))
     h = np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])
-    mx, my = curve.frames(mid)[:2]
+    mx, my, *_, kappa = curve.frames(mid)
     bound = np.hypot(xy[:, :1] - mx, xy[:, 1:] - my) - 0.5 * h
     far = h <= bound
+    # a piece's curvature is the largest at its own and its neighbours'
+    # midpoints, so that a piece beside a sharp corner sees the corner
+    curv = np.pad(np.abs(kappa), 1)
+    curv = np.maximum.reduce([curv[:-2], curv[1:-1], curv[2:]])
+    with np.errstate(divide="ignore"):
+        radius = 1.0 / curv
 
     # every far (target, piece) pair in one batch, one block per order,
     # then grouped by target, each in order 12, 6, 4 and by piece
     rows, cols = np.nonzero(far)
-    orders = _far_orders(bound[rows, cols] / h[cols])
+    orders = _far_orders(np.minimum(bound[rows, cols], radius[cols]) / h[cols])
     parts = []
     for m in (12, 6, 4):
         pick = orders == m

@@ -40,38 +40,41 @@ Two routes therefore serve F2:
   kernel uses them only in ``kernel.dq4_dn``, the independent evaluation
   tree the batched route is checked against.
 
-Both Euler routes grade each axis for its dyadic level
-L = ceil(log2 max(|x|, 1)): a left Gauss-Jacobi panel [0, 2^-(L+1)]
-absorbing s^(b-1), L dyadic Gauss-Legendre panels up to 1/2, and a right
-Gauss-Jacobi panel [1/2, 1] absorbing (1-s)^(c-b-1).  They differ in how
-the two axes combine:
+Both Euler routes grade each axis from a dyadic level L: a left
+Gauss-Jacobi panel [0, 2^-(L+1)] absorbing s^(b-1), L dyadic
+Gauss-Legendre panels up to 1/2, and a right Gauss-Jacobi panel [1/2, 1]
+absorbing (1-s)^(c-b-1).  They differ in the level of an argument x and
+in how the two axes combine:
 
-* ``appell_f2_many`` takes the full tensor product of the two axes, with
+* ``appell_f2_many`` takes L = ceil(log2 max(|x|, 1)), a first panel no
+  longer than 1/(2|x|), and the full tensor product of the two axes, with
   12-point Legendre and 24-point Jacobi panels: (48 + 12 L)^2 nodes per
   point at L = Lx = Ly.
-* ``f2_kernel_families`` takes a staircase.  The integrand is non-smooth
-  only toward the corner s = t = 0, so the square splits into rectangles
-  that are each smooth in both variables: every s-panel k against
-  [0, end of t-panel k], and every t-panel k >= 1 against
-  [0, end of s-panel k - 1] (past an axis's last panel, the whole of
-  [0, 1]).  The side of each rectangle that reaches down to an axis takes
-  one 20-point Gauss-Jacobi prefix rule, cached per axis and level, and
-  the other side keeps its panel's nodes; the panels use
-  10-point Legendre and 20-point Jacobi rules.  That is
-  (60 + 10 Lx + 10 Ly) rows of 20 nodes per point: 1,200 at L = 0, 6,000
-  at L = 12 and 14,400 at L = 33, against 2,304, 36,864 and 197,136 for
-  the tensor product.  In both blocks (s-panel rows, t-panel rows) a row's
-  own node and weight scale its 20-node sums, outside the node tensor.
+* ``f2_kernel_families`` takes L = ceil(log2 max(|x|/4, 1)), two levels
+  shallower (a first panel no longer than 2/|x|), and a staircase.  The
+  integrand is non-smooth only toward the corner s = t = 0, so the square
+  splits into rectangles that are each smooth in both variables: every
+  s-panel k against [0, end of t-panel k], and every t-panel k >= 1
+  against [0, end of s-panel k - 1] (past an axis's last panel, the whole
+  of [0, 1]).  The side of each rectangle that reaches down to an axis
+  takes one 20-point Gauss-Jacobi prefix rule, cached per axis and level,
+  and the other side keeps its panel's nodes; the panels use 10-point
+  Legendre rules, a 20-point left and a 10-point right Jacobi rule.  That
+  is (40 + 10 Lx + 10 Ly) rows of 20 nodes per point: 800 at
+  |x| = |y| = 1, 4,800 at 2^12 and 13,200 at 2^33, against 2,304, 36,864
+  and 197,136 for the tensor product.  In both blocks (s-panel rows,
+  t-panel rows) a row's own node and weight scale its 20-node sums,
+  outside the node tensor.
 
 Log-gamma comes from the library (``math.lgamma``, mapped over arrays).
 Gauss rules come from ``jacobi_rules`` by Golub-Welsch.  ``gauss_rule``,
 the staircase axes and prefix rules, and the Euler prefactors are cached;
 a level pair's two blocks are gathered from its two axes on each call,
-since one workload touches hundreds of level pairs.  The tensor axes, their
-four end-panel rules (one batched call) and the prefactor of
-``appell_f2_many`` are computed on each call, past those caches: its callers
-draw a new parameter set for almost every call, and caching them only grows
-memory.
+since one workload touches hundreds of level pairs.  ``appell_f2_many``
+keeps bounded caches of its own, apart from those: its end-panel Jacobi
+rows by exponent (a call's misses built in one batch) and its axes by
+(b, c - b, level).  Its prefactor is computed on each call, since its
+callers draw a new parameter set for almost every call.
 Otherwise every function is a pure function of its arguments.
 """
 
@@ -435,11 +438,16 @@ def gauss_rule(n: int, exponent: float = 0.0,
 
 # Gauss orders of the dyadic Legendre panels and of the Jacobi panels: the
 # tensor layout of appell_f2_many's Euler route, and the staircase layout
-# of f2_kernel_families.
+# of f2_kernel_families, whose right panel [1/2, 1] takes its own order.
 _EULER_LEG_N = 12
 _EULER_JAC_N = 24
 _STAIR_LEG_N = 10
 _STAIR_JAC_N = 20
+_STAIR_RIGHT_N = 10
+
+# The staircase grades an axis from level ceil(log2 max(|x| / 4, 1)), two
+# dyadic levels shallower than the tensor route: h0 <= 2/|x|.
+_STAIR_LEVEL_SHIFT = 2
 
 # Euler batches are cut so that the (points, nodes) tensor stays near this
 # many bytes; the staircase counts both its blocks, evaluated in turn.
@@ -448,12 +456,14 @@ EULER_CHUNK_BYTES = 1 << 20
 
 def _euler_axis(b: float, cb: float, left, right, level: int,
                 leg: int = _EULER_LEG_N):
-    """Nodes/weights for int_0^1 s^(b-1) (1-s)^(cb-1) g(s|x|) ds, |x| <= 2^level.
+    """Nodes/weights for int_0^1 s^(b-1) (1-s)^(cb-1) g(s|x|) ds.
 
     Returns nodes s_k, weights that already include the full beta-type
     weight s^(b-1) (1-s)^(cb-1), and the panel index of each node.  Panels
-    are graded dyadically from h0 = 2^-(level+1) <= 1/(2|x|), so that the
-    remaining factor (1 + s|x| + ...)^(-a) is smooth on every panel: panel
+    are graded dyadically from h0 = 2^-(level+1), so that the remaining
+    factor (1 + s|x| + ...)^(-a) is smooth on every panel (h0 <= 1/(2|x|)
+    for the tensor route's |x| <= 2^level, h0 <= 2/|x| for the staircase's
+    |x| <= 2^(level+2)): panel
     0 is [0, h0], panels 1..level are [h0 2^(k-1), h0 2^k] (``leg``
     Gauss-Legendre nodes each), and panel level + 1 is [1/2, 1].  The end
     panels take the caller's Golub-Welsch Gauss-Jacobi rules (nodes,
@@ -493,19 +503,19 @@ def _euler_axis(b: float, cb: float, left, right, level: int,
 
 @functools.lru_cache(maxsize=256)
 def _stair_axis(b: float, cb: float, level: int):
-    """One axis of the staircase layout, |x| <= 2^level.
+    """One axis of the staircase layout, |x| <= 2^(level+2).
 
     Returns (s, ws, panel, qs, qw, qwq): the panels of ``_euler_axis`` at
-    the staircase orders, and the prefix rules as (level + 2, J) arrays,
-    where row k holds J Gauss-Jacobi nodes and weights for the weight
-    s^(b-1) (1-s)^(cb-1) on [0, end of panel k], and their products
-    qwq = qw qs.  The rows below the last absorb s^(b-1); the last covers
-    the whole of [0, 1] and absorbs both ends.  Cached per dyadic level;
-    the returned arrays are read-only.
+    the staircase orders (a 10-point right panel), and the prefix rules as
+    (level + 2, J) arrays, where row k holds J Gauss-Jacobi nodes and
+    weights for the weight s^(b-1) (1-s)^(cb-1) on [0, end of panel k],
+    and their products qwq = qw qs.  The rows below the last absorb
+    s^(b-1); the last covers the whole of [0, 1] and absorbs both ends.
+    Cached per dyadic level; the returned arrays are read-only.
     """
     tj, wj = left = gauss_rule(_STAIR_JAC_N, b - 1.0)
-    s, ws, panel = _euler_axis(b, cb, left, gauss_rule(_STAIR_JAC_N, cb - 1.0),
-                               level, _STAIR_LEG_N)
+    right = gauss_rule(_STAIR_RIGHT_N, cb - 1.0)
+    s, ws, panel = _euler_axis(b, cb, left, right, level, _STAIR_LEG_N)
     half = 0.5 ** np.arange(level + 2, 1, -1)[:, None]  # half of each end
     qs = half * (tj + 1.0)
     qw = wj * half ** b * (1.0 - qs) ** (cb - 1.0)
@@ -548,11 +558,12 @@ def _euler_prefactor(b1: float, c1: float, b2: float, c2: float) -> float:
                     - ln_gamma(c1 - b1) - ln_gamma(b2) - ln_gamma(c2 - b2))
 
 
-def _level_groups(x, y):
-    """Group points by their dyadic levels ceil(log2 max(|x|, 1)) and
-    ceil(log2 max(|y|, 1)); yields (level_x, level_y, indices)."""
-    kx = np.ceil(np.log2(np.maximum(np.abs(x), 1.0))).astype(np.int64)
-    ky = np.ceil(np.log2(np.maximum(np.abs(y), 1.0))).astype(np.int64)
+def _level_groups(x, y, shift: int = 0):
+    """Group points by their dyadic levels ceil(log2 max(|x| 2^-shift, 1))
+    and ceil(log2 max(|y| 2^-shift, 1)); yields (level_x, level_y, indices)."""
+    scale = 0.5 ** shift
+    kx = np.ceil(np.log2(np.maximum(np.abs(x) * scale, 1.0))).astype(np.int64)
+    ky = np.ceil(np.log2(np.maximum(np.abs(y) * scale, 1.0))).astype(np.int64)
     # one key per level pair; levels of finite doubles stay below 1025
     keys, group, counts = np.unique(kx * 2048 + ky, return_inverse=True,
                                     return_counts=True)
@@ -571,6 +582,40 @@ def _chunks(idx: np.ndarray, nodes: int):
         yield idx[lo:lo + per]
 
 
+# appell_f2_many's tensor route caches its end-panel Jacobi rows by
+# exponent and its axes by (b, cb, level), apart from gauss_rule and the
+# staircase caches, so that a stream of new parameter sets evicts nothing
+# the kernel route uses.  Least recently used entries leave first.
+_TENSOR_CACHE_SIZE = 64
+_tensor_rows: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _tensor_jacobi_rows(exponents):
+    """The _EULER_JAC_N-point Gauss-Jacobi rules (nodes, weights) for the
+    weights (1 + t)^e, e in ``exponents``, from the tensor route's row cache;
+    all misses are built in one ``jacobi_rules`` batch.  Rows are bitwise
+    those of a cold cache, and read-only."""
+    rows = {e: _tensor_rows.pop(e, None) for e in dict.fromkeys(exponents)}
+    missing = [e for e, row in rows.items() if row is None]
+    if missing:
+        nodes, weights = jacobi_rules(_EULER_JAC_N, missing)
+        for e, t, w in zip(missing, nodes, weights):
+            t.flags.writeable = w.flags.writeable = False
+            rows[e] = (t, w)
+    # this call's rows go back in as the most recent; the oldest leave
+    _tensor_rows.update(rows)
+    while len(_tensor_rows) > _TENSOR_CACHE_SIZE:
+        _tensor_rows.pop(next(iter(_tensor_rows)), None)
+    return [rows[e] for e in exponents]
+
+
+@functools.lru_cache(maxsize=_TENSOR_CACHE_SIZE)
+def _tensor_axis(b: float, cb: float, level: int):
+    """One axis of the tensor layout: ``_euler_axis`` at the tensor orders."""
+    left, right = _tensor_jacobi_rows((b - 1.0, cb - 1.0))
+    return _euler_axis(b, cb, left, right, level)
+
+
 def _f2_euler_many(a, b1, b2, c1, c2, x, y) -> np.ndarray:
     """F2 by the 2-D Euler integral over flat argument vectors x, y <= 0;
     requires c1 > b1 > 0, c2 > b2 > 0.
@@ -580,16 +625,11 @@ def _f2_euler_many(a, b1, b2, c1, c2, x, y) -> np.ndarray:
     """
     out = np.empty(x.size)
     pref = _euler_prefactor.__wrapped__(b1, c1, b2, c2)
-    # the four end-panel rules in one batch, and each axis built once per
-    # level, for this call only
-    tj, wj = jacobi_rules(_EULER_JAC_N, [b1 - 1, c1 - b1 - 1, b2 - 1, c2 - b2 - 1])
-    x_axis = functools.cache(functools.partial(
-        _euler_axis, b1, c1 - b1, (tj[0], wj[0]), (tj[1], wj[1])))
-    y_axis = functools.cache(functools.partial(
-        _euler_axis, b2, c2 - b2, (tj[2], wj[2]), (tj[3], wj[3])))
+    # the four end-panel rules up front, so that their misses share a batch
+    _tensor_jacobi_rows((b1 - 1.0, c1 - b1 - 1.0, b2 - 1.0, c2 - b2 - 1.0))
     for level_x, level_y, group in _level_groups(x, y):
-        s, ws, _ = x_axis(level_x)
-        t, wt, _ = y_axis(level_y)
+        s, ws, _ = _tensor_axis(b1, c1 - b1, level_x)
+        t, wt, _ = _tensor_axis(b2, c2 - b2, level_y)
         for idx in _chunks(group, s.size * t.size):
             # B = 1 - s x - t y on the (points, s, t) tensor
             core = ((1.0 - x[idx][:, None, None] * s[None, :, None])
@@ -648,7 +688,7 @@ def f2_kernel_families(a: float, b1: float, b2: float, c1: float, c2: float,
     i_s = np.empty(x.size)
     i_t = np.empty(x.size)
     pref = _euler_prefactor(b1, c1, b2, c2)
-    for level_x, level_y, group in _level_groups(x, y):
+    for level_x, level_y, group in _level_groups(x, y, _STAIR_LEVEL_SHIFT):
         lower, upper = _staircase(b1, c1 - b1, level_x, b2, c2 - b2, level_y)
         for idx in _chunks(group, lower[2].size + upper[2].size):
             moments = []

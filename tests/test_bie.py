@@ -445,6 +445,19 @@ def test_far_orders_take_the_larger_rule_below_each_edge():
         12, 6, 4]
 
 
+def test_evaluate_many_sizes_far_pieces_by_curvature_too():
+    # the target 0.3 inside at s = 0.5 l is 22 piece lengths from the piece
+    # beside the corner at s = 0.89 l, whose radius of curvature is about
+    # two piece lengths: a rule sized by the standoff alone errs by 1.8e-11
+    p, curve = Params(0.1, 0.4), superellipse_curve(6.0, 1.0, 8.0)
+    sys = assemble(p, curve, 64, f=manufactured_data(p, curve))
+    mu = solve_dirichlet(sys)
+    P = _inward(curve, 0.5, 0.3)
+    u = evaluate_many(p, curve, mu, [P], sys=sys)[0]
+    ref = double_layer(p, curve, mu, P, tol=1.0e-13, support=sys.support)
+    assert abs(u - ref) <= 1.0e-13
+
+
 def test_evaluate_many_is_independent_of_the_batch(curve, manufactured):
     _, _, sys, mu = manufactured
     targets = [Point(0.35, 0.3), _inward(curve, 0.45, 0.03),

@@ -348,6 +348,35 @@ def test_f2_leaves_the_rule_caches_alone():
     assert cache_state() == before
 
 
+def test_f2_rule_cache_returns_the_cold_cache_values(monkeypatch):
+    # the tensor route caches its Jacobi rows by exponent and its axes by
+    # (b, cb, level); a cold cache, a warm one and one that evicts as it
+    # goes must give bitwise the same values, with parameter sets that
+    # share exponents so that a call's misses differ from call to call
+    rng = np.random.default_rng(34)
+    x = -np.exp(rng.uniform(math.log(1.0e-3), math.log(1.0e4), 40))
+    y = -np.exp(rng.uniform(math.log(1.0e-3), math.log(1.0e4), 40))
+    b = rng.uniform(0.2, 1.2, 3)
+    sets = [(rng.uniform(0.3, 2.0), b[i], b[j], b[i] + b[j], b[j] + 0.7)
+            for i in range(3) for j in range(3)]
+
+    def values(order=1):
+        got = [appell_f2_many(*params, x, y) for params in sets[::order]]
+        return got[::order]
+
+    specfun._tensor_rows.clear()
+    specfun._tensor_axis.cache_clear()
+    cold = values()
+    for warm in (values(), values(-1)):
+        for got, want in zip(warm, cold):
+            assert np.array_equal(got, want)
+    monkeypatch.setattr(specfun, "_TENSOR_CACHE_SIZE", 3)
+    specfun._tensor_axis.cache_clear()
+    for got, want in zip(values(), cold):
+        assert np.array_equal(got, want)
+    assert len(specfun._tensor_rows) == 3
+
+
 # -- frozen high-precision references (tests/data/make_references.py) -------------
 
 F2_REFERENCES = json.loads(
@@ -464,6 +493,28 @@ def test_f2_kernel_families_staircase_matches_tensor_route(alpha, beta):
     for params, got in zip(families, values):
         want = _f2_euler_many(*params, x, y)
         assert np.max(np.abs(got - want) / np.abs(want)) <= 2.0e-13
+
+
+@pytest.mark.parametrize("alpha, beta", STAIRCASE_PARAMS + [(0.001, 0.001)])
+def test_f2_kernel_families_keep_the_tensor_route_digits(alpha, beta):
+    # the staircase grades from two dyadic levels shallower than the tensor
+    # route and takes a 10-point right panel; it must still agree with the
+    # tensor route to 5e-14 per family, at log-uniform |xi|, |eta| and at
+    # and just above every power of two up to 2^36, where levels change
+    families = kernel_families(alpha, beta)
+    rng = np.random.default_rng(33)
+    span = (math.log(1.0e-3), math.log(1.0e11))
+    x = -np.exp(rng.uniform(*span, 150))
+    y = -np.exp(rng.uniform(*span, 150))
+    edges = 2.0 ** np.arange(37)
+    edges = np.concatenate((edges, edges * (1.0 + 2.0 ** -40)))
+    small = rng.uniform(0.0, 2.0, edges.size)
+    x = np.concatenate((x, -edges, -edges, -small))
+    y = np.concatenate((y, -edges[::-1], -small, -edges))
+    values = f2_kernel_families(*families[0], x, y)
+    for params, got in zip(families, values):
+        want = _f2_euler_many(*params, x, y)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 5.0e-14
 
 
 @pytest.mark.parametrize("alpha, beta", STAIRCASE_PARAMS)
