@@ -71,10 +71,10 @@ Gauss rules come from ``jacobi_rules`` by Golub-Welsch.  ``gauss_rule``,
 the staircase axes and prefix rules, and the Euler prefactors are cached;
 a level pair's two blocks are gathered from its two axes on each call,
 since one workload touches hundreds of level pairs.  ``appell_f2_many``
-keeps bounded caches of its own, apart from those: its end-panel Jacobi
-rows by exponent (a call's misses built in one batch) and its axes by
-(b, c - b, level).  Its prefactor is computed on each call, since its
-callers draw a new parameter set for almost every call.
+keeps its four end-panel rules, one ``jacobi_rules`` batch, in a small
+cache of its own keyed by the parameter set, for callers that repeat one
+set point after point; its axes and prefactor are computed on each call,
+since most callers draw a new parameter set for almost every call.
 Otherwise every function is a pure function of its arguments.
 """
 
@@ -446,8 +446,9 @@ _STAIR_JAC_N = 20
 _STAIR_RIGHT_N = 10
 
 # The staircase grades an axis from level ceil(log2 max(|x| / 4, 1)), two
-# dyadic levels shallower than the tensor route: h0 <= 2/|x|.
-_STAIR_LEVEL_SHIFT = 2
+# dyadic levels shallower than the tensor route: h0 <= 2/|x|.  The scale is
+# a power of two, so the scaled arguments are exact.
+_STAIR_LEVEL_SCALE = 0.25
 
 # Euler batches are cut so that the (points, nodes) tensor stays near this
 # many bytes; the staircase counts both its blocks, evaluated in turn.
@@ -558,12 +559,11 @@ def _euler_prefactor(b1: float, c1: float, b2: float, c2: float) -> float:
                     - ln_gamma(c1 - b1) - ln_gamma(b2) - ln_gamma(c2 - b2))
 
 
-def _level_groups(x, y, shift: int = 0):
-    """Group points by their dyadic levels ceil(log2 max(|x| 2^-shift, 1))
-    and ceil(log2 max(|y| 2^-shift, 1)); yields (level_x, level_y, indices)."""
-    scale = 0.5 ** shift
-    kx = np.ceil(np.log2(np.maximum(np.abs(x) * scale, 1.0))).astype(np.int64)
-    ky = np.ceil(np.log2(np.maximum(np.abs(y) * scale, 1.0))).astype(np.int64)
+def _level_groups(x, y):
+    """Group points by their dyadic levels ceil(log2 max(|x|, 1)) and
+    ceil(log2 max(|y|, 1)); yields (level_x, level_y, indices)."""
+    kx = np.ceil(np.log2(np.maximum(np.abs(x), 1.0))).astype(np.int64)
+    ky = np.ceil(np.log2(np.maximum(np.abs(y), 1.0))).astype(np.int64)
     # one key per level pair; levels of finite doubles stay below 1025
     keys, group, counts = np.unique(kx * 2048 + ky, return_inverse=True,
                                     return_counts=True)
@@ -582,38 +582,17 @@ def _chunks(idx: np.ndarray, nodes: int):
         yield idx[lo:lo + per]
 
 
-# appell_f2_many's tensor route caches its end-panel Jacobi rows by
-# exponent and its axes by (b, cb, level), apart from gauss_rule and the
-# staircase caches, so that a stream of new parameter sets evicts nothing
-# the kernel route uses.  Least recently used entries leave first.
-_TENSOR_CACHE_SIZE = 64
-_tensor_rows: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _tensor_jacobi_rows(exponents):
-    """The _EULER_JAC_N-point Gauss-Jacobi rules (nodes, weights) for the
-    weights (1 + t)^e, e in ``exponents``, from the tensor route's row cache;
-    all misses are built in one ``jacobi_rules`` batch.  Rows are bitwise
-    those of a cold cache, and read-only."""
-    rows = {e: _tensor_rows.pop(e, None) for e in dict.fromkeys(exponents)}
-    missing = [e for e, row in rows.items() if row is None]
-    if missing:
-        nodes, weights = jacobi_rules(_EULER_JAC_N, missing)
-        for e, t, w in zip(missing, nodes, weights):
-            t.flags.writeable = w.flags.writeable = False
-            rows[e] = (t, w)
-    # this call's rows go back in as the most recent; the oldest leave
-    _tensor_rows.update(rows)
-    while len(_tensor_rows) > _TENSOR_CACHE_SIZE:
-        _tensor_rows.pop(next(iter(_tensor_rows)), None)
-    return [rows[e] for e in exponents]
-
-
-@functools.lru_cache(maxsize=_TENSOR_CACHE_SIZE)
-def _tensor_axis(b: float, cb: float, level: int):
-    """One axis of the tensor layout: ``_euler_axis`` at the tensor orders."""
-    left, right = _tensor_jacobi_rows((b - 1.0, cb - 1.0))
-    return _euler_axis(b, cb, left, right, level)
+# kernel.dq4_dn asks for the same three or four parameter sets point after
+# point; other callers rarely repeat one, so a few entries catch the repeats.
+@functools.lru_cache(maxsize=8)
+def _tensor_jacobi_rules(e1: float, e2: float, e3: float, e4: float):
+    """The four _EULER_JAC_N-point end-panel rules of one ``appell_f2_many``
+    parameter set, (1 + t)^e for e = e1..e4, in one ``jacobi_rules`` batch;
+    cached apart from ``gauss_rule``, so that a stream of new parameter sets
+    evicts nothing the kernel route uses.  The arrays are read-only."""
+    nodes, weights = jacobi_rules(_EULER_JAC_N, [e1, e2, e3, e4])
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def _f2_euler_many(a, b1, b2, c1, c2, x, y) -> np.ndarray:
@@ -625,11 +604,17 @@ def _f2_euler_many(a, b1, b2, c1, c2, x, y) -> np.ndarray:
     """
     out = np.empty(x.size)
     pref = _euler_prefactor.__wrapped__(b1, c1, b2, c2)
-    # the four end-panel rules up front, so that their misses share a batch
-    _tensor_jacobi_rows((b1 - 1.0, c1 - b1 - 1.0, b2 - 1.0, c2 - b2 - 1.0))
+    # the four end-panel rules, cached per parameter set, and each axis
+    # built once per level, for this call only
+    tj, wj = _tensor_jacobi_rules(b1 - 1.0, c1 - b1 - 1.0, b2 - 1.0,
+                                  c2 - b2 - 1.0)
+    x_axis = functools.cache(functools.partial(
+        _euler_axis, b1, c1 - b1, (tj[0], wj[0]), (tj[1], wj[1])))
+    y_axis = functools.cache(functools.partial(
+        _euler_axis, b2, c2 - b2, (tj[2], wj[2]), (tj[3], wj[3])))
     for level_x, level_y, group in _level_groups(x, y):
-        s, ws, _ = _tensor_axis(b1, c1 - b1, level_x)
-        t, wt, _ = _tensor_axis(b2, c2 - b2, level_y)
+        s, ws, _ = x_axis(level_x)
+        t, wt, _ = y_axis(level_y)
         for idx in _chunks(group, s.size * t.size):
             # B = 1 - s x - t y on the (points, s, t) tensor
             core = ((1.0 - x[idx][:, None, None] * s[None, :, None])
@@ -688,7 +673,8 @@ def f2_kernel_families(a: float, b1: float, b2: float, c1: float, c2: float,
     i_s = np.empty(x.size)
     i_t = np.empty(x.size)
     pref = _euler_prefactor(b1, c1, b2, c2)
-    for level_x, level_y, group in _level_groups(x, y, _STAIR_LEVEL_SHIFT):
+    for level_x, level_y, group in _level_groups(_STAIR_LEVEL_SCALE * x,
+                                                 _STAIR_LEVEL_SCALE * y):
         lower, upper = _staircase(b1, c1 - b1, level_x, b2, c2 - b2, level_y)
         for idx in _chunks(group, lower[2].size + upper[2].size):
             moments = []

@@ -348,33 +348,29 @@ def test_f2_leaves_the_rule_caches_alone():
     assert cache_state() == before
 
 
-def test_f2_rule_cache_returns_the_cold_cache_values(monkeypatch):
-    # the tensor route caches its Jacobi rows by exponent and its axes by
-    # (b, cb, level); a cold cache, a warm one and one that evicts as it
-    # goes must give bitwise the same values, with parameter sets that
-    # share exponents so that a call's misses differ from call to call
+def test_f2_rule_cache_returns_the_cold_cache_values():
+    # the tensor route caches its four end-panel rules per parameter set; a
+    # cold cache and a warm one, in either call order, must give bitwise
+    # the same values, and a warm call must build no rule (six sets fit
+    # in the cache)
     rng = np.random.default_rng(34)
     x = -np.exp(rng.uniform(math.log(1.0e-3), math.log(1.0e4), 40))
     y = -np.exp(rng.uniform(math.log(1.0e-3), math.log(1.0e4), 40))
     b = rng.uniform(0.2, 1.2, 3)
     sets = [(rng.uniform(0.3, 2.0), b[i], b[j], b[i] + b[j], b[j] + 0.7)
-            for i in range(3) for j in range(3)]
+            for i in range(3) for j in range(2)]
 
     def values(order=1):
         got = [appell_f2_many(*params, x, y) for params in sets[::order]]
         return got[::order]
 
-    specfun._tensor_rows.clear()
-    specfun._tensor_axis.cache_clear()
+    specfun._tensor_jacobi_rules.cache_clear()
     cold = values()
     for warm in (values(), values(-1)):
         for got, want in zip(warm, cold):
             assert np.array_equal(got, want)
-    monkeypatch.setattr(specfun, "_TENSOR_CACHE_SIZE", 3)
-    specfun._tensor_axis.cache_clear()
-    for got, want in zip(values(), cold):
-        assert np.array_equal(got, want)
-    assert len(specfun._tensor_rows) == 3
+    info = specfun._tensor_jacobi_rules.cache_info()
+    assert (info.misses, info.hits) == (len(sets), 2 * len(sets))
 
 
 # -- frozen high-precision references (tests/data/make_references.py) -------------
