@@ -12,7 +12,7 @@ from .kernel import (ChordSet, Params, chords, dq4_dn, grad_q4, grad_q4_many,
                      k4_constant, q4, q4_many, singularity_envelope,
                      weighted_dq4_dn_many)
 from .specfun import (F2Args, appell_f2, appell_f2_many, appell_f2_series,
-                      f2_kernel_families, f2_param_shift, gauss_2f1,
+                      appell_f2_sets, f2_kernel_families, f2_param_shift, gauss_2f1,
                       gauss_2f1_at_one, ln_gamma, log_singular_3f2,
                       pochhammer)
 from .potential import (Density, GaugeIdentityResult, QuadratureRule,
@@ -42,7 +42,7 @@ __all__ = [
     "weighted_dq4_dn_many",
     # specfun
     "F2Args", "appell_f2", "appell_f2_many", "appell_f2_series",
-    "f2_kernel_families", "f2_param_shift", "gauss_2f1", "gauss_2f1_at_one", "ln_gamma",
+    "appell_f2_sets", "f2_kernel_families", "f2_param_shift", "gauss_2f1", "gauss_2f1_at_one", "ln_gamma",
     "log_singular_3f2", "pochhammer",
     # potential
     "Density", "GaugeIdentityResult", "QuadratureRule", "Q4Solution",

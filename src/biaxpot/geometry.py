@@ -159,11 +159,15 @@ class Curve:
         # machine accuracy on smooth data), (s, par) table whose linear
         # reading seeds the Newton polish, par range end, sign of -ds/dpar
         # (s grows with x from B on branch 1, falls with y on branch 2).
+        # The graph is the plain function, called with the curve: a bound
+        # method here would tie the curve into a reference cycle, and its
+        # tables would wait for the cyclic garbage collector instead of
+        # going with the curve.
         s_of_y = self.length - s_of_y
         self._branches = (
-            (self._graph_over_x, _cubic_spline(x_edges, s_of_x),
+            (type(self)._graph_over_x, _cubic_spline(x_edges, s_of_x),
              (s_of_x, x_edges), x_star, -1.0),
-            (self._graph_over_y, _cubic_spline(y_edges, s_of_y),
+            (type(self)._graph_over_y, _cubic_spline(y_edges, s_of_y),
              (s_of_y[::-1], y_edges[::-1]), y_star, 1.0))
 
     def _branch_frames(self, s: np.ndarray, branch: int):
@@ -178,10 +182,10 @@ class Curve:
         graph, s_of, table, edge, sign = self._branches[branch - 1]
         par = np.clip(np.interp(s, *table), 0.0, edge)
         for _ in range(3):
-            _, dpar, _ = graph(par)
+            _, dpar, _ = graph(self, par)
             par = par + sign * ((s_of(par) - s) / np.hypot(1.0, dpar))
             par = np.clip(par, 0.0, edge)
-        other, d1, d2 = graph(par)
+        other, d1, d2 = graph(self, par)
         sp = np.hypot(1.0, d1)
         kappa = d2 / sp ** 3
         if branch == 1:

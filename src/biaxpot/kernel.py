@@ -20,9 +20,10 @@ the y-shift, and the a-shift of the main family).  The batched evaluators
 (q4_many, grad_q4_many, weighted_dq4_dn_many, and the scalar q4 and grad_q4
 that wrap them) take all four from one pass over the Euler double integral
 of the main family (specfun.f2_kernel_families).  dq4_dn evaluates the
-four families separately through the appell_f2 continuation and assembles
-a grouped closed form; it is kept as an independent second evaluation tree
-that the tests check the batched route against.
+four families as four parameter sets of one specfun.appell_f2_sets call,
+on the tensor Euler route, and assembles a grouped closed form; it is kept
+as an independent second evaluation tree that the tests check the batched
+route against.
 
 The batched evaluators take the second point either as a fixed Point or
 as per-pair arrays (x0s, y0s), broadcast against the first points; a
@@ -46,7 +47,7 @@ import numpy as np
 
 from .errors import CoincidentPointsError, DomainError, SingularPairError
 from .geometry import CurvePoint, Point
-from .specfun import appell_f2_many, f2_kernel_families, ln_gamma
+from .specfun import appell_f2_sets, f2_kernel_families, ln_gamma
 
 # A pair is treated as numerically singular when r^2 falls below this
 # fraction of the larger chord scale; quadrature layouts must keep nodes
@@ -240,16 +241,16 @@ def dq4_dn(p: Params, cp: CurvePoint, Q: Point) -> float:
     Assembled as the five-term grouped closed form (the r^2-logarithm
     projection plus four single-family terms), which must agree with the
     normal projection of grad_q4; both are exposed so that tests can pit
-    the two evaluation trees against each other.
+    the two evaluation trees against each other.  The four F2 families
+    come from one appell_f2_sets call, each family its own parameter set,
+    not from the shared node set of f2_kernel_families.
     """
     xs = np.array([cp.x])
     ys = np.array([cp.y])
     _, _, _, _, dxv, dyv, r2, xi, eta = _chord_arrays(xs, ys, Q)
-    fam = _family_params(p)
-    f_main = float(appell_f2_many(*fam["main"], xi, eta)[0])
-    f_dx = float(appell_f2_many(*fam["dx"], xi, eta)[0])
-    f_dy = float(appell_f2_many(*fam["dy"], xi, eta)[0])
-    f_da = float(appell_f2_many(*fam["da"], xi, eta)[0])
+    # the four families as four parameter sets at the one point
+    sets = np.array(list(_family_params(p).values())).T
+    f_main, f_dx, f_dy, f_da = appell_f2_sets(*sets, xi, eta).tolist()
     a, b = p.alpha, p.beta
     k4 = k4_constant(p)
     astar = 2.0 - a - b

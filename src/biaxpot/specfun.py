@@ -35,10 +35,11 @@ Two routes therefore serve F2:
   a-shifted families (the four the kernel derivatives need) together, on
   the main family's Euler nodes, over whole argument vectors.  Every
   batched kernel evaluation goes through it, at any distance.
-* ``appell_f2`` / ``appell_f2_many`` serve one parameter set at a time,
-  including sets with c <= b that the Euler integral cannot take.  The
-  kernel uses them only in ``kernel.dq4_dn``, the independent evaluation
-  tree the batched route is checked against.
+* ``appell_f2_sets`` takes one parameter set per point, many sets in one
+  call, including sets with c <= b that the Euler integral cannot take;
+  ``appell_f2_many`` (one set over many points) and ``appell_f2`` (one
+  point) wrap it.  The kernel uses it only in ``kernel.dq4_dn``, the
+  independent evaluation tree the batched route is checked against.
 
 Both Euler routes grade each axis from a dyadic level L: a left
 Gauss-Jacobi panel [0, 2^-(L+1)] absorbing s^(b-1), L dyadic
@@ -46,7 +47,7 @@ Gauss-Legendre panels up to 1/2, and a right Gauss-Jacobi panel [1/2, 1]
 absorbing (1-s)^(c-b-1).  They differ in the level of an argument x and
 in how the two axes combine:
 
-* ``appell_f2_many`` takes L = ceil(log2 max(|x|, 1)), a first panel no
+* ``appell_f2_sets`` takes L = ceil(log2 max(|x|, 1)), a first panel no
   longer than 1/(2|x|), and the full tensor product of the two axes, with
   12-point Legendre and 24-point Jacobi panels: (48 + 12 L)^2 nodes per
   point at L = Lx = Ly.
@@ -70,12 +71,12 @@ Log-gamma comes from the library (``math.lgamma``, mapped over arrays).
 Gauss rules come from ``jacobi_rules`` by Golub-Welsch.  ``gauss_rule``,
 the staircase axes and prefix rules, and the Euler prefactors are cached;
 a level pair's two blocks are gathered from its two axes on each call,
-since one workload touches hundreds of level pairs.  ``appell_f2_many``
-keeps its four end-panel rules, one ``jacobi_rules`` batch, in a small
-cache of its own keyed by the parameter set, for callers that repeat one
-set point after point; its axes and prefactor are computed on each call,
-since most callers draw a new parameter set for almost every call.
-Otherwise every function is a pure function of its arguments.
+since one workload touches hundreds of level pairs.  ``appell_f2_sets``
+caches nothing: each call builds the end-panel rules of its distinct
+exponents in one ``jacobi_rules`` call, and the axes and prefactors of its
+points, since most callers bring new parameter sets; a point's rules,
+axes and reduction are its own, so its value is bitwise the same in any
+batch.  Otherwise every function is a pure function of its arguments.
 """
 
 from __future__ import annotations
@@ -375,6 +376,11 @@ def f2_param_shift(args: F2Args, m: int, n: int) -> tuple[float, F2Args]:
 
 # -- Euler integral route ----------------------------------------------------
 
+# jacobi_rules builds its rules this many at a time: the Jacobi matrices of
+# 32 rules of 24 points take 147 kB.
+JACOBI_SLICE = 32
+
+
 def jacobi_rules(n: int, exponents, right_exponents=0.0):
     """Gauss-Jacobi rules on [-1, 1] for the weights
     (1 - t)^right_exponents[i] (1 + t)^exponents[i], all exponents > -1.
@@ -384,7 +390,9 @@ def jacobi_rules(n: int, exponents, right_exponents=0.0):
     Golub-Welsch (Golub & Welsch 1969, Math. Comp. 23:221): the nodes are
     the eigenvalues of the symmetric Jacobi matrices, the weights the
     Christoffel numbers mu0 / sum_k p_k(t)^2 of the orthonormal
-    polynomials, a sum of positive terms with nothing to cancel.
+    polynomials, a sum of positive terms with nothing to cancel.  The rules
+    are built JACOBI_SLICE at a time, so that the transient matrices stay
+    small however many rules a caller asks for.
     """
     beta, alpha = np.broadcast_arrays(
         np.atleast_1d(np.asarray(exponents, dtype=float)),
@@ -394,6 +402,17 @@ def jacobi_rules(n: int, exponents, right_exponents=0.0):
         raise DomainError("jacobi_rules needs an integer n >= 1 and finite "
                           "exponents > -1")
     n = int(n)
+    nodes = np.empty(alpha.shape + (n,))
+    weights = np.empty(alpha.shape + (n,))
+    for lo in range(0, alpha.size, JACOBI_SLICE):
+        part = slice(lo, lo + JACOBI_SLICE)
+        nodes[part], weights[part] = _golub_welsch(n, alpha[part], beta[part])
+    return nodes, weights
+
+
+def _golub_welsch(n: int, alpha: np.ndarray, beta: np.ndarray):
+    """The n-point rules of ``jacobi_rules`` for the exponent vectors
+    alpha (at t = 1) and beta (at t = -1), in one batch."""
     k = np.arange(n)[:, None]
     t = 2.0 * k + alpha + beta
     # recurrence coefficients over (k, rule), the removable 0/0 at k = 0 of
@@ -405,20 +424,23 @@ def jacobi_rules(n: int, exponents, right_exponents=0.0):
         k[1:] * (k[1:] + alpha) * (k[1:] + beta) / (t[1:] + 1.0)
         * np.where(k[1:] == 1, 1.0, k[1:] + alpha + beta)
         / np.where(k[1:] == 1, 1.0, t[1:] - 1.0))
-    jac = diag.T[:, :, None] * np.eye(n)
+    jac = np.zeros((alpha.size, n, n))
+    jac[:, range(n), range(n)] = diag.T
     jac[:, range(1, n), range(n - 1)] = sub[1:].T
     nodes = np.linalg.eigvalsh(jac)
-    # p_(k+1) = x_k p_k - c_k p_(k-1) at every node, c_0 = 0
-    x = (nodes - diag[:-1, :, None]) / sub[1:, :, None]
-    c = sub[:-1, :, None] / sub[1:, :, None]
-    p = np.ones((n,) + nodes.shape)
+    # p_(k+1) = x_k p_k - c_k p_(k-1) at every node, c_0 = 0, with the sum
+    # of squares taken along, in order of k
+    p_prev = p = np.ones(nodes.shape)
+    squares = p * p
     for j in range(n - 1):
-        np.multiply(x[j], p[j], out=p[j + 1])
-        p[j + 1] -= c[j] * p[j - 1]
+        p_next = (nodes - diag[j, :, None]) / sub[j + 1, :, None] * p
+        p_next -= sub[j, :, None] / sub[j + 1, :, None] * p_prev
+        squares += p_next * p_next
+        p_prev, p = p, p_next
     mu0 = np.array([math.exp((a + b + 1.0) * math.log(2.0) + math.lgamma(a + 1.0)
                              + math.lgamma(b + 1.0) - math.lgamma(a + b + 2.0))
                     for a, b in zip(alpha.tolist(), beta.tolist())])
-    return nodes, mu0[:, None] / np.sum(p * p, axis=0)
+    return nodes, mu0[:, None] / squares
 
 
 @functools.lru_cache(maxsize=256)
@@ -437,7 +459,7 @@ def gauss_rule(n: int, exponent: float = 0.0,
 
 
 # Gauss orders of the dyadic Legendre panels and of the Jacobi panels: the
-# tensor layout of appell_f2_many's Euler route, and the staircase layout
+# tensor layout of appell_f2_sets' Euler route, and the staircase layout
 # of f2_kernel_families, whose right panel [1/2, 1] takes its own order.
 _EULER_LEG_N = 12
 _EULER_JAC_N = 24
@@ -451,62 +473,69 @@ _STAIR_RIGHT_N = 10
 _STAIR_LEVEL_SCALE = 0.25
 
 # Euler batches are cut so that the (points, nodes) tensor stays near this
-# many bytes; the staircase counts both its blocks, evaluated in turn.
+# many bytes; the staircase counts both its blocks, evaluated in turn.  The
+# tensor route of appell_f2_sets takes smaller chunks, with each chunk's
+# axes built for it, so that a batch of many parameter sets adds little to
+# the transient memory of its single-point calls.
 EULER_CHUNK_BYTES = 1 << 20
+TENSOR_CHUNK_BYTES = 1 << 17
 
 
-def _euler_axis(b: float, cb: float, left, right, level: int,
-                leg: int = _EULER_LEG_N):
-    """Nodes/weights for int_0^1 s^(b-1) (1-s)^(cb-1) g(s|x|) ds.
+def _powers(base: float, exponents: np.ndarray) -> np.ndarray:
+    """base ** e for every e, by Python's float power (the libm rounding,
+    which np.power's vector loops do not always match)."""
+    return np.array([base ** e for e in exponents.ravel().tolist()]
+                    ).reshape(exponents.shape)
 
-    Returns nodes s_k, weights that already include the full beta-type
-    weight s^(b-1) (1-s)^(cb-1), and the panel index of each node.  Panels
-    are graded dyadically from h0 = 2^-(level+1), so that the remaining
-    factor (1 + s|x| + ...)^(-a) is smooth on every panel (h0 <= 1/(2|x|)
-    for the tensor route's |x| <= 2^level, h0 <= 2/|x| for the staircase's
-    |x| <= 2^(level+2)): panel
-    0 is [0, h0], panels 1..level are [h0 2^(k-1), h0 2^k] (``leg``
+
+def _euler_axes(b, cb, left, right, level: int, leg: int = _EULER_LEG_N):
+    """Nodes/weights for int_0^1 s^(b-1) (1-s)^(cb-1) g(s|x|) ds, one axis
+    for each of P points with exponents b, cb given as (P,) arrays.
+
+    Returns nodes s_k and weights that already include the full beta-type
+    weight s^(b-1) (1-s)^(cb-1), both (P, nodes), and the panel index of
+    each node, (nodes,).  Panels are graded dyadically from
+    h0 = 2^-(level+1), so that the remaining factor (1 + s|x| + ...)^(-a)
+    is smooth on every panel (h0 <= 1/(2|x|) for the tensor route's
+    |x| <= 2^level, h0 <= 2/|x| for the staircase's |x| <= 2^(level+2)):
+    panel 0 is [0, h0], panels 1..level are [h0 2^(k-1), h0 2^k] (``leg``
     Gauss-Legendre nodes each), and panel level + 1 is [1/2, 1].  The end
-    panels take the caller's Golub-Welsch Gauss-Jacobi rules (nodes,
-    weights) on [-1, 1]: ``left`` for the weight (1 + t)^(b-1), ``right``
-    for (1 + t)^(cb-1).  The returned arrays are read-only.
+    panels take the caller's Golub-Welsch Gauss-Jacobi rules on [-1, 1] as
+    (nodes, weights) pairs of (P, n) arrays: ``left`` for the weight
+    (1 + t)^(b-1), ``right`` for (1 + t)^(cb-1).  Every value is an
+    elementwise function of its own point's exponents and rules.
     """
-    nodes, weights = [], []
+    b = b[:, None]
+    cb = cb[:, None]
     h0 = 0.5 ** (level + 1)
     # left Gauss-Jacobi panel [0, h0] absorbing s^(b-1)
     tj, wj = left
-    s = 0.5 * h0 * (tj + 1.0)
-    w = wj * (0.5 * h0) ** b * (1.0 - s) ** (cb - 1.0)
-    nodes.append(s)
-    weights.append(w)
+    s_left = 0.5 * h0 * (tj + 1.0)
+    w_left = wj * _powers(0.5 * h0, b) * (1.0 - s_left) ** (cb - 1.0)
     # dyadic Gauss-Legendre panels [h0 2^k, h0 2^(k+1)] up to 1/2
     tl, wl = gauss_rule(leg)
-    lo = h0
-    while lo < 0.5:
-        hi = 2.0 * lo
-        s = 0.5 * (hi + lo) + 0.5 * (hi - lo) * tl
-        w = wl * 0.5 * (hi - lo) * s ** (b - 1.0) * (1.0 - s) ** (cb - 1.0)
-        nodes.append(s)
-        weights.append(w)
-        lo = hi
+    lo = h0 * 2.0 ** np.arange(level)[:, None]
+    hi = 2.0 * lo
+    s_mid = (0.5 * (hi + lo) + 0.5 * (hi - lo) * tl).ravel()
+    w_mid = ((wl * 0.5 * (hi - lo)).ravel() * s_mid ** (b - 1.0)
+             * (1.0 - s_mid) ** (cb - 1.0))
     # right Gauss-Jacobi panel [1/2, 1] absorbing (1-s)^(cb-1)
     tj, wj = right
-    s = 1.0 - 0.25 * (tj + 1.0)
-    w = wj * 0.25 ** cb * s ** (b - 1.0)
-    nodes.append(s)
-    weights.append(w)
-    panel = np.repeat(np.arange(len(nodes)), [v.size for v in nodes])
-    out = (np.concatenate(nodes), np.concatenate(weights), panel)
-    for arr in out:
-        arr.flags.writeable = False
-    return out
+    s_right = 1.0 - 0.25 * (tj + 1.0)
+    w_right = wj * _powers(0.25, cb) * s_right ** (b - 1.0)
+    nodes = np.concatenate(
+        (s_left, np.broadcast_to(s_mid, w_mid.shape), s_right), axis=1)
+    weights = np.concatenate((w_left, w_mid, w_right), axis=1)
+    panel = np.repeat(np.arange(level + 2),
+                      [s_left.shape[1]] + [leg] * level + [s_right.shape[1]])
+    return nodes, weights, panel
 
 
 @functools.lru_cache(maxsize=256)
 def _stair_axis(b: float, cb: float, level: int):
     """One axis of the staircase layout, |x| <= 2^(level+2).
 
-    Returns (s, ws, panel, qs, qw, qwq): the panels of ``_euler_axis`` at
+    Returns (s, ws, panel, qs, qw, qwq): the panels of ``_euler_axes`` at
     the staircase orders (a 10-point right panel), and the prefix rules as
     (level + 2, J) arrays, where row k holds J Gauss-Jacobi nodes and
     weights for the weight s^(b-1) (1-s)^(cb-1) on [0, end of panel k],
@@ -514,9 +543,12 @@ def _stair_axis(b: float, cb: float, level: int):
     s^(b-1); the last covers the whole of [0, 1] and absorbs both ends.
     Cached per dyadic level; the returned arrays are read-only.
     """
-    tj, wj = left = gauss_rule(_STAIR_JAC_N, b - 1.0)
-    right = gauss_rule(_STAIR_RIGHT_N, cb - 1.0)
-    s, ws, panel = _euler_axis(b, cb, left, right, level, _STAIR_LEG_N)
+    tj, wj = gauss_rule(_STAIR_JAC_N, b - 1.0)
+    tr, wr = gauss_rule(_STAIR_RIGHT_N, cb - 1.0)
+    s, ws, panel = _euler_axes(np.array([b]), np.array([cb]),
+                               (tj[None], wj[None]), (tr[None], wr[None]),
+                               level, _STAIR_LEG_N)
+    s, ws = s[0], ws[0]
     half = 0.5 ** np.arange(level + 2, 1, -1)[:, None]  # half of each end
     qs = half * (tj + 1.0)
     qw = wj * half ** b * (1.0 - qs) ** (cb - 1.0)
@@ -524,7 +556,7 @@ def _stair_axis(b: float, cb: float, level: int):
     qs = np.vstack((qs, 0.5 * (tj + 1.0)))
     qw = np.vstack((qw, wj * 0.5 ** (b + cb - 1.0)))
     qwq = qw * qs
-    for arr in (qs, qw, qwq):
+    for arr in (s, ws, panel, qs, qw, qwq):
         arr.flags.writeable = False
     return s, ws, panel, qs, qw, qwq
 
@@ -574,70 +606,78 @@ def _level_groups(x, y):
         yield key // 2048, key % 2048, idx
 
 
-def _chunks(idx: np.ndarray, nodes: int):
+def _chunks(idx: np.ndarray, nodes: int, limit: int):
     """Cut a group's point indices so that each (points, nodes) tensor
-    stays near EULER_CHUNK_BYTES."""
-    per = max(1, EULER_CHUNK_BYTES // (8 * nodes))
+    stays near ``limit`` bytes."""
+    per = max(1, limit // (8 * nodes))
     for lo in range(0, idx.size, per):
         yield idx[lo:lo + per]
 
 
-# kernel.dq4_dn asks for the same three or four parameter sets point after
-# point; other callers rarely repeat one, so a few entries catch the repeats.
-@functools.lru_cache(maxsize=8)
-def _tensor_jacobi_rules(e1: float, e2: float, e3: float, e4: float):
-    """The four _EULER_JAC_N-point end-panel rules of one ``appell_f2_many``
-    parameter set, (1 + t)^e for e = e1..e4, in one ``jacobi_rules`` batch;
-    cached apart from ``gauss_rule``, so that a stream of new parameter sets
-    evicts nothing the kernel route uses.  The arrays are read-only."""
-    nodes, weights = jacobi_rules(_EULER_JAC_N, [e1, e2, e3, e4])
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
-
-
 def _f2_euler_many(a, b1, b2, c1, c2, x, y) -> np.ndarray:
-    """F2 by the 2-D Euler integral over flat argument vectors x, y <= 0;
-    requires c1 > b1 > 0, c2 > b2 > 0.
+    """F2 by the 2-D Euler integral, one parameter set per point; the seven
+    arguments broadcast to one flat vector, with x, y <= 0, c1 > b1 > 0 and
+    c2 > b2 > 0.
 
     Uses the full tensor product of the two axes' panels, an evaluation
-    tree independent of the staircase of ``f2_kernel_families``.
+    tree independent of the staircase of ``f2_kernel_families``.  The
+    end-panel rules of the call's distinct exponents come from one
+    ``jacobi_rules`` call, and each chunk of a level group builds the axes
+    of all its points at once; every point is then reduced on its own, so
+    its value does not depend on the batch it arrives in.
     """
+    a, b1, b2, c1, c2, x, y = (np.ravel(v) for v in np.broadcast_arrays(
+        a, b1, b2, c1, c2, x, y))
     out = np.empty(x.size)
-    pref = _euler_prefactor.__wrapped__(b1, c1, b2, c2)
-    # the four end-panel rules, cached per parameter set, and each axis
-    # built once per level, for this call only
-    tj, wj = _tensor_jacobi_rules(b1 - 1.0, c1 - b1 - 1.0, b2 - 1.0,
-                                  c2 - b2 - 1.0)
-    x_axis = functools.cache(functools.partial(
-        _euler_axis, b1, c1 - b1, (tj[0], wj[0]), (tj[1], wj[1])))
-    y_axis = functools.cache(functools.partial(
-        _euler_axis, b2, c2 - b2, (tj[2], wj[2]), (tj[3], wj[3])))
+    exponents, rule = np.unique(
+        np.stack((b1 - 1.0, c1 - b1 - 1.0, b2 - 1.0, c2 - b2 - 1.0)),
+        return_inverse=True)
+    tj, wj = jacobi_rules(_EULER_JAC_N, exponents)
+    pref = np.array([_euler_prefactor.__wrapped__(*v) for v in zip(
+        b1.tolist(), c1.tolist(), b2.tolist(), c2.tolist())])
     for level_x, level_y, group in _level_groups(x, y):
-        s, ws, _ = x_axis(level_x)
-        t, wt, _ = y_axis(level_y)
-        for idx in _chunks(group, s.size * t.size):
+        nodes = ((2 * _EULER_JAC_N + _EULER_LEG_N * level_x)
+                 * (2 * _EULER_JAC_N + _EULER_LEG_N * level_y))
+        for idx in _chunks(group, nodes, TENSOR_CHUNK_BYTES):
+            left_x, right_x, left_y, right_y = rule[:, idx]
+            s, ws, _ = _euler_axes(b1[idx], c1[idx] - b1[idx],
+                                   (tj[left_x], wj[left_x]),
+                                   (tj[right_x], wj[right_x]), level_x)
+            t, wt, _ = _euler_axes(b2[idx], c2[idx] - b2[idx],
+                                   (tj[left_y], wj[left_y]),
+                                   (tj[right_y], wj[right_y]), level_y)
             # B = 1 - s x - t y on the (points, s, t) tensor
-            core = ((1.0 - x[idx][:, None, None] * s[None, :, None])
-                    - y[idx][:, None, None] * t[None, None, :])
-            np.power(core, -a, out=core)
-            # one matrix-vector product per point, then a row reduction, so
-            # a point's value does not depend on the batch it arrives in
-            out[idx] = pref * np.sum((core @ wt) * ws, axis=1)
+            core = ((1.0 - x[idx][:, None, None] * s[:, :, None])
+                    - y[idx][:, None, None] * t[:, None, :])
+            np.power(core, -a[idx][:, None, None], out=core)
+            # one matrix-vector product per point, then a row reduction
+            inner = np.matmul(core, wt[:, :, None])[:, :, 0]
+            out[idx] = pref[idx] * np.sum(inner * ws, axis=1)
+            # free this tensor before the next chunk builds its own
+            del core
     return out
 
 
-def _check_f2_arguments(x, y, c1, c2):
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise DomainError("F2 arguments x and y must have equal shapes")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise DomainError("F2 arguments x and y must be finite")
+def _f2_arguments(a, b1, b2, c1, c2, x, y):
+    """The seven F2 arguments as float arrays of one broadcast shape;
+    raises DomainError unless they broadcast, are finite, x, y <= 0 and
+    no c is a nonpositive integer."""
+    try:
+        args = np.broadcast_arrays(*(np.asarray(v, dtype=float)
+                                     for v in (a, b1, b2, c1, c2, x, y)))
+    except ValueError:
+        raise DomainError("F2 arguments must broadcast to one shape") from None
+    if not all(np.all(np.isfinite(v)) for v in args):
+        raise DomainError("F2 arguments must be finite")
+    a, b1, b2, c1, c2, x, y = args
     if np.any(x > 0.0) or np.any(y > 0.0):
         raise DomainError("appell_f2 is defined for x <= 0 and y <= 0")
-    if _is_nonpos_int(c1) or _is_nonpos_int(c2):
-        raise DomainError("appell_f2: c parameters must not be nonpositive integers")
-    return x, y
+    for c in (c1, c2):
+        if np.any((c <= 0.5) & (np.abs(c - np.round(c))
+                                < _INT_TOL * np.maximum(1.0, np.abs(c)))):
+            raise DomainError(
+                "appell_f2: c parameters must not be nonpositive integers")
+    return args
 
 
 def f2_kernel_families(a: float, b1: float, b2: float, c1: float, c2: float,
@@ -662,7 +702,9 @@ def f2_kernel_families(a: float, b1: float, b2: float, c1: float, c2: float,
     swaps s, x and t, y).  Requires c1 > b1 > 0 and c2 > b2 > 0.  Each
     point's values are independent of the batch it is evaluated in.
     """
-    x, y = _check_f2_arguments(x, y, c1, c2)
+    if np.shape(x) != np.shape(y):
+        raise DomainError("F2 arguments x and y must have equal shapes")
+    x, y = _f2_arguments(a, b1, b2, c1, c2, x, y)[5:]
     if not ((c1 > b1 > 0.0) and (c2 > b2 > 0.0)):
         raise DomainError(
             "f2_kernel_families needs c1 > b1 > 0 and c2 > b2 > 0")
@@ -676,7 +718,8 @@ def f2_kernel_families(a: float, b1: float, b2: float, c1: float, c2: float,
     for level_x, level_y, group in _level_groups(_STAIR_LEVEL_SCALE * x,
                                                  _STAIR_LEVEL_SCALE * y):
         lower, upper = _staircase(b1, c1 - b1, level_x, b2, c2 - b2, level_y)
-        for idx in _chunks(group, lower[2].size + upper[2].size):
+        for idx in _chunks(group, lower[2].size + upper[2].size,
+                           EULER_CHUNK_BYTES):
             moments = []
             for (node, w, q, qw, qwq), u, v in ((lower, x[idx], y[idx]),
                                                 (upper, y[idx], x[idx])):
@@ -702,39 +745,49 @@ def f2_kernel_families(a: float, b1: float, b2: float, c1: float, c2: float,
             da.reshape(shape))
 
 
-def appell_f2_many(a: float, b1: float, b2: float, c1: float, c2: float,
-                   x, y) -> np.ndarray:
-    """Appell F2 at fixed parameters over argument vectors x <= 0, y <= 0.
+def appell_f2_sets(a, b1, b2, c1, c2, x, y) -> np.ndarray:
+    """Appell F2 with one parameter set per point, x <= 0, y <= 0; all
+    seven arguments are broadcast to one shape, the shape of the result.
 
-    For c1 > b1 > 0 and c2 > b2 > 0 the Euler double integral on the
-    tensor product of the two graded axes takes every point; the origin,
-    where the quadrature leaves a last-digit error, is set to exactly 1.
-    Any other parameter set goes through Appell's transformation to the
+    Points with c1 > b1 > 0 and c2 > b2 > 0 take the Euler double integral
+    on the tensor product of the two graded axes, all in one batch; the
+    origin, where the quadrature leaves a last-digit error, is set to
+    exactly 1.  Any other point goes through Appell's transformation to the
     double series at x/(x+y-1), y/(x+y-1), one point at a time; that series
     raises ConvergenceError where its terms underflow before it converges
     (see the module docstring).  Agrees with ``appell_f2_series`` on the
-    disk |x| + |y| < 1.
+    disk |x| + |y| < 1, and each point's value is bitwise the same in any
+    batch.
     """
-    x, y = _check_f2_arguments(x, y, c1, c2)
-    shape = x.shape
-    x = x.ravel()
-    y = y.ravel()
-    if (c1 > b1 > 0.0) and (c2 > b2 > 0.0):
-        out = _f2_euler_many(a, b1, b2, c1, c2, x, y)
-        out[(x == 0.0) & (y == 0.0)] = 1.0
-    else:
-        out = np.array([
-            (1.0 - xj - yj) ** (-a) * appell_f2_series(F2Args(
-                a, c1 - b1, c2 - b2, c1, c2,
-                xj / (xj + yj - 1.0), yj / (xj + yj - 1.0)))
-            for xj, yj in zip(x.tolist(), y.tolist())], dtype=float)
+    args = _f2_arguments(a, b1, b2, c1, c2, x, y)
+    shape = args[0].shape
+    a, b1, b2, c1, c2, x, y = (v.ravel() for v in args)
+    euler = (c1 > b1) & (b1 > 0.0) & (c2 > b2) & (b2 > 0.0)
+    out = np.empty(x.size)
+    out[euler] = _f2_euler_many(*(v[euler] for v in (a, b1, b2, c1, c2,
+                                                      x, y)))
+    for j in np.flatnonzero(~euler).tolist():
+        aj, b1j, b2j, c1j, c2j, xj, yj = (float(v[j]) for v in
+                                          (a, b1, b2, c1, c2, x, y))
+        out[j] = (1.0 - xj - yj) ** (-aj) * appell_f2_series(F2Args(
+            aj, c1j - b1j, c2j - b2j, c1j, c2j,
+            xj / (xj + yj - 1.0), yj / (xj + yj - 1.0)))
+    out[(x == 0.0) & (y == 0.0)] = 1.0
     return out.reshape(shape)
+
+
+def appell_f2_many(a: float, b1: float, b2: float, c1: float, c2: float,
+                   x, y) -> np.ndarray:
+    """Appell F2 at one fixed parameter set over argument arrays x <= 0,
+    y <= 0 (broadcast to one shape): ``appell_f2_sets`` with scalar
+    parameters."""
+    return appell_f2_sets(a, b1, b2, c1, c2, x, y)
 
 
 def appell_f2(args: F2Args) -> float:
     """Appell F2 continued to x <= 0, y <= 0 (single point)."""
-    return float(appell_f2_many(args.a, args.b1, args.b2, args.c1, args.c2,
-                                np.array([args.x]), np.array([args.y]))[0])
+    return float(appell_f2_sets(args.a, args.b1, args.b2, args.c1, args.c2,
+                                args.x, args.y))
 
 
 # ---------------------------------------------------------------------------

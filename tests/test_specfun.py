@@ -14,7 +14,7 @@ import pytest
 
 from biaxpot import (ConvergenceError, DivergenceError, DomainError, F2Args,
                      appell_f2, appell_f2_many, appell_f2_series,
-                     f2_kernel_families, f2_param_shift, gauss_2f1,
+                     appell_f2_sets, f2_kernel_families, f2_param_shift, gauss_2f1,
                      gauss_2f1_at_one, ln_gamma, log_singular_3f2, pochhammer)
 from biaxpot import specfun
 from biaxpot.specfun import (_euler_prefactor, _f2_euler_many, _stair_axis,
@@ -348,29 +348,81 @@ def test_f2_leaves_the_rule_caches_alone():
     assert cache_state() == before
 
 
-def test_f2_rule_cache_returns_the_cold_cache_values():
-    # the tensor route caches its four end-panel rules per parameter set; a
-    # cold cache and a warm one, in either call order, must give bitwise
-    # the same values, and a warm call must build no rule (six sets fit
-    # in the cache)
+def random_f2_sets(rng, count):
+    """count parameter sets and points: Euler sets with |x|, |y| in
+    [1e-3, 1e4], a fifth of them c1 < b1 sets inside |x| + |y| < 20, and
+    the origin at every tenth."""
+    rows = []
+    for k in range(count):
+        b1, b2 = rng.uniform(0.2, 1.4, 2)
+        c1 = b1 + rng.uniform(0.3, 1.8)
+        c2 = b2 + rng.uniform(0.3, 1.8)
+        x, y = -np.exp(rng.uniform(math.log(1.0e-3), math.log(1.0e4), 2))
+        if k % 5 == 3:
+            c1 = b1 - rng.uniform(0.05, 0.15)
+            x, y = -rng.uniform(0.0, 10.0, 2)
+        if k % 10 == 7:
+            x = y = 0.0
+        rows.append((rng.uniform(0.3, 2.2), b1, b2, c1, c2, x, y))
+    return np.array(rows)
+
+
+def test_f2_sets_values_do_not_depend_on_the_batch():
+    # a set's value alone, inside a 200-set batch, in the shuffled batch
+    # and as a (40, 5) block must be bitwise the same: rules, axes and
+    # reductions are per point, whatever else the batch holds
     rng = np.random.default_rng(34)
-    x = -np.exp(rng.uniform(math.log(1.0e-3), math.log(1.0e4), 40))
-    y = -np.exp(rng.uniform(math.log(1.0e-3), math.log(1.0e4), 40))
-    b = rng.uniform(0.2, 1.2, 3)
-    sets = [(rng.uniform(0.3, 2.0), b[i], b[j], b[i] + b[j], b[j] + 0.7)
-            for i in range(3) for j in range(2)]
+    sets = random_f2_sets(rng, 200)
+    batch = appell_f2_sets(*sets.T)
+    order = rng.permutation(len(sets))
+    assert np.array_equal(appell_f2_sets(*sets[order].T), batch[order])
+    block = appell_f2_sets(*sets.T.reshape(7, 40, 5))
+    assert block.shape == (40, 5)
+    assert np.array_equal(block.ravel(), batch)
+    for j in range(0, len(sets), 7):
+        assert appell_f2_sets(*sets[j]) == batch[j]
 
-    def values(order=1):
-        got = [appell_f2_many(*params, x, y) for params in sets[::order]]
-        return got[::order]
 
-    specfun._tensor_jacobi_rules.cache_clear()
-    cold = values()
-    for warm in (values(), values(-1)):
-        for got, want in zip(warm, cold):
-            assert np.array_equal(got, want)
-    info = specfun._tensor_jacobi_rules.cache_info()
-    assert (info.misses, info.hits) == (len(sets), 2 * len(sets))
+def test_f2_sets_equal_one_set_at_a_time():
+    # appell_f2_many at one parameter set, point by point and for several
+    # points of that set at once, against one appell_f2_sets call over all
+    # sets, c1 < b1 sets (the series branch) and the origin included
+    rng = np.random.default_rng(35)
+    sets = random_f2_sets(rng, 60)
+    assert np.any(sets[:, 3] < sets[:, 1]) and np.any(sets[:, 5] == 0.0)
+    batch = appell_f2_sets(*sets.T)
+    for (a, b1, b2, c1, c2, x, y), want in zip(sets.tolist(), batch):
+        assert appell_f2_many(a, b1, b2, c1, c2, [x], [y])[0] == want
+        assert appell_f2(F2Args(a, b1, b2, c1, c2, x, y)) == want
+    assert np.all(batch[sets[:, 5] + sets[:, 6] == 0.0] == 1.0)
+    # one set over many points, and the same points as many sets
+    a, b1, b2, c1, c2 = sets[0, :5]
+    x, y = sets[:, 5], sets[:, 6]
+    many = appell_f2_many(a, b1, b2, c1, c2, x, y)
+    each = appell_f2_sets(np.full(x.size, a), b1, b2, c1, c2, x, y)
+    assert np.array_equal(many, each)
+
+
+def test_f2_sets_reject_bad_arguments():
+    good = [1.5, 0.75, 0.75, 1.5, 1.5, -0.2, -0.3]
+    sets = np.tile(good, (3, 1))
+    appell_f2_sets(*sets.T)
+    bad_cases = []
+    for column, value in ((3, 0.0), (4, -2.0), (3, -1.0 + 1.0e-14),
+                          (5, 0.1), (6, 1.0e-300), (0, math.nan),
+                          (2, math.inf), (5, -math.inf), (6, math.nan)):
+        bad = sets.copy()
+        bad[1, column] = value
+        bad_cases.append(bad.T)
+    for args in bad_cases:
+        with pytest.raises(DomainError):
+            appell_f2_sets(*args)
+    # parameters and arguments that do not broadcast to one shape
+    with pytest.raises(DomainError):
+        appell_f2_sets(*good[:5], np.full(3, -0.2), np.full(2, -0.3))
+    with pytest.raises(DomainError):
+        appell_f2_sets(np.full(4, 1.5), *good[1:5], np.full(3, -0.2),
+                       np.full(3, -0.3))
 
 
 # -- frozen high-precision references (tests/data/make_references.py) -------------
@@ -630,6 +682,21 @@ def test_jacobi_rules_batch_matches_references_and_single_rows(n):
         assert_rule_matches(nodes[i], weights[i], case)
         # a row of the batch is bitwise the rule of that pair alone
         one_nodes, one_weights = jacobi_rules(n, [exponents[i]], [right[i]])
+        assert np.array_equal(one_nodes[0], nodes[i])
+        assert np.array_equal(one_weights[0], weights[i])
+
+
+def test_jacobi_rules_in_slices_keep_every_row_its_own_rule():
+    # more rules than one JACOBI_SLICE: every row, in the first, a middle
+    # and the last partial slice, is bitwise the rule of its pair alone
+    rng = np.random.default_rng(36)
+    m = 2 * specfun.JACOBI_SLICE + 5
+    exponents = rng.uniform(-0.99, 3.0, m)
+    right = rng.uniform(-0.99, 3.0, m)
+    nodes, weights = jacobi_rules(24, exponents, right)
+    assert nodes.shape == weights.shape == (m, 24)
+    for i in range(m):
+        one_nodes, one_weights = jacobi_rules(24, exponents[i], right[i])
         assert np.array_equal(one_nodes[0], nodes[i])
         assert np.array_equal(one_weights[0], weights[i])
 
