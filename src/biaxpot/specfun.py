@@ -376,8 +376,8 @@ def f2_param_shift(args: F2Args, m: int, n: int) -> tuple[float, F2Args]:
 
 # -- Euler integral route ----------------------------------------------------
 
-# jacobi_rules builds its rules this many at a time: the Jacobi matrices of
-# 32 rules of 24 points take 147 kB.
+# jacobi_rules builds its rules this many at a time: for 32 rules of 24
+# points each of its four largest arrays takes about 147 kB.
 JACOBI_SLICE = 32
 
 
@@ -424,23 +424,21 @@ def _golub_welsch(n: int, alpha: np.ndarray, beta: np.ndarray):
         k[1:] * (k[1:] + alpha) * (k[1:] + beta) / (t[1:] + 1.0)
         * np.where(k[1:] == 1, 1.0, k[1:] + alpha + beta)
         / np.where(k[1:] == 1, 1.0, t[1:] - 1.0))
-    jac = np.zeros((alpha.size, n, n))
-    jac[:, range(n), range(n)] = diag.T
-    jac[:, range(1, n), range(n - 1)] = sub[1:].T
-    nodes = np.linalg.eigvalsh(jac)
-    # p_(k+1) = x_k p_k - c_k p_(k-1) at every node, c_0 = 0, with the sum
-    # of squares taken along, in order of k
-    p_prev = p = np.ones(nodes.shape)
-    squares = p * p
+    jac = np.zeros((alpha.size, n * n))
+    jac[:, ::n + 1] = diag.T  # the diagonal, and below it the subdiagonal
+    jac[:, n::n + 1] = sub[1:].T
+    nodes = np.linalg.eigvalsh(jac.reshape(-1, n, n))
+    # p_(k+1) = x_k p_k - c_k p_(k-1) at every node, c_0 = 0
+    x = (nodes - diag[:-1, :, None]) / sub[1:, :, None]
+    c = sub[:-1, :, None] / sub[1:, :, None]
+    p = np.ones((n,) + nodes.shape)
     for j in range(n - 1):
-        p_next = (nodes - diag[j, :, None]) / sub[j + 1, :, None] * p
-        p_next -= sub[j, :, None] / sub[j + 1, :, None] * p_prev
-        squares += p_next * p_next
-        p_prev, p = p, p_next
+        np.multiply(x[j], p[j], out=p[j + 1])
+        p[j + 1] -= c[j] * p[j - 1]
     mu0 = np.array([math.exp((a + b + 1.0) * math.log(2.0) + math.lgamma(a + 1.0)
                              + math.lgamma(b + 1.0) - math.lgamma(a + b + 2.0))
                     for a, b in zip(alpha.tolist(), beta.tolist())])
-    return nodes, mu0[:, None] / squares
+    return nodes, mu0[:, None] / np.sum(p * p, axis=0)
 
 
 @functools.lru_cache(maxsize=256)
@@ -478,7 +476,7 @@ _STAIR_LEVEL_SCALE = 0.25
 # axes built for it, so that a batch of many parameter sets adds little to
 # the transient memory of its single-point calls.
 EULER_CHUNK_BYTES = 1 << 20
-TENSOR_CHUNK_BYTES = 1 << 17
+TENSOR_CHUNK_BYTES = 1 << 18
 
 
 def _powers(base: float, exponents: np.ndarray) -> np.ndarray:
