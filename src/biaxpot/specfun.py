@@ -660,22 +660,21 @@ def _f2_arguments(a, b1, b2, c1, c2, x, y):
     """The seven F2 arguments as float arrays of one broadcast shape;
     raises DomainError unless they broadcast, are finite, x, y <= 0 and
     no c is a nonpositive integer."""
-    try:
-        args = np.broadcast_arrays(*(np.asarray(v, dtype=float)
-                                     for v in (a, b1, b2, c1, c2, x, y)))
-    except ValueError:
-        raise DomainError("F2 arguments must broadcast to one shape") from None
+    args = [np.asarray(v, dtype=float) for v in (a, b1, b2, c1, c2, x, y)]
+    # checked before broadcasting, so scalar parameters are checked once
     if not all(np.all(np.isfinite(v)) for v in args):
         raise DomainError("F2 arguments must be finite")
-    a, b1, b2, c1, c2, x, y = args
-    if np.any(x > 0.0) or np.any(y > 0.0):
+    if np.any(args[5] > 0.0) or np.any(args[6] > 0.0):
         raise DomainError("appell_f2 is defined for x <= 0 and y <= 0")
-    for c in (c1, c2):
+    for c in args[3:5]:
         if np.any((c <= 0.5) & (np.abs(c - np.round(c))
                                 < _INT_TOL * np.maximum(1.0, np.abs(c)))):
             raise DomainError(
                 "appell_f2: c parameters must not be nonpositive integers")
-    return args
+    try:
+        return np.broadcast_arrays(*args)
+    except ValueError:
+        raise DomainError("F2 arguments must broadcast to one shape") from None
 
 
 def f2_kernel_families(a: float, b1: float, b2: float, c1: float, c2: float,
