@@ -1,6 +1,8 @@
 """Quarter-plane boundary curves: parametrization, normals, endpoint decay."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -192,6 +194,22 @@ def _spline_gap(x, y, u):
     want = CubicSpline(x, y)(u)
     got = geometry._cubic_spline(x, y)(u)
     return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+def test_curve_is_freed_without_the_cyclic_collector():
+    # a curve must not sit in a reference cycle: its arclength tables would
+    # outlive it until the cyclic collector ran
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        curve = superellipse_curve(1.0, 1.0, 3.0)
+        curve.frames(np.linspace(0.0, curve.length, 5))
+        ref = weakref.ref(curve)
+        del curve
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @pytest.mark.parametrize("n", [4, 5, 9, 64, 1025])
