@@ -8,11 +8,12 @@ from .errors import (AmbiguousClassificationError, CoincidentPointsError,
                      DomainError, SingularPairError, SolveError)
 from .geometry import (Curve, CurvePoint, Point, SuperellipseCurve,
                        check_endpoint_conditions, superellipse_curve)
-from .kernel import (ChordSet, Params, chords, dq4_dn, grad_q4, grad_q4_many,
-                     k4_constant, q4, q4_many, singularity_envelope,
-                     weighted_dq4_dn_many)
+from .kernel import (ChordSet, Params, chords, dq4_dn, dq4_dn_many, grad_q4,
+                     grad_q4_many, k4_constant, q4, q4_many,
+                     singularity_envelope, weighted_dq4_dn_many)
 from .specfun import (F2Args, appell_f2, appell_f2_many, appell_f2_series,
-                      appell_f2_sets, f2_kernel_families, f2_param_shift, gauss_2f1,
+                      appell_f2_series_sets, appell_f2_sets,
+                      f2_kernel_families, f2_param_shift, gauss_2f1,
                       gauss_2f1_at_one, ln_gamma, log_singular_3f2,
                       pochhammer)
 from .potential import (Density, GaugeIdentityResult, QuadratureRule,
@@ -37,12 +38,13 @@ __all__ = [
     "Curve", "CurvePoint", "Point", "SuperellipseCurve",
     "check_endpoint_conditions", "superellipse_curve",
     # kernel
-    "ChordSet", "Params", "chords", "dq4_dn", "grad_q4", "grad_q4_many",
-    "k4_constant", "q4", "q4_many", "singularity_envelope",
+    "ChordSet", "Params", "chords", "dq4_dn", "dq4_dn_many", "grad_q4",
+    "grad_q4_many", "k4_constant", "q4", "q4_many", "singularity_envelope",
     "weighted_dq4_dn_many",
     # specfun
     "F2Args", "appell_f2", "appell_f2_many", "appell_f2_series",
-    "appell_f2_sets", "f2_kernel_families", "f2_param_shift", "gauss_2f1", "gauss_2f1_at_one", "ln_gamma",
+    "appell_f2_series_sets", "appell_f2_sets", "f2_kernel_families",
+    "f2_param_shift", "gauss_2f1", "gauss_2f1_at_one", "ln_gamma",
     "log_singular_3f2", "pochhammer",
     # potential
     "Density", "GaugeIdentityResult", "QuadratureRule", "Q4Solution",

@@ -19,11 +19,12 @@ Derivative formulas need three more F2 parameter families (the x-shift,
 the y-shift, and the a-shift of the main family).  The batched evaluators
 (q4_many, grad_q4_many, weighted_dq4_dn_many, and the scalar q4 and grad_q4
 that wrap them) take all four from one pass over the Euler double integral
-of the main family (specfun.f2_kernel_families).  dq4_dn evaluates the
-four families as four parameter sets of one specfun.appell_f2_sets call,
-on the tensor Euler route, and assembles a grouped closed form; it is kept
-as an independent second evaluation tree that the tests check the batched
-route against.
+of the main family (specfun.f2_kernel_families).  dq4_dn_many (and the
+scalar dq4_dn that wraps it) evaluates the four families of all its
+points as parameter sets of one specfun.appell_f2_sets call, on the
+tensor Euler route, and assembles a grouped closed form; it is kept as an
+independent second evaluation tree that the tests and ``verify gradient``
+check the batched route against.
 
 The batched evaluators take the second point either as a fixed Point or
 as per-pair arrays (x0s, y0s), broadcast against the first points; a
@@ -47,7 +48,7 @@ import numpy as np
 
 from .errors import CoincidentPointsError, DomainError, SingularPairError
 from .geometry import CurvePoint, Point
-from .specfun import appell_f2_sets, f2_kernel_families, ln_gamma
+from .specfun import _powers, appell_f2_sets, f2_kernel_families, ln_gamma
 
 # A pair is treated as numerically singular when r^2 falls below this
 # fraction of the larger chord scale; quadrature layouts must keep nodes
@@ -235,41 +236,51 @@ def grad_q4(p: Params, P: Point, Q: Point) -> tuple[float, float]:
     return float(gx[0]), float(gy[0])
 
 
-def dq4_dn(p: Params, cp: CurvePoint, Q: Point) -> float:
-    """Outward conormal derivative of q4 at a curve point.
+def dq4_dn_many(p: Params, xs, ys, nxs, nys, Q) -> np.ndarray:
+    """Outward conormal derivative of q4 at many curve points (positions
+    and outward unit normals) against a second point Q, either a fixed
+    Point or per-pair arrays (x0s, y0s).
 
     Assembled as the five-term grouped closed form (the r^2-logarithm
     projection plus four single-family terms), which must agree with the
-    normal projection of grad_q4; both are exposed so that tests can pit
-    the two evaluation trees against each other.  The four F2 families
-    come from one appell_f2_sets call, each family its own parameter set,
-    not from the shared node set of f2_kernel_families.
+    normal projection of grad_q4_many; both are exposed so that tests can
+    pit the two evaluation trees against each other.  The four families
+    of all points come from one appell_f2_sets call, a parameter set per
+    family and point, not from the shared node set of f2_kernel_families.
+    The power factors take Python's float power, so each point's value is
+    bitwise the same in any batch.  Curve points must sit strictly inside
+    the quadrant.
     """
-    xs = np.array([cp.x])
-    ys = np.array([cp.y])
-    _, _, _, _, dxv, dyv, r2, xi, eta = _chord_arrays(xs, ys, Q)
-    # the four families as four parameter sets at the one point
+    xs, ys, nxs, nys = (np.asarray(v, dtype=float)
+                        for v in (xs, ys, nxs, nys))
+    if np.any(xs <= 0.0) or np.any(ys <= 0.0):
+        raise DomainError("dq4_dn needs points strictly inside the quadrant")
+    xs, ys, x0, y0, dx, dy, r2, xi, eta = _chord_arrays(xs, ys, Q)
+    # the four families as four parameter sets at every point
     sets = np.array(list(_family_params(p).values())).T
-    f_main, f_dx, f_dy, f_da = appell_f2_sets(*sets, xi, eta).tolist()
+    f_main, f_dx, f_dy, f_da = appell_f2_sets(
+        *sets.reshape((5, 4) + (1,) * xi.ndim), xi, eta)
     a, b = p.alpha, p.beta
     k4 = k4_constant(p)
     astar = 2.0 - a - b
-    x, y = cp.x, cp.y
-    x0, y0 = Q.x, Q.y
-    tx, ty = cp.tangent
-    r2s = float(r2[0])
-    dln = (2.0 * float(dxv[0]) * (-ty) + 2.0 * float(dyv[0]) * tx) / r2s
-    base = k4 * x0 ** (1.0 - 2.0 * a) * y0 ** (1.0 - 2.0 * b)
-    r2m2 = r2s ** (a + b - 2.0)
-    r2m3 = r2s ** (a + b - 3.0)
-    xp = x ** (1.0 - 2.0 * a)
-    yp = y ** (1.0 - 2.0 * b)
+    dln = (2.0 * dx * nxs + 2.0 * dy * nys) / r2
+    base = k4 * _powers(x0, 1.0 - 2.0 * a) * _powers(y0, 1.0 - 2.0 * b)
+    r2m2 = _powers(r2, a + b - 2.0)
+    r2m3 = _powers(r2, a + b - 3.0)
+    xp = _powers(xs, 1.0 - 2.0 * a)
+    yp = _powers(ys, 1.0 - 2.0 * b)
     return base * (
         -astar * r2m2 * xp * yp * f_da * dln
-        - 2.0 * astar * r2m3 * xp * yp * x0 * f_dx * (-ty)
-        - 2.0 * astar * r2m3 * xp * yp * y0 * f_dy * tx
-        + (1.0 - 2.0 * a) * r2m2 * x ** (-2.0 * a) * yp * f_main * (-ty)
-        + (1.0 - 2.0 * b) * r2m2 * xp * y ** (-2.0 * b) * f_main * tx)
+        - 2.0 * astar * r2m3 * xp * yp * x0 * f_dx * nxs
+        - 2.0 * astar * r2m3 * xp * yp * y0 * f_dy * nys
+        + (1.0 - 2.0 * a) * r2m2 * _powers(xs, -2.0 * a) * yp * f_main * nxs
+        + (1.0 - 2.0 * b) * r2m2 * xp * _powers(ys, -2.0 * b) * f_main * nys)
+
+
+def dq4_dn(p: Params, cp: CurvePoint, Q: Point) -> float:
+    """Outward conormal derivative of q4 at a curve point: ``dq4_dn_many``
+    at one point."""
+    return float(dq4_dn_many(p, cp.x, cp.y, *cp.normal, Q))
 
 
 def weighted_dq4_dn_many(p: Params, xs, ys, nxs, nys, Q,

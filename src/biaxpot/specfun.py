@@ -38,8 +38,14 @@ Two routes therefore serve F2:
 * ``appell_f2_sets`` takes one parameter set per point, many sets in one
   call, including sets with c <= b that the Euler integral cannot take;
   ``appell_f2_many`` (one set over many points) and ``appell_f2`` (one
-  point) wrap it.  The kernel uses it only in ``kernel.dq4_dn``, the
+  point) wrap it.  The kernel uses it only in ``kernel.dq4_dn_many``, the
   independent evaluation tree the batched route is checked against.
+
+``appell_f2_series_sets`` sums the double series itself on its disk
+|x| + |y| < 1, one parameter set per point, row by row across all points
+of a call.  It serves the c <= b points of ``appell_f2_sets``, all in one
+call, and it is the reference the Euler routes are checked against;
+``appell_f2_series`` (one point) wraps it.
 
 Both Euler routes grade each axis from a dyadic level L: a left
 Gauss-Jacobi panel [0, 2^-(L+1)] absorbing s^(b-1), L dyadic
@@ -73,10 +79,11 @@ the staircase axes and prefix rules, and the Euler prefactors are cached;
 a level pair's two blocks are gathered from its two axes on each call,
 since one workload touches hundreds of level pairs.  ``appell_f2_sets``
 caches nothing: each call builds the end-panel rules of its distinct
-exponents in one ``jacobi_rules`` call, and the axes and prefactors of its
-points, since most callers bring new parameter sets; a point's rules,
-axes and reduction are its own, so its value is bitwise the same in any
-batch.  Otherwise every function is a pure function of its arguments.
+exponents in one ``jacobi_rules`` call, the prefactor of each distinct
+parameter set, and the axes of its points, since most callers bring new
+parameter sets; a point's rules, axes and reduction are its own, so its
+value is bitwise the same in any batch.  Otherwise every function is a
+pure function of its arguments.
 """
 
 from __future__ import annotations
@@ -162,7 +169,9 @@ def pochhammer(a: float, n: int) -> float:
 
 
 def _is_nonpos_int(x: float) -> bool:
-    return x <= 0.5 and abs(x - round(x)) < _INT_TOL * max(1.0, abs(x))
+    # -inf and NaN are no integers (and round() rejects them)
+    return (-math.inf < x <= 0.5
+            and abs(x - round(x)) < _INT_TOL * max(1.0, abs(x)))
 
 
 # ---------------------------------------------------------------------------
@@ -302,62 +311,126 @@ class F2Args:
                 raise DomainError(f"F2Args: {name} must not be a nonpositive integer")
 
 
-def appell_f2_series(args: F2Args) -> float:
-    """F2 by its double power series; requires |x| + |y| < 1.
+def appell_f2_series_sets(a, b1, b2, c1, c2, x, y) -> np.ndarray:
+    """F2 by its double power series, one parameter set per point, on the
+    disk |x| + |y| < 1; all seven arguments are broadcast to one shape, the
+    shape of the result.
 
-    A term (or row) counts towards convergence only once it is small and
-    no larger than its predecessor: near the disk edge the terms of a row
-    grow towards a crest first, and a growing term that is still small
+    The series is summed row by row, a row being the sum over n at fixed
+    m.  A term (or row) counts towards convergence only once it is small
+    and no larger than its predecessor: near the disk edge the terms of a
+    row grow towards a crest first, and a growing term that is still small
     says nothing about the tail.  Each row is summed to its own relative
     accuracy, so that the truncation errors of the rows do not pile up in
     the total; the floor at SERIES_RTOL of the total keeps a row that
-    cancels to nearly zero finite.  Raises ConvergenceError once the
-    leading term of a row underflows before the sum has converged.
+    cancels to nearly zero finite.  A row ends at the SERIES_RUN-th small
+    term in a row, the sum at the SERIES_RUN-th small row in a row.
+
+    Row m of every unfinished point is summed at once, in blocks of terms
+    (``_series_rows``); each term, partial sum and test is the same
+    floating-point operation as in a point-by-point loop, so each point's
+    value is bitwise the same in any batch.  Raises DomainError for
+    arguments that are not finite, outside the disk or with c a
+    nonpositive integer, and ConvergenceError once the leading term of a
+    row underflows before the sum has converged, or once a sum reaches
+    MAX_TERMS rows or a row MAX_TERMS terms.
     """
-    if abs(args.x) + abs(args.y) >= 1.0:
-        raise DomainError(
-            "appell_f2_series requires |x| + |y| < 1 "
-            f"(got {abs(args.x) + abs(args.y)})")
-    a, b1, b2, c1, c2 = args.a, args.b1, args.b2, args.c1, args.c2
-    x, y = args.x, args.y
-    total = 0.0
-    lead = 1.0  # (a)_m (b1)_m / ((c1)_m m!) x^m
-    prev_row = math.inf
-    small_rows = 0
-    for m in range(MAX_TERMS):
-        # row over n at fixed m
-        term = lead
-        row = term
-        small = 0
-        for n in range(MAX_TERMS):
-            prev = abs(term)
-            term *= (a + m + n) * (b2 + n) * y / ((c2 + n) * (n + 1))
-            row += term
-            if (abs(term) <= prev
-                    and abs(term) <= SERIES_RTOL * max(
-                        abs(row), SERIES_RTOL * abs(total), 1e-300)):
-                small += 1
-                if small >= SERIES_RUN:
-                    break
-            else:
-                small = 0
-        else:
-            raise ConvergenceError("appell_f2_series: inner index hit the term cap")
-        total += row
-        floor = SERIES_RTOL * max(abs(total), 1e-300)
-        if abs(row) <= min(prev_row, floor) and abs(lead) <= floor:
-            small_rows += 1
-            if small_rows >= SERIES_RUN:
-                return total
-        else:
-            small_rows = 0
-        prev_row = abs(row)
-        lead *= (a + m) * (b1 + m) * x / ((c1 + m) * (m + 1))
-        if 0.0 < abs(lead) < sys.float_info.min:
-            # rows built on a subnormal lead lose digits, then vanish
-            raise ConvergenceError(
-                "appell_f2_series: terms underflow before the sum converges")
+    args = _f2_arguments(a, b1, b2, c1, c2, x, y, disk=True)
+    shape = args[0].shape
+    a, b1, b2, c1, c2, x, y = (v.ravel() for v in args)
+    out = np.empty(x.size)
+    live = np.arange(x.size)  # the points still summing, and their state:
+    total = np.zeros(x.size)
+    lead = np.ones(x.size)  # (a)_m (b1)_m / ((c1)_m m!) x^m
+    prev_row = np.full(x.size, math.inf)
+    small_rows = np.zeros(x.size, dtype=np.int64)
+    # terms a finished row never uses may overflow; the loop drops them
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(MAX_TERMS):
+            row = _series_rows(a + m, b2, c2, y, lead, np.maximum(
+                SERIES_RTOL * np.abs(total), 1e-300))
+            total = total + row
+            floor = SERIES_RTOL * np.maximum(np.abs(total), 1e-300)
+            small = ((np.abs(row) <= np.minimum(prev_row, floor))
+                     & (np.abs(lead) <= floor))
+            small_rows = np.where(small, small_rows + 1, 0)
+            done = small_rows >= SERIES_RUN
+            out[live[done]] = total[done]
+            prev_row = np.abs(row)
+            if done.any():
+                keep = ~done
+                live, a, b1, b2, c1, c2, x, y = (v[keep] for v in (
+                    live, a, b1, b2, c1, c2, x, y))
+                total, lead, prev_row, small_rows = (v[keep] for v in (
+                    total, lead, prev_row, small_rows))
+            if live.size == 0:
+                return out.reshape(shape)
+            lead = lead * ((a + m) * (b1 + m) * x / ((c1 + m) * (m + 1)))
+            lead_size = np.abs(lead)
+            if np.any((0.0 < lead_size) & (lead_size < sys.float_info.min)):
+                # rows built on a subnormal lead lose digits, then vanish
+                raise ConvergenceError(
+                    "appell_f2_series: terms underflow before the sum "
+                    "converges")
     raise ConvergenceError("appell_f2_series: outer index hit the term cap")
+
+
+# The batched series takes the terms of a row in blocks, this many first and
+# twice as many in each next block up to 16 times as many: its (rows, terms)
+# arrays stay small, and a long row near the disk edge takes few blocks.
+SERIES_BLOCK = 64
+
+
+def _series_rows(am, b2, c2, y, lead, floor) -> np.ndarray:
+    """Row sums lead * sum_n prod_(k < n) ratio_k of the double series, one
+    row per point, with ratio_n = (am + n)(b2 + n) y / ((c2 + n)(n + 1)).
+
+    A term counts as small when it is no larger than its predecessor and
+    at most SERIES_RTOL * max(|partial sum|, floor); a row ends at the
+    SERIES_RUN-th small term in a row.  cumprod and cumsum along n give
+    every term and partial sum with the roundings of the recurrences
+    term *= ratio_n, row += term, and the last SERIES_RUN - 1 tests of a
+    block carry a run into the next.
+    """
+    rows = np.empty(lead.size)
+    todo = np.arange(lead.size)
+    term = row = lead
+    run = np.zeros((lead.size, SERIES_RUN - 1), dtype=bool)
+    n0, width = 0, SERIES_BLOCK
+    while n0 < MAX_TERMS:
+        n = np.arange(n0, min(n0 + width, MAX_TERMS), dtype=float)
+        n0, width = n0 + width, min(2 * width, 16 * SERIES_BLOCK)
+        ratio = ((am[:, None] + n) * (b2[:, None] + n) * y[:, None]
+                 / ((c2[:, None] + n) * (n + 1.0)))
+        terms = np.cumprod(np.concatenate((term[:, None], ratio), axis=1),
+                           axis=1)
+        sums = np.cumsum(np.concatenate((row[:, None], terms[:, 1:]), axis=1),
+                         axis=1)[:, 1:]
+        size = np.abs(terms)
+        small = np.concatenate((run, (size[:, 1:] <= size[:, :-1]) & (
+            size[:, 1:] <= SERIES_RTOL * np.maximum(np.abs(sums),
+                                                    floor[:, None]))), axis=1)
+        # ends[:, j]: term j of the block closes a run of SERIES_RUN
+        ends = small[:, SERIES_RUN - 1:].copy()
+        for k in range(1, SERIES_RUN):
+            ends &= small[:, SERIES_RUN - 1 - k:SERIES_RUN - 1 - k + n.size]
+        stop = ends.any(axis=1)
+        rows[todo[stop]] = sums[stop, ends[stop].argmax(axis=1)]
+        if stop.all():
+            return rows
+        going = ~stop
+        todo, am, b2, c2, y, floor = (v[going] for v in (todo, am, b2, c2, y,
+                                                         floor))
+        term, row = terms[going, -1], sums[going, -1]
+        run = small[going, small.shape[1] - (SERIES_RUN - 1):]
+    raise ConvergenceError("appell_f2_series: inner index hit the term cap")
+
+
+def appell_f2_series(args: F2Args) -> float:
+    """F2 by its double power series at one point, |x| + |y| < 1:
+    ``appell_f2_series_sets`` of one parameter set."""
+    return float(appell_f2_series_sets(args.a, args.b1, args.b2, args.c1,
+                                       args.c2, args.x, args.y))
 
 
 def f2_param_shift(args: F2Args, m: int, n: int) -> tuple[float, F2Args]:
@@ -479,11 +552,16 @@ EULER_CHUNK_BYTES = 1 << 20
 TENSOR_CHUNK_BYTES = 1 << 18
 
 
-def _powers(base: float, exponents: np.ndarray) -> np.ndarray:
-    """base ** e for every e, by Python's float power (the libm rounding,
-    which np.power's vector loops do not always match)."""
-    return np.array([base ** e for e in exponents.ravel().tolist()]
-                    ).reshape(exponents.shape)
+def _powers(base, exponent) -> np.ndarray:
+    """base ** exponent over the broadcast of the two, element by element
+    by Python's float power (the libm rounding, which np.power's vector
+    loops do not always match)."""
+    # a list of floats, not np.frompyfunc: its object casts allocate
+    # buffers that raised the solve's peak resident set
+    base, exponent = np.broadcast_arrays(base, exponent)
+    return np.array([u ** e for u, e in zip(base.ravel().tolist(),
+                                            exponent.ravel().tolist())],
+                    dtype=float).reshape(base.shape)
 
 
 def _euler_axes(b, cb, left, right, level: int, leg: int = _EULER_LEG_N):
@@ -631,8 +709,10 @@ def _f2_euler_many(a, b1, b2, c1, c2, x, y) -> np.ndarray:
         np.stack((b1 - 1.0, c1 - b1 - 1.0, b2 - 1.0, c2 - b2 - 1.0)),
         return_inverse=True)
     tj, wj = jacobi_rules(_EULER_JAC_N, exponents)
-    pref = np.array([_euler_prefactor.__wrapped__(*v) for v in zip(
-        b1.tolist(), c1.tolist(), b2.tolist(), c2.tolist())])
+    # one prefactor per distinct (b1, c1, b2, c2)
+    sets = list(zip(b1.tolist(), c1.tolist(), b2.tolist(), c2.tolist()))
+    known = {v: _euler_prefactor.__wrapped__(*v) for v in set(sets)}
+    pref = np.array([known[v] for v in sets])
     for level_x, level_y, group in _level_groups(x, y):
         nodes = ((2 * _EULER_JAC_N + _EULER_LEG_N * level_x)
                  * (2 * _EULER_JAC_N + _EULER_LEG_N * level_y))
@@ -656,15 +736,15 @@ def _f2_euler_many(a, b1, b2, c1, c2, x, y) -> np.ndarray:
     return out
 
 
-def _f2_arguments(a, b1, b2, c1, c2, x, y):
+def _f2_arguments(a, b1, b2, c1, c2, x, y, disk: bool = False):
     """The seven F2 arguments as float arrays of one broadcast shape;
-    raises DomainError unless they broadcast, are finite, x, y <= 0 and
-    no c is a nonpositive integer."""
+    raises DomainError unless they broadcast, are finite, no c is a
+    nonpositive integer and x, y <= 0 (with ``disk``, |x| + |y| < 1)."""
     args = [np.asarray(v, dtype=float) for v in (a, b1, b2, c1, c2, x, y)]
     # checked before broadcasting, so scalar parameters are checked once
     if not all(np.all(np.isfinite(v)) for v in args):
         raise DomainError("F2 arguments must be finite")
-    if np.any(args[5] > 0.0) or np.any(args[6] > 0.0):
+    if not disk and (np.any(args[5] > 0.0) or np.any(args[6] > 0.0)):
         raise DomainError("appell_f2 is defined for x <= 0 and y <= 0")
     for c in args[3:5]:
         if np.any((c <= 0.5) & (np.abs(c - np.round(c))
@@ -672,9 +752,15 @@ def _f2_arguments(a, b1, b2, c1, c2, x, y):
             raise DomainError(
                 "appell_f2: c parameters must not be nonpositive integers")
     try:
-        return np.broadcast_arrays(*args)
+        args = np.broadcast_arrays(*args)
     except ValueError:
         raise DomainError("F2 arguments must broadcast to one shape") from None
+    if disk:
+        radius = np.abs(args[5]) + np.abs(args[6])
+        if np.any(radius >= 1.0):
+            raise DomainError("appell_f2_series requires |x| + |y| < 1 "
+                              f"(got {radius.max()})")
+    return args
 
 
 def f2_kernel_families(a: float, b1: float, b2: float, c1: float, c2: float,
@@ -730,6 +816,8 @@ def f2_kernel_families(a: float, b1: float, b2: float, c1: float, c2: float,
                 rows = np.vecdot(core, qw)
                 moments.append((np.vecdot(rows, w), np.vecdot(rows, w * node),
                                 np.vecdot(np.vecdot(core, qwq), w)))
+                # free this tensor before the next block builds its own
+                del core
             (lo0, lo_s, lo_t), (up0, up_t, up_s) = moments
             i0[idx], i_s[idx], i_t[idx] = lo0 + up0, lo_s + up_s, lo_t + up_t
     da = pref * i0
@@ -749,12 +837,12 @@ def appell_f2_sets(a, b1, b2, c1, c2, x, y) -> np.ndarray:
     Points with c1 > b1 > 0 and c2 > b2 > 0 take the Euler double integral
     on the tensor product of the two graded axes, all in one batch; the
     origin, where the quadrature leaves a last-digit error, is set to
-    exactly 1.  Any other point goes through Appell's transformation to the
-    double series at x/(x+y-1), y/(x+y-1), one point at a time; that series
-    raises ConvergenceError where its terms underflow before it converges
-    (see the module docstring).  Agrees with ``appell_f2_series`` on the
-    disk |x| + |y| < 1, and each point's value is bitwise the same in any
-    batch.
+    exactly 1.  All other points go through Appell's transformation to the
+    double series at x/(x+y-1), y/(x+y-1), in one ``appell_f2_series_sets``
+    call; that series raises ConvergenceError where its terms underflow
+    before it converges (see the module docstring).  Agrees with
+    ``appell_f2_series`` on the disk |x| + |y| < 1, and each point's value
+    is bitwise the same in any batch.
     """
     args = _f2_arguments(a, b1, b2, c1, c2, x, y)
     shape = args[0].shape
@@ -763,12 +851,13 @@ def appell_f2_sets(a, b1, b2, c1, c2, x, y) -> np.ndarray:
     out = np.empty(x.size)
     out[euler] = _f2_euler_many(*(v[euler] for v in (a, b1, b2, c1, c2,
                                                       x, y)))
-    for j in np.flatnonzero(~euler).tolist():
-        aj, b1j, b2j, c1j, c2j, xj, yj = (float(v[j]) for v in
-                                          (a, b1, b2, c1, c2, x, y))
-        out[j] = (1.0 - xj - yj) ** (-aj) * appell_f2_series(F2Args(
-            aj, c1j - b1j, c2j - b2j, c1j, c2j,
-            xj / (xj + yj - 1.0), yj / (xj + yj - 1.0)))
+    if not euler.all():
+        # the rest through Appell's transformation, in one series call
+        ar, b1r, b2r, c1r, c2r, xr, yr = (v[~euler] for v in (
+            a, b1, b2, c1, c2, x, y))
+        out[~euler] = _powers(1.0 - xr - yr, -ar) * appell_f2_series_sets(
+            ar, c1r - b1r, c2r - b2r, c1r, c2r, xr / (xr + yr - 1.0),
+            yr / (xr + yr - 1.0))
     out[(x == 0.0) & (y == 0.0)] = 1.0
     return out.reshape(shape)
 

@@ -228,6 +228,36 @@ def test_verify_gradient_batches_and_reproduces(tmp_path, monkeypatch):
     assert outputs[0] == outputs[1]
 
 
+def test_verify_gradient_conormal_block_builds_its_rules_once(tmp_path,
+                                                             monkeypatch):
+    # the 25 conormal points take their four F2 families from one
+    # appell_f2_sets call, whose Gauss-Jacobi end-panel rules come from one
+    # jacobi_rules call (a first run fills the kernel route's rule caches)
+    import biaxpot.cli as cli
+    from biaxpot import specfun
+
+    (tmp_path / "warm").mkdir()
+    assert run(tmp_path / "warm", {"gradient_pairs": 4},
+               "verify", "gradient") == 0
+    rules, blocks = [], []
+
+    def spy_rules(*args, _fn=specfun.jacobi_rules):
+        rules.append(args)
+        return _fn(*args)
+
+    def spy_block(*args, _fn=cli.dq4_dn_many):
+        before = len(rules)
+        out = _fn(*args)
+        blocks.append((len(args[1]), len(rules) - before))
+        return out
+
+    monkeypatch.setattr(specfun, "jacobi_rules", spy_rules)
+    monkeypatch.setattr(cli, "dq4_dn_many", spy_block)
+    assert run(tmp_path, {"gradient_pairs": 4}, "verify", "gradient") == 0
+    assert blocks == [(25, 1)]
+    assert len(rules) == 1
+
+
 def test_verify_gauge(tmp_path):
     cfg = {"interior_points": 1, "oncurve_points": 1, "exterior_points": 1}
     assert run(tmp_path, cfg, "verify", "gauge") == 0

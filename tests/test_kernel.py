@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from biaxpot import (CoincidentPointsError, DomainError, Params, Point,
-                     SingularPairError, chords, dq4_dn, grad_q4, grad_q4_many,
-                     k4_constant, q4, q4_many, singularity_envelope,
+                     SingularPairError, chords, dq4_dn, dq4_dn_many, grad_q4,
+                     grad_q4_many, k4_constant, q4, q4_many,
+                     singularity_envelope, superellipse_curve,
                      weighted_dq4_dn_many)
 from biaxpot.kernel import kernel_families
 
@@ -279,6 +280,48 @@ def test_conormal_matches_projected_gradient(curve):
         gx, gy = grad_q4(P25, Point(cp.x, cp.y), Q)
         proj = gx * cp.normal[0] + gy * cp.normal[1]
         assert abs(dn - proj) <= 1.0e-10 * max(abs(dn), 1.0)
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.25, 0.25), (0.1, 0.4), (0.01, 0.49)])
+@pytest.mark.parametrize("q", [2.0, 3.0, 8.0])
+@pytest.mark.parametrize("a, b", [(1.0, 1.0), (3.0, 0.5)])
+def test_conormal_many_matches_projected_gradient(alpha, beta, q, a, b):
+    # two evaluation trees: the grouped closed form on appell_f2_sets'
+    # tensor route, the gradient on f2_kernel_families' staircase
+    p = Params(alpha, beta)
+    curve = superellipse_curve(a, b, q)
+    xs, ys, _, _, nxs, nys, _ = curve.frames(
+        np.linspace(0.02, 0.98, 25) * curve.length)
+    for Q in (Point(1.5 * a, 1.5 * b), Point(0.4 * a, 0.3 * b)):
+        dn = dq4_dn_many(p, xs, ys, nxs, nys, Q)
+        gx, gy = grad_q4_many(p, xs, ys, Q)
+        assert np.all(np.abs(dn - (nxs * gx + nys * gy))
+                      <= 1.0e-12 * np.maximum(np.abs(dn), 1.0))
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.25, 0.25), (0.1, 0.4)])
+def test_conormal_many_is_bitwise_the_scalar_calls(curve, alpha, beta):
+    p = Params(alpha, beta)
+    Q = Point(0.45, 0.4)
+    s = np.linspace(0.05, 0.95, 20) * curve.length
+    xs, ys, _, _, nxs, nys, _ = curve.frames(s)
+    batch = dq4_dn_many(p, xs, ys, nxs, nys, Q)
+    for cp, value in zip(curve.points_at(s), batch.tolist()):
+        assert dq4_dn(p, cp, Q) == value
+    # reversed, as a (4, 5) block, and against per-pair sources
+    assert np.array_equal(
+        dq4_dn_many(p, xs[::-1], ys[::-1], nxs[::-1], nys[::-1], Q),
+        batch[::-1])
+    block = dq4_dn_many(p, *(v.reshape(4, 5) for v in (xs, ys, nxs, nys)), Q)
+    assert np.array_equal(block.ravel(), batch)
+    pairs = (np.full(xs.shape, Q.x), np.full(xs.shape, Q.y))
+    assert np.array_equal(dq4_dn_many(p, xs, ys, nxs, nys, pairs), batch)
+
+
+def test_conormal_many_needs_points_inside_the_quadrant():
+    with pytest.raises(DomainError):
+        dq4_dn_many(P25, [0.5, 0.0], [0.5, 1.0], [0.7, 0.0], [0.7, 1.0],
+                    Point(0.45, 0.4))
 
 
 def test_weighted_conormal_bounded_at_endpoint(curve):

@@ -14,8 +14,9 @@ import pytest
 
 from biaxpot import (ConvergenceError, DivergenceError, DomainError, F2Args,
                      appell_f2, appell_f2_many, appell_f2_series,
-                     appell_f2_sets, f2_kernel_families, f2_param_shift, gauss_2f1,
-                     gauss_2f1_at_one, ln_gamma, log_singular_3f2, pochhammer)
+                     appell_f2_series_sets, appell_f2_sets, f2_kernel_families,
+                     f2_param_shift, gauss_2f1, gauss_2f1_at_one, ln_gamma,
+                     log_singular_3f2, pochhammer)
 from biaxpot import specfun
 from biaxpot.specfun import (_euler_prefactor, _f2_euler_many, _stair_axis,
                              gauss_rule, jacobi_rules)
@@ -235,6 +236,254 @@ def test_f2_series_sums_past_the_crest_of_a_row():
                   1.6511501723072097, 1.8005905651157152,
                   0.32149970052137294, 0.5520107184548619)
     assert REL(appell_f2_series(args), 7.31237123279686245233) <= 1.0e-13
+
+
+# Values of the point-by-point summation loop that appell_f2_series_sets
+# replaced, frozen as float.hex: third-quadrant points with |x| + |y| from
+# 0.05 to 0.9, positive and mixed signs up to |x| + |y| = 0.97, points on
+# an axis, the origin, and the transformed arguments of the c <= b branch
+# of appell_f2_sets (a, c1 - b1, c2 - b2, c1, c2, x/(x+y-1), y/(x+y-1)).
+SERIES_FROZEN = [
+    ((2.13788412616668, 0.6684805730426748, 1.047999462167448,
+      2.362414052118509, 1.9873898478687189, -0.02799072653990651,
+      -0.022009273460093494),
+     "0x1.eb67105c66dd3p-1"),
+    ((2.189002995252705, 1.1515940811856835, 0.643458541741865,
+      2.12869519952981, 1.8387942984162085, -0.04317727747735855,
+      -0.10126716696708588),
+     "0x1.c527ed722027fp-1"),
+    ((0.67783899350774, 1.1295242001938293, 1.4813092651845672,
+      1.8977330243026185, 2.195677712948843, -0.037483871296822895,
+      -0.20140501759206597),
+     "0x1.d013234455a19p-1"),
+    ((1.3295014794326119, 0.8858949546906723, 0.5674516555891139,
+      1.6868798638898725, 2.0995663818023305, -0.18088090303147297,
+      -0.15245243030186034),
+     "0x1.b267ef5f20777p-1"),
+    ((0.6342244741181912, 1.3452912534066641, 0.742814979629137,
+      2.7586617716750554, 2.1128593880968145, -0.28344008162229034,
+      -0.14433769615548744),
+     "0x1.cbedfac1a4267p-1"),
+    ((1.6237769692655326, 1.2846037605242047, 1.1368883221991515,
+      1.7980446722435106, 2.809358940493456, -0.24265204324400638,
+      -0.27957017897821584),
+     "0x1.584a1c73b6927p-1"),
+    ((0.34906347280804556, 1.5280869611616825, 1.2527732415411683,
+      3.269823677022873, 1.8166760008741203, -0.4671658469376109,
+      -0.1495008197290558),
+     "0x1.d172749ed48ccp-1"),
+    ((1.075422294389793, 0.7814352327813323, 1.1286342340659268,
+      2.3368384950860923, 2.6855062813192387, -0.2457750812402956,
+      -0.46533602987081557),
+     "0x1.8e4c5034b5918p-1"),
+    ((0.42438790424937034, 0.6645608746051561, 1.4491348555897687,
+      2.229701528883443, 2.6891787997046324, -0.6977937892757445,
+      -0.1077617662798111),
+     "0x1.d1e646e4cc536p-1"),
+    ((1.870275692909612, 0.5717318310603703, 1.3013952537721425,
+      1.0477750908953634, 2.917446739733002, -0.20061613322082317,
+      -0.699383866779177),
+     "0x1.16559ec6802a8p-1"),
+    ((0.6064049406210719, 1.4896649862437745, 0.33047436748538006,
+      3.250804368973772, 1.531437791436595, 0.18132212222293326,
+      0.4186778777770667),
+     "0x1.22b039d07246bp+0"),
+    ((1.0101405334697477, 0.962926015649, 1.4537724359970459,
+      1.9928597244832356, 2.2656108667685313, 0.2916095503801381,
+      -0.508390449619862),
+     "0x1.b7d844657da53p-1"),
+    ((1.1637371116140554, 1.0660859349290688, 0.3805252950825977,
+      2.025031989442211, 1.3050148389371043, -0.2774390040533204,
+      0.6225609959466796),
+     "0x1.1f0ec01aa19d3p+0"),
+    ((1.069601381899443, 1.2059807936594715, 1.1952589832520966,
+      2.5096907862152724, 1.6769415240479368, 0.6284997903877744,
+      0.32150020961222553),
+     "0x1.7c650e91f0e33p+1"),
+    ((2.214275011105824, 1.075937708908376, 1.3125296625500673,
+      2.5157189773033912, 2.0726530285947953, 0.19940206320093395,
+      0.770597936799066),
+     "0x1.9303c6e21f710p+4"),
+    ((1.2392713304693617, 0.697420198826708, 0.30544826327182784,
+      2.01177389104312, 1.9757941028560368, -0.5648837953077241,
+      -0.40511620469227577),
+     "0x1.8b3c860036cc7p-1"),
+    ((0.3118084322631799, 1.4566684037814785, 1.4925173449584626,
+      1.9428249929626715, 2.6798790250405036, -0.7, 0.0),
+     "0x1.c2460088d2ed9p-1"),
+    ((2.1410371126387924, 0.5338737680914414, 0.6105801730962779,
+      2.3230769290044924, 1.7156155567282727, 0.0, -0.8),
+     "0x1.4b55335e23409p-1"),
+    ((1.8543218836344315, 1.1839877043727975, 1.0731811816763321,
+      2.7656249278049687, 2.530570747326201, 0.5, 0.0),
+     "0x1.b03f3d100cbe6p+0"),
+    ((0.31390280471216236, 0.49670601868726444, 0.44824689334684986,
+      1.1326103098141653, 1.7009351067963574, 0.0, 0.0),
+     "0x1.0000000000000p+0"),
+    ((2.303533518629706, 1.084844430826631, -0.06616807441191547,
+      1.7653344451520026, 0.4629178769150633, 0.03363031985533189,
+      0.48907619712242956),
+     "0x1.579d87735fe94p-1"),
+    ((0.4334081742270152, -0.23972865469433224, 0.5024162921319628,
+      1.1866135998008098, 1.9757481021675796, 0.04633035279719354,
+      0.244107949181456),
+     "0x1.066c2885b326fp+0"),
+    ((0.5208397144764316, 1.1685216743891307, -0.19123672290180882,
+      2.7581160329173278, 1.0753426810267546, 0.2579009566079888,
+      0.6707652357739824),
+     "0x1.eb07f24b99b5fp-1"),
+    ((0.44111300640144063, -0.2243958006558609, 0.6469980929321453,
+      0.48857995981108776, 1.8732523145961455, 0.016931054645167597,
+      0.06562501376512354),
+     "0x1.01b7a915f6428p+0"),
+    ((0.672297412825281, 0.6988820111310516, -0.11005275168509032,
+      0.9592680136707061, 0.5413335845876325, 0.8958204998566703,
+      0.0010597485450872942),
+     "0x1.71c3e74939c25p+1"),
+    ((0.3985344546689088, -0.27948464495992664, 0.6999214914860976,
+      0.8839354259138616, 2.146275299498668, 0.613519269330128,
+      0.2924710966231588),
+     "0x1.da067f5141495p-1"),
+    ((1.7098600291678332, 0.9909417075282738, -0.08931624178423253,
+      2.1540423782309515, 0.39402846589244117, 0.6503678185170967,
+      0.017713324568320997),
+     "0x1.1780ad532d368p+1"),
+    ((1.9047954225157495, -0.26807574150988356, 0.3954012370513611,
+      0.3614064559367366, 1.9700182487576872, 0.011496607485431158,
+      0.8815277433406042),
+     "0x1.10b6963480631p+1"),
+    ((2.320821115240521, 1.2423680373768553, -0.2905271681894446,
+      2.63258720700931, 0.8025839750539234, 0.6359721910454655,
+      0.3070357282898967),
+     "0x1.a5705eb024a8cp-3"),
+    ((1.7029148233671751, -0.290213398213903, 1.0676890577070475,
+      0.6985605130076897, 2.4014803037244827, 0.2058439997970419,
+      0.02522421332519337),
+     "0x1.b2423bd40f519p-1"),
+]
+
+
+def test_f2_series_sets_keep_the_frozen_loop_values_bitwise():
+    # alone, shuffled and as a (5, 6) block: each point's terms, partial
+    # sums and stopping tests are its own, whatever else the batch holds
+    sets = np.array([case for case, _ in SERIES_FROZEN])
+    want = np.array([float.fromhex(value) for _, value in SERIES_FROZEN])
+    for case, value in zip(sets.tolist(), want.tolist()):
+        assert appell_f2_series(F2Args(*case)) == value
+    order = np.random.default_rng(15).permutation(len(sets))
+    assert np.array_equal(appell_f2_series_sets(*sets[order].T), want[order])
+    block = appell_f2_series_sets(*sets.T.reshape(7, 5, 6))
+    assert block.shape == (5, 6)
+    assert np.array_equal(block.ravel(), want)
+
+
+def series_loop(a, b1, b2, c1, c2, x, y):
+    """The double series summed point by point, the loop the batched
+    series must repeat operation for operation (for converging sums)."""
+    rtol, run = specfun.SERIES_RTOL, specfun.SERIES_RUN
+    total, lead, prev_row, small_rows = 0.0, 1.0, math.inf, 0
+    for m in range(specfun.MAX_TERMS):
+        term = row = lead
+        small = 0
+        for n in range(specfun.MAX_TERMS):
+            prev = abs(term)
+            term *= (a + m + n) * (b2 + n) * y / ((c2 + n) * (n + 1))
+            row += term
+            if abs(term) <= prev and abs(term) <= rtol * max(
+                    abs(row), rtol * abs(total), 1e-300):
+                small += 1
+                if small >= run:
+                    break
+            else:
+                small = 0
+        total += row
+        floor = rtol * max(abs(total), 1e-300)
+        if abs(row) <= min(prev_row, floor) and abs(lead) <= floor:
+            small_rows += 1
+            if small_rows >= run:
+                return total
+        else:
+            small_rows = 0
+        prev_row = abs(row)
+        lead *= (a + m) * (b1 + m) * x / ((c1 + m) * (m + 1))
+    raise AssertionError("the reference loop did not converge")
+
+
+def test_f2_series_sets_repeat_the_loop_bitwise():
+    # random sets anywhere on the disk up to |x| + |y| = 0.9, both signs,
+    # negative b and c below b included
+    rng = np.random.default_rng(16)
+    radius = rng.uniform(0.0, 0.9, 40)
+    share = rng.uniform(0.0, 1.0, 40)
+    sets = np.column_stack((
+        rng.uniform(0.2, 2.5, 40), rng.uniform(-0.4, 1.6, (40, 2)),
+        rng.uniform(0.3, 2.8, (40, 2)),
+        radius * share * rng.choice([-1.0, 1.0], 40),
+        radius * (1.0 - share) * rng.choice([-1.0, 1.0], 40)))
+    batch = appell_f2_series_sets(*sets.T)
+    for case, value in zip(sets.tolist(), batch.tolist()):
+        assert series_loop(*case) == value
+
+
+def test_f2_series_sets_broadcast_one_set_over_points():
+    x = -np.linspace(0.0, 0.45, 7)
+    y = np.linspace(0.4, -0.5, 7)
+    got = appell_f2_series_sets(1.1, 0.6, 0.9, 1.4, 1.7, x, y)
+    for xj, yj, value in zip(x.tolist(), y.tolist(), got.tolist()):
+        assert appell_f2_series(F2Args(1.1, 0.6, 0.9, 1.4, 1.7, xj, yj)) == value
+
+
+def test_f2_series_sets_empty_input_gives_an_empty_result():
+    for shape in ((0,), (2, 0)):
+        got = appell_f2_series_sets(1.5, 0.75, 0.75, 1.5, 1.5,
+                                    np.zeros(shape), np.zeros(shape))
+        assert got.shape == shape
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_f2_series_rejects_non_finite_arguments(bad):
+    # a NaN argument used to sum on to the term cap and end in
+    # ConvergenceError; it is a domain error, in any of the seven
+    for k in range(7):
+        args = [1.5, 0.75, 0.75, 1.5, 1.5, -0.2, 0.3]
+        args[k] = bad
+        with pytest.raises(DomainError):
+            appell_f2_series(F2Args(*args))
+        batch = np.tile([1.5, 0.75, 0.75, 1.5, 1.5, -0.2, 0.3], (3, 1))
+        batch[1, k] = bad
+        with pytest.raises(DomainError):
+            appell_f2_series_sets(*batch.T)
+
+
+def test_f2_series_sets_reject_bad_arguments():
+    good = [1.5, 0.75, 0.75, 1.5, 1.5, -0.2, -0.3]
+    for column, value in ((5, -0.71), (6, 0.8), (5, 1.0), (3, 0.0),
+                          (4, -2.0)):
+        bad = np.tile(good, (3, 1))
+        bad[1, column] = value
+        with pytest.raises(DomainError):
+            appell_f2_series_sets(*bad.T)
+    with pytest.raises(DomainError):
+        appell_f2_series_sets(*good[:5], np.full(3, -0.2), np.full(2, -0.3))
+
+
+def test_f2_series_sets_raise_convergence_errors(monkeypatch):
+    # the transformed series of F2(1.3; 1.1, 0.9; 1.05, 1.8; -150, -150):
+    # its leading terms underflow before its rows decay, alone or among
+    # points that converge
+    x = -150.0 / (-150.0 - 150.0 - 1.0)
+    underflow = [1.3, 1.05 - 1.1, 0.9, 1.05, 1.8, x, x]
+    with pytest.raises(ConvergenceError, match="underflow"):
+        appell_f2_series_sets(*underflow)
+    with pytest.raises(ConvergenceError, match="underflow"):
+        appell_f2_series_sets(*np.array([[1.5, 0.75, 0.75, 1.5, 1.5, -0.2,
+                                          -0.3], underflow]).T)
+    # a row longer than the term cap, and more rows than the cap
+    monkeypatch.setattr(specfun, "MAX_TERMS", 20)
+    with pytest.raises(ConvergenceError, match="inner"):
+        appell_f2_series_sets(1.5, 0.75, 0.75, 1.5, 1.5, -0.05, -0.9)
+    with pytest.raises(ConvergenceError, match="outer"):
+        appell_f2_series_sets(1.5, 0.75, 0.75, 1.5, 1.5, -0.9, 0.0)
 
 
 # -- appell F2 continuation -------------------------------------------------------
