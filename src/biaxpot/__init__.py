@@ -3,24 +3,21 @@ quarter plane: fundamental solution, double-layer potential, and a Nystrom
 solver for the interior Dirichlet problem.
 """
 
-from .errors import (AmbiguousClassificationError, CoincidentPointsError,
-                     ConfigError, ConvergenceError, DivergenceError,
-                     DomainError, SingularPairError, SolveError)
-from .geometry import (Curve, CurvePoint, Point, SuperellipseCurve,
-                       check_endpoint_conditions, superellipse_curve)
-from .kernel import (ChordSet, Params, chords, dq4_dn, dq4_dn_many, grad_q4,
-                     grad_q4_many, k4_constant, q4, q4_many,
-                     singularity_envelope, weighted_dq4_dn_many)
+from .errors import (AmbiguousClassificationError, ConfigError,
+                     ConvergenceError, DivergenceError, DomainError,
+                     SingularPairError, SolveError)
+from .geometry import Curve, CurvePoint, Point, check_endpoint_conditions
+from .kernel import (Params, dq4_dn, dq4_dn_many, grad_q4, grad_q4_many,
+                     k4_constant, q4, q4_many, singularity_envelope,
+                     weighted_dq4_dn_many)
 from .specfun import (F2Args, appell_f2, appell_f2_many, appell_f2_series,
                       appell_f2_series_sets, appell_f2_sets,
-                      f2_kernel_families, f2_param_shift, gauss_2f1,
-                      gauss_2f1_at_one, ln_gamma, log_singular_3f2,
-                      pochhammer)
+                      f2_kernel_families, gauss_2f1, gauss_2f1_at_one,
+                      ln_gamma, log_singular_3f2)
 from .potential import (Density, GaugeIdentityResult, QuadratureRule,
                         Q4Solution, boundary_trace, classify, contour_flux,
-                        double_layer, energy_residual, flux_residual,
-                        gauge_identity_verify, graded_rule, k_gauge,
-                        kernel_K4, kernel_K4_diagonal, kernel_K4_log_split,
+                        double_layer, energy_residual, gauge_identity_verify,
+                        graded_rule, k_gauge, kernel_K4_log_split,
                         kernel_K4_row, nearest_arclength, smooth_rule)
 from .bie import (NystromSystem, assemble, condition_estimate,
                   convergence_study, default_exterior_source, evaluate,
@@ -31,26 +28,22 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # errors
-    "AmbiguousClassificationError", "CoincidentPointsError", "ConfigError",
-    "ConvergenceError", "DivergenceError", "DomainError", "SingularPairError",
-    "SolveError",
+    "AmbiguousClassificationError", "ConfigError", "ConvergenceError",
+    "DivergenceError", "DomainError", "SingularPairError", "SolveError",
     # geometry
-    "Curve", "CurvePoint", "Point", "SuperellipseCurve",
-    "check_endpoint_conditions", "superellipse_curve",
+    "Curve", "CurvePoint", "Point", "check_endpoint_conditions",
     # kernel
-    "ChordSet", "Params", "chords", "dq4_dn", "dq4_dn_many", "grad_q4",
-    "grad_q4_many", "k4_constant", "q4", "q4_many", "singularity_envelope",
+    "Params", "dq4_dn", "dq4_dn_many", "grad_q4", "grad_q4_many",
+    "k4_constant", "q4", "q4_many", "singularity_envelope",
     "weighted_dq4_dn_many",
     # specfun
     "F2Args", "appell_f2", "appell_f2_many", "appell_f2_series",
     "appell_f2_series_sets", "appell_f2_sets", "f2_kernel_families",
-    "f2_param_shift", "gauss_2f1", "gauss_2f1_at_one", "ln_gamma",
-    "log_singular_3f2", "pochhammer",
+    "gauss_2f1", "gauss_2f1_at_one", "ln_gamma", "log_singular_3f2",
     # potential
     "Density", "GaugeIdentityResult", "QuadratureRule", "Q4Solution",
     "boundary_trace", "classify", "contour_flux", "double_layer",
-    "energy_residual", "flux_residual", "gauge_identity_verify",
-    "graded_rule", "k_gauge", "kernel_K4", "kernel_K4_diagonal",
+    "energy_residual", "gauge_identity_verify", "graded_rule", "k_gauge",
     "kernel_K4_log_split", "kernel_K4_row", "nearest_arclength",
     "smooth_rule",
     # bie

@@ -47,7 +47,7 @@ __all__ = [
 ]
 
 # Fraction of the arclength excluded at each endpoint of the collocation
-# range at the minimum node count; the default guard scales like 1/n from
+# range at the minimum node count; the guard scales like 1/n from
 # this anchor so the truncation bias follows the scheme's convergence.
 GUARD_FRAC = 0.025
 
@@ -138,28 +138,22 @@ class NystromSystem:
 
 
 def assemble(p: Params, curve: Curve, n: int,
-             f: Callable | None = None,
-             guard_frac: float | None = None) -> NystromSystem:
+             f: Callable | None = None) -> NystromSystem:
     """Build the collocation system with n nodes on the guarded range.
 
     ``f`` is optional boundary data evaluated at the nodes into the rhs.
-    ``guard_frac`` sets the excluded endpoint fraction.  By default it
-    shrinks with the mesh (the stock fraction anchored at the minimum
-    node count), so the endpoint truncation bias refines along with the
-    quadrature error instead of flooring it.  A kernel evaluation that
-    fails raises SolveError naming the first failing row and its
-    arclength.
+    The excluded endpoint fraction shrinks with the mesh (GUARD_FRAC
+    anchored at the minimum node count, within [0.002, 0.2]), so the
+    endpoint truncation bias refines along with the quadrature error
+    instead of flooring it.  A kernel evaluation that fails raises
+    SolveError naming the first failing row and its arclength.
     """
     if n < 16:
         raise DomainError(f"need at least 16 nodes, got {n}")
     if n % PANEL_ORDER != 0:
         raise DomainError(f"node count must be a multiple of {PANEL_ORDER}")
-    if guard_frac is None:
-        guard_frac = min(0.2, max(0.002, GUARD_FRAC * 16.0 / n))
-    if not 0.002 <= guard_frac <= 0.2:
-        raise DomainError("guard fraction must lie in [0.002, 0.2]")
     length = curve.length
-    guard = guard_frac * length
+    guard = min(0.2, max(0.002, GUARD_FRAC * 16.0 / n)) * length
     panels = n // PANEL_ORDER
     edges = np.linspace(guard, length - guard, panels + 1)
     nodes, weights = _panel_nodes(edges, PANEL_ORDER)
@@ -389,7 +383,7 @@ def convergence_study(p: Params, curve: Curve, ns, probes,
                       source: Point | None = None) -> dict:
     """Manufactured-solution study over node counts.
 
-    For each n: assemble with the mesh-scaled default guard, solve,
+    For each n: assemble with the mesh-scaled guard, solve,
     evaluate at all probes in one ``evaluate_many`` call, and compare with
     the exact exterior-source solution.  Returns per-n max probe errors and the least-squares
     convergence order.

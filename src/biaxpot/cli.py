@@ -40,7 +40,7 @@ from .bie import (PANEL_ORDER, assemble, condition_estimate,
                   convergence_study, default_exterior_source, evaluate_many,
                   manufactured_data, solve_dirichlet)
 from .errors import ConfigError, DomainError, SolveError
-from .geometry import Point, SuperellipseCurve
+from .geometry import Curve, Point
 from .kernel import Params, dq4_dn_many, grad_q4, grad_q4_many, q4, q4_many
 from .potential import (Density, boundary_trace, classify, contour_flux,
                         gauge_identity_verify)
@@ -81,7 +81,7 @@ _DEFAULT_FLUX_INTERIOR = ((0.5, 0.5), (0.35, 0.3))
 class RunConfig:
     """Validated run configuration shared by all commands."""
     params: Params
-    curve: SuperellipseCurve
+    curve: Curve
     out: Path
     nodes: int
     seed: int
@@ -115,6 +115,15 @@ def _want(raw: dict, key: str, kind, default):
         noun = "an integer" if kind is int else "a finite number"
         raise ConfigError(f"config field {key!r} must be {noun}, "
                           f"got {value!r}") from None
+
+
+def _count(raw: dict, key: str, default: int) -> int:
+    """Fetch the count field raw[key], an integer of at least 1."""
+    value = _want(raw, key, int, default)
+    if value < 1:
+        raise ConfigError(f"config field {key!r} must be at least 1, "
+                          f"got {value}")
+    return value
 
 
 def _point_list(raw: dict, key: str, width: int, default) -> tuple:
@@ -171,7 +180,7 @@ def load_config(path: str | None, out_dir: str | None,
     q = _want(dblock, "exponent", float, 3.0)
     try:
         params = Params(alpha, beta)
-        curve = SuperellipseCurve(a, b, q)
+        curve = Curve(a, b, q)
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -183,7 +192,11 @@ def load_config(path: str | None, out_dir: str | None,
     tol = _want(raw, "tolerance", float, 1.0e-4)
     if not 0.0 < tol < 1.0:
         raise ConfigError(f"tolerance must lie in (0, 1), got {tol}")
-    out = Path(out_dir if out_dir is not None else raw.get("out", "results"))
+    out = raw.get("out", "results")
+    if not isinstance(out, str):
+        raise ConfigError(f"config field 'out' must be a path string, "
+                          f"got {out!r}")
+    out = Path(out_dir if out_dir is not None else out)
     return RunConfig(params=params, curve=curve, out=out, nodes=n,
                      seed=rng_seed, tolerance=tol, raw=raw)
 
@@ -272,9 +285,9 @@ def cmd_eval_q4(cfg: RunConfig) -> int:
 def suite_gauge(cfg: RunConfig):
     """Interior / on-curve / exterior identity for the gauge function."""
     p, curve = cfg.params, cfg.curve
-    n_int = _want(cfg.raw, "interior_points", int, 4)
-    n_on = _want(cfg.raw, "oncurve_points", int, 3)
-    n_ext = _want(cfg.raw, "exterior_points", int, 3)
+    n_int = _count(cfg.raw, "interior_points", 4)
+    n_on = _count(cfg.raw, "oncurve_points", 3)
+    n_ext = _count(cfg.raw, "exterior_points", 3)
     jump_for = {"inside": 1.0, "on": 0.5, "outside": 0.0}
     rows, checks = [], []
     for count, scale in ((n_int, 0.6), (n_on, 1.0), (n_ext, 1.25)):
@@ -305,7 +318,7 @@ def suite_jumps(cfg: RunConfig):
     """Exterior minus interior trace equals the density."""
     p, curve = cfg.params, cfg.curve
     length = curve.length
-    count = _want(cfg.raw, "arclengths", int, 20)
+    count = _count(cfg.raw, "arclengths", 20)
     rows, checks = [], []
     for name, mu in _test_densities(length):
         worst = 0.0
@@ -347,7 +360,7 @@ def suite_flux(cfg: RunConfig):
 def suite_gradient(cfg: RunConfig):
     """Analytic gradient vs central differences; conormal consistency."""
     p, curve = cfg.params, cfg.curve
-    count = _want(cfg.raw, "gradient_pairs", int, 100)
+    count = _count(cfg.raw, "gradient_pairs", 100)
     rng = np.random.default_rng(cfg.seed)
     rows, checks = [], []
 
@@ -411,7 +424,7 @@ def _gauss_series_at_one(a: float, b: float, c: float) -> float:
 
 def suite_specfun(cfg: RunConfig):
     """Randomized hypergeometric identity checks at fixed seed."""
-    count = _want(cfg.raw, "cases", int, 200)
+    count = _count(cfg.raw, "cases", 200)
     rng = np.random.default_rng(cfg.seed)
     rows, checks = [], []
 
@@ -506,7 +519,7 @@ def cmd_verify(cfg: RunConfig, suite: str) -> int:
 
 # -- solve-dirichlet -------------------------------------------------------------
 
-def _interior_probes(curve: SuperellipseCurve, probes) -> list[Point]:
+def _interior_probes(curve: Curve, probes) -> list[Point]:
     """The probes as Points, each classified inside the domain; any other
     probe is a config error naming its index."""
     points = []

@@ -1,8 +1,12 @@
 """Exception types shared across the package.
 
-Numerical routines distinguish between bad input (DomainError and friends,
-all ValueError subclasses) and a computation that started out fine but did
-not finish (ConvergenceError, a RuntimeError).  Callers that dispatch on
+Numerical routines distinguish between bad input (DomainError and its
+refinements DivergenceError, SingularPairError and
+AmbiguousClassificationError, all ValueError subclasses) and a computation
+that started out fine but did not finish (ConvergenceError and SolveError,
+RuntimeError subclasses).  A pair closer to the kernel singularity than
+the evaluators admit, coincident points included, is a SingularPairError.
+ConfigError marks a malformed run configuration.  Callers that dispatch on
 exit codes rely on this split.
 """
 
@@ -13,10 +17,6 @@ class DomainError(ValueError):
 
 class DivergenceError(DomainError):
     """A limit or series that provably diverges for these parameters."""
-
-
-class CoincidentPointsError(DomainError):
-    """Field and source point coincide where a chord set is required."""
 
 
 class SingularPairError(DomainError):

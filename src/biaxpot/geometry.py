@@ -1,4 +1,4 @@
-"""Boundary curves in the open quarter plane x > 0, y > 0.
+"""The boundary curve in the open quarter plane x > 0, y > 0.
 
 A ``Curve`` is an arc from a point B = (0, b) on the y-axis to a point
 A = (a, 0) on the x-axis, parametrised by arclength s in [0, l].  The
@@ -6,12 +6,13 @@ orientation is fixed: s = 0 at B, s = l at A.  For this traversal the
 outward unit normal (pointing away from the enclosed region, which lies
 between the arc and the axes) is (-y'(s), x'(s)).
 
-The stock family is the superellipse (x/a)^q + (y/b)^q = 1 with q >= 2.
-It is built from two graphs glued at the point of the arc where
-x/a = y/b: near B the arc is the graph x -> (x, y(x)), near A the graph
-y -> (x(y), y).  Both graphs have bounded slope on their half, so speed,
-tangent and curvature follow from stable closed forms, and the only
-numerical content is the arclength table used to invert s -> parameter.
+The arc is the quarter superellipse (x/a)^q + (y/b)^q = 1 with q >= 2,
+the one curve the package knows.  It is built from two graphs glued at
+the point of the arc where x/a = y/b: near B the arc is the graph
+x -> (x, y(x)), near A the graph y -> (x(y), y).  Both graphs have
+bounded slope on their half, so speed, tangent and curvature follow from
+stable closed forms, and the only numerical content is the arclength
+table used to invert s -> parameter.
 
 ``Curve.frames(s)`` is the array evaluator: point, unit tangent, outward
 normal and curvature at a whole batch of arclengths, with one vectorized
@@ -104,40 +105,71 @@ def _cubic_spline(x, y):
 
 
 class Curve:
-    """Arclength-parametrised arc from (0, b) to (a, 0); see module docstring.
+    """Quarter superellipse (x/a)^q + (y/b)^q = 1, q >= 2, from (0, b) to
+    (a, 0), parametrised by arclength; see the module docstring.
 
-    Subclasses provide the two graph branches through ``_branch_geometry``
-    and the glue parameter; this base class owns the arclength tables and
-    the s -> point evaluation.
+    q = 2 is the ellipse.  Larger q flattens the arc against the axes; the
+    graph slope at the axis endpoints vanishes like the (q-1)-th power of
+    the distance, which is what ``check_endpoint_conditions`` measures.
     """
 
-    def __init__(self, a: float, b: float):
+    def __init__(self, a: float, b: float, q: float):
         if a <= 0.0 or b <= 0.0:
             raise DomainError("curve endpoints must sit on the positive axes")
+        if q < 2.0:
+            raise DomainError(f"superellipse exponent must satisfy q >= 2, got {q}")
         self.a = float(a)
         self.b = float(b)
+        self.q = float(q)
         self._build_tables()
 
-    # -- subclass interface -------------------------------------------------
+    # -- the two graph branches ----------------------------------------------
 
-    def _branch_split(self) -> tuple[float, float]:
-        """Glue values (x_star, y_star): branch 1 is the graph over
-        x in [0, x_star] (containing B), branch 2 the graph over
-        y in [0, y_star] (containing A)."""
-        raise NotImplementedError
-
-    def _graph_over_x(self, x: np.ndarray):
+    def _graph_over_x(self, x):
         """Return (y, dy/dx, d2y/dx2) for the branch near B."""
-        raise NotImplementedError
+        q = self.q
+        w = (x / self.a) ** q
+        g = (1.0 - w) ** (1.0 / q)     # y/b
+        y = self.b * g
+        # dy/dx = -(b/a) (x/a)^(q-1) g^(1-q)
+        dy = -(self.b / self.a) * (x / self.a) ** (q - 1.0) * g ** (1.0 - q)
+        # d2y/dx2 = -(q-1) (b/a^2) (x/a)^(q-2) g^(1-2q)
+        d2y = -(q - 1.0) * (self.b / self.a ** 2) \
+            * (x / self.a) ** (q - 2.0) * g ** (1.0 - 2.0 * q)
+        return y, dy, d2y
 
-    def _graph_over_y(self, y: np.ndarray):
+    def _graph_over_y(self, y):
         """Return (x, dx/dy, d2x/dy2) for the branch near A."""
-        raise NotImplementedError
+        q = self.q
+        w = (y / self.b) ** q
+        g = (1.0 - w) ** (1.0 / q)
+        x = self.a * g
+        dx = -(self.a / self.b) * (y / self.b) ** (q - 1.0) * g ** (1.0 - q)
+        d2x = -(q - 1.0) * (self.a / self.b ** 2) \
+            * (y / self.b) ** (q - 2.0) * g ** (1.0 - 2.0 * q)
+        return x, dx, d2x
+
+    def implicit_value(self, x: float, y: float) -> float:
+        """Signed implicit function (x/a)^q + (y/b)^q - 1.
+
+        Negative inside the arc, zero on it, positive outside; used by the
+        point classifier in the potential module.
+        """
+        return (x / self.a) ** self.q + (y / self.b) ** self.q - 1.0
+
+    def x_extent(self, y):
+        """Width of the domain at height y: the x where the arc sits."""
+        g = 1.0 - (np.asarray(y, dtype=float) / self.b) ** self.q
+        return self.a * np.maximum(g, 0.0) ** (1.0 / self.q)
 
     # -- arclength machinery -------------------------------------------------
 
     def _build_tables(self):
-        x_star, y_star = self._branch_split()
+        # glue where x/a = y/b, (x/a)^q = 1/2: branch 1 is the graph over
+        # x in [0, x_star] (containing B), branch 2 the graph over y in
+        # [0, y_star] (containing A)
+        glue = 0.5 ** (1.0 / self.q)
+        x_star, y_star = self.a * glue, self.b * glue
         gl_x, gl_w = leggauss(_GAUSS_PTS)
 
         def table(upper, speed):
@@ -165,9 +197,9 @@ class Curve:
         # going with the curve.
         s_of_y = self.length - s_of_y
         self._branches = (
-            (type(self)._graph_over_x, _cubic_spline(x_edges, s_of_x),
+            (Curve._graph_over_x, _cubic_spline(x_edges, s_of_x),
              (s_of_x, x_edges), x_star, -1.0),
-            (type(self)._graph_over_y, _cubic_spline(y_edges, s_of_y),
+            (Curve._graph_over_y, _cubic_spline(y_edges, s_of_y),
              (s_of_y[::-1], y_edges[::-1]), y_star, 1.0))
 
     def _branch_frames(self, s: np.ndarray, branch: int):
@@ -232,66 +264,6 @@ class Curve:
         return [CurvePoint(s=si, x=x, y=y, tangent=(tx, ty), normal=(nx, ny),
                            curvature=k)
                 for si, x, y, tx, ty, nx, ny, k in rows]
-
-
-class SuperellipseCurve(Curve):
-    """Quarter superellipse (x/a)^q + (y/b)^q = 1, q >= 2, from (0,b) to (a,0).
-
-    q = 2 is the ellipse.  Larger q flattens the arc against the axes; the
-    graph slope at the axis endpoints vanishes like the (q-1)-th power of
-    the distance, which is what the endpoint flatness checks below measure.
-    """
-
-    def __init__(self, a: float, b: float, q: float):
-        if q < 2.0:
-            raise DomainError(f"superellipse exponent must satisfy q >= 2, got {q}")
-        self.q = float(q)
-        super().__init__(a, b)
-
-    def _branch_split(self):
-        # x/a = y/b on the arc: (x/a)^q = 1/2
-        f = 0.5 ** (1.0 / self.q)
-        return self.a * f, self.b * f
-
-    def implicit_value(self, x: float, y: float) -> float:
-        """Signed implicit function (x/a)^q + (y/b)^q - 1.
-
-        Negative inside the arc, zero on it, positive outside; used by the
-        point classifier in the potential module.
-        """
-        return (x / self.a) ** self.q + (y / self.b) ** self.q - 1.0
-
-    def x_extent(self, y):
-        """Width of the domain at height y: the x where the arc sits."""
-        g = 1.0 - (np.asarray(y, dtype=float) / self.b) ** self.q
-        return self.a * np.maximum(g, 0.0) ** (1.0 / self.q)
-
-    def _graph_over_x(self, x):
-        q = self.q
-        w = (x / self.a) ** q
-        g = (1.0 - w) ** (1.0 / q)     # y/b
-        y = self.b * g
-        # dy/dx = -(b/a) (x/a)^(q-1) g^(1-q)
-        dy = -(self.b / self.a) * (x / self.a) ** (q - 1.0) * g ** (1.0 - q)
-        # d2y/dx2 = -(q-1) (b/a^2) (x/a)^(q-2) g^(1-2q)
-        d2y = -(q - 1.0) * (self.b / self.a ** 2) \
-            * (x / self.a) ** (q - 2.0) * g ** (1.0 - 2.0 * q)
-        return y, dy, d2y
-
-    def _graph_over_y(self, y):
-        q = self.q
-        w = (y / self.b) ** q
-        g = (1.0 - w) ** (1.0 / q)
-        x = self.a * g
-        dx = -(self.a / self.b) * (y / self.b) ** (q - 1.0) * g ** (1.0 - q)
-        d2x = -(q - 1.0) * (self.a / self.b ** 2) \
-            * (y / self.b) ** (q - 2.0) * g ** (1.0 - 2.0 * q)
-        return x, dx, d2x
-
-
-def superellipse_curve(a: float, b: float, q: float) -> SuperellipseCurve:
-    """Stock boundary: quarter superellipse with semi-axes a, b, exponent q."""
-    return SuperellipseCurve(a, b, q)
 
 
 def check_endpoint_conditions(curve: Curve, eps: float = 1.0,

@@ -33,6 +33,11 @@ same elementwise arithmetic.  xi and eta are bitwise symmetric under the
 swap of the two points (x x0 commutes, and (x - x0)^2 = (x0 - x)^2), so
 one kernel_families call serves a pair in both orders.
 
+Every evaluator, the envelope included, takes its chord data (r^2, xi,
+eta) from one array routine, ``_chord_arrays``.  It raises
+SingularPairError for a pair whose r^2 falls below SINGULAR_R2_FRAC of
+the larger chord scale, coincident points included.
+
 Argument convention: the first point is the integration/evaluation
 variable (x, y), the second the fixed field point (x0, y0).  q4 itself is
 symmetric under the swap.
@@ -46,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoincidentPointsError, DomainError, SingularPairError
+from .errors import DomainError, SingularPairError
 from .geometry import CurvePoint, Point
 from .specfun import _powers, appell_f2_sets, f2_kernel_families, ln_gamma
 
@@ -67,45 +72,6 @@ class Params:
             raise DomainError(
                 f"parameters must satisfy 0 < 2*alpha, 2*beta < 1, "
                 f"got alpha={self.alpha}, beta={self.beta}")
-
-
-@dataclass(frozen=True)
-class ChordSet:
-    """Squared chord distances and F2 arguments for a point pair.
-
-    r1sq = r2 + 4 x x0 and r2sq = r2 + 4 y y0 hold exactly in arithmetic
-    (they are computed that way), so xi = (r2 - r1sq)/r2 and
-    eta = (r2 - r2sq)/r2 are free of cancellation.
-    """
-    r2: float
-    r1sq: float
-    r2sq: float
-    xi: float
-    eta: float
-
-    @property
-    def u(self) -> float:
-        """r^2 / r1^2 = 1/(1 - xi), in (0, 1]."""
-        return self.r2 / self.r1sq
-
-    @property
-    def v(self) -> float:
-        """r^2 / r2^2 = 1/(1 - eta), in (0, 1]."""
-        return self.r2 / self.r2sq
-
-
-def chords(P: Point, Q: Point) -> ChordSet:
-    """Chord data for the pair (P, Q); raises for coincident points."""
-    dx = P.x - Q.x
-    dy = P.y - Q.y
-    r2 = dx * dx + dy * dy
-    if r2 == 0.0:
-        raise CoincidentPointsError(
-            f"chords undefined for coincident points ({P.x}, {P.y})")
-    fx = 4.0 * P.x * Q.x
-    fy = 4.0 * P.y * Q.y
-    return ChordSet(r2=r2, r1sq=r2 + fx, r2sq=r2 + fy,
-                    xi=-fx / r2, eta=-fy / r2)
 
 
 @functools.lru_cache(maxsize=64)
@@ -322,17 +288,15 @@ def singularity_envelope(p: Params, P: Point, Q: Point) -> float:
     (r2^2)^(beta-1) |ln(r^2/r1^2 + r^2/r2^2 - (r^2/r1^2)(r^2/r2^2))|.
     The log argument lies in (0, 1] for any admissible pair, so the
     absolute value fixes its sign; the envelope is meant for ratio tests
-    |q4| / envelope, not as a certified bound.
+    |q4| / envelope, not as a certified bound.  The chord data come from
+    ``_chord_arrays``, so a pair inside its guard raises SingularPairError.
     """
     if not (P.x > 0.0 and P.y > 0.0 and Q.x > 0.0 and Q.y > 0.0):
         raise DomainError("singularity_envelope needs strictly interior points")
-    ch = chords(P, Q)
-    u = ch.u
-    v = ch.v
-    arg = u + v - u * v
-    if arg <= 0.0:
-        raise DomainError(f"envelope log argument {arg} not positive")
+    r2, xi, eta = (float(v) for v in _chord_arrays(P.x, P.y, Q)[-3:])
+    r1sq, r2sq = r2 * (1.0 - xi), r2 * (1.0 - eta)
+    u, v = r2 / r1sq, r2 / r2sq
     a, b = p.alpha, p.beta
     return ((P.x * Q.x) ** (1.0 - 2.0 * a) * (P.y * Q.y) ** (1.0 - 2.0 * b)
-            * ch.r1sq ** (a - 1.0) * ch.r2sq ** (b - 1.0)
-            * abs(math.log(arg)))
+            * r1sq ** (a - 1.0) * r2sq ** (b - 1.0)
+            * abs(math.log(u + v - u * v)))

@@ -5,11 +5,12 @@ fundamental solution q4 against a density mu on the curve:
 
     w(P0) = int_0^l x(t)^(2a) y(t)^(2b) mu(t) dq4/dn(x(t), y(t); P0) dt.
 
-Everything downstream of that integral lives here: the kernel K4(s, t) with
-its continuous diagonal limit, smooth and log-graded quadrature rules, the
-one-sided boundary traces with their +-mu/2 jumps, the gauge function k
-collecting the axis-segment flux, the closed-contour flux identity, and the
-energy (Green first identity) residual.
+Everything downstream of that integral lives here: the kernel K4(s, t) off
+its diagonal and its log split c(s) ln|t - s| + regular(s) near it, smooth
+and log-graded quadrature rules, the one-sided boundary traces with their
++-mu/2 jumps, the gauge function k collecting the axis-segment flux, the
+closed-contour flux identity, and the energy (Green first identity)
+residual.
 """
 
 from __future__ import annotations
@@ -30,16 +31,16 @@ from .specfun import gauss_2f1, gauss_rule
 
 __all__ = [
     "Density", "QuadratureRule", "smooth_rule", "graded_rule",
-    "kernel_K4", "kernel_K4_diagonal", "kernel_K4_row",
+    "kernel_K4_log_split", "kernel_K4_row",
     "double_layer", "k_gauge", "boundary_trace",
-    "contour_flux", "flux_residual", "energy_residual",
+    "contour_flux", "energy_residual",
     "classify", "nearest_arclength",
     "GaugeIdentityResult", "gauge_identity_verify",
     "Q4Solution",
 ]
 
-# Offset fraction (of curve length) used for the one-sided kernel limits
-# that define the diagonal of K4.
+# Offset fraction (of curve length) of the one-sided kernel values whose
+# mean gives the regular part of the diagonal log split.
 DIAG_OFFSET_FRAC = 1.0e-5
 
 # Implicit-value band classifying a point as lying on the curve.
@@ -148,25 +149,22 @@ def _smooth_edges(length: float, panels: int, end_levels: int) -> np.ndarray:
     return np.concatenate((coarse[:1], left, coarse[1:-1], right, coarse[-1:]))
 
 
-def smooth_rule(length: float, n: int, order: int = 8) -> QuadratureRule:
-    """Composite Gauss-Legendre rule with n nodes on [0, length].
+def smooth_rule(length: float, n: int) -> QuadratureRule:
+    """Composite 8-point Gauss-Legendre rule with n nodes on [0, length].
 
-    n must be a multiple of ``order``.  End panels are refined dyadically
-    (weights stay positive and sum to the length exactly).
+    n must be a multiple of 8, at least 32.  End panels are refined
+    dyadically (weights stay positive and sum to the length exactly).
     """
     if length <= 0.0:
         raise DomainError("rule length must be positive")
-    if order < 2:
-        raise DomainError("panel order must be at least 2")
-    if n < 4 * order or n % order != 0:
-        raise DomainError(
-            f"node count {n} must be a multiple of order {order}, >= {4 * order}")
-    panels = n // order
+    if n < 32 or n % 8 != 0:
+        raise DomainError(f"node count {n} must be a multiple of 8, >= 32")
+    panels = n // 8
     # a quarter of the panels to each endpoint grading, the rest to the
     # uniform interior grid, so both refine as n grows
     end_levels = min(18, panels // 4, (panels - 4) // 2)
     edges = _smooth_edges(length, panels, end_levels)
-    nodes, weights = _panel_nodes(edges, order)
+    nodes, weights = _panel_nodes(edges, 8)
     if abs(weights.sum() - length) > 1.0e-12 * max(1.0, length):
         raise ConvergenceError("smooth rule weights failed the length check")
     return QuadratureRule(nodes, weights)
@@ -244,20 +242,6 @@ def _side_means(p: Params, curve: Curve, s: np.ndarray,
     return np.nanmean(values, axis=1)
 
 
-def kernel_K4_diagonal(p: Params, curve: Curve, s: float) -> float:
-    """Continuous diagonal limit of K4 at t = s: the mean of the two
-    one-sided values at offset DIAG_OFFSET_FRAC * length (one side only
-    where the other leaves (0, l))."""
-    s_arr = np.array([float(s)])
-    return float(_side_means(p, curve, s_arr,
-                             _diagonal_sides(curve, s_arr))[0])
-
-
-def kernel_K4(p: Params, curve: Curve, s: float, t: float) -> float:
-    """Double-layer kernel K4(s, t) = x(t)^(2a) y(t)^(2b) dq4/dn_t."""
-    return float(kernel_K4_row(p, curve, s, [t])[0])
-
-
 def kernel_K4_log_split(p: Params, curve: Curve, s):
     """Log slope and regular part of the kernel near its diagonal.
 
@@ -292,18 +276,12 @@ def _weighted_row(p: Params, curve: Curve, ts: np.ndarray,
 
 
 def kernel_K4_row(p: Params, curve: Curve, s: float, ts) -> np.ndarray:
-    """Vectorised K4(s, t) over an array of arclengths t; entries with
-    t == s take the diagonal limit ``kernel_K4_diagonal``."""
-    ts = np.asarray(ts, dtype=float)
-    out = np.empty(ts.shape, dtype=float)
-    diag = ts == s
-    if np.any(~diag):
-        x0, y0 = curve.frames(float(s))[:2]
-        out[~diag] = _weighted_row(p, curve, ts[~diag],
-                                   Point(float(x0), float(y0)))
-    if np.any(diag):
-        out[diag] = kernel_K4_diagonal(p, curve, s)
-    return out
+    """Double-layer kernel K4(s, t) = x(t)^(2a) y(t)^(2b) dq4/dn_t over an
+    array of arclengths t.  t = s is the singular pair and raises
+    SingularPairError; ``kernel_K4_log_split`` models the kernel there."""
+    x0, y0 = curve.frames(float(s))[:2]
+    return _weighted_row(p, curve, np.asarray(ts, dtype=float),
+                         Point(float(x0), float(y0)))
 
 
 # -- geometry queries --------------------------------------------------------
@@ -342,8 +320,6 @@ def classify(curve: Curve, P: Point) -> str:
     """
     if not (P.x > 0.0 and P.y > 0.0):  # false for NaN as well
         raise DomainError("classification needs a point in the open quadrant")
-    if not hasattr(curve, "implicit_value"):
-        raise DomainError("classification needs a curve with an implicit form")
     value = curve.implicit_value(P.x, P.y)
     if abs(value) <= ON_CURVE_TOL:
         return "on"
@@ -550,16 +526,6 @@ def contour_flux(p: Params, curve: Curve, Q: Point,
     return curve_part - k_gauge(p, curve.a, curve.b, Q)
 
 
-def flux_residual(p: Params, curve: Curve, Q_outside: Point,
-                  rule: QuadratureRule | None = None) -> float:
-    """|closed-boundary flux| for an exterior source, expected -> 0."""
-    if classify(curve, Q_outside) != "outside":
-        raise DomainError(
-            "flux residual needs a source strictly outside the domain; "
-            "for interior sources use contour_flux, which tends to -1")
-    return abs(contour_flux(p, curve, Q_outside, rule))
-
-
 # -- energy identity -------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -590,8 +556,6 @@ def energy_residual(p: Params, curve: Curve, u, rule2d: int = 32,
     xi^(-2a) and w^(-2b) factors exactly, and the remaining integrand
     x^(4a) y^(4b) |grad u|^2 is smooth up to the axes.
     """
-    if not hasattr(curve, "x_extent"):
-        raise DomainError("energy residual needs a superellipse domain")
     n = int(rule2d)
     if n < 4:
         raise DomainError("2-d rule needs at least 4 points per direction")

@@ -158,16 +158,6 @@ def _ln_gamma_signed(x: float) -> tuple[float, float]:
             math.copysign(1.0, s))
 
 
-def pochhammer(a: float, n: int) -> float:
-    """Rising factorial (a)_n = a (a+1) ... (a+n-1), with (a)_0 = 1."""
-    if n < 0 or n != int(n):
-        raise DomainError("pochhammer requires an integer n >= 0")
-    out = 1.0
-    for k in range(int(n)):
-        out *= a + k
-    return out
-
-
 def _is_nonpos_int(x: float) -> bool:
     # -inf and NaN are no integers (and round() rejects them)
     return (-math.inf < x <= 0.5
@@ -431,20 +421,6 @@ def appell_f2_series(args: F2Args) -> float:
     ``appell_f2_series_sets`` of one parameter set."""
     return float(appell_f2_series_sets(args.a, args.b1, args.b2, args.c1,
                                        args.c2, args.x, args.y))
-
-
-def f2_param_shift(args: F2Args, m: int, n: int) -> tuple[float, F2Args]:
-    """Coefficient and shifted parameters of the mixed derivative
-    d^(m+n) F2 / dx^m dy^n = coef * F2(a+m+n; b1+m, b2+n; c1+m, c2+n; x, y).
-    """
-    if m < 0 or n < 0:
-        raise DomainError("f2_param_shift requires m, n >= 0")
-    coef = (pochhammer(args.a, m + n) * pochhammer(args.b1, m)
-            * pochhammer(args.b2, n)
-            / (pochhammer(args.c1, m) * pochhammer(args.c2, n)))
-    shifted = F2Args(args.a + m + n, args.b1 + m, args.b2 + n,
-                     args.c1 + m, args.c2 + n, args.x, args.y)
-    return coef, shifted
 
 
 # -- Euler integral route ----------------------------------------------------

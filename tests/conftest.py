@@ -1,6 +1,6 @@
 import pytest
 
-from biaxpot import Params, superellipse_curve
+from biaxpot import Curve, Params
 
 
 @pytest.fixture(scope="session")
@@ -11,4 +11,4 @@ def params():
 @pytest.fixture(scope="session")
 def curve():
     # stock domain used throughout: quarter superellipse x^3 + y^3 = 1
-    return superellipse_curve(1.0, 1.0, 3.0)
+    return Curve(1.0, 1.0, 3.0)

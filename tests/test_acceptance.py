@@ -13,7 +13,7 @@ import time
 import numpy as np
 
 from biaxpot import (Density, Params, Point, double_layer, dq4_dn,
-                     graded_rule, grad_q4, kernel_K4)
+                     graded_rule, grad_q4, kernel_K4_row)
 from biaxpot.bie import convergence_study
 from biaxpot.cli import main
 from biaxpot.kernel import q4
@@ -230,8 +230,7 @@ def test_criterion_8_weighted_kernel_integrability(curve):
     vals = []
     for levels in (9, 12, 15, 18):
         rule = graded_rule(l, s0, levels=levels, order=12)
-        k = np.abs(np.array([kernel_K4(P25, curve, s0, float(t))
-                             for t in rule.nodes]))
+        k = np.abs(kernel_K4_row(P25, curve, s0, rule.nodes))
         vals.append(float(np.sum(rule.weights * k)))
     ratios = [abs(vals[i + 1] / vals[i] - 1.0) for i in range(len(vals) - 1)]
     assert ratios[0] > ratios[1] > ratios[2]

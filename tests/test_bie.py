@@ -7,9 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from biaxpot import (Density, DomainError, Params, Point, SolveError,
-                     k_gauge, kernel_K4, kernel_K4_log_split,
-                     superellipse_curve, weighted_dq4_dn_many)
+from biaxpot import (Curve, Density, DomainError, Params, Point,
+                     SolveError, k_gauge, kernel_K4_log_split, kernel_K4_row,
+                     weighted_dq4_dn_many)
 from biaxpot import bie as bie_mod
 from biaxpot import kernel as kernel_mod
 from biaxpot import potential as potential_mod
@@ -42,8 +42,6 @@ def test_assemble_validates_node_count(curve):
         assemble(P25, curve, 8)
     with pytest.raises(DomainError):
         assemble(P25, curve, 60)
-    with pytest.raises(DomainError):
-        assemble(P25, curve, 64, guard_frac=0.5)
 
 
 def test_assemble_matrix_is_finite(curve, manufactured):
@@ -62,8 +60,8 @@ def test_assemble_offdiagonal_entries(curve, manufactured):
         for j in (10, 33, 57):
             if abs(i // PANEL_ORDER - j // PANEL_ORDER) < 2:
                 continue
-            want = sys.weights[j] * kernel_K4(P25, curve, sys.nodes[i],
-                                              sys.nodes[j])
+            want = sys.weights[j] * kernel_K4_row(P25, curve, sys.nodes[i],
+                                                  [sys.nodes[j]])[0]
             assert sys.matrix[i, j] == pytest.approx(want, abs=1e-15)
 
 
@@ -77,7 +75,7 @@ def test_assemble_meshes_share_the_kernel(curve):
         i = PANEL_ORDER // 2
         j = sys.n - PANEL_ORDER // 2
         implied = sys.matrix[i, j] / sys.weights[j]
-        want = kernel_K4(P25, curve, sys.nodes[i], sys.nodes[j])
+        want = kernel_K4_row(P25, curve, sys.nodes[i], [sys.nodes[j]])[0]
         assert implied == pytest.approx(want, rel=1e-13)
     # and a 16-node assembly still produces a usable (finite) matrix
     tiny = assemble(P25, curve, 16)
@@ -232,11 +230,11 @@ def test_symmetric_assembly_matches_row_by_row(alpha, beta, a, b, q,
         return families(*args)
 
     monkeypatch.setattr(kernel_mod, "f2_kernel_families", counted)
-    sys = assemble(p, superellipse_curve(a, b, q), 32)
+    sys = assemble(p, Curve(a, b, q), 32)
     # one F2 call for the upper triangle, one for the log-split offsets
     assert calls == [32 * 31 // 2, 2 * 32]
     # a separate curve, so that the reference shares no curve state
-    want = _row_by_row(p, superellipse_curve(a, b, q), sys)
+    want = _row_by_row(p, Curve(a, b, q), sys)
     for got, ref in zip((sys.matrix, sys.log_slope, sys.regular_diag), want):
         assert np.all(np.abs(got - ref) <= 1.0e-14 * np.abs(ref))
 
@@ -247,7 +245,7 @@ def test_assemble_names_the_first_failing_row(curve, monkeypatch, tmp_path):
     monkeypatch.setattr(kernel_mod, "SINGULAR_R2_FRAC", 1.0)
     with pytest.raises(SolveError,
                        match=rf"row 0 \(s = {nodes[0]:.6f}\).*too close"):
-        assemble(P25, superellipse_curve(1.0, 1.0, 3.0), 16)
+        assemble(P25, Curve(1.0, 1.0, 3.0), 16)
     (tmp_path / "config.json").write_text('{"nodes": 16}', encoding="utf-8")
     rc = main(["--config", str(tmp_path / "config.json"),
                "--out", str(tmp_path / "out"), "solve-dirichlet"])
@@ -379,7 +377,7 @@ def test_evaluate_many_matches_the_tight_double_layer(monkeypatch, alpha,
     # against the generic adaptive integrator at tol 1e-12 on the same
     # support: all-far targets to 5e-11, targets with near pieces to the
     # near-field tolerance
-    p, curve = Params(alpha, beta), superellipse_curve(a, 1.0, q)
+    p, curve = Params(alpha, beta), Curve(a, 1.0, q)
     sys = assemble(p, curve, n, f=manufactured_data(p, curve))
     mu = solve_dirichlet(sys)
     bisected = []
@@ -411,7 +409,7 @@ def test_evaluate_many_tiered_far_rule_matches_the_tight_double_layer(
         monkeypatch, alpha, beta, q, a, spots):
     # all-far targets whose pieces take all three Gauss orders, in one batch,
     # each to 5e-11 of the generic adaptive integrator at tol 1e-12
-    p, curve = Params(alpha, beta), superellipse_curve(a, 1.0, q)
+    p, curve = Params(alpha, beta), Curve(a, 1.0, q)
     sys = assemble(p, curve, 64, f=manufactured_data(p, curve))
     mu = solve_dirichlet(sys)
     orders, bisected = [], []
@@ -449,7 +447,7 @@ def test_evaluate_many_sizes_far_pieces_by_curvature_too():
     # the target 0.3 inside at s = 0.5 l is 22 piece lengths from the piece
     # beside the corner at s = 0.89 l, whose radius of curvature is about
     # two piece lengths: a rule sized by the standoff alone errs by 1.8e-11
-    p, curve = Params(0.1, 0.4), superellipse_curve(6.0, 1.0, 8.0)
+    p, curve = Params(0.1, 0.4), Curve(6.0, 1.0, 8.0)
     sys = assemble(p, curve, 64, f=manufactured_data(p, curve))
     mu = solve_dirichlet(sys)
     P = _inward(curve, 0.5, 0.3)
@@ -526,7 +524,7 @@ def test_convergence_study_order(curve):
 def test_convergence_study_across_the_domain(alpha, beta, q, a, b):
     # exponents near both edges of 0 < 2 alpha, 2 beta < 1 and unequal
     # pairs, on round, stock and nearly square arcs, stretched or not
-    study = convergence_study(Params(alpha, beta), superellipse_curve(a, b, q),
+    study = convergence_study(Params(alpha, beta), Curve(a, b, q),
                               [16, 32], [Point(0.35 * a, 0.3 * b)])
     assert study["errors"][1] <= 2.0e-4
     assert study["order"] >= 1.8

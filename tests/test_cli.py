@@ -172,6 +172,29 @@ def test_config_rejects_bad_fields(tmp_path):
     assert run(tmp_path, {"nodes": "many"}, "eval-q4") == 2
 
 
+@pytest.mark.parametrize("out", [5, ["results"], None],
+                         ids=["int", "list", "null"])
+def test_config_rejects_a_non_string_out(tmp_path, capsys, out):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"out": out}), encoding="utf-8")
+    assert main(["--config", str(path), "eval-q4"]) == 2
+    assert "'out'" in capsys.readouterr().err
+    # a bad field is a config error even where the --out flag overrides it
+    assert run(tmp_path, {"out": out}, "eval-q4") == 2
+
+
+@pytest.mark.parametrize("suite, key", [
+    ("gauge", "interior_points"), ("gauge", "oncurve_points"),
+    ("gauge", "exterior_points"), ("jumps", "arclengths"),
+    ("gradient", "gradient_pairs"), ("specfun", "cases")])
+@pytest.mark.parametrize("value", [0, -1])
+def test_verify_rejects_counts_below_one(tmp_path, capsys, suite, key,
+                                         value):
+    assert run(tmp_path, {key: value}, "verify", suite) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
 def test_unknown_suite_is_a_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["--out", str(tmp_path / "out"), "verify", "everything"])

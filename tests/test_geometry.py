@@ -7,8 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from biaxpot import (DomainError, Point, check_endpoint_conditions,
-                     superellipse_curve)
+from biaxpot import Curve, DomainError, Point, check_endpoint_conditions
 from biaxpot import geometry
 
 
@@ -46,13 +45,13 @@ def test_superellipse_flattens_onto_x_axis(curve):
 
 
 def test_quarter_circle_length():
-    circle = superellipse_curve(1.0, 1.0, 2.0)
+    circle = Curve(1.0, 1.0, 2.0)
     assert abs(circle.length - math.pi / 2.0) <= 1.0e-8
 
 
 def test_rejects_exponent_below_two():
     with pytest.raises(DomainError):
-        superellipse_curve(1.0, 1.0, 1.5)
+        Curve(1.0, 1.0, 1.5)
 
 
 def test_point_at_midpoint_on_curve(curve):
@@ -113,7 +112,7 @@ def test_endpoint_conditions_cubic_superellipse(curve):
 
 
 def test_endpoint_conditions_circle_fails():
-    circle = superellipse_curve(1.0, 1.0, 2.0)
+    circle = Curve(1.0, 1.0, 2.0)
     report = check_endpoint_conditions(circle, eps=0.5)
     assert report["ok"] is False
     # the failure shows up as ratios growing along the approach
@@ -121,7 +120,7 @@ def test_endpoint_conditions_circle_fails():
 
 
 def test_endpoint_conditions_quartic_wide():
-    wide = superellipse_curve(2.0, 1.0, 4.0)
+    wide = Curve(2.0, 1.0, 4.0)
     report = check_endpoint_conditions(wide, eps=0.9)
     assert report["ok"] is True
     assert np.all(np.isfinite(report["x_axis_ratios"]))
@@ -133,7 +132,7 @@ def test_endpoint_conditions_quartic_wide():
 @pytest.mark.parametrize("q", [2.0, 2.5, 3.0, 8.0])
 @pytest.mark.parametrize("a, b", [(1.0, 1.0), (6.0, 1.0)])
 def test_frames_match_point_at_bitwise(q, a, b):
-    curve = superellipse_curve(a, b, q)
+    curve = Curve(a, b, q)
     ss = np.sort(np.append(np.linspace(0.0, curve.length, 257),
                            curve._s_glue))
     frames = np.array(curve.frames(ss))
@@ -168,7 +167,7 @@ def test_frames_keep_shape_and_reject_out_of_range(curve):
 def test_endpoints_finite_for_all_shapes(q, a, b):
     # the table inverse can seed the Newton polish a rounding error below
     # zero at s = l, where the graph's fractional powers are NaN
-    curve = superellipse_curve(a, b, q)
+    curve = Curve(a, b, q)
     start = curve.point_at(0.0)
     end = curve.point_at(curve.length)
     for cp in (start, end):
@@ -202,7 +201,7 @@ def test_curve_is_freed_without_the_cyclic_collector():
     enabled = gc.isenabled()
     gc.disable()
     try:
-        curve = superellipse_curve(1.0, 1.0, 3.0)
+        curve = Curve(1.0, 1.0, 3.0)
         curve.frames(np.linspace(0.0, curve.length, 5))
         ref = weakref.ref(curve)
         del curve
@@ -256,9 +255,9 @@ def test_frames_match_a_scipy_spline_curve(monkeypatch, q, a, b):
     # the same curve with scipy's not-a-knot spline as the forward map: the
     # Newton polish removes the seed, so only the spline's rounding remains
     from scipy.interpolate import CubicSpline
-    mine = superellipse_curve(a, b, q)
+    mine = Curve(a, b, q)
     monkeypatch.setattr(geometry, "_cubic_spline", CubicSpline)
-    ref = superellipse_curve(a, b, q)
+    ref = Curve(a, b, q)
     assert ref.length == mine.length
     s = np.linspace(0.0, mine.length, 4001)
     got, want = mine.frames(s), ref.frames(s)

@@ -10,12 +10,10 @@ import math
 import numpy as np
 import pytest
 
-from biaxpot import (CoincidentPointsError, DomainError, Params, Point,
-                     SingularPairError, chords, dq4_dn, dq4_dn_many, grad_q4,
-                     grad_q4_many, k4_constant, q4, q4_many,
-                     singularity_envelope, superellipse_curve,
-                     weighted_dq4_dn_many)
-from biaxpot.kernel import kernel_families
+from biaxpot import (Curve, DomainError, Params, Point, SingularPairError,
+                     dq4_dn, dq4_dn_many, grad_q4, grad_q4_many, k4_constant,
+                     q4, q4_many, singularity_envelope, weighted_dq4_dn_many)
+from biaxpot.kernel import _chord_arrays, kernel_families
 
 P25 = Params(0.25, 0.25)
 
@@ -31,38 +29,38 @@ def test_params_validated():
 
 # -- chords -----------------------------------------------------------------------
 
+def _chords(P, Q):
+    """(r^2, xi, eta) of the pair (P, Q) from the array chord routine."""
+    return tuple(float(v) for v in _chord_arrays(P.x, P.y, Q)[-3:])
+
+
 def test_chords_collinear_pair():
     d = 1.0e-3
-    c = chords(Point(1.0 + d, 1.0), Point(1.0, 1.0))
-    assert c.r2 == pytest.approx(d * d, rel=1e-12)
-    assert c.r1sq == pytest.approx((2.0 + d) ** 2, rel=1e-12)
+    r2, xi, eta = _chords(Point(1.0 + d, 1.0), Point(1.0, 1.0))
+    assert r2 == pytest.approx(d * d, rel=1e-12)
+    # r1^2 = r^2 (1 - xi)
+    assert r2 * (1.0 - xi) == pytest.approx((2.0 + d) ** 2, rel=1e-12)
 
 
 def test_chords_exact_arithmetic():
-    c = chords(Point(1.0, 2.0), Point(3.0, 5.0))
-    assert c.r2 == 13.0
-    assert c.r1sq == 25.0
-    assert c.r2sq == 53.0
-    assert c.xi == -12.0 / 13.0
-    assert c.eta == -40.0 / 13.0
+    assert _chords(Point(1.0, 2.0), Point(3.0, 5.0)) == (
+        13.0, -12.0 / 13.0, -40.0 / 13.0)
 
 
 def test_chords_swap_invariant():
     rng = np.random.default_rng(41)
     for _ in range(50):
         x, y, x0, y0 = rng.uniform(0.05, 2.0, 4)
-        c1 = chords(Point(x, y), Point(x0, y0))
-        c2 = chords(Point(x0, y0), Point(x, y))
-        assert (c1.r2, c1.r1sq, c1.r2sq, c1.xi, c1.eta) == (
-            c2.r2, c2.r1sq, c2.r2sq, c2.xi, c2.eta)
-        # derived-field invariants
-        assert c1.r1sq >= c1.r2 and c1.r2sq >= c1.r2
-        assert c1.xi <= 0.0 and c1.eta <= 0.0
+        c1 = _chords(Point(x, y), Point(x0, y0))
+        assert c1 == _chords(Point(x0, y0), Point(x, y))
+        assert c1[1] <= 0.0 and c1[2] <= 0.0
 
 
 def test_chords_coincident_rejected():
-    with pytest.raises(CoincidentPointsError):
-        chords(Point(1.0, 1.0), Point(1.0, 1.0))
+    with pytest.raises(SingularPairError):
+        q4_many(P25, [0.3, 1.0], [0.4, 1.0], Point(1.0, 1.0))
+    with pytest.raises(SingularPairError):
+        singularity_envelope(P25, Point(1.0, 1.0), Point(1.0, 1.0))
 
 
 # -- normalization constant -------------------------------------------------------
@@ -289,7 +287,7 @@ def test_conormal_many_matches_projected_gradient(alpha, beta, q, a, b):
     # two evaluation trees: the grouped closed form on appell_f2_sets'
     # tensor route, the gradient on f2_kernel_families' staircase
     p = Params(alpha, beta)
-    curve = superellipse_curve(a, b, q)
+    curve = Curve(a, b, q)
     xs, ys, _, _, nxs, nys, _ = curve.frames(
         np.linspace(0.02, 0.98, 25) * curve.length)
     for Q in (Point(1.5 * a, 1.5 * b), Point(0.4 * a, 0.3 * b)):

@@ -10,12 +10,12 @@ import math
 import numpy as np
 import pytest
 
-from biaxpot import (AmbiguousClassificationError, Density, DomainError,
-                     Params, Point, Q4Solution, classify, contour_flux,
-                     double_layer, dq4_dn, energy_residual, flux_residual,
-                     gauge_identity_verify, graded_rule, k_gauge, kernel_K4,
-                     kernel_K4_log_split, kernel_K4_row, nearest_arclength,
-                     smooth_rule, superellipse_curve)
+from biaxpot import (AmbiguousClassificationError, Curve, Density,
+                     DomainError, Params, Point, Q4Solution, SingularPairError,
+                     classify, contour_flux, double_layer, dq4_dn,
+                     energy_residual, gauge_identity_verify, graded_rule,
+                     k_gauge, kernel_K4_log_split, kernel_K4_row,
+                     nearest_arclength, smooth_rule)
 from biaxpot import potential
 from biaxpot.potential import (NEAR_FIELD_TOL, _smooth_edges, _trace_integral,
                                _weighted_row, boundary_trace)
@@ -59,6 +59,11 @@ def test_graded_rule_rejects_endpoint_grading(curve):
 
 # -- kernel on the curve ----------------------------------------------------------
 
+def kernel_K4(p, curve, s, t):
+    """K4(s, t) at one pair, from a one-entry kernel row."""
+    return float(kernel_K4_row(p, curve, s, [t])[0])
+
+
 def test_kernel_vanishes_at_axis_endpoint(curve):
     s = 0.3 * curve.length
     vals = [abs(kernel_K4(P25, curve, s, curve.length * (1.0 - off)))
@@ -77,14 +82,15 @@ def test_kernel_is_weighted_conormal(curve):
 
 
 def test_kernel_operational_diagonal(curve):
-    # the diagonal entry is the average of one-sided evaluations at the
-    # stock offset; the two sides agree there because the log term is even
+    # the log split at the stock offset d gives back the average of the
+    # one-sided kernel values there; the two sides agree because the log
+    # term is even
     s = 0.5 * curve.length
-    d = 1.0e-5 * curve.length
-    plus = kernel_K4(P25, curve, s, s + d)
-    minus = kernel_K4(P25, curve, s, s - d)
+    d = potential.DIAG_OFFSET_FRAC * curve.length
+    plus, minus = kernel_K4_row(P25, curve, s, [s + d, s - d])
     assert abs(plus - minus) <= 1.0e-6
-    diag = kernel_K4(P25, curve, s, s)
+    slope, regular = kernel_K4_log_split(P25, curve, s)
+    diag = regular + slope * math.log(d)
     assert diag == pytest.approx(0.5 * (plus + minus), rel=1e-12)
     assert diag == pytest.approx(-0.8943171663455756, rel=1e-9)
 
@@ -118,10 +124,10 @@ def test_kernel_log_split_array_matches_scalar(monkeypatch):
         return pairwise(*args)
 
     monkeypatch.setattr(potential, "weighted_dq4_dn_many", counted)
-    c_array = superellipse_curve(1.0, 1.0, 3.0)
+    c_array = Curve(1.0, 1.0, 3.0)
     slopes, regulars = kernel_K4_log_split(P25, c_array, ss * c_array.length)
     assert calls == [2 * ss.size]  # one pairwise call for every offset
-    c_scalar = superellipse_curve(1.0, 1.0, 3.0)
+    c_scalar = Curve(1.0, 1.0, 3.0)
     for k, s in enumerate(ss * c_scalar.length):
         assert (slopes[k], regulars[k]) == kernel_K4_log_split(P25, c_scalar,
                                                                float(s))
@@ -143,7 +149,7 @@ def test_kernel_log_slope_is_the_limit_of_offset_fits(alpha, beta, q, a):
     # kernel D converge to the closed-form slope as the offsets shrink, near
     # the ends as well as inside; the regular part is the diagonal limit
     # minus slope * ln(offset), bitwise
-    p, curve = Params(alpha, beta), superellipse_curve(a, 1.0, q)
+    p, curve = Params(alpha, beta), Curve(a, 1.0, q)
     fracs = np.array([0.05, 0.3, 0.5, 0.7, 0.95])
     s = fracs * curve.length
     slope, regular = kernel_K4_log_split(p, curve, s)
@@ -180,15 +186,16 @@ def test_kernel_row_matches_scalar(curve):
 
 
 @pytest.mark.parametrize("alpha, beta", [(0.25, 0.25), (0.1, 0.4)])
-def test_kernel_row_takes_the_diagonal_limit_at_t_equal_s(curve, alpha, beta):
+def test_kernel_row_rejects_t_equal_s(curve, alpha, beta):
+    # t = s is the singular pair; the log split models the kernel there
     p = Params(alpha, beta)
     s = 0.35 * curve.length
     t0, t1 = 0.2 * curve.length, 0.6 * curve.length
-    row = kernel_K4_row(p, curve, s, [t0, s, t1])
-    assert row[1] == kernel_K4(p, curve, s, s)
-    assert row[1] == potential.kernel_K4_diagonal(p, curve, s)
+    with pytest.raises(SingularPairError):
+        kernel_K4_row(p, curve, s, [t0, s, t1])
+    row = kernel_K4_row(p, curve, s, [t0, t1])
     assert row[0] == kernel_K4(p, curve, s, t0)
-    assert row[2] == kernel_K4(p, curve, s, t1)
+    assert row[1] == kernel_K4(p, curve, s, t1)
 
 
 # -- classification ---------------------------------------------------------------
@@ -490,7 +497,8 @@ def test_layer_potential_satisfies_pde(curve):
 # -- flux and energy identities ---------------------------------------------------
 
 def test_flux_residual_small_for_exterior_source(curve):
-    r = flux_residual(P25, curve, Point(2.0, 2.0), smooth_rule(curve.length, 512))
+    r = abs(contour_flux(P25, curve, Point(2.0, 2.0),
+                         smooth_rule(curve.length, 512)))
     assert r <= 1.0e-6
 
 
@@ -499,7 +507,7 @@ def test_flux_residual_decreases_under_refinement(curve):
     # floor, exposing the refinement behavior
     cp = curve.point_at(0.42 * curve.length)
     Q = Point(cp.x + 0.08 * cp.normal[0], cp.y + 0.08 * cp.normal[1])
-    res = [flux_residual(P25, curve, Q, smooth_rule(curve.length, n))
+    res = [abs(contour_flux(P25, curve, Q, smooth_rule(curve.length, n)))
            for n in (64, 128, 256)]
     assert res[0] > res[1] > res[2]
 
@@ -507,11 +515,6 @@ def test_flux_residual_decreases_under_refinement(curve):
 def test_flux_interior_source_normalization(curve):
     assert abs(contour_flux(P25, curve, Point(0.5, 0.5)) + 1.0) <= 1.0e-5
     assert abs(contour_flux(P25, curve, Point(0.35, 0.3)) + 1.0) <= 1.0e-5
-
-
-def test_flux_residual_rejects_interior_source(curve):
-    with pytest.raises(DomainError):
-        flux_residual(P25, curve, Point(0.5, 0.5))
 
 
 def test_energy_identity_constant_solution(curve):

@@ -15,32 +15,12 @@ import pytest
 from biaxpot import (ConvergenceError, DivergenceError, DomainError, F2Args,
                      appell_f2, appell_f2_many, appell_f2_series,
                      appell_f2_series_sets, appell_f2_sets, f2_kernel_families,
-                     f2_param_shift, gauss_2f1, gauss_2f1_at_one, ln_gamma,
-                     log_singular_3f2, pochhammer)
+                     gauss_2f1, gauss_2f1_at_one, ln_gamma, log_singular_3f2)
 from biaxpot import specfun
 from biaxpot.specfun import (_euler_prefactor, _f2_euler_many, _stair_axis,
                              gauss_rule, jacobi_rules)
 
 REL = lambda got, want: abs(got - want) / abs(want)
-
-
-# -- pochhammer -------------------------------------------------------------------
-
-def test_pochhammer_empty_product():
-    assert pochhammer(0.7, 0) == 1.0
-
-
-def test_pochhammer_integer_rise():
-    assert pochhammer(2.0, 3) == 24.0
-
-
-def test_pochhammer_half():
-    assert pochhammer(0.5, 2) == 0.75
-
-
-def test_pochhammer_negative_order_rejected():
-    with pytest.raises(DomainError):
-        pochhammer(1.0, -1)
 
 
 # -- ln_gamma ---------------------------------------------------------------------
@@ -969,23 +949,9 @@ def test_jacobi_rules_reject_bad_orders_and_exponents():
 
 # -- parameter shifts -------------------------------------------------------------
 
-def test_param_shift_identity():
-    args = F2Args(1.5, 0.75, 0.75, 1.5, 1.5, -0.2, -0.3)
-    coef, shifted = f2_param_shift(args, 0, 0)
-    assert coef == 1.0
-    assert shifted == args
-
-
-def test_param_shift_first_x():
-    args = F2Args(1.5, 0.75, 0.8, 1.5, 1.6, -0.2, -0.3)
-    coef, shifted = f2_param_shift(args, 1, 0)
-    assert coef == pytest.approx(1.5 * 0.75 / 1.5, rel=1e-15)
-    assert (shifted.a, shifted.b1, shifted.b2) == (2.5, 1.75, 0.8)
-    assert (shifted.c1, shifted.c2) == (2.5, 1.6)
-    assert (shifted.x, shifted.y) == (args.x, args.y)
-
-
 def test_param_shift_matches_finite_differences():
+    # dF2/dx = (a b1 / c1) F2(a+1; b1+1, b2; c1+1, c2; x, y), and likewise
+    # in y with (b2, c2)
     rng = np.random.default_rng(23)
     h = 1.0e-5
     for _ in range(20):
@@ -993,14 +959,13 @@ def test_param_shift_matches_finite_differences():
         b1, b2 = rng.uniform(0.3, 1.2, 2)
         c1, c2 = rng.uniform(1.0, 2.0, 2)
         x, y = -rng.uniform(0.1, 0.6, 2)
-        args = F2Args(a, b1, b2, c1, c2, x, y)
-        cx, sx = f2_param_shift(args, 1, 0)
-        dx = cx * appell_f2(sx)
+        dx = a * b1 / c1 * appell_f2(F2Args(a + 1, b1 + 1, b2, c1 + 1, c2,
+                                            x, y))
         fd = (appell_f2(F2Args(a, b1, b2, c1, c2, x + h, y))
               - appell_f2(F2Args(a, b1, b2, c1, c2, x - h, y))) / (2 * h)
         assert REL(dx, fd) <= 1.0e-6
-        cy, sy = f2_param_shift(args, 0, 1)
-        dy = cy * appell_f2(sy)
+        dy = a * b2 / c2 * appell_f2(F2Args(a + 1, b1, b2 + 1, c1, c2 + 1,
+                                            x, y))
         fd = (appell_f2(F2Args(a, b1, b2, c1, c2, x, y + h))
               - appell_f2(F2Args(a, b1, b2, c1, c2, x, y - h))) / (2 * h)
         assert REL(dy, fd) <= 1.0e-6
