@@ -17,9 +17,9 @@ endpoints, where the curve meets the axes and the trace relation is not
 established; the kernel's endpoint decay keeps the truncated mass small and
 the convergence study tracks it.
 
-The solved potential is evaluated by ``evaluate_many`` on the density's own
-spline knots: far pieces take a Gauss rule sized by their standoff from the
-target, batched over all targets, and only near pieces are bisected.
+``evaluate_many`` integrates the solved density over that range, its support,
+cut at its spline knots: far pieces take a Gauss rule sized by their standoff
+from the target, batched over all targets, and only near pieces are bisected.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .geometry import Curve, Point
 from .kernel import (Params, kernel_families, q4_many,
                      weighted_dq4_dn_many)
 from .potential import (NEAR_FIELD_TOL, Density, _bisect, _layer_panels,
-                        _panel_nodes, kernel_K4_log_split)
+                        _panel_nodes, _support, kernel_K4_log_split)
 from .specfun import gauss_rule
 
 __all__ = [
@@ -131,10 +131,6 @@ class NystromSystem:
     rhs: np.ndarray | None
     log_slope: np.ndarray
     regular_diag: np.ndarray
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return float(self.edges[0]), float(self.edges[-1])
 
 
 def assemble(p: Params, curve: Curve, n: int,
@@ -235,20 +231,17 @@ def condition_estimate(sys: NystromSystem) -> float:
     return cond if math.isfinite(cond) else math.inf
 
 
-def solve_dirichlet(sys: NystromSystem,
-                    rhs: np.ndarray | None = None) -> Density:
+def solve_dirichlet(sys: NystromSystem) -> Density:
     """Direct dense solve of the collocation system.
 
-    Returns the density as a spline through the node values (the sampled
-    nodes and values ride along as attributes).  Residual worse than
-    1e-10 * ||f||_inf or a singular matrix raises SolveError with the
-    condition estimate.
+    Returns the density as a spline through the node values on the panel
+    range (edges[0], edges[-1]) (nodes and values ride along as
+    attributes).  Residual worse than 1e-10 * ||f||_inf or a singular
+    matrix raises SolveError with the condition estimate.
     """
-    f = sys.rhs if rhs is None else np.asarray(rhs, dtype=float)
+    f = sys.rhs
     if f is None:
         raise SolveError("system has no right-hand side; assemble with data")
-    if f.shape != sys.nodes.shape:
-        raise SolveError("right-hand side shape does not match the nodes")
     try:
         mu = np.linalg.solve(sys.matrix, f)
     except np.linalg.LinAlgError as exc:
@@ -261,16 +254,14 @@ def solve_dirichlet(sys: NystromSystem,
         raise SolveError(
             f"solve residual {residual:.3e} exceeds 1e-10 * ||f||_inf "
             f"(condition estimate {condition_estimate(sys):.3e})")
-    return Density.from_samples(sys.nodes, mu)
+    return Density.from_samples(sys.nodes, mu, (sys.edges[0], sys.edges[-1]))
 
 
-def evaluate_many(p: Params, curve: Curve, mu: Density, targets,
-                  sys: NystromSystem | None = None) -> np.ndarray:
+def evaluate_many(p: Params, curve: Curve, mu: Density, targets) -> np.ndarray:
     """Potential of a sampled density at many interior points.
 
     ``targets`` are Points in the open quadrant; the result holds one value
-    per target.  The integral runs over the support
-    ``sys.support``, or the density's node range when ``sys`` is None.
+    per target, the integral over the density's support ``mu.support``.
 
     The support is cut into pieces at the density's own spline knots
     (``mu.nodes`` inside the support) plus the two support ends, so the
@@ -300,10 +291,7 @@ def evaluate_many(p: Params, curve: Curve, mu: Density, targets,
     xy = np.array([(t.x, t.y) for t in targets], dtype=float).reshape(-1, 2)
     if not np.all(np.isfinite(xy) & (xy > 0.0)):
         raise DomainError("evaluation points must lie in the open quadrant")
-    lo, hi = (sys.support if sys is not None
-              else (float(knots[0]), float(knots[-1])))
-    if not 0.0 <= lo < hi <= curve.length:
-        raise DomainError("support must be a sub-interval of [0, length]")
+    lo, hi = _support(curve, mu)
     edges = np.concatenate(([lo], knots[(knots > lo) & (knots < hi)], [hi]))
     h = np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])
@@ -354,11 +342,10 @@ def evaluate_many(p: Params, curve: Curve, mu: Density, targets,
     return out
 
 
-def evaluate(p: Params, curve: Curve, mu: Density, P0: Point,
-             sys: NystromSystem | None = None) -> float:
+def evaluate(p: Params, curve: Curve, mu: Density, P0: Point) -> float:
     """Potential of a sampled density at one interior point: the one-target
     case of ``evaluate_many``, with the same pieces and the same rules."""
-    return float(evaluate_many(p, curve, mu, [P0], sys)[0])
+    return float(evaluate_many(p, curve, mu, [P0])[0])
 
 
 def default_exterior_source(curve: Curve) -> Point:
@@ -400,7 +387,7 @@ def convergence_study(p: Params, curve: Curve, ns, probes,
     for n in ns:
         sys = assemble(p, curve, n, f=f)
         mu = solve_dirichlet(sys)
-        values = evaluate_many(p, curve, mu, probes, sys=sys)
+        values = evaluate_many(p, curve, mu, probes)
         errors.append(float(np.max(np.abs(values - exact))))
     slope = np.polyfit(np.log(np.asarray(ns, dtype=float)),
                        np.log(np.asarray(errors)), 1)[0]

@@ -150,6 +150,24 @@ def _point_list(raw: dict, key: str, width: int, default) -> tuple:
     return tuple(out)
 
 
+def _classified(curve: Curve, raw: dict, key: str, default,
+                side: str) -> list[Point]:
+    """The points of list field raw[key], each classified ``side`` of the
+    domain; any other point is a config error naming field and entry."""
+    points = []
+    for k, (x, y) in enumerate(_point_list(raw, key, 2, default)):
+        entry = f"config field {key!r} entry {k} ({x}, {y})"
+        try:
+            points.append(Point(x, y))
+            where = classify(curve, points[-1])
+        except DomainError as exc:
+            raise ConfigError(f"{entry}: {exc}") from None
+        if where != side:
+            place = "on the curve" if where == "on" else f"{where} the domain"
+            raise ConfigError(f"{entry} lies {place}; it must lie {side}")
+    return points
+
+
 def load_config(path: str | None, out_dir: str | None,
                 nodes: int | None, seed: int | None) -> RunConfig:
     """Read, validate and normalize the JSON config; CLI flags win."""
@@ -189,6 +207,8 @@ def load_config(path: str | None, out_dir: str | None,
         raise ConfigError(f"node count must be a multiple of {PANEL_ORDER} "
                           f"and at least 16, got {n}")
     rng_seed = seed if seed is not None else _want(raw, "seed", int, 0)
+    if rng_seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {rng_seed}")
     tol = _want(raw, "tolerance", float, 1.0e-4)
     if not 0.0 < tol < 1.0:
         raise ConfigError(f"tolerance must lie in (0, 1), got {tol}")
@@ -338,20 +358,20 @@ def suite_jumps(cfg: RunConfig):
 def suite_flux(cfg: RunConfig):
     """Closed-boundary flux: 0 for exterior sources, -1 for interior."""
     p, curve = cfg.params, cfg.curve
-    exterior = _point_list(cfg.raw, "exterior_sources", 2,
-                           _DEFAULT_FLUX_EXTERIOR)
-    interior = _point_list(cfg.raw, "interior_sources", 2,
-                           _DEFAULT_FLUX_INTERIOR)
+    exterior = _classified(curve, cfg.raw, "exterior_sources",
+                           _DEFAULT_FLUX_EXTERIOR, "outside")
+    interior = _classified(curve, cfg.raw, "interior_sources",
+                           _DEFAULT_FLUX_INTERIOR, "inside")
     rows, checks = [], []
-    for (x0, y0) in exterior:
-        flux = contour_flux(p, curve, Point(x0, y0))
-        rows.append((x0, y0, "outside", flux, 0.0, abs(flux)))
-        checks.append(check(f"flux outside ({x0:.4f}, {y0:.4f})",
+    for Q in exterior:
+        flux = contour_flux(p, curve, Q)
+        rows.append((Q.x, Q.y, "outside", flux, 0.0, abs(flux)))
+        checks.append(check(f"flux outside ({Q.x:.4f}, {Q.y:.4f})",
                             abs(flux), TOL_FLUX_EXTERIOR))
-    for (x0, y0) in interior:
-        flux = contour_flux(p, curve, Point(x0, y0))
-        rows.append((x0, y0, "inside", flux, -1.0, abs(flux + 1.0)))
-        checks.append(check(f"flux inside ({x0:.4f}, {y0:.4f})",
+    for Q in interior:
+        flux = contour_flux(p, curve, Q)
+        rows.append((Q.x, Q.y, "inside", flux, -1.0, abs(flux + 1.0)))
+        checks.append(check(f"flux inside ({Q.x:.4f}, {Q.y:.4f})",
                             abs(flux + 1.0), TOL_FLUX_INTERIOR))
     header = ["x0", "y0", "location", "flux", "target", "residual"]
     return header, rows, checks
@@ -519,28 +539,9 @@ def cmd_verify(cfg: RunConfig, suite: str) -> int:
 
 # -- solve-dirichlet -------------------------------------------------------------
 
-def _interior_probes(curve: Curve, probes) -> list[Point]:
-    """The probes as Points, each classified inside the domain; any other
-    probe is a config error naming its index."""
-    points = []
-    for k, (x, y) in enumerate(probes):
-        try:
-            P = Point(x, y)
-            where = classify(curve, P)
-        except DomainError as exc:
-            raise ConfigError(f"probe {k} ({x}, {y}): {exc}") from None
-        if where != "inside":
-            place = "on the curve" if where == "on" else "outside the domain"
-            raise ConfigError(f"probe {k} ({x}, {y}) lies {place}; the "
-                              "solution is evaluated inside only")
-        points.append(P)
-    return points
-
-
 def cmd_solve(cfg: RunConfig) -> int:
     p, curve = cfg.params, cfg.curve
-    probes = _interior_probes(
-        curve, _point_list(cfg.raw, "probes", 2, _DEFAULT_PROBES))
+    probes = _classified(curve, cfg.raw, "probes", _DEFAULT_PROBES, "inside")
     data_kind = cfg.raw.get("data", "manufactured")
     if data_kind not in ("manufactured", "zero"):
         raise ConfigError(f"config field 'data' must be 'manufactured' or "
@@ -589,7 +590,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     density_rows = list(zip(system.nodes.tolist(), mu.values.tolist()))
     probe_rows, checks = [], []
     worst = 0.0
-    values = evaluate_many(p, curve, mu, probes, system)
+    values = evaluate_many(p, curve, mu, probes)
     for P, u in zip(probes, values.tolist()):
         u_ref = exact(P)
         err = abs(u - u_ref)

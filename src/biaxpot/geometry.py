@@ -33,13 +33,12 @@ from .errors import DomainError
 
 @dataclass(frozen=True)
 class Point:
-    """A point of the closed quarter plane.  Infinite coordinates are
-    rejected; a NaN is left to each evaluator's open-quadrant check."""
+    """A point of the closed quarter plane with finite coordinates."""
     x: float
     y: float
 
     def __post_init__(self):
-        if math.isinf(self.x) or math.isinf(self.y):
+        if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise DomainError(f"point ({self.x}, {self.y}) is not finite")
         if self.x < 0.0 or self.y < 0.0:
             raise DomainError(f"point ({self.x}, {self.y}) leaves the quarter plane")

@@ -54,7 +54,8 @@ AMBIGUOUS_DIST = 1.0e-6
 NEAR_FIELD_TOL = 1.0e-8
 
 class Density:
-    """Boundary density mu(s) on [0, l], closed form or sampled.
+    """Boundary density mu(s), closed form on the whole arc or sampled on
+    its ``support``, an arclength range (None for a closed form).
 
     Wraps a vectorised callable of arclength; ``from_samples`` builds a
     not-a-knot cubic spline through node values (at least four) so that
@@ -65,6 +66,7 @@ class Density:
         if not callable(func):
             raise DomainError("density must be callable in arclength")
         self._func = func
+        self.support: tuple[float, float] | None = None
 
     def __call__(self, s):
         arr = np.asarray(s, dtype=float)
@@ -82,7 +84,7 @@ class Density:
         return cls(lambda s: np.full_like(np.asarray(s, dtype=float), value))
 
     @classmethod
-    def from_samples(cls, nodes, values) -> "Density":
+    def from_samples(cls, nodes, values, support) -> "Density":
         nodes = np.asarray(nodes, dtype=float)
         values = np.asarray(values, dtype=float)
         if nodes.ndim != 1 or nodes.shape != values.shape:
@@ -90,9 +92,21 @@ class Density:
         if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(values))):
             raise DomainError("sampled density must be finite")
         den = cls(_cubic_spline(nodes, values))
+        lo, hi = (float(v) for v in support)
+        if not (lo <= nodes[0] and nodes[-1] <= hi):  # false for NaN too
+            raise DomainError("density support must contain its nodes")
         den.nodes = nodes.copy()
         den.values = values.copy()
+        den.support = lo, hi
         return den
+
+
+def _support(curve: Curve, mu: Density) -> tuple[float, float]:
+    """mu's support, or the whole arc for a closed form, checked on it."""
+    lo, hi = (0.0, curve.length) if mu.support is None else mu.support
+    if not 0.0 <= lo < hi <= curve.length:
+        raise DomainError("support must be a sub-interval of [0, length]")
+    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -391,20 +405,17 @@ def _bisect(panels: Callable, lo: np.ndarray, hi: np.ndarray, tol: float,
 
 
 def double_layer(p: Params, curve: Curve, mu: Density, P0: Point,
-                 tol: float = NEAR_FIELD_TOL,
-                 support: tuple[float, float] | None = None) -> float:
+                 tol: float = NEAR_FIELD_TOL) -> float:
     """Double-layer potential of any density at an off-curve point P0.
 
     Adaptive panel bisection (``_bisect``) to the absolute error ``tol``
     keeps the near-boundary peak (width comparable to the distance to the
-    curve) resolved.  ``support`` restricts the integration to a sub-arc
-    (used for densities that live on a trimmed node range).
+    curve) resolved.  The integral runs over the density's support, the
+    whole arc for a closed form.
     """
     if not (P0.x > 0.0 and P0.y > 0.0):  # false for NaN as well
         raise DomainError("evaluation point must lie in the open quadrant")
-    lo0, hi0 = support if support is not None else (0.0, curve.length)
-    if not 0.0 <= lo0 < hi0 <= curve.length:
-        raise DomainError("support must be a sub-interval of [0, length]")
+    lo0, hi0 = _support(curve, mu)
     edges = lo0 + _smooth_edges(hi0 - lo0, 40, 14)
     total, err = _bisect(lambda lo, hi: _layer_panels(
         p, curve, mu, P0, lo, hi), edges[:-1], edges[1:], tol)
@@ -496,10 +507,13 @@ def boundary_trace(p: Params, curve: Curve, mu: Density, s: float,
 
     interior trace = -mu(s)/2 + w0(s), exterior trace = +mu(s)/2 + w0(s),
     where w0 is the on-curve integral computed with the log-graded rule
-    (16 levels of 12-point panels).  Both sides share the same w0.
+    (16 levels of 12-point panels).  Both sides share the same w0.  The
+    rule spans the whole arc, so a density with a support raises.
     """
     if side not in ("interior", "exterior"):
         raise DomainError(f"side must be 'interior' or 'exterior', got {side!r}")
+    if mu.support is not None:
+        raise DomainError("boundary_trace needs a density on the whole arc")
     if not 0.0 < s < curve.length:
         raise DomainError("trace arclength must lie strictly inside (0, l)")
     w0 = _trace_integral(p, curve, mu, s, levels=16, order=12)

@@ -125,17 +125,12 @@ _INT_TOL = 1.0e-12
 # log-gamma and friends
 # ---------------------------------------------------------------------------
 
-def ln_gamma(x):
-    """Natural log of Gamma(x) for x > 0 (scalar or ndarray)."""
-    if np.ndim(x) == 0:
-        x = float(x)
-        if x <= 0.0:
-            raise DomainError("ln_gamma requires x > 0")
-        return math.lgamma(x)
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr <= 0.0):
+def ln_gamma(x: float) -> float:
+    """Natural log of Gamma(x) for x > 0."""
+    x = float(x)
+    if x <= 0.0:
         raise DomainError("ln_gamma requires x > 0")
-    return np.vectorize(math.lgamma, otypes=[float])(arr)
+    return math.lgamma(x)
 
 
 def _sinpi(x: float) -> float:

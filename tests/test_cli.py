@@ -223,6 +223,25 @@ def test_verify_flux(tmp_path):
     assert summary["counts"]["pass"] == 5
 
 
+@pytest.mark.parametrize("cfg, entry", [
+    ({"exterior_sources": [[2.0, 2.0], [0.5, 0.5]]},
+     "'exterior_sources' entry 1"),
+    ({"exterior_sources": [[-0.5, 0.5]]}, "'exterior_sources' entry 0"),
+    ({"interior_sources": [[0.0, 0.5]]}, "'interior_sources' entry 0"),
+    ({"interior_sources": [[0.35, 0.3], [1.5, 0.4]]},
+     "'interior_sources' entry 1"),
+    ({"interior_sources": [[0.5 ** (1.0 / 3.0), 0.5 ** (1.0 / 3.0)]]},
+     "'interior_sources' entry 0"),
+], ids=["inside-as-exterior", "off-quadrant", "on-axis",
+        "outside-as-interior", "on-curve"])
+def test_verify_flux_rejects_misplaced_sources(tmp_path, capsys, cfg, entry):
+    # a source on the wrong side used to fail its check (exit 1), one off
+    # the quadrant died in contour_flux (exit 3)
+    assert run(tmp_path, cfg, "verify", "flux") == 2
+    assert entry in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_verify_gradient(tmp_path):
     assert run(tmp_path, {"gradient_pairs": 20}, "verify", "gradient") == 0
     summary = read_summary(tmp_path)
@@ -331,7 +350,7 @@ def test_solve_convergence_study(tmp_path):
 
 
 def test_solve_reports_solver_failure(tmp_path, monkeypatch):
-    def boom(sys, rhs=None):
+    def boom(sys):
         raise SolveError("synthetic failure")
 
     monkeypatch.setattr("biaxpot.cli.solve_dirichlet", boom)
@@ -364,7 +383,7 @@ def test_solve_rejects_a_probe_on_the_arc(tmp_path, capsys):
     on_arc = 0.5 ** (1.0 / 3.0)   # x^3 + y^3 = 1 at x = y
     assert_config_error_before_solving(
         tmp_path, {"nodes": 16, "probes": [[0.35, 0.3], [on_arc, on_arc]]})
-    assert "probe 1" in capsys.readouterr().err
+    assert "'probes' entry 1" in capsys.readouterr().err
 
 
 def test_solve_rejects_a_short_study_before_assembly(tmp_path):
@@ -400,6 +419,17 @@ def test_identical_configs_reproduce_bitwise(tmp_path):
         a = (pairs[0] / name).read_bytes()
         b = (pairs[1] / name).read_bytes()
         assert a == b
+
+
+@pytest.mark.parametrize("cfg, argv", [
+    ({"seed": -1, "gradient_pairs": 10}, ("verify", "gradient")),
+    ({"cases": 10}, ("--seed", "-1", "verify", "specfun")),
+], ids=["config", "flag"])
+def test_negative_seed_is_a_config_error(tmp_path, capsys, cfg, argv):
+    # numpy's generator used to reject it mid-suite (exit 3)
+    assert run(tmp_path, cfg, *argv) == 2
+    assert "seed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_seed_flag_changes_draws_without_breaking(tmp_path):

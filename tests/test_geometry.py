@@ -18,7 +18,7 @@ def test_point_rejects_negative_coordinates():
         Point(0.5, -1.0e-12)
 
 
-@pytest.mark.parametrize("bad", [math.inf, -math.inf])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_point_rejects_infinite_coordinates(bad):
     with pytest.raises(DomainError):
         Point(bad, 0.3)

@@ -6,6 +6,7 @@ precision.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -236,6 +237,24 @@ def test_double_layer_zero_density(curve):
     assert double_layer(P25, curve, zero, Point(0.4, 0.5)) == 0.0
 
 
+def test_sampled_density_support_must_contain_its_nodes(curve):
+    nodes = np.linspace(0.2, 1.0, 8)
+    values = np.sin(nodes)
+    assert Density.constant(1.0).support is None
+    assert Density.from_samples(nodes, values, (0.1, 1.2)).support == (0.1,
+                                                                        1.2)
+    # the outer nodes may sit on the ends of the range
+    assert Density.from_samples(nodes, values, (0.2, 1.0)).support == (0.2,
+                                                                        1.0)
+    for bad in ((0.3, 1.2), (0.1, 0.9), (1.2, 0.1), (math.nan, 1.2)):
+        with pytest.raises(DomainError, match="support"):
+            Density.from_samples(nodes, values, bad)
+    # a support that leaves the arc is caught where the arc is known
+    beyond = Density.from_samples(nodes, values, (0.1, curve.length + 1.0))
+    with pytest.raises(DomainError, match="sub-interval"):
+        double_layer(P25, curve, beyond, Point(0.4, 0.5))
+
+
 def _depth_first_layer(p, curve, mu, P0, tol):
     """Reference for the adaptive double layer: the recursive bisection,
     one single-panel kernel call at a time.  Returns (value, leaf panels)."""
@@ -337,11 +356,16 @@ def test_k_gauge_rejects_axis_points():
         k_gauge(P25, 1.0, 1.0, Point(0.0, 0.5))
 
 
-@pytest.mark.parametrize("bad", [Point(math.nan, 0.3), Point(0.3, math.nan)],
+@pytest.mark.parametrize("bad", [(math.nan, 0.3), (0.3, math.nan)],
                          ids=["x", "y"])
 def test_nan_points_fail_the_open_quadrant_checks(curve, bad):
     # a NaN passed "x <= 0 or y <= 0", and k_gauge then ran a 2F1 series
-    # to its term cap and raised ConvergenceError instead of DomainError
+    # to its term cap and raised ConvergenceError instead of DomainError.
+    # Point itself rejects a NaN; a duck-typed point still meets each
+    # evaluator's own check
+    with pytest.raises(DomainError):
+        Point(*bad)
+    bad = SimpleNamespace(x=bad[0], y=bad[1])
     with pytest.raises(DomainError):
         k_gauge(P25, 1.0, 1.0, bad)
     with pytest.raises(DomainError):
