@@ -17,14 +17,14 @@ endpoints, where the curve meets the axes and the trace relation is not
 established; the kernel's endpoint decay keeps the truncated mass small and
 the convergence study tracks it.
 
-``evaluate_many`` integrates the solved density over that range, its support,
-cut at its spline knots: far pieces take a Gauss rule sized by their standoff
-from the target, batched over all targets, and only near pieces are bisected.
+``evaluate_many`` integrates the solved density, the per-panel Nystrom
+interpolant, over the panel range cut at its nodes and panel edges: far
+pieces take a Gauss rule sized by their standoff from the target, batched
+over all targets, and only near pieces are bisected.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -35,8 +35,9 @@ from .errors import ConvergenceError, DomainError, SolveError
 from .geometry import Curve, Point
 from .kernel import (Params, kernel_families, q4_many,
                      weighted_dq4_dn_many)
-from .potential import (NEAR_FIELD_TOL, Density, _bisect, _layer_panels,
-                        _panel_nodes, _support, kernel_K4_log_split)
+from .potential import (NEAR_FIELD_TOL, Density, _bisect, _lagrange_coeffs,
+                        _layer_panels, _panel_nodes, _support,
+                        kernel_K4_log_split)
 from .specfun import gauss_rule
 
 __all__ = [
@@ -60,16 +61,6 @@ def _far_orders(ratio: np.ndarray) -> np.ndarray:
     fewest points m whose Bernstein-ellipse bound (4 ratio)^(-2 m) stays
     within 4^(-24), the 12-point bound at ratio 1 (12 points below it)."""
     return np.where(ratio < 4.0, 12, np.where(ratio < 16.0, 6, 4))
-
-
-@functools.cache
-def _lagrange_coeffs(order: int) -> np.ndarray:
-    """Monomial coefficients of the Lagrange basis on Gauss nodes in [-1, 1].
-
-    Column k holds the coefficients of L_k, lowest power first.
-    """
-    u, _ = gauss_rule(order)
-    return np.linalg.inv(np.vander(u, order, increasing=True))
 
 
 def _log_panel_weights(lo, hi, s0, order: int) -> np.ndarray:
@@ -234,10 +225,10 @@ def condition_estimate(sys: NystromSystem) -> float:
 def solve_dirichlet(sys: NystromSystem) -> Density:
     """Direct dense solve of the collocation system.
 
-    Returns the density as a spline through the node values on the panel
-    range (edges[0], edges[-1]) (nodes and values ride along as
-    attributes).  Residual worse than 1e-10 * ||f||_inf or a singular
-    matrix raises SolveError with the condition estimate.
+    Returns the Nystrom interpolant ``Density.from_panels(sys.edges, mu)``:
+    on each panel the degree-7 polynomial through its node values.
+    Residual worse than 1e-10 * ||f||_inf or a singular matrix raises
+    SolveError with the condition estimate.
     """
     f = sys.rhs
     if f is None:
@@ -254,20 +245,21 @@ def solve_dirichlet(sys: NystromSystem) -> Density:
         raise SolveError(
             f"solve residual {residual:.3e} exceeds 1e-10 * ||f||_inf "
             f"(condition estimate {condition_estimate(sys):.3e})")
-    return Density.from_samples(sys.nodes, mu, (sys.edges[0], sys.edges[-1]))
+    return Density.from_panels(sys.edges, mu)
 
 
 def evaluate_many(p: Params, curve: Curve, mu: Density, targets) -> np.ndarray:
-    """Potential of a sampled density at many interior points.
+    """Potential of a density on panels at many interior points.
 
     ``targets`` are Points in the open quadrant; the result holds one value
     per target, the integral over the density's support ``mu.support``.
 
-    The support is cut into pieces at the density's own spline knots
-    (``mu.nodes`` inside the support) plus the two support ends, so the
-    density is one cubic on each piece.  A piece [lo, hi] of length h is
-    far from a target P when h <= |P - Gamma(mid)| - h/2, a lower bound of
-    the distance from P to the piece (arclength is at least the chord).
+    The support is cut into pieces at the density's nodes and panel edges
+    (``mu.nodes`` and ``mu.edges``): the density is one polynomial on each
+    piece, and no rule straddles its jumps at the panel edges.  A piece
+    [lo, hi] of length h is far from a target P when h <= |P - Gamma(mid)|
+    - h/2, a lower bound of the distance from P to the piece (arclength is
+    at least the chord).
     A far piece takes the 12-, 6- or 4-point Gauss rule ``_far_orders``
     gives its ratio min(bound, 1/|kappa|) / h: the target's standoff, or
     the radius of curvature where that is shorter (near a sharp corner the
@@ -281,18 +273,17 @@ def evaluate_many(p: Params, curve: Curve, mu: Density, targets) -> np.ndarray:
     order from its own pieces only, so its value does not depend on the
     other targets of the batch.
 
-    A density without knots raises DomainError: closed-form densities go
+    A density without panels raises DomainError: closed-form densities go
     to ``potential.double_layer``.
     """
-    knots = getattr(mu, "nodes", None)
-    if knots is None:
-        raise DomainError("evaluate_many needs a sampled density with "
-                          "knots; use double_layer for closed forms")
+    if getattr(mu, "edges", None) is None:
+        raise DomainError("evaluate_many needs a density on panels; use "
+                          "double_layer for closed forms")
     xy = np.array([(t.x, t.y) for t in targets], dtype=float).reshape(-1, 2)
     if not np.all(np.isfinite(xy) & (xy > 0.0)):
         raise DomainError("evaluation points must lie in the open quadrant")
-    lo, hi = _support(curve, mu)
-    edges = np.concatenate(([lo], knots[(knots > lo) & (knots < hi)], [hi]))
+    _support(curve, mu)  # raises unless the panels lie on the arc
+    edges = np.sort(np.concatenate((mu.edges, mu.nodes)))
     h = np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])
     mx, my, *_, kappa = curve.frames(mid)

@@ -11,8 +11,9 @@ the one curve the package knows.  It is built from two graphs glued at
 the point of the arc where x/a = y/b: near B the arc is the graph
 x -> (x, y(x)), near A the graph y -> (x(y), y).  Both graphs have
 bounded slope on their half, so speed, tangent and curvature follow from
-stable closed forms, and the only numerical content is the arclength
-table used to invert s -> parameter.
+stable closed forms.  The only numerical content is each branch's
+arclength: Gauss-summed cell lengths, read between cell edges by a
+cell-local quintic Hermite and inverted by Newton's method.
 
 ``Curve.frames(s)`` is the array evaluator: point, unit tangent, outward
 normal and curvature at a whole batch of arclengths, with one vectorized
@@ -26,9 +27,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.polynomial import polyval
 
 from .errors import DomainError
+from .specfun import gauss_rule
 
 
 @dataclass(frozen=True)
@@ -63,44 +65,37 @@ _TABLE_CELLS = 1024
 _GAUSS_PTS = 7
 
 
-def _cubic_spline(x, y):
-    """Not-a-knot cubic spline through (x[i], y[i]), x strictly increasing,
-    at least four knots; a vectorised evaluator that extends the end cubics.
-    The knot slopes solve the tridiagonal system in one Thomas sweep."""
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    if (x.ndim != 1 or x.shape != y.shape or x.size < 4
-            or not np.all(np.diff(x) > 0.0)):
-        raise DomainError("spline needs four or more increasing 1-d knots")
-    dx = np.diff(x)
-    m = np.diff(y) / dx
-    # row i: lower[i-1] s[i-1] + diag[i] s[i] + upper[i] s[i+1] = rhs[i];
-    # the first and last rows are the not-a-knot conditions
-    d0, d1 = x[2] - x[0], x[-1] - x[-3]
-    lower, upper = [*dx[1:].tolist(), d1], [d0, *dx[:-1].tolist()]
-    diag = [dx[1], *(2.0 * (dx[:-1] + dx[1:])).tolist(), dx[-2]]
-    rhs = [((dx[0] + 2.0 * d0) * dx[1] * m[0] + dx[0] ** 2 * m[1]) / d0,
-           *(3.0 * (dx[1:] * m[:-1] + dx[:-1] * m[1:])).tolist(),
-           (dx[-1] ** 2 * m[-2] + (2.0 * d1 + dx[-1]) * dx[-2] * m[-1]) / d1]
-    for i in range(1, x.size):
-        w = lower[i - 1] / diag[i - 1]
-        diag[i] -= w * upper[i - 1]
-        rhs[i] -= w * rhs[i - 1]
-    s = [rhs[-1] / diag[-1]]
-    for i in range(x.size - 2, -1, -1):
-        s.append((rhs[i] - upper[i] * s[-1]) / diag[i])
-    s = np.array(s[::-1])
-    # power-form coefficients per interval, constant term first
-    t = (s[:-1] + s[1:] - 2.0 * m) / dx
-    coef = (y[:-1], s[:-1], (m - s[:-1]) / dx - t, t / dx)
+def _quintic_hermite(x, y, dy, d2y):
+    """Piecewise quintic matching the values y, slopes dy and second
+    derivatives d2y at the increasing knots x, in closed form on each cell;
+    a vectorised evaluator that extends the end quintics."""
+    h = np.diff(x)
+    d0, d1 = h * dy[:-1], h * dy[1:]
+    c0, c1 = 0.5 * h * h * d2y[:-1], 0.5 * h * h * d2y[1:]
+    # in t = (u - x[k]) / h: y + d0 t + c0 t^2, plus the t^3, t^4 and t^5
+    # terms that fit the value, slope and curvature at t = 1
+    r0, r1, r2 = np.diff(y) - d0 - c0, d1 - d0 - 2.0 * c0, c1 - c0
+    coef = np.array((y[:-1], d0, c0, 10.0 * r0 - 4.0 * r1 + r2,
+                     -15.0 * r0 + 7.0 * r1 - 2.0 * r2,
+                     6.0 * r0 - 3.0 * r1 + r2))
 
-    def spline(u):
-        u = np.asarray(u, dtype=float)
-        k = np.clip(np.searchsorted(x, u, side="right") - 1, 0, x.size - 2)
-        d = u - x[k]
-        return coef[0][k] + coef[1][k] * d + coef[2][k] * (d * d) \
-            + coef[3][k] * (d * d * d)
+    def hermite(u):
+        k = np.clip(np.searchsorted(x, u, side="right") - 1, 0, h.size - 1)
+        return polyval((u - x[k]) / h[k], coef[:, k], tensor=False)
 
-    return spline
+    return hermite
+
+
+def _graph(t, q, run, rise):
+    """(f, f', f'') at t of the graph f(t) = rise (1 - (t/run)^q)^(1/q): the
+    arc over x near B (run a, rise b) and over y near A (run b, rise a)."""
+    g = (1.0 - (t / run) ** q) ** (1.0 / q)     # f / rise
+    # f' = -(rise/run) (t/run)^(q-1) g^(1-q)
+    d1 = -(rise / run) * (t / run) ** (q - 1.0) * g ** (1.0 - q)
+    # f'' = -(q-1) (rise/run^2) (t/run)^(q-2) g^(1-2q)
+    d2 = -(q - 1.0) * (rise / run ** 2) \
+        * (t / run) ** (q - 2.0) * g ** (1.0 - 2.0 * q)
+    return rise * g, d1, d2
 
 
 class Curve:
@@ -122,32 +117,6 @@ class Curve:
         self.q = float(q)
         self._build_tables()
 
-    # -- the two graph branches ----------------------------------------------
-
-    def _graph_over_x(self, x):
-        """Return (y, dy/dx, d2y/dx2) for the branch near B."""
-        q = self.q
-        w = (x / self.a) ** q
-        g = (1.0 - w) ** (1.0 / q)     # y/b
-        y = self.b * g
-        # dy/dx = -(b/a) (x/a)^(q-1) g^(1-q)
-        dy = -(self.b / self.a) * (x / self.a) ** (q - 1.0) * g ** (1.0 - q)
-        # d2y/dx2 = -(q-1) (b/a^2) (x/a)^(q-2) g^(1-2q)
-        d2y = -(q - 1.0) * (self.b / self.a ** 2) \
-            * (x / self.a) ** (q - 2.0) * g ** (1.0 - 2.0 * q)
-        return y, dy, d2y
-
-    def _graph_over_y(self, y):
-        """Return (x, dx/dy, d2x/dy2) for the branch near A."""
-        q = self.q
-        w = (y / self.b) ** q
-        g = (1.0 - w) ** (1.0 / q)
-        x = self.a * g
-        dx = -(self.a / self.b) * (y / self.b) ** (q - 1.0) * g ** (1.0 - q)
-        d2x = -(q - 1.0) * (self.a / self.b ** 2) \
-            * (y / self.b) ** (q - 2.0) * g ** (1.0 - 2.0 * q)
-        return x, dx, d2x
-
     def implicit_value(self, x: float, y: float) -> float:
         """Signed implicit function (x/a)^q + (y/b)^q - 1.
 
@@ -165,58 +134,58 @@ class Curve:
 
     def _build_tables(self):
         # glue where x/a = y/b, (x/a)^q = 1/2: branch 1 is the graph over
-        # x in [0, x_star] (containing B), branch 2 the graph over y in
-        # [0, y_star] (containing A)
+        # x in [0, a glue] (containing B), branch 2 the graph over y in
+        # [0, b glue] (containing A)
         glue = 0.5 ** (1.0 / self.q)
-        x_star, y_star = self.a * glue, self.b * glue
-        gl_x, gl_w = leggauss(_GAUSS_PTS)
+        gl_x, gl_w = gauss_rule(_GAUSS_PTS)
+        # cells graded toward both branch ends: the axis, where the graph's
+        # fractional powers start, and the glue point, a near corner at
+        # large q
+        grade = np.sin(0.5 * np.pi * np.linspace(0.0, 1.0,
+                                                 _TABLE_CELLS + 1)) ** 2
 
-        def table(upper, speed):
-            edges = upper * np.linspace(0.0, 1.0, _TABLE_CELLS + 1) ** 2
-            mid = 0.5 * (edges[1:] + edges[:-1])
-            half = 0.5 * (edges[1:] - edges[:-1])
-            nodes = mid[:, None] + half[:, None] * gl_x[None, :]
-            cell = half * (speed(nodes.ravel()).reshape(nodes.shape)
+        def branch(run, rise):
+            # arclength from the branch's axis end as a function of the
+            # parameter: Gauss-summed cell lengths, and s' = speed and
+            # s'' = f' f'' / speed at the cell edges
+            end = run * glue
+            edges = end * grade
+            mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+            nodes = mid[:, None] + half[:, None] * gl_x
+            cell = half * (np.hypot(1.0, _graph(nodes, self.q, run, rise)[1])
                            @ gl_w)
-            return edges, np.concatenate(([0.0], np.cumsum(cell)))
+            s = np.concatenate(([0.0], np.cumsum(cell)))
+            _, d1, d2 = _graph(edges, self.q, run, rise)
+            speed = np.hypot(1.0, d1)
+            return (run, rise, _quintic_hermite(edges, s, speed,
+                                                d1 * d2 / speed),
+                    (s, edges), end)
 
-        x_edges, s_of_x = table(
-            x_star, lambda x: np.hypot(1.0, self._graph_over_x(x)[1]))
-        y_edges, s_of_y = table(
-            y_star, lambda y: np.hypot(1.0, self._graph_over_y(y)[1]))
-        self._s_glue = s_of_x[-1]
-        self.length = s_of_x[-1] + s_of_y[-1]
-        # Per branch: graph, forward map s(par) (not-a-knot spline, near
-        # machine accuracy on smooth data), (s, par) table whose linear
-        # reading seeds the Newton polish, par range end, sign of -ds/dpar
-        # (s grows with x from B on branch 1, falls with y on branch 2).
-        # The graph is the plain function, called with the curve: a bound
-        # method here would tie the curve into a reference cycle, and its
-        # tables would wait for the cyclic garbage collector instead of
-        # going with the curve.
-        s_of_y = self.length - s_of_y
-        self._branches = (
-            (Curve._graph_over_x, _cubic_spline(x_edges, s_of_x),
-             (s_of_x, x_edges), x_star, -1.0),
-            (Curve._graph_over_y, _cubic_spline(y_edges, s_of_y),
-             (s_of_y[::-1], y_edges[::-1]), y_star, 1.0))
+        self._branches = branch(self.a, self.b), branch(self.b, self.a)
+        # both arclength tables run from an axis end to the glue point
+        s_x, s_y = (table[0] for _, _, _, table, _ in self._branches)
+        self._s_glue = s_x[-1]
+        self.length = s_x[-1] + s_y[-1]
 
     def _branch_frames(self, s: np.ndarray, branch: int):
         """(x, y, tx, ty, kappa) at arclengths s on one graph branch.
 
-        The table inverse seeds a Newton polish that makes the parameter
-        consistent with the analytic speed to machine accuracy.  The seed
-        and every step are clamped into the branch's range: rounding can
-        land a parameter just outside it (y = -8e-24 at s = l), where the
-        graph's fractional powers are NaN.
+        The table's linear reading seeds a Newton polish of the quintic
+        forward map at the arclength from the branch's axis end (l - s on
+        branch 2), which places points within 1e-14 of an mpmath arclength
+        (tests/data/arclength_references.json).  The seed and every step
+        are clamped into the branch's range: rounding can land a parameter
+        just outside it, where the graph's fractional powers are NaN.
         """
-        graph, s_of, table, edge, sign = self._branches[branch - 1]
-        par = np.clip(np.interp(s, *table), 0.0, edge)
+        run, rise, s_of, table, end = self._branches[branch - 1]
+        if branch == 2:
+            s = self.length - s
+        par = np.clip(np.interp(s, *table), 0.0, end)
         for _ in range(3):
-            _, dpar, _ = graph(self, par)
-            par = par + sign * ((s_of(par) - s) / np.hypot(1.0, dpar))
-            par = np.clip(par, 0.0, edge)
-        other, d1, d2 = graph(self, par)
+            dpar = _graph(par, self.q, run, rise)[1]
+            par = np.clip(par - (s_of(par) - s) / np.hypot(1.0, dpar), 0.0,
+                          end)
+        other, d1, d2 = _graph(par, self.q, run, rise)
         sp = np.hypot(1.0, d1)
         kappa = d2 / sp ** 3
         if branch == 1:

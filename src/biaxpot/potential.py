@@ -15,16 +15,18 @@ residual.
 
 from __future__ import annotations
 
+import functools
 import math
 import weakref
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from .errors import (AmbiguousClassificationError, ConvergenceError,
                      DomainError)
-from .geometry import Curve, Point, _cubic_spline
+from .geometry import Curve, Point
 from .kernel import (Params, grad_q4_many, k4_constant, q4_many,
                      weighted_dq4_dn_many)
 from .specfun import gauss_2f1, gauss_rule
@@ -53,13 +55,25 @@ AMBIGUOUS_DIST = 1.0e-6
 # Absolute error target for the adaptive near-boundary evaluator.
 NEAR_FIELD_TOL = 1.0e-8
 
-class Density:
-    """Boundary density mu(s), closed form on the whole arc or sampled on
-    its ``support``, an arclength range (None for a closed form).
+@functools.cache
+def _lagrange_coeffs(order: int) -> np.ndarray:
+    """Monomial coefficients of the Lagrange basis on Gauss nodes in [-1, 1].
 
-    Wraps a vectorised callable of arclength; ``from_samples`` builds a
-    not-a-knot cubic spline through node values (at least four) so that
-    solver output can be re-evaluated at arbitrary quadrature nodes.
+    Column k holds the coefficients of L_k, lowest power first: the
+    product of (u - u_j) over the other nodes, over its value at u_k.
+    """
+    u, _ = gauss_rule(order)
+    return np.array([np.poly(np.delete(u, k))[::-1] / np.prod(
+        u[k] - np.delete(u, k)) for k in range(order)]).T
+
+
+class Density:
+    """Boundary density mu(s), closed form on the whole arc or given on
+    panels of its ``support``, an arclength range (None for a closed form).
+
+    Wraps a vectorised callable of arclength; ``from_panels`` builds the
+    Nystrom interpolant that re-evaluates solver output at arbitrary
+    quadrature nodes.
     """
 
     def __init__(self, func: Callable):
@@ -84,20 +98,35 @@ class Density:
         return cls(lambda s: np.full_like(np.asarray(s, dtype=float), value))
 
     @classmethod
-    def from_samples(cls, nodes, values, support) -> "Density":
-        nodes = np.asarray(nodes, dtype=float)
+    def from_panels(cls, edges, values) -> "Density":
+        """The density on the panels [edges[k], edges[k+1]] given by its
+        values at the same number of Gauss nodes on each, in panel order,
+        supported on (edges[0], edges[-1]); the end polynomials extend past
+        the support.  ``edges``, ``nodes`` and ``values`` ride along."""
+        edges = np.asarray(edges, dtype=float)
         values = np.asarray(values, dtype=float)
-        if nodes.ndim != 1 or nodes.shape != values.shape:
-            raise DomainError("sampled density needs matching 1-d nodes/values")
-        if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(values))):
-            raise DomainError("sampled density must be finite")
-        den = cls(_cubic_spline(nodes, values))
-        lo, hi = (float(v) for v in support)
-        if not (lo <= nodes[0] and nodes[-1] <= hi):  # false for NaN too
-            raise DomainError("density support must contain its nodes")
-        den.nodes = nodes.copy()
-        den.values = values.copy()
-        den.support = lo, hi
+        panels = edges.size - 1
+        if (edges.ndim != 1 or values.ndim != 1 or panels < 1
+                or values.size == 0 or values.size % panels):
+            raise DomainError("panel density needs 1-d edges and the same "
+                              "number of 1-d values on every panel")
+        if not (np.all(np.isfinite(edges)) and np.all(np.isfinite(values))
+                and np.all(np.diff(edges) > 0.0)):
+            raise DomainError("panel density needs finite values on finite "
+                              "increasing edges")
+        order = values.size // panels
+        coef = values.reshape(panels, order) @ _lagrange_coeffs(order).T
+        mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+
+        def interpolant(s):
+            k = np.clip(np.searchsorted(edges, s, side="right") - 1, 0,
+                        panels - 1)
+            return polyval((s - mid[k]) / half[k], coef[k].T, tensor=False)
+
+        den = cls(interpolant)
+        den.edges, den.values = edges.copy(), values.copy()
+        den.nodes = _panel_nodes(edges, order)[0]
+        den.support = float(edges[0]), float(edges[-1])
         return den
 
 

@@ -1,5 +1,6 @@
-"""Generate the frozen Appell F2 references in ``f2_references.json`` and
-the Gauss-Jacobi rules in ``gauss_jacobi_references.json``.
+"""Generate the frozen Appell F2 references in ``f2_references.json``,
+the Gauss-Jacobi rules in ``gauss_jacobi_references.json`` and the
+superellipse points at given arclengths in ``arclength_references.json``.
 
 Run once, offline, from the repository root:
 
@@ -34,6 +35,19 @@ polished by Newton's method.  The weights come from the closed form
 and the script stops unless there are n zeros and the weights sum to the
 weight's integral to 30 digits.  Neither step shares anything with the
 Golub-Welsch eigenvalue route of ``biaxpot.specfun.jacobi_rules``.
+
+The arclength references place points at given arclengths s on the quarter
+superellipse (x/a)^q + (y/b)^q = 1, s = 0 at B = (0, b).  The arc is the
+graph y(x) from B up to the glue point x/a = y/b and the graph x(y) from
+there to A = (a, 0); each s is the double nearest the arclength of a point
+at a given fraction of its branch's parameter range, and Newton's method on
+the arclength integral finds the parameter at that double.  The integral of
+the graph's speed sqrt(1 + y'^2) is summed twice: by tanh-sinh over the
+parameter, and by Gauss-Legendre over w with parameter = end * w^2, which
+makes the integrand's fractional powers at q = 2.5 integer ones.  Both split
+their range at points graded toward the glue end, which the graph's branch
+point at parameter = a (or b) nears for large q.  The script stops unless
+the two routes place every point and give the length to 25 digits.
 """
 
 import json
@@ -63,6 +77,12 @@ RULE_ORDERS = [6, 12, 20, 24]
 RULE_EXPONENTS = [-0.999, -0.99, -0.75, -0.5, 0.0, 0.6, 0.99]
 RULE_PAIRS = [(-0.25, -0.25), (-0.49, -0.49), (-0.9, 0.3)]
 RULE_GRID = 400
+
+# superellipse exponents, semi-axes (a, b), and the parameter fractions of
+# the reference points on each branch; 0.999 sits next to the glue point
+ARC_EXPONENTS = [2, 2.5, 3, 8, 40]
+ARC_SHAPES = [(1, 1), (6, 1), (1, 6)]
+ARC_FRACTIONS = ["0.02", "0.3", "0.7", "0.95", "0.999"]
 
 
 def kernel_families(alpha, beta):
@@ -154,8 +174,103 @@ def rules():
     return {"rules": cases}
 
 
+def graph_speed(q, a, b):
+    """sqrt(1 + y'(t)^2) of the graph y = b (1 - (t/a)^q)^(1/q)."""
+    def speed(t):
+        g = (1 - (t / a) ** q) ** (1 / q)
+        slope = -(b / a) * (t / a) ** (q - 1) * g ** (1 - q)
+        return mp.sqrt(1 + slope * slope)
+    return speed
+
+
+def graded(end):
+    """Split points of [0, end], halving toward end eleven times."""
+    return [mp.mpf(0)] + [end * (1 - mp.mpf(2) ** -j) for j in range(1, 12)] \
+        + [end]
+
+
+def arc_tanh_sinh(speed, end):
+    return mp.quad(speed, graded(end))
+
+
+def arc_gauss_legendre(speed, end):
+    pts = [mp.sqrt(t / end) for t in graded(end)]
+    return mp.quad(lambda w: 2 * w * end * speed(end * w * w), pts,
+                   method="gauss-legendre")
+
+
+def branch_point(speed, arc, start, s):
+    """The parameter whose arc from 0 is s, by Newton from start."""
+    t = start
+    for _ in range(40):
+        step = (arc(speed, t) - s) / speed(t)
+        t -= step
+        if abs(step) <= mp.mpf(10) ** (-WORK_DPS + 2) * max(t, 1):
+            return t
+    raise SystemExit(f"Newton stalled at arclength {s}")
+
+
+def curve_points(q, a, b, extra):
+    """Length and (s, x, y, tx, ty) rows of one curve by both routes."""
+    q, a, b = mp.mpf(q), mp.mpf(a), mp.mpf(b)
+    glue = mp.mpf(0.5) ** (1 / q)
+    over_x, over_y = graph_speed(q, a, b), graph_speed(q, b, a)
+    routes = []
+    for arc in (arc_tanh_sinh, arc_gauss_legendre):
+        head, tail = arc(over_x, a * glue), arc(over_y, b * glue)
+        routes.append((arc, head, tail, head + tail))
+    arc, head, _, length = routes[0]
+    # each target s is a double; extra ones are fractions of the length
+    targets = [float(arc(over_x, mp.mpf(f) * a * glue)) for f in ARC_FRACTIONS]
+    targets += [float(length - arc(over_y, mp.mpf(f) * b * glue))
+                for f in ARC_FRACTIONS]
+    targets += [e(float(length)) for e in extra]
+    rows = []
+    for s in targets:
+        found = []
+        for arc, head, _, total in routes:
+            if s <= head:
+                x = branch_point(over_x, arc, a * glue * s / head, s)
+                y = b * (1 - (x / a) ** q) ** (1 / q)
+                slope = -(b / a) * (x / a) ** (q - 1) * (y / b) ** (1 - q)
+                sp = mp.sqrt(1 + slope * slope)
+                found.append((x, y, 1 / sp, slope / sp))
+            else:
+                y = branch_point(over_y, arc, b * glue * (total - s)
+                                 / (total - head), total - s)
+                x = a * (1 - (y / b) ** q) ** (1 / q)
+                slope = -(a / b) * (y / b) ** (q - 1) * (x / a) ** (1 - q)
+                sp = mp.sqrt(1 + slope * slope)
+                found.append((x, y, -slope / sp, -1 / sp))
+        scale = max(a, b)
+        if max(abs(u - v) for u, v in zip(*found)) > AGREE * scale:
+            raise SystemExit(f"arclength routes disagree at q={q}, a={a}, "
+                             f"b={b}, s={s}: {found}")
+        rows.append([s] + [mp.nstr(v, STORE_DIGITS) for v in found[0]])
+    if abs(routes[0][3] - routes[1][3]) > AGREE * routes[0][3]:
+        raise SystemExit(f"arclength routes disagree on the length at q={q}")
+    return mp.nstr(length, STORE_DIGITS), rows
+
+
+def arclengths():
+    cases = []
+    for q in ARC_EXPONENTS:
+        for a, b in ARC_SHAPES:
+            # the stock arc also gets the midpoint and the offset pair of
+            # the diagonal log split, s +- 1e-5 l, as the tests compute them
+            extra = [] if (q, a, b) != (3, 1, 1) else [
+                lambda l: 0.5 * l - 1.0e-5 * l, lambda l: 0.5 * l,
+                lambda l: 0.5 * l + 1.0e-5 * l]
+            length, rows = curve_points(q, a, b, extra)
+            cases.append({"q": q, "a": a, "b": b, "length": length,
+                          "points": rows})
+    return {"columns": ["s", "x", "y", "tx", "ty"], "curves": cases}
+
+
 def main():
     mp.mp.dps = WORK_DPS
+    path = pathlib.Path(__file__).with_name("arclength_references.json")
+    path.write_text(json.dumps(arclengths(), indent=1) + "\n")
     path = pathlib.Path(__file__).with_name("gauss_jacobi_references.json")
     path.write_text(json.dumps(rules(), indent=1) + "\n")
     kernel = []

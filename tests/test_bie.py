@@ -310,8 +310,31 @@ def test_solved_density_is_supported_on_the_panel_range(curve, manufactured):
     assert sys.nodes[-1] < mu.support[1] < curve.length
 
 
+def test_solved_density_is_the_nystrom_panel_interpolant(manufactured):
+    _, _, sys, mu = manufactured
+    assert np.array_equal(mu.edges, sys.edges)
+    assert np.array_equal(mu.nodes, sys.nodes)
+    scale = np.max(np.abs(mu.values))
+    assert np.max(np.abs(mu(sys.nodes) - mu.values)) <= 1.0e-13 * scale
+    # the same interpolant gives back a different degree-7 polynomial on
+    # every panel, between the nodes and up to the panel edges
+    rng = np.random.default_rng(8)
+    polys = [np.polynomial.Polynomial(rng.normal(size=PANEL_ORDER),
+                                      domain=[lo, hi])
+             for lo, hi in zip(sys.edges[:-1], sys.edges[1:])]
+    nodes = sys.nodes.reshape(len(polys), PANEL_ORDER)
+    poly_mu = Density.from_panels(
+        sys.edges, np.concatenate([p(t) for p, t in zip(polys, nodes)]))
+    for p, lo, hi in zip(polys, sys.edges[:-1], sys.edges[1:]):
+        t = np.append(rng.uniform(lo, hi, 50), lo)
+        want = p(t)
+        assert np.max(np.abs(poly_mu(t) - want)) <= 1.0e-13 * np.max(
+            np.abs(want))
+
+
 def test_boundary_trace_rejects_a_solved_density(curve, manufactured):
-    # its spline is extrapolated over the guard bands the trace rule spans
+    # its end polynomials would be extrapolated over the guard bands the
+    # trace rule spans
     _, _, _, mu = manufactured
     with pytest.raises(DomainError, match="whole arc"):
         boundary_trace(P25, curve, mu, 0.5 * curve.length, "interior")
@@ -499,9 +522,10 @@ def test_evaluate_many_far_targets_take_one_kernel_call(curve, monkeypatch):
     monkeypatch.setattr(potential_mod, "weighted_dq4_dn_many", counted)
     targets = [Point(0.35, 0.3), Point(0.3, 0.45), Point(0.45, 0.25)]
     values = evaluate_many(P25, curve, mu, targets)
-    # 16 knots inside the support make 17 pieces per target; of the 51,
-    # 7 take 12 nodes, 35 take 6 and 9 take 4
-    assert calls == [7 * 12 + 35 * 6 + 9 * 4]
+    # the 16 nodes and the 3 edges of the two panels cut the support into
+    # 18 pieces per target, all far; of the 54, 7 take 12 nodes, 35 take 6
+    # and 12 take 4: 84 + 210 + 48 = 342
+    assert calls == [7 * 12 + 35 * 6 + 12 * 4]
     assert np.all(np.isfinite(values))
 
 

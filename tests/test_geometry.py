@@ -1,7 +1,9 @@
 """Quarter-plane boundary curves: parametrization, normals, endpoint decay."""
 
 import gc
+import json
 import math
+import pathlib
 import weakref
 
 import numpy as np
@@ -186,15 +188,6 @@ def test_point_at_rejects_non_finite(curve):
         curve.frames(np.array([0.1, math.nan]))
 
 
-# -- the not-a-knot spline behind the arclength tables -------------------------
-
-def _spline_gap(x, y, u):
-    from scipy.interpolate import CubicSpline
-    want = CubicSpline(x, y)(u)
-    got = geometry._cubic_spline(x, y)(u)
-    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
-
-
 def test_curve_is_freed_without_the_cyclic_collector():
     # a curve must not sit in a reference cycle: its arclength tables would
     # outlive it until the cyclic collector ran
@@ -211,52 +204,39 @@ def test_curve_is_freed_without_the_cyclic_collector():
             gc.enable()
 
 
-@pytest.mark.parametrize("n", [4, 5, 9, 64, 1025])
-def test_cubic_spline_matches_scipy_not_a_knot_random_knots(n):
-    rng = np.random.default_rng(n)
-    for _ in range(5):
-        x = np.sort(rng.uniform(-2.0, 3.0, n))
-        y = rng.normal(size=n)
-        # inside, at the knots, and past both ends (the end cubics extend)
-        u = np.concatenate((rng.uniform(x[0] - 0.5, x[-1] + 0.5, 400), x))
-        assert _spline_gap(x, y, u) <= 1.0e-14
+# -- the arclength maps against an mpmath arclength ------------------------------
+
+ARC_REFERENCES = json.loads(
+    (pathlib.Path(__file__).parent / "data"
+     / "arclength_references.json").read_text())["curves"]
 
 
-def test_cubic_spline_matches_scipy_on_the_stock_arclength_tables(curve):
-    for _, _, (s_table, par), _, _ in curve._branches:
-        assert par.size == 1025
-        knots, values = (par, s_table) if par[0] < par[-1] else (
-            par[::-1], s_table[::-1])
-        u = np.concatenate((np.linspace(knots[0], knots[-1], 20001), knots))
-        assert _spline_gap(knots, values, u) <= 1.0e-14
-
-
-def test_cubic_spline_reproduces_cubics_and_rejects_bad_knots():
-    # not-a-knot is exact on cubics, the smallest knot count included
-    x = np.array([0.0, 0.5, 1.5, 3.0])
-    u = np.linspace(-1.0, 4.0, 21)
-    cubic = lambda t: 1.0 - 2.0 * t + 0.5 * t ** 3  # noqa: E731
-    got = geometry._cubic_spline(x, cubic(x))(u)
-    assert np.max(np.abs(got - cubic(u))) <= 1.0e-13
-    assert np.ndim(geometry._cubic_spline(x, cubic(x))(0.7)) == 0
-    # two and three knots are refused, not given a different interpolant
-    for x, y in (([0.0], [1.0]), ([0.0, 2.0], [1.0, 5.0]),
-                 ([0.0, 1.0, 3.0], [0.0, 1.0, 9.0]),
-                 ([0.0, 1.0, 1.0, 2.0], [0.0, 1.0, 2.0, 3.0]),
-                 ([3.0, 2.0, 1.0, 0.0], [0.0, 1.0, 2.0, 3.0]),
-                 ([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0])):
-        with pytest.raises(DomainError):
-            geometry._cubic_spline(x, y)
+@pytest.mark.parametrize("ref", ARC_REFERENCES,
+                         ids=lambda r: f"{r['a']}-{r['b']}-{r['q']}")
+def test_points_match_the_mpmath_arclength_references(ref):
+    # points at given arclengths, on both branches and next to the glue
+    # point (x / x_star = 0.999), frozen by data/make_references.py
+    curve = Curve(ref["a"], ref["b"], ref["q"])
+    assert curve.length == pytest.approx(float(ref["length"]), rel=1e-14,
+                                         abs=0.0)
+    s, *want = np.array(ref["points"], dtype=float).T
+    got = curve.frames(s)[:4]
+    for k in (0, 1):
+        assert np.max(np.abs(got[k] - want[k])) <= 1.0e-14
+    for k in (2, 3):
+        assert np.max(np.abs(got[k] - want[k])) <= 1.0e-13
 
 
 @pytest.mark.parametrize("q", [2.0, 2.5, 3.0, 8.0])
 @pytest.mark.parametrize("a, b", [(1.0, 1.0), (1.0, 6.0), (6.0, 1.0)])
 def test_frames_match_a_scipy_spline_curve(monkeypatch, q, a, b):
-    # the same curve with scipy's not-a-knot spline as the forward map: the
-    # Newton polish removes the seed, so only the spline's rounding remains
-    from scipy.interpolate import CubicSpline
+    # the same curve with scipy's piecewise quintic Hermite (a Bernstein
+    # basis spline) as the forward map: the Newton polish removes the seed,
+    # so only the two evaluators' rounding remains
+    from scipy.interpolate import BPoly
     mine = Curve(a, b, q)
-    monkeypatch.setattr(geometry, "_cubic_spline", CubicSpline)
+    monkeypatch.setattr(geometry, "_quintic_hermite", lambda x, *d:
+                        BPoly.from_derivatives(x, np.column_stack(d)))
     ref = Curve(a, b, q)
     assert ref.length == mine.length
     s = np.linspace(0.0, mine.length, 4001)
