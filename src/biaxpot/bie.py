@@ -112,8 +112,6 @@ class NystromSystem:
     diagonal values.
     """
 
-    p: Params
-    curve: Curve
     n: int
     nodes: np.ndarray
     weights: np.ndarray
@@ -130,7 +128,7 @@ def assemble(p: Params, curve: Curve, n: int,
 
     ``f`` is optional boundary data evaluated at the nodes into the rhs.
     The excluded endpoint fraction shrinks with the mesh (GUARD_FRAC
-    anchored at the minimum node count, within [0.002, 0.2]), so the
+    anchored at the minimum node count, at least 0.002), so the
     endpoint truncation bias refines along with the quadrature error
     instead of flooring it.  A kernel evaluation that fails raises
     SolveError naming the first failing row and its arclength.
@@ -140,7 +138,7 @@ def assemble(p: Params, curve: Curve, n: int,
     if n % PANEL_ORDER != 0:
         raise DomainError(f"node count must be a multiple of {PANEL_ORDER}")
     length = curve.length
-    guard = min(0.2, max(0.002, GUARD_FRAC * 16.0 / n)) * length
+    guard = max(0.002, GUARD_FRAC * 16.0 / n) * length
     panels = n // PANEL_ORDER
     edges = np.linspace(guard, length - guard, panels + 1)
     nodes, weights = _panel_nodes(edges, PANEL_ORDER)
@@ -189,9 +187,9 @@ def assemble(p: Params, curve: Curve, n: int,
         rhs = np.asarray(f(nodes), dtype=float)
         if rhs.shape != nodes.shape or not np.all(np.isfinite(rhs)):
             raise DomainError("boundary data must be finite at all nodes")
-    return NystromSystem(p=p, curve=curve, n=n, nodes=nodes, weights=weights,
-                         edges=edges, matrix=matrix, rhs=rhs,
-                         log_slope=log_slope, regular_diag=regular_diag)
+    return NystromSystem(n=n, nodes=nodes, weights=weights, edges=edges,
+                         matrix=matrix, rhs=rhs, log_slope=log_slope,
+                         regular_diag=regular_diag)
 
 
 def _first_failure(p: Params, curve: Curve, nodes, xs, ys, nxs, nys,

@@ -4,8 +4,8 @@ equation
     u_xx + u_yy + (2 alpha / x) u_x + (2 beta / y) u_y = 0,
     0 < 2 alpha < 1,  0 < 2 beta < 1,
 
-on the quarter plane, together with its gradient, conormal derivative and
-the near-singularity envelope.  The solution is
+on the quarter plane, together with its gradient and conormal
+derivative.  The solution is
 
     q4(x, y; x0, y0) = k4 (r^2)^(alpha+beta-2) (x x0)^(1-2 alpha)
                            (y y0)^(1-2 beta)
@@ -33,10 +33,10 @@ same elementwise arithmetic.  xi and eta are bitwise symmetric under the
 swap of the two points (x x0 commutes, and (x - x0)^2 = (x0 - x)^2), so
 one kernel_families call serves a pair in both orders.
 
-Every evaluator, the envelope included, takes its chord data (r^2, xi,
-eta) from one array routine, ``_chord_arrays``.  It raises
-SingularPairError for a pair whose r^2 falls below SINGULAR_R2_FRAC of
-the larger chord scale, coincident points included.
+Every evaluator takes its chord data (r^2, xi, eta) from one array
+routine, ``_chord_arrays``.  It raises SingularPairError for a pair whose
+r^2 falls below SINGULAR_R2_FRAC of the larger chord scale, coincident
+points included.
 
 Argument convention: the first point is the integration/evaluation
 variable (x, y), the second the fixed field point (x0, y0).  q4 itself is
@@ -279,24 +279,3 @@ def weighted_dq4_dn_many(p: Params, xs, ys, nxs, nys, Q,
     shift_part = -2.0 * astar * r2m3 * xy * (x0 * f_dx * nxs + y0 * f_dy * nys)
     radial_part = -2.0 * astar * r2m3 * xy * (dx * nxs + dy * nys) * f_da
     return base * (main_part + shift_part + radial_part)
-
-
-def singularity_envelope(p: Params, P: Point, Q: Point) -> float:
-    """Comparison envelope for |q4| near the singular pair.
-
-    Returns (x x0)^(1-2 alpha) (y y0)^(1-2 beta) (r1^2)^(alpha-1)
-    (r2^2)^(beta-1) |ln(r^2/r1^2 + r^2/r2^2 - (r^2/r1^2)(r^2/r2^2))|.
-    The log argument lies in (0, 1] for any admissible pair, so the
-    absolute value fixes its sign; the envelope is meant for ratio tests
-    |q4| / envelope, not as a certified bound.  The chord data come from
-    ``_chord_arrays``, so a pair inside its guard raises SingularPairError.
-    """
-    if not (P.x > 0.0 and P.y > 0.0 and Q.x > 0.0 and Q.y > 0.0):
-        raise DomainError("singularity_envelope needs strictly interior points")
-    r2, xi, eta = (float(v) for v in _chord_arrays(P.x, P.y, Q)[-3:])
-    r1sq, r2sq = r2 * (1.0 - xi), r2 * (1.0 - eta)
-    u, v = r2 / r1sq, r2 / r2sq
-    a, b = p.alpha, p.beta
-    return ((P.x * Q.x) ** (1.0 - 2.0 * a) * (P.y * Q.y) ** (1.0 - 2.0 * b)
-            * r1sq ** (a - 1.0) * r2sq ** (b - 1.0)
-            * abs(math.log(u + v - u * v)))

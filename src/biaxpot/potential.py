@@ -8,9 +8,8 @@ fundamental solution q4 against a density mu on the curve:
 Everything downstream of that integral lives here: the kernel K4(s, t) off
 its diagonal and its log split c(s) ln|t - s| + regular(s) near it, smooth
 and log-graded quadrature rules, the one-sided boundary traces with their
-+-mu/2 jumps, the gauge function k collecting the axis-segment flux, the
-closed-contour flux identity, and the energy (Green first identity)
-residual.
++-mu/2 jumps, the gauge function k collecting the axis-segment flux, and
+the closed-contour flux identity.
 """
 
 from __future__ import annotations
@@ -27,18 +26,15 @@ from numpy.polynomial.polynomial import polyval
 from .errors import (AmbiguousClassificationError, ConvergenceError,
                      DomainError)
 from .geometry import Curve, Point
-from .kernel import (Params, grad_q4_many, k4_constant, q4_many,
-                     weighted_dq4_dn_many)
+from .kernel import Params, k4_constant, weighted_dq4_dn_many
 from .specfun import gauss_2f1, gauss_rule
 
 __all__ = [
     "Density", "QuadratureRule", "smooth_rule", "graded_rule",
     "kernel_K4_log_split", "kernel_K4_row",
     "double_layer", "k_gauge", "boundary_trace",
-    "contour_flux", "energy_residual",
-    "classify", "nearest_arclength",
+    "contour_flux", "classify", "nearest_arclength",
     "GaugeIdentityResult", "gauge_identity_verify",
-    "Q4Solution",
 ]
 
 # Offset fraction (of curve length) of the one-sided kernel values whose
@@ -552,83 +548,19 @@ def boundary_trace(p: Params, curve: Curve, mu: Density, s: float,
 
 # -- flux identities -------------------------------------------------------------
 
-def contour_flux(p: Params, curve: Curve, Q: Point,
-                 rule: QuadratureRule | None = None) -> float:
+def contour_flux(p: Params, curve: Curve, Q: Point) -> float:
     """Weighted flux of q4(.; Q) through the closed boundary of the domain.
 
-    Curve part by quadrature; the two axis segments contribute exactly
-    -k_gauge(Q) through their analytic limits.  Equals -1 for Q inside the
-    domain and 0 for Q outside.
+    Curve part by the 512-node ``smooth_rule``; the two axis segments
+    contribute exactly -k_gauge(Q) through their analytic limits.  Equals
+    -1 for Q inside the domain and 0 for Q outside.
     """
     if classify(curve, Q) == "on":
         raise DomainError("flux source must not lie on the curve")
-    if rule is None:
-        rule = smooth_rule(curve.length, 512)
+    rule = smooth_rule(curve.length, 512)
     row = _weighted_row(p, curve, rule.nodes, Q)
     curve_part = float(np.dot(rule.weights, row))
     return curve_part - k_gauge(p, curve.a, curve.b, Q)
-
-
-# -- energy identity -------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Q4Solution:
-    """Regular solution u = q4(.; source) with source outside the domain."""
-
-    p: Params
-    source: Point
-
-    def value_many(self, xs, ys) -> np.ndarray:
-        return q4_many(self.p, xs, ys, self.source)
-
-    def grad_many(self, xs, ys):
-        return grad_q4_many(self.p, xs, ys, self.source)
-
-    def weighted_conormal_many(self, xs, ys, nxs, nys) -> np.ndarray:
-        return weighted_dq4_dn_many(self.p, xs, ys, nxs, nys, self.source)
-
-
-def energy_residual(p: Params, curve: Curve, u, rule2d: int = 32,
-                    n_boundary: int = 512) -> float:
-    """Residual of the weighted first Green identity for a regular solution.
-
-    |int_Omega x^(2a) y^(2b) |grad u|^2 - int_Gamma x^(2a) y^(2b) u du/dn ds|.
-    The axis parts of the boundary term vanish because u does.  The area
-    integral runs over a tensor rule on (xi, w) in (0,1)^2 with
-    x = xi * X(y), y = b * (1 - (1-w)^q); Gauss-Jacobi weights absorb the
-    xi^(-2a) and w^(-2b) factors exactly, and the remaining integrand
-    x^(4a) y^(4b) |grad u|^2 is smooth up to the axes.
-    """
-    n = int(rule2d)
-    if n < 4:
-        raise DomainError("2-d rule needs at least 4 points per direction")
-    q, a, b = curve.q, curve.a, curve.b
-    # Gauss-Jacobi rules for int_0^1 s^e f(s) ds, e = -2a and e = -2b
-    rules = []
-    for e in (-2.0 * p.alpha, -2.0 * p.beta):
-        nodes, weights = gauss_rule(n, e)
-        rules.append((0.5 * (nodes + 1.0), weights * 0.5 ** (e + 1.0)))
-    (xi, wxi), (w, ww) = rules
-    zeta = -np.expm1(q * np.log1p(-w))          # 1 - (1-w)^q, stable near 0
-    ys = b * zeta
-    dyd_w = b * q * (1.0 - w) ** (q - 1.0)
-    X = curve.x_extent(ys)
-    xs = X[:, None] * xi[None, :]
-    yy = np.broadcast_to(ys[:, None], xs.shape)
-    gx, gy = u.grad_many(xs.ravel(), yy.ravel())
-    phi = (xs.ravel() ** (4.0 * p.alpha) * yy.ravel() ** (4.0 * p.beta)
-           * (gx * gx + gy * gy)).reshape(xs.shape)
-    inner = phi @ wxi
-    outer = (ww * (zeta / w) ** (-2.0 * p.beta) * b ** (-2.0 * p.beta)
-             * dyd_w * X ** (1.0 - 2.0 * p.alpha))
-    area = float(np.dot(outer, inner))
-
-    rule = smooth_rule(curve.length, n_boundary)
-    bx, by, _, _, bnx, bny, _ = curve.frames(rule.nodes)
-    flux = u.weighted_conormal_many(bx, by, bnx, bny)
-    vals = u.value_many(bx, by)
-    boundary = float(np.dot(rule.weights, vals * flux))
-    return abs(area - boundary)
 
 
 # -- the three-case gauge identity ----------------------------------------------

@@ -336,6 +336,29 @@ def test_solve_manufactured(tmp_path):
     _, rows = read_csv(tmp_path, "probes.csv")
     assert len(rows) == 3
     assert all(float(r[4]) <= 1.0e-4 for r in rows)
+    # the stock cubic flattens onto both axes fast enough
+    report = summary["endpoint_conditions"]
+    assert set(report) == {"eps", "x_axis_growth", "y_axis_growth", "ok"}
+    assert report["ok"] is True and report["eps"] == 1.0
+    assert report["x_axis_growth"] < 2.0 and report["y_axis_growth"] < 2.0
+
+
+@pytest.mark.parametrize("domain", [{"exponent": 2.0},
+                                    {"a": 1.0, "b": 20.0, "exponent": 3.0}])
+def test_solve_reports_slow_endpoint_flattening_without_failing(tmp_path,
+                                                                 domain):
+    # the ellipse meets the axes too steeply for the endpoint condition,
+    # and a 1:20 cubic too steeply at its far end; both still solve, and
+    # the report is not a check
+    cfg = {"domain": domain, "nodes": 32, "tolerance": 1.0e-2,
+           "probes": [[0.3, 0.3]]}
+    assert run(tmp_path, cfg, "solve-dirichlet") == 0
+    summary = read_summary(tmp_path)
+    assert summary["status"] == "pass"
+    assert [c["name"] for c in summary["checks"]] == ["probe (0.3000, 0.3000)"]
+    report = summary["endpoint_conditions"]
+    assert report["ok"] is False
+    assert max(report["x_axis_growth"], report["y_axis_growth"]) >= 2.0
 
 
 def test_solve_convergence_study(tmp_path):
@@ -359,6 +382,7 @@ def test_solve_reports_solver_failure(tmp_path, monkeypatch):
     summary = read_summary(tmp_path)
     assert summary["status"] == "fail"
     assert "condition_estimate" in summary
+    assert summary["endpoint_conditions"]["ok"] is True
     assert "synthetic failure" in summary["error"]
 
 

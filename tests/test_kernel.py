@@ -1,4 +1,4 @@
-"""Fundamental solution q4: chords, normalization, gradients, envelope.
+"""Fundamental solution q4: chords, normalization, gradients, log law.
 
 The q4 reference value marked "30-digit" was computed independently with
 the double hypergeometric factor evaluated through its Euler double
@@ -12,7 +12,7 @@ import pytest
 
 from biaxpot import (Curve, DomainError, Params, Point, SingularPairError,
                      dq4_dn, dq4_dn_many, grad_q4, grad_q4_many, k4_constant,
-                     q4, q4_many, singularity_envelope, weighted_dq4_dn_many)
+                     q4, q4_many, weighted_dq4_dn_many)
 from biaxpot.kernel import _chord_arrays, kernel_families
 
 P25 = Params(0.25, 0.25)
@@ -59,8 +59,6 @@ def test_chords_swap_invariant():
 def test_chords_coincident_rejected():
     with pytest.raises(SingularPairError):
         q4_many(P25, [0.3, 1.0], [0.4, 1.0], Point(1.0, 1.0))
-    with pytest.raises(SingularPairError):
-        singularity_envelope(P25, Point(1.0, 1.0), Point(1.0, 1.0))
 
 
 # -- normalization constant -------------------------------------------------------
@@ -349,24 +347,7 @@ def test_weighted_conormal_many_matches_scalar(curve):
         assert batch[i] == pytest.approx(w * dq4_dn(P25, cp, Q), rel=1e-12)
 
 
-# -- singularity envelope ---------------------------------------------------------
-
-def test_envelope_controls_near_singularity():
-    P = Point(1.0, 1.0)
-    ratios = []
-    for h in (1e-2, 1e-3, 1e-4, 1e-5):
-        Q = Point(1.0 + h, 1.0)
-        ratio = abs(q4(P25, P, Q)) / abs(singularity_envelope(P25, P, Q))
-        assert math.isfinite(ratio)
-        ratios.append(ratio)
-    # the ratio settles instead of blowing up as the pair degenerates
-    assert max(ratios) <= 2.0 * ratios[-1] + 1.0
-
-
-def test_envelope_finite_far_field():
-    v = singularity_envelope(P25, Point(0.3, 0.8), Point(1.6, 0.9))
-    assert math.isfinite(v) and v > 0.0
-
+# -- log singularity --------------------------------------------------------------
 
 def test_log_coefficient_law():
     # q4 * 4 pi x0^(2a) y0^(2b) / ln(1/r^2) -> 1 as the pair merges; the

@@ -1,4 +1,4 @@
-"""Double-layer potential, gauge function, boundary traces, flux and energy.
+"""Double-layer potential, gauge function, boundary traces and flux.
 
 The gauge reference values marked "30-digit" come from an independent
 adaptive-quadrature evaluation of the two axis integrals at 30-digit
@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 
 from biaxpot import (AmbiguousClassificationError, Curve, Density,
-                     DomainError, Params, Point, Q4Solution, SingularPairError,
-                     classify, contour_flux, double_layer, dq4_dn,
-                     energy_residual, gauge_identity_verify, graded_rule,
-                     k_gauge, kernel_K4_log_split, kernel_K4_row,
-                     nearest_arclength, smooth_rule)
+                     DomainError, Params, Point, SingularPairError, classify,
+                     contour_flux, double_layer, dq4_dn,
+                     gauge_identity_verify, graded_rule, k_gauge,
+                     kernel_K4_log_split, kernel_K4_row, nearest_arclength,
+                     smooth_rule)
 from biaxpot import potential
 from biaxpot.potential import (NEAR_FIELD_TOL, _smooth_edges, _trace_integral,
                                _weighted_row, boundary_trace)
@@ -532,12 +532,18 @@ def test_layer_potential_satisfies_pde(curve):
     assert res[2] <= res[1] / 3.0
 
 
-# -- flux and energy identities ---------------------------------------------------
+# -- flux identity ----------------------------------------------------------------
+
+def _flux_with_rule(curve, Q, n):
+    """The closed-contour flux of q4(.; Q) with the curve part summed on
+    the n-node ``smooth_rule``."""
+    rule = smooth_rule(curve.length, n)
+    row = _weighted_row(P25, curve, rule.nodes, Q)
+    return float(np.dot(rule.weights, row)) - k_gauge(P25, curve.a, curve.b, Q)
+
 
 def test_flux_residual_small_for_exterior_source(curve):
-    r = abs(contour_flux(P25, curve, Point(2.0, 2.0),
-                         smooth_rule(curve.length, 512)))
-    assert r <= 1.0e-6
+    assert abs(contour_flux(P25, curve, Point(2.0, 2.0))) <= 1.0e-6
 
 
 def test_flux_residual_decreases_under_refinement(curve):
@@ -545,38 +551,15 @@ def test_flux_residual_decreases_under_refinement(curve):
     # floor, exposing the refinement behavior
     cp = curve.point_at(0.42 * curve.length)
     Q = Point(cp.x + 0.08 * cp.normal[0], cp.y + 0.08 * cp.normal[1])
-    res = [abs(contour_flux(P25, curve, Q, smooth_rule(curve.length, n)))
-           for n in (64, 128, 256)]
+    res = [abs(_flux_with_rule(curve, Q, n)) for n in (64, 128, 256)]
     assert res[0] > res[1] > res[2]
+    # contour_flux is the 512-node sum
+    assert contour_flux(P25, curve, Q) == _flux_with_rule(curve, Q, 512)
 
 
 def test_flux_interior_source_normalization(curve):
     assert abs(contour_flux(P25, curve, Point(0.5, 0.5)) + 1.0) <= 1.0e-5
     assert abs(contour_flux(P25, curve, Point(0.35, 0.3)) + 1.0) <= 1.0e-5
-
-
-def test_energy_identity_constant_solution(curve):
-    class Flat:
-        def value_many(self, xs, ys):
-            return np.full(np.shape(xs), 3.7)
-
-        def grad_many(self, xs, ys):
-            zero = np.zeros(np.shape(xs))
-            return zero, zero
-
-        def weighted_conormal_many(self, xs, ys, nxs, nys):
-            return np.zeros(np.shape(xs))
-
-    assert energy_residual(P25, curve, Flat(), rule2d=8,
-                           n_boundary=256) == 0.0
-
-
-def test_energy_identity_regular_solution(curve):
-    u = Q4Solution(P25, Point(1.5, 1.5))
-    res = [energy_residual(P25, curve, u, rule2d=n, n_boundary=256)
-           for n in (8, 16, 24)]
-    assert res[0] <= 1.0e-4
-    assert res[0] > res[1] > res[2]
 
 
 # -- the three-case gauge identity ------------------------------------------------
