@@ -16,8 +16,7 @@ from .specfun import (F2Args, appell_f2, appell_f2_many, appell_f2_series,
 from .potential import (Density, GaugeIdentityResult, QuadratureRule,
                         boundary_trace, classify, contour_flux, double_layer,
                         gauge_identity_verify, graded_rule, k_gauge,
-                        kernel_K4_log_split, kernel_K4_row, nearest_arclength,
-                        smooth_rule)
+                        kernel_K4_log_split, kernel_K4_row, nearest_arclength)
 from .bie import (NystromSystem, assemble, condition_estimate,
                   convergence_study, default_exterior_source, evaluate,
                   evaluate_many, manufactured_data, solve_dirichlet)
@@ -42,7 +41,7 @@ __all__ = [
     "Density", "GaugeIdentityResult", "QuadratureRule", "boundary_trace",
     "classify", "contour_flux", "double_layer", "gauge_identity_verify",
     "graded_rule", "k_gauge", "kernel_K4_log_split", "kernel_K4_row",
-    "nearest_arclength", "smooth_rule",
+    "nearest_arclength",
     # bie
     "NystromSystem", "assemble", "condition_estimate", "convergence_study",
     "default_exterior_source", "evaluate", "evaluate_many",

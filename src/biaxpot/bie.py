@@ -332,7 +332,7 @@ def evaluate_many(p: Params, curve: Curve, mu: Density, targets) -> np.ndarray:
 
 
 def evaluate(p: Params, curve: Curve, mu: Density, P0: Point) -> float:
-    """Potential of a sampled density at one interior point: the one-target
+    """Potential of a density on panels at one interior point: the one-target
     case of ``evaluate_many``, with the same pieces and the same rules."""
     return float(evaluate_many(p, curve, mu, [P0])[0])
 
@@ -361,8 +361,9 @@ def convergence_study(p: Params, curve: Curve, ns, probes,
 
     For each n: assemble with the mesh-scaled guard, solve,
     evaluate at all probes in one ``evaluate_many`` call, and compare with
-    the exact exterior-source solution.  Returns per-n max probe errors and the least-squares
-    convergence order.
+    the exact exterior-source solution.  Returns per-n max probe errors and
+    the least-squares convergence order, which needs at least two distinct
+    node counts.
     """
     src = default_exterior_source(curve) if source is None else source
     f = manufactured_data(p, curve, src)
@@ -372,6 +373,9 @@ def convergence_study(p: Params, curve: Curve, ns, probes,
     py = np.array([q.y for q in probes])
     exact = q4_many(p, px, py, src)
     ns = [int(v) for v in ns]
+    if len(set(ns)) < 2:
+        raise DomainError("convergence study needs at least two distinct "
+                          "node counts")
     errors = []
     for n in ns:
         sys = assemble(p, curve, n, f=f)

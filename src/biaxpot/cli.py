@@ -98,13 +98,10 @@ class RunConfig:
         }
 
 
-def _want(raw: dict, key: str, kind, default):
-    """Fetch raw[key] coerced to kind (int or float), or the default; type
-    errors are config errors.  Bools and strings are neither, floats must
-    be finite, and integral for an int."""
-    if key not in raw:
-        return default
-    value = raw[key]
+def _number(value, kind, where: str):
+    """value coerced to kind (int or float); type errors are config errors
+    naming ``where``.  Bools and strings are neither, floats must be
+    finite, and integral for an int."""
     try:
         # bool is an int subclass
         if (isinstance(value, bool) or not isinstance(value, (int, float))
@@ -114,8 +111,14 @@ def _want(raw: dict, key: str, kind, default):
         return kind(value)
     except (OverflowError, ValueError):
         noun = "an integer" if kind is int else "a finite number"
-        raise ConfigError(f"config field {key!r} must be {noun}, "
-                          f"got {value!r}") from None
+        raise ConfigError(f"{where} must be {noun}, got {value!r}") from None
+
+
+def _want(raw: dict, key: str, kind, default):
+    """Fetch raw[key] coerced to kind (int or float), or the default."""
+    if key not in raw:
+        return default
+    return _number(raw[key], kind, f"config field {key!r}")
 
 
 def _count(raw: dict, key: str, default: int) -> int:
@@ -128,7 +131,7 @@ def _count(raw: dict, key: str, default: int) -> int:
 
 
 def _point_list(raw: dict, key: str, width: int, default) -> tuple:
-    """Validate a list of numeric tuples of fixed width."""
+    """Validate a list of fixed-width tuples of JSON numbers."""
     if key not in raw:
         return default
     rows = raw[key]
@@ -140,14 +143,9 @@ def _point_list(raw: dict, key: str, width: int, default) -> tuple:
             raise ConfigError(
                 f"config field {key!r} entry {k} must be a list of "
                 f"{width} numbers")
-        try:
-            vals = tuple(float(v) for v in row)
-        except (TypeError, ValueError):
-            raise ConfigError(
-                f"config field {key!r} entry {k} holds a non-number") from None
-        if not all(math.isfinite(v) for v in vals):
-            raise ConfigError(f"config field {key!r} entry {k} is not finite")
-        out.append(vals)
+        out.append(tuple(
+            _number(v, float, f"each value of config field {key!r} entry {k}")
+            for v in row))
     return tuple(out)
 
 
@@ -551,10 +549,11 @@ def cmd_solve(cfg: RunConfig) -> int:
     if study_ns is not None and (
             not isinstance(study_ns, list) or len(study_ns) < 2
             or not all(isinstance(n, int) and n >= 16 and n % PANEL_ORDER == 0
-                       for n in study_ns)):
+                       for n in study_ns)
+            or len(set(study_ns)) < len(study_ns)):
         raise ConfigError("config field 'study_ns' must be a list of at "
-                          "least two node counts >= 16, each a multiple of "
-                          f"{PANEL_ORDER}")
+                          "least two distinct node counts >= 16, each a "
+                          f"multiple of {PANEL_ORDER}")
 
     if data_kind == "zero":
         def f(s):

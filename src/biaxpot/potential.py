@@ -6,8 +6,8 @@ fundamental solution q4 against a density mu on the curve:
     w(P0) = int_0^l x(t)^(2a) y(t)^(2b) mu(t) dq4/dn(x(t), y(t); P0) dt.
 
 Everything downstream of that integral lives here: the kernel K4(s, t) off
-its diagonal and its log split c(s) ln|t - s| + regular(s) near it, smooth
-and log-graded quadrature rules, the one-sided boundary traces with their
+its diagonal and its log split c(s) ln|t - s| + regular(s) near it, the
+log-graded quadrature rule, the one-sided boundary traces with their
 +-mu/2 jumps, the gauge function k collecting the axis-segment flux, and
 the closed-contour flux identity.
 """
@@ -30,7 +30,7 @@ from .kernel import Params, k4_constant, weighted_dq4_dn_many
 from .specfun import gauss_2f1, gauss_rule
 
 __all__ = [
-    "Density", "QuadratureRule", "smooth_rule", "graded_rule",
+    "Density", "QuadratureRule", "graded_rule",
     "kernel_K4_log_split", "kernel_K4_row",
     "double_layer", "k_gauge", "boundary_trace",
     "contour_flux", "classify", "nearest_arclength",
@@ -138,15 +138,14 @@ def _support(curve: Curve, mu: Density) -> tuple[float, float]:
 class QuadratureRule:
     """Immutable quadrature rule on an arclength interval.
 
-    ``gap`` is None for the composite Gauss-Legendre layouts of
-    ``smooth_rule``.  The log-graded rules of ``graded_rule`` leave out the
-    innermost gap around their grading point and record it in ``gap``; the
-    caller supplies its contribution from the diagonal limit.
+    The log-graded rules of ``graded_rule`` leave out the innermost gap
+    around their grading point and record it in ``gap``; the caller
+    supplies its contribution from the diagonal limit.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
-    gap: tuple[float, float] | None = None
+    gap: tuple[float, float]
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -169,44 +168,6 @@ def _panel_nodes(edges: np.ndarray, order: int):
     nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
     weights = 0.5 * (hi - lo) * w
     return nodes.ravel(), weights.ravel()
-
-
-def _smooth_edges(length: float, panels: int, end_levels: int) -> np.ndarray:
-    """Uniform panel edges with dyadic refinement of both end panels.
-
-    Boundary integrands here are smooth inside (0, l) but only Hoelder at the
-    axis endpoints (the solution vanishes like fractional powers there), so
-    the end panels are split dyadically toward s = 0 and s = l.
-    """
-    base = panels - 2 * end_levels
-    if base < 4:
-        raise DomainError("node budget too small for the endpoint grading")
-    coarse = np.linspace(0.0, length, base + 1)
-    h = coarse[1] - coarse[0]
-    left = coarse[0] + h * 0.5 ** np.arange(end_levels, 0, -1)
-    right = coarse[-1] - h * 0.5 ** np.arange(1, end_levels + 1)
-    return np.concatenate((coarse[:1], left, coarse[1:-1], right, coarse[-1:]))
-
-
-def smooth_rule(length: float, n: int) -> QuadratureRule:
-    """Composite 8-point Gauss-Legendre rule with n nodes on [0, length].
-
-    n must be a multiple of 8, at least 32.  End panels are refined
-    dyadically (weights stay positive and sum to the length exactly).
-    """
-    if length <= 0.0:
-        raise DomainError("rule length must be positive")
-    if n < 32 or n % 8 != 0:
-        raise DomainError(f"node count {n} must be a multiple of 8, >= 32")
-    panels = n // 8
-    # a quarter of the panels to each endpoint grading, the rest to the
-    # uniform interior grid, so both refine as n grows
-    end_levels = min(18, panels // 4, (panels - 4) // 2)
-    edges = _smooth_edges(length, panels, end_levels)
-    nodes, weights = _panel_nodes(edges, 8)
-    if abs(weights.sum() - length) > 1.0e-12 * max(1.0, length):
-        raise ConvergenceError("smooth rule weights failed the length check")
-    return QuadratureRule(nodes, weights)
 
 
 # Smallest excluded half-gap of the graded rule, as a fraction of the
@@ -433,15 +394,14 @@ def double_layer(p: Params, curve: Curve, mu: Density, P0: Point,
                  tol: float = NEAR_FIELD_TOL) -> float:
     """Double-layer potential of any density at an off-curve point P0.
 
-    Adaptive panel bisection (``_bisect``) to the absolute error ``tol``
-    keeps the near-boundary peak (width comparable to the distance to the
-    curve) resolved.  The integral runs over the density's support, the
-    whole arc for a closed form.
+    Adaptive panel bisection (``_bisect``) of 8 uniform root panels to the
+    absolute error ``tol`` keeps the near-boundary peak (width comparable
+    to the distance to the curve) resolved.  The integral runs over the
+    density's support, the whole arc for a closed form.
     """
     if not (P0.x > 0.0 and P0.y > 0.0):  # false for NaN as well
         raise DomainError("evaluation point must lie in the open quadrant")
-    lo0, hi0 = _support(curve, mu)
-    edges = lo0 + _smooth_edges(hi0 - lo0, 40, 14)
+    edges = np.linspace(*_support(curve, mu), 9)
     total, err = _bisect(lambda lo, hi: _layer_panels(
         p, curve, mu, P0, lo, hi), edges[:-1], edges[1:], tol)
     if err > tol:
@@ -551,15 +511,16 @@ def boundary_trace(p: Params, curve: Curve, mu: Density, s: float,
 def contour_flux(p: Params, curve: Curve, Q: Point) -> float:
     """Weighted flux of q4(.; Q) through the closed boundary of the domain.
 
-    Curve part by the 512-node ``smooth_rule``; the two axis segments
-    contribute exactly -k_gauge(Q) through their analytic limits.  Equals
-    -1 for Q inside the domain and 0 for Q outside.
+    The curve part is the unit-density double layer at Q (``double_layer``,
+    adaptive to NEAR_FIELD_TOL); the two axis segments contribute exactly
+    -k_gauge(Q) through their analytic limits.  Equals -1 for Q inside the
+    domain and 0 for Q outside: the off-curve gauge identity.  A source
+    closer to the curve than the bisection resolves raises
+    ConvergenceError.
     """
     if classify(curve, Q) == "on":
         raise DomainError("flux source must not lie on the curve")
-    rule = smooth_rule(curve.length, 512)
-    row = _weighted_row(p, curve, rule.nodes, Q)
-    curve_part = float(np.dot(rule.weights, row))
+    curve_part = double_layer(p, curve, Density.constant(1.0), Q)
     return curve_part - k_gauge(p, curve.a, curve.b, Q)
 
 

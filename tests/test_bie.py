@@ -571,6 +571,12 @@ def test_evaluate_many_empty_and_invalid_targets(curve, manufactured):
 
 # -- refinement behavior ----------------------------------------------------------
 
+@pytest.mark.parametrize("ns", [[16], [16, 16]])
+def test_convergence_study_needs_two_distinct_node_counts(curve, ns):
+    with pytest.raises(DomainError, match="two distinct"):
+        convergence_study(P25, curve, ns, [Point(0.35, 0.3)])
+
+
 def test_convergence_study_order(curve):
     probes = [Point(0.3, 0.3), Point(0.5, 0.2), Point(0.45, 0.45)]
     study = convergence_study(P25, curve, [16, 32, 64, 128], probes)

@@ -242,6 +242,21 @@ def test_verify_flux_rejects_misplaced_sources(tmp_path, capsys, cfg, entry):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, key, entry", [
+    (["eval-q4"], "pairs", [0.35, 0.3, 0.7, 0.6]),
+    (["solve-dirichlet"], "probes", [0.35, 0.3]),
+    (["verify", "flux"], "exterior_sources", [2.0, 2.0]),
+], ids=["pairs", "probes", "exterior_sources"])
+@pytest.mark.parametrize("bad", ["0.35", True], ids=["string", "bool"])
+def test_point_lists_take_json_numbers_only(tmp_path, capsys, command, key,
+                                            entry, bad):
+    # neither is a JSON number, though float() reads them as 0.35 and 1.0
+    rows = [entry, [bad] + entry[1:]]
+    assert run(tmp_path, {"nodes": 16, key: rows}, *command) == 2
+    assert f"{key!r} entry 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_verify_gradient(tmp_path):
     assert run(tmp_path, {"gradient_pairs": 20}, "verify", "gradient") == 0
     summary = read_summary(tmp_path)
@@ -418,12 +433,14 @@ def test_solve_rejects_a_short_study_before_assembly(tmp_path):
 @pytest.mark.parametrize("cfg", [
     {"nodes": 20},                          # not a multiple of PANEL_ORDER
     {"nodes": 16, "study_ns": [16, 20]},
+    {"nodes": 16, "study_ns": [16, 16]},    # a fit through one abscissa
     {"nodes": 16, "domain": {"a": True}},   # a bool is not a number
     {"nodes": 16, "domain": {"exponent": "inf"}},
     {"nodes": 16, "domain": {"a": math.nan}},
     {"nodes": 16, "params": {"alpha": math.inf}},
     {"nodes": 16, "seed": math.inf},        # int(inf) overflows
-], ids=["nodes", "study_ns", "bool", "string", "nan", "inf", "inf-int"])
+], ids=["nodes", "study_ns", "study_ns-duplicate", "bool", "string", "nan",
+        "inf", "inf-int"])
 def test_solve_rejects_bad_counts_and_numbers_before_solving(tmp_path, cfg):
     assert_config_error_before_solving(tmp_path, cfg)
 
