@@ -12,19 +12,20 @@ weights would lose that term, so the panels adjacent to each collocation
 node use product-integration weights built from exact log moments, with the
 regular part recovered by subtracting the closed-form log slope.
 
-Collocation nodes live on [g, l - g] with a small guard band g at the axis
-endpoints, where the curve meets the axes and the trace relation is not
-established; the kernel's endpoint decay keeps the truncated mass small and
-the convergence study tracks it.
+The collocation panels span the whole arc [0, l].  Gauss nodes never sit
+at the axis endpoints s = 0 and s = l, where the weight x^(2a) y^(2b)
+vanishes algebraically, and the solved density takes the end exponents
+1 - 2a and 1 - 2b the theory predicts.
 
 ``evaluate_many`` integrates the solved density, the per-panel Nystrom
-interpolant, over the panel range cut at its nodes and panel edges: far
+interpolant, over the arc cut at its nodes and panel edges: far
 pieces take a Gauss rule sized by their standoff from the target, batched
 over all targets, and only near pieces are bisected.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -35,32 +36,39 @@ from .errors import ConvergenceError, DomainError, SolveError
 from .geometry import Curve, Point
 from .kernel import (Params, kernel_families, q4_many,
                      weighted_dq4_dn_many)
-from .potential import (NEAR_FIELD_TOL, Density, _bisect, _lagrange_coeffs,
-                        _layer_panels, _panel_nodes, _support,
-                        kernel_K4_log_split)
+from .potential import (NEAR_FIELD_RTOL, NEAR_FIELD_TOL, Density, _bisect,
+                        _layer_panels, _panel_nodes, kernel_K4_log_split)
 from .specfun import gauss_rule
 
 __all__ = [
-    "GUARD_FRAC", "PANEL_ORDER", "NystromSystem",
+    "PANEL_ORDER", "NystromSystem",
     "assemble", "solve_dirichlet", "evaluate", "evaluate_many",
     "manufactured_data", "default_exterior_source", "convergence_study",
     "condition_estimate",
 ]
-
-# Fraction of the arclength excluded at each endpoint of the collocation
-# range at the minimum node count; the guard scales like 1/n from
-# this anchor so the truncation bias follows the scheme's convergence.
-GUARD_FRAC = 0.025
 
 # Gauss order of the collocation panels.
 PANEL_ORDER = 8
 
 
 def _far_orders(ratio: np.ndarray) -> np.ndarray:
-    """Gauss order of a far piece at ratio = min(bound, 1/|kappa|) / h: the
-    fewest points m whose Bernstein-ellipse bound (4 ratio)^(-2 m) stays
-    within 4^(-24), the 12-point bound at ratio 1 (12 points below it)."""
+    """Gauss order of a far piece at ratio = min(bound, 1/|kappa|, end) / h,
+    with end its distance to the nearer end of the arc: the fewest points
+    m whose Bernstein-ellipse bound (4 ratio)^(-2 m) stays within 4^(-24),
+    the 12-point bound at ratio 1 (12 points below it)."""
     return np.where(ratio < 4.0, 12, np.where(ratio < 16.0, 6, 4))
+
+
+@functools.cache
+def _lagrange_coeffs(order: int) -> np.ndarray:
+    """Monomial coefficients of the Lagrange basis on Gauss nodes in [-1, 1].
+
+    Column k holds the coefficients of L_k, lowest power first: the
+    product of (u - u_j) over the other nodes, over its value at u_k.
+    """
+    u, _ = gauss_rule(order)
+    return np.array([np.poly(np.delete(u, k))[::-1] / np.prod(
+        u[k] - np.delete(u, k)) for k in range(order)]).T
 
 
 def _log_panel_weights(lo, hi, s0, order: int) -> np.ndarray:
@@ -103,7 +111,7 @@ def _log_panel_weights(lo, hi, s0, order: int) -> np.ndarray:
 
 @dataclass
 class NystromSystem:
-    """Discretised second-kind system on the guarded collocation range.
+    """Discretised second-kind system on n/8 uniform panels of [0, l].
 
     ``matrix`` is -I/2 plus the quadrature of the kernel; rows belonging to
     panels adjacent to the collocation node carry the product-integration
@@ -124,23 +132,19 @@ class NystromSystem:
 
 def assemble(p: Params, curve: Curve, n: int,
              f: Callable | None = None) -> NystromSystem:
-    """Build the collocation system with n nodes on the guarded range.
+    """Build the collocation system with n nodes on n/8 uniform panels
+    spanning the arc [0, l].
 
     ``f`` is optional boundary data evaluated at the nodes into the rhs.
-    The excluded endpoint fraction shrinks with the mesh (GUARD_FRAC
-    anchored at the minimum node count, at least 0.002), so the
-    endpoint truncation bias refines along with the quadrature error
-    instead of flooring it.  A kernel evaluation that fails raises
-    SolveError naming the first failing row and its arclength.
+    A kernel evaluation that fails raises SolveError naming the first
+    failing row and its arclength.
     """
     if n < 16:
         raise DomainError(f"need at least 16 nodes, got {n}")
     if n % PANEL_ORDER != 0:
         raise DomainError(f"node count must be a multiple of {PANEL_ORDER}")
-    length = curve.length
-    guard = max(0.002, GUARD_FRAC * 16.0 / n) * length
     panels = n // PANEL_ORDER
-    edges = np.linspace(guard, length - guard, panels + 1)
+    edges = np.linspace(0.0, curve.length, panels + 1)
     nodes, weights = _panel_nodes(edges, PANEL_ORDER)
 
     xs, ys, _, _, nxs, nys, _ = curve.frames(nodes)
@@ -250,29 +254,32 @@ def evaluate_many(p: Params, curve: Curve, mu: Density, targets) -> np.ndarray:
     """Potential of a density on panels at many interior points.
 
     ``targets`` are Points in the open quadrant; the result holds one value
-    per target, the integral over the density's support ``mu.support``.
+    per target, the integral over the arc.
 
-    The support is cut into pieces at the density's nodes and panel edges
-    (``mu.nodes`` and ``mu.edges``): the density is one polynomial on each
-    piece, and no rule straddles its jumps at the panel edges.  A piece
-    [lo, hi] of length h is far from a target P when h <= |P - Gamma(mid)|
-    - h/2, a lower bound of the distance from P to the piece (arclength is
-    at least the chord).
+    The arc is cut into pieces at the density's nodes and panel edges
+    (``mu.nodes`` and ``mu.edges``, which must span [0, l]): the density
+    is one polynomial on each piece, and no rule straddles its jumps at
+    the panel edges.  A piece [lo, hi] of length h is far from a target P
+    when h <= |P - Gamma(mid)| - h/2, a lower bound of the distance from P
+    to the piece (arclength is at least the chord).
     A far piece takes the 12-, 6- or 4-point Gauss rule ``_far_orders``
-    gives its ratio min(bound, 1/|kappa|) / h: the target's standoff, or
+    gives its ratio min(bound, 1/|kappa|, end) / h: the target's standoff,
     the radius of curvature where that is shorter (near a sharp corner the
     curve's own parametrisation limits the rule), with |kappa| the largest
-    at the midpoints of the piece and its two neighbours.  All far pieces
+    at the midpoints of the piece and its two neighbours, or the piece's
+    distance to the nearer end of the arc, where the weight
+    x^(2a) y^(2b) is algebraic.  All far pieces
     of all targets come from one frames call and one kernel call with
     per-pair sources.  A target's near pieces are the root panels of the
     adaptive bisection (``potential._bisect``) to the absolute error
-    NEAR_FIELD_TOL; a stalled subdivision raises ConvergenceError (the
-    point is effectively on the curve).  Each target is summed in a fixed
-    order from its own pieces only, so its value does not depend on the
-    other targets of the batch.
+    NEAR_FIELD_TOL above the rounding floor NEAR_FIELD_RTOL; a stalled
+    subdivision raises ConvergenceError (the point is effectively on the
+    curve).  Each target is summed in a fixed order from its own pieces
+    only, so its value does not depend on the other targets of the batch.
 
-    A density without panels raises DomainError: closed-form densities go
-    to ``potential.double_layer``.
+    A density without panels, or with panels that do not span the arc,
+    raises DomainError: closed-form densities go to
+    ``potential.double_layer``.
     """
     if getattr(mu, "edges", None) is None:
         raise DomainError("evaluate_many needs a density on panels; use "
@@ -280,7 +287,9 @@ def evaluate_many(p: Params, curve: Curve, mu: Density, targets) -> np.ndarray:
     xy = np.array([(t.x, t.y) for t in targets], dtype=float).reshape(-1, 2)
     if not np.all(np.isfinite(xy) & (xy > 0.0)):
         raise DomainError("evaluation points must lie in the open quadrant")
-    _support(curve, mu)  # raises unless the panels lie on the arc
+    if not (mu.edges[0] == 0.0 and mu.edges[-1] == curve.length):
+        raise DomainError("evaluate_many needs panels spanning the arc "
+                          "[0, length]")
     edges = np.sort(np.concatenate((mu.edges, mu.nodes)))
     h = np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])
@@ -293,6 +302,9 @@ def evaluate_many(p: Params, curve: Curve, mu: Density, targets) -> np.ndarray:
     curv = np.maximum.reduce([curv[:-2], curv[1:-1], curv[2:]])
     with np.errstate(divide="ignore"):
         radius = 1.0 / curv
+    # and no farther than the nearer end, where the weight is algebraic
+    radius = np.minimum(radius, np.minimum(edges[:-1],
+                                           curve.length - edges[1:]))
 
     # every far (target, piece) pair in one batch, one block per order,
     # then grouped by target, each in order 12, 6, 4 and by piece
@@ -322,7 +334,7 @@ def evaluate_many(p: Params, curve: Curve, mu: Density, targets) -> np.ndarray:
             P = Point(px, py)
             total, err = _bisect(lambda a, b: _layer_panels(
                 p, curve, mu, P, a, b), edges[:-1][near], edges[1:][near],
-                NEAR_FIELD_TOL)
+                NEAR_FIELD_TOL, NEAR_FIELD_RTOL)
             if err > NEAR_FIELD_TOL:
                 raise ConvergenceError(
                     "near-boundary subdivision stalled; evaluation point is "
@@ -359,7 +371,7 @@ def convergence_study(p: Params, curve: Curve, ns, probes,
                       source: Point | None = None) -> dict:
     """Manufactured-solution study over node counts.
 
-    For each n: assemble with the mesh-scaled guard, solve,
+    For each n: assemble on n/8 panels of the whole arc, solve,
     evaluate at all probes in one ``evaluate_many`` call, and compare with
     the exact exterior-source solution.  Returns per-n max probe errors and
     the least-squares convergence order, which needs at least two distinct

@@ -14,14 +14,13 @@ the closed-contour flux identity.
 
 from __future__ import annotations
 
-import functools
 import math
 import weakref
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
+from numpy.polynomial.legendre import legval, legvander
 
 from .errors import (AmbiguousClassificationError, ConvergenceError,
                      DomainError)
@@ -51,21 +50,15 @@ AMBIGUOUS_DIST = 1.0e-6
 # Absolute error target for the adaptive near-boundary evaluator.
 NEAR_FIELD_TOL = 1.0e-8
 
-@functools.cache
-def _lagrange_coeffs(order: int) -> np.ndarray:
-    """Monomial coefficients of the Lagrange basis on Gauss nodes in [-1, 1].
-
-    Column k holds the coefficients of L_k, lowest power first: the
-    product of (u - u_j) over the other nodes, over its value at u_k.
-    """
-    u, _ = gauss_rule(order)
-    return np.array([np.poly(np.delete(u, k))[::-1] / np.prod(
-        u[k] - np.delete(u, k)) for k in range(order)]).T
+# Its relative floor: next to the arc the kernel's rounding noise grows
+# like 1/distance (on the stock arc between 1e-13 and 1e-12 of a panel's
+# value at 1e-5, and below 1e-11 at 2e-6), and a budget halved below it
+# would split every panel at the peak until the live-panel stop.
+NEAR_FIELD_RTOL = 1.0e-11
 
 
 class Density:
-    """Boundary density mu(s), closed form on the whole arc or given on
-    panels of its ``support``, an arclength range (None for a closed form).
+    """Boundary density mu(s) on the arc, closed form or given on panels.
 
     Wraps a vectorised callable of arclength; ``from_panels`` builds the
     Nystrom interpolant that re-evaluates solver output at arbitrary
@@ -76,7 +69,6 @@ class Density:
         if not callable(func):
             raise DomainError("density must be callable in arclength")
         self._func = func
-        self.support: tuple[float, float] | None = None
 
     def __call__(self, s):
         arr = np.asarray(s, dtype=float)
@@ -96,9 +88,10 @@ class Density:
     @classmethod
     def from_panels(cls, edges, values) -> "Density":
         """The density on the panels [edges[k], edges[k+1]] given by its
-        values at the same number of Gauss nodes on each, in panel order,
-        supported on (edges[0], edges[-1]); the end polynomials extend past
-        the support.  ``edges``, ``nodes`` and ``values`` ride along."""
+        values at the same number of Gauss nodes on each, in panel order:
+        on each panel the polynomial through them, in Legendre form from
+        the Gauss transform of the values; the end polynomials extend past
+        the outer edges.  ``edges``, ``nodes`` and ``values`` ride along."""
         edges = np.asarray(edges, dtype=float)
         values = np.asarray(values, dtype=float)
         panels = edges.size - 1
@@ -111,27 +104,20 @@ class Density:
             raise DomainError("panel density needs finite values on finite "
                               "increasing edges")
         order = values.size // panels
-        coef = values.reshape(panels, order) @ _lagrange_coeffs(order).T
+        u, w = gauss_rule(order)
+        coef = values.reshape(panels, order) @ (
+            legvander(u, order - 1) * (w[:, None] * (np.arange(order) + 0.5)))
         mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
 
         def interpolant(s):
             k = np.clip(np.searchsorted(edges, s, side="right") - 1, 0,
                         panels - 1)
-            return polyval((s - mid[k]) / half[k], coef[k].T, tensor=False)
+            return legval((s - mid[k]) / half[k], coef[k].T, tensor=False)
 
         den = cls(interpolant)
         den.edges, den.values = edges.copy(), values.copy()
         den.nodes = _panel_nodes(edges, order)[0]
-        den.support = float(edges[0]), float(edges[-1])
         return den
-
-
-def _support(curve: Curve, mu: Density) -> tuple[float, float]:
-    """mu's support, or the whole arc for a closed form, checked on it."""
-    lo, hi = (0.0, curve.length) if mu.support is None else mu.support
-    if not 0.0 <= lo < hi <= curve.length:
-        raise DomainError("support must be a sub-interval of [0, length]")
-    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -364,9 +350,10 @@ def _bisect(panels: Callable, lo: np.ndarray, hi: np.ndarray, tol: float,
     panels in one call and accepts a panel when |parent - (left + right)|
     is within its budget (``tol`` shared by the root panels, halved at every
     level) plus ``rtol`` |left + right|.  Splitting stops after 49 levels or
-    beyond 1024 live panels.  Returns the integral and the sum of the
-    |parent - (left + right)| of all panels accepted or left live at the
-    stop: with rtol = 0, above ``tol`` only if the subdivision stalled.
+    beyond 1024 live panels.  Returns the integral and the sum, over all
+    panels accepted or left live at the stop, of the part of
+    |parent - (left + right)| beyond ``rtol`` |left + right|: above ``tol``
+    only if the subdivision stalled.
     """
     parent = panels(lo, hi)
     budget = tol / lo.size
@@ -377,10 +364,11 @@ def _bisect(panels: Callable, lo: np.ndarray, hi: np.ndarray, tol: float,
                                       np.concatenate((mid, hi))), 2)
         pair = left + right
         diff = np.abs(parent - pair)
-        done = diff <= budget + rtol * np.abs(pair)
+        floor = rtol * np.abs(pair)
+        done = diff <= budget + floor
         done |= depth == 48 or np.count_nonzero(~done) > 1024
         total += float(np.sum(pair[done]))
-        err += float(np.sum(diff[done]))
+        err += float(np.sum(np.maximum(diff - floor, 0.0)[done]))
         if done.all():
             return total, err
         live = ~done
@@ -395,15 +383,16 @@ def double_layer(p: Params, curve: Curve, mu: Density, P0: Point,
     """Double-layer potential of any density at an off-curve point P0.
 
     Adaptive panel bisection (``_bisect``) of 8 uniform root panels to the
-    absolute error ``tol`` keeps the near-boundary peak (width comparable
-    to the distance to the curve) resolved.  The integral runs over the
-    density's support, the whole arc for a closed form.
+    absolute error ``tol``, above the rounding floor NEAR_FIELD_RTOL, keeps
+    the near-boundary peak (width comparable to the distance to the curve)
+    resolved.  The integral runs over the whole arc.
     """
     if not (P0.x > 0.0 and P0.y > 0.0):  # false for NaN as well
         raise DomainError("evaluation point must lie in the open quadrant")
-    edges = np.linspace(*_support(curve, mu), 9)
+    edges = np.linspace(0.0, curve.length, 9)
     total, err = _bisect(lambda lo, hi: _layer_panels(
-        p, curve, mu, P0, lo, hi), edges[:-1], edges[1:], tol)
+        p, curve, mu, P0, lo, hi), edges[:-1], edges[1:], tol,
+        NEAR_FIELD_RTOL)
     if err > tol:
         raise ConvergenceError(
             "near-boundary subdivision stalled; evaluation point is "
@@ -492,13 +481,10 @@ def boundary_trace(p: Params, curve: Curve, mu: Density, s: float,
 
     interior trace = -mu(s)/2 + w0(s), exterior trace = +mu(s)/2 + w0(s),
     where w0 is the on-curve integral computed with the log-graded rule
-    (16 levels of 12-point panels).  Both sides share the same w0.  The
-    rule spans the whole arc, so a density with a support raises.
+    (16 levels of 12-point panels).  Both sides share the same w0.
     """
     if side not in ("interior", "exterior"):
         raise DomainError(f"side must be 'interior' or 'exterior', got {side!r}")
-    if mu.support is not None:
-        raise DomainError("boundary_trace needs a density on the whole arc")
     if not 0.0 < s < curve.length:
         raise DomainError("trace arclength must lie strictly inside (0, l)")
     w0 = _trace_integral(p, curve, mu, s, levels=16, order=12)

@@ -377,14 +377,30 @@ def test_solve_reports_slow_endpoint_flattening_without_failing(tmp_path,
 
 
 def test_solve_convergence_study(tmp_path):
-    cfg = {"nodes": 32, "study_ns": [16, 32],
+    # 4.33e-8 -> 1.00e-8, order 2.11
+    cfg = {"nodes": 32, "study_ns": [32, 64],
            "probes": [[0.3, 0.3], [0.5, 0.2]]}
     assert run(tmp_path, cfg, "solve-dirichlet") == 0
     summary = read_summary(tmp_path)
     assert summary["convergence_order"] >= 2.0
     _, rows = read_csv(tmp_path, "study.csv")
-    assert [int(r[0]) for r in rows] == [16, 32]
+    assert [int(r[0]) for r in rows] == [32, 64]
     assert float(rows[1][1]) <= float(rows[0][1]) / 3.0
+
+
+def test_solve_convergence_study_fails_its_order_check_on_a_plateau(
+        tmp_path):
+    # at these probes n = 16 already reads 4.89e-8 and n = 32 4.33e-8, an
+    # order of 0.18: the run-time check must fail, and the run exit 1
+    cfg = {"nodes": 32, "study_ns": [16, 32],
+           "probes": [[0.3, 0.3], [0.5, 0.2]]}
+    assert run(tmp_path, cfg, "solve-dirichlet") == 1
+    summary = read_summary(tmp_path)
+    failed = [c["name"] for c in summary["checks"] if c["status"] == "fail"]
+    assert failed == ["convergence order at least 2"]
+    _, rows = read_csv(tmp_path, "study.csv")
+    assert [int(r[0]) for r in rows] == [16, 32]
+    assert all(float(r[1]) <= 1.0e-7 for r in rows)
 
 
 def test_solve_reports_solver_failure(tmp_path, monkeypatch):
