@@ -32,12 +32,12 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, SolveError
+from .errors import DomainError, SolveError
 from .geometry import Curve, Point
 from .kernel import (Params, kernel_families, q4_many,
                      weighted_dq4_dn_many)
-from .potential import (NEAR_FIELD_RTOL, NEAR_FIELD_TOL, Density, _bisect,
-                        _layer_panels, _panel_nodes, kernel_K4_log_split)
+from .potential import (NEAR_FIELD_TOL, Density, _near_field, _panel_nodes,
+                        kernel_K4_log_split)
 from .specfun import gauss_rule
 
 __all__ = [
@@ -271,11 +271,11 @@ def evaluate_many(p: Params, curve: Curve, mu: Density, targets) -> np.ndarray:
     x^(2a) y^(2b) is algebraic.  All far pieces
     of all targets come from one frames call and one kernel call with
     per-pair sources.  A target's near pieces are the root panels of the
-    adaptive bisection (``potential._bisect``) to the absolute error
-    NEAR_FIELD_TOL above the rounding floor NEAR_FIELD_RTOL; a stalled
-    subdivision raises ConvergenceError (the point is effectively on the
-    curve).  Each target is summed in a fixed order from its own pieces
-    only, so its value does not depend on the other targets of the batch.
+    near-field evaluator of ``potential.double_layer``
+    (``potential._near_field``) at NEAR_FIELD_TOL; a stalled subdivision
+    raises ConvergenceError (the point is effectively on the curve).  Each
+    target is summed in a fixed order from its own pieces only, so its
+    value does not depend on the other targets of the batch.
 
     A density without panels, or with panels that do not span the arc,
     raises DomainError: closed-form densities go to
@@ -331,15 +331,9 @@ def evaluate_many(p: Params, curve: Curve, mu: Density, targets) -> np.ndarray:
         out[i] = float(np.sum(terms[cuts[i]:cuts[i + 1]]))
         near = ~far[i]
         if near.any():
-            P = Point(px, py)
-            total, err = _bisect(lambda a, b: _layer_panels(
-                p, curve, mu, P, a, b), edges[:-1][near], edges[1:][near],
-                NEAR_FIELD_TOL, NEAR_FIELD_RTOL)
-            if err > NEAR_FIELD_TOL:
-                raise ConvergenceError(
-                    "near-boundary subdivision stalled; evaluation point is "
-                    "effectively on the curve, use boundary_trace")
-            out[i] += total
+            out[i] += _near_field(p, curve, mu, Point(px, py),
+                                  edges[:-1][near], edges[1:][near],
+                                  NEAR_FIELD_TOL)
     return out
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -29,7 +28,7 @@ from .kernel import Params, k4_constant, weighted_dq4_dn_many
 from .specfun import gauss_2f1, gauss_rule
 
 __all__ = [
-    "Density", "QuadratureRule", "graded_rule",
+    "Density",
     "kernel_K4_log_split", "kernel_K4_row",
     "double_layer", "k_gauge", "boundary_trace",
     "contour_flux", "classify", "nearest_arclength",
@@ -120,32 +119,6 @@ class Density:
         return den
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Immutable quadrature rule on an arclength interval.
-
-    The log-graded rules of ``graded_rule`` leave out the innermost gap
-    around their grading point and record it in ``gap``; the caller
-    supplies its contribution from the diagonal limit.
-    """
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    gap: tuple[float, float]
-
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        if nodes.ndim != 1 or nodes.shape != weights.shape:
-            raise DomainError("rule nodes/weights must be matching 1-d arrays")
-        if np.any(weights <= 0.0):
-            raise DomainError("rule weights must be positive")
-        nodes.flags.writeable = False
-        weights.flags.writeable = False
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
-
-
 def _panel_nodes(edges: np.ndarray, order: int):
     """Gauss-Legendre nodes/weights on each [edges[k], edges[k+1]] panel."""
     x, w = gauss_rule(order)
@@ -162,26 +135,24 @@ def _panel_nodes(edges: np.ndarray, order: int):
 GRADED_MIN_GAP_FRAC = 4.0e-6
 
 
-def graded_rule(length: float, s0: float, levels: int = 16,
-                order: int = 12) -> QuadratureRule:
-    """Dyadic panels accumulating at s0 from both sides.
+def _graded_rule(length: float, s0: float):
+    """Dyadic panels of 12-point Gauss rules accumulating at s0 from both
+    sides, 16 levels deep; returns (nodes, weights, gap).
 
     The kernel K4(s0, .) behaves like c*log|t - s0| plus a smooth part
     near s0; dyadic grading restores full Gauss accuracy for that shape.
-    The innermost gap around s0 (per side about side_length*2**(-levels),
-    but never narrower than GRADED_MIN_GAP_FRAC of the total length) is
-    excluded and recorded in ``gap``; the trace evaluator integrates the
-    log model across it analytically.
+    The innermost gap around s0 (per side about side_length*2**(-16), but
+    never narrower than GRADED_MIN_GAP_FRAC of the total length) is left
+    out and returned as ``gap`` = (lo, hi); the trace evaluator integrates
+    the log model across it analytically.
     """
     if not 0.0 < s0 < length:
         raise DomainError("grading point must lie strictly inside (0, length)")
-    if levels < 4 or order < 2:
-        raise DomainError("graded rule needs levels >= 4 and order >= 2")
     cap = length / 16.0
     floor_gap = GRADED_MIN_GAP_FRAC * length
     node_parts, weight_parts, half_gaps = [], [], []
     for reach, sign in ((s0, -1.0), (length - s0, 1.0)):
-        side_levels = min(levels, max(2, int(math.log2(reach / floor_gap))))
+        side_levels = min(16, max(2, int(math.log2(reach / floor_gap))))
         breaks = s0 + sign * reach * 0.5 ** np.arange(0, side_levels + 1)
         side_edges = []
         for lo, hi in zip(breaks[:-1], breaks[1:]):
@@ -191,15 +162,14 @@ def graded_rule(length: float, s0: float, levels: int = 16,
         # each side is one contiguous block; the gap between the two blocks
         # around s0 stays uncovered on purpose
         edges = np.unique(np.concatenate(side_edges))
-        nd, wt = _panel_nodes(edges, order)
+        nd, wt = _panel_nodes(edges, 12)
         node_parts.append(nd)
         weight_parts.append(wt)
         half_gaps.append(reach * 0.5 ** side_levels)
     nodes = np.concatenate(node_parts)
     weights = np.concatenate(weight_parts)
     idx = np.argsort(nodes, kind="stable")
-    gap = (s0 - half_gaps[0], s0 + half_gaps[1])
-    return QuadratureRule(nodes[idx], weights[idx], gap)
+    return nodes[idx], weights[idx], (s0 - half_gaps[0], s0 + half_gaps[1])
 
 
 # -- kernel ------------------------------------------------------------------
@@ -343,7 +313,7 @@ def _layer_panels(p: Params, curve: Curve, mu: Density, P0: Point,
 
 
 def _bisect(panels: Callable, lo: np.ndarray, hi: np.ndarray, tol: float,
-            rtol: float = 0.0) -> tuple[float, float]:
+            rtol: float) -> tuple[float, float]:
     """Adaptive sum of ``panels(lo, hi)``, the per-panel integral values.
 
     Breadth-first bisection: each level evaluates the halves of all live
@@ -378,26 +348,33 @@ def _bisect(panels: Callable, lo: np.ndarray, hi: np.ndarray, tol: float,
         budget *= 0.5
 
 
-def double_layer(p: Params, curve: Curve, mu: Density, P0: Point,
-                 tol: float = NEAR_FIELD_TOL) -> float:
-    """Double-layer potential of any density at an off-curve point P0.
-
-    Adaptive panel bisection (``_bisect``) of 8 uniform root panels to the
-    absolute error ``tol``, above the rounding floor NEAR_FIELD_RTOL, keeps
-    the near-boundary peak (width comparable to the distance to the curve)
-    resolved.  The integral runs over the whole arc.
-    """
-    if not (P0.x > 0.0 and P0.y > 0.0):  # false for NaN as well
-        raise DomainError("evaluation point must lie in the open quadrant")
-    edges = np.linspace(0.0, curve.length, 9)
-    total, err = _bisect(lambda lo, hi: _layer_panels(
-        p, curve, mu, P0, lo, hi), edges[:-1], edges[1:], tol,
-        NEAR_FIELD_RTOL)
+def _near_field(p: Params, curve: Curve, mu: Density, P0: Point,
+                lo: np.ndarray, hi: np.ndarray, tol: float) -> float:
+    """The layer integral at P0 over the panels [lo[k], hi[k]], bisected
+    (``_bisect``) to the absolute error ``tol`` above the rounding floor
+    NEAR_FIELD_RTOL; a stalled subdivision raises ConvergenceError."""
+    total, err = _bisect(lambda a, b: _layer_panels(p, curve, mu, P0, a, b),
+                         lo, hi, tol, NEAR_FIELD_RTOL)
     if err > tol:
         raise ConvergenceError(
             "near-boundary subdivision stalled; evaluation point is "
             "effectively on the curve, use boundary_trace")
     return total
+
+
+def double_layer(p: Params, curve: Curve, mu: Density, P0: Point,
+                 tol: float = NEAR_FIELD_TOL) -> float:
+    """Double-layer potential of any density at an off-curve point P0.
+
+    Adaptive panel bisection (``_near_field``) of 8 uniform root panels to
+    the absolute error ``tol``, above the rounding floor NEAR_FIELD_RTOL,
+    keeps the near-boundary peak (width comparable to the distance to the curve)
+    resolved.  The integral runs over the whole arc.
+    """
+    if not (P0.x > 0.0 and P0.y > 0.0):  # false for NaN as well
+        raise DomainError("evaluation point must lie in the open quadrant")
+    edges = np.linspace(0.0, curve.length, 9)
+    return _near_field(p, curve, mu, P0, edges[:-1], edges[1:], tol)
 
 
 # -- gauge function ------------------------------------------------------------
@@ -446,33 +423,30 @@ def k_gauge(p: Params, a: float, b: float, P0: Point) -> float:
 _trace_cache: "weakref.WeakKeyDictionary[Curve, dict]" = weakref.WeakKeyDictionary()
 
 
-def _trace_integral(p: Params, curve: Curve, mu: Density, s: float,
-                    levels: int, order: int) -> float:
-    """int_0^l mu(t) K4(s, t) dt with the log-graded rule.
+def _trace_integral(p: Params, curve: Curve, mu: Density, s: float) -> float:
+    """int_0^l mu(t) K4(s, t) dt with the log-graded rule ``_graded_rule``.
 
-    The kernel row and the gap correction depend only on (p, s, levels,
-    order), so they are cached per curve; different densities and the two
-    trace sides reuse the same row.
+    The kernel row and the gap correction depend only on (p, s), so they
+    are cached per curve; different densities and the two trace sides
+    reuse the same row.
     """
     cache = _trace_cache.setdefault(curve, {})
-    key = (p.alpha, p.beta, float(s), levels, order)
+    key = (p.alpha, p.beta, float(s))
     entry = cache.get(key)
     if entry is None:
-        rule = graded_rule(curve.length, s, levels, order)
-        row = kernel_K4_row(p, curve, s, rule.nodes)
+        nodes, weights, (lo, hi) = _graded_rule(curve.length, s)
+        row = kernel_K4_row(p, curve, s, nodes)
         slope, regular = kernel_K4_log_split(p, curve, s)
-        lo, hi = rule.gap
         # The row integral excludes the gap; integrate the near-diagonal
         # model c ln|t - s| + regular across it exactly.
         left, right = s - lo, hi - s
         log_part = (left * (math.log(left) - 1.0)
                     + right * (math.log(right) - 1.0))
         gap_weight = regular * (hi - lo) + slope * log_part
-        entry = (rule, row, gap_weight)
+        entry = (nodes, weights, row, gap_weight)
         cache[key] = entry
-    rule, row, gap_weight = entry
-    return float(np.dot(rule.weights, row * mu(rule.nodes))
-                 + gap_weight * mu(s))
+    nodes, weights, row, gap_weight = entry
+    return float(np.dot(weights, row * mu(nodes)) + gap_weight * mu(s))
 
 
 def boundary_trace(p: Params, curve: Curve, mu: Density, s: float,
@@ -481,13 +455,14 @@ def boundary_trace(p: Params, curve: Curve, mu: Density, s: float,
 
     interior trace = -mu(s)/2 + w0(s), exterior trace = +mu(s)/2 + w0(s),
     where w0 is the on-curve integral computed with the log-graded rule
-    (16 levels of 12-point panels).  Both sides share the same w0.
+    ``_graded_rule`` (16 levels of 12-point panels).  Both sides share the
+    same w0.
     """
     if side not in ("interior", "exterior"):
         raise DomainError(f"side must be 'interior' or 'exterior', got {side!r}")
     if not 0.0 < s < curve.length:
         raise DomainError("trace arclength must lie strictly inside (0, l)")
-    w0 = _trace_integral(p, curve, mu, s, levels=16, order=12)
+    w0 = _trace_integral(p, curve, mu, s)
     jump = -0.5 if side == "interior" else 0.5
     return jump * float(mu(s)) + w0
 
@@ -532,7 +507,7 @@ def gauge_identity_verify(p: Params, curve: Curve,
     one = Density.constant(1.0)
     if classification == "on":
         s0, _ = nearest_arclength(curve, P0)
-        lhs = _trace_integral(p, curve, one, s0, levels=16, order=12)
+        lhs = _trace_integral(p, curve, one, s0)
         rhs = k - 0.5
     else:
         lhs = double_layer(p, curve, one, P0)

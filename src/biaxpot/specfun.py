@@ -44,8 +44,7 @@ Two routes therefore serve F2:
 ``appell_f2_series_sets`` sums the double series itself on its disk
 |x| + |y| < 1, one parameter set per point, row by row across all points
 of a call.  It serves the c <= b points of ``appell_f2_sets``, all in one
-call, and it is the reference the Euler routes are checked against;
-``appell_f2_series`` (one point) wraps it.
+call, and it is the reference the Euler routes are checked against.
 
 Both Euler routes grade each axis from a dyadic level L: a left
 Gauss-Jacobi panel [0, 2^-(L+1)] absorbing s^(b-1), L dyadic
@@ -91,7 +90,6 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -279,23 +277,6 @@ def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
 # Appell F2
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class F2Args:
-    """Parameter/argument bundle for Appell F2(a; b1, b2; c1, c2; x, y)."""
-    a: float
-    b1: float
-    b2: float
-    c1: float
-    c2: float
-    x: float
-    y: float
-
-    def __post_init__(self):
-        for name in ("c1", "c2"):
-            if _is_nonpos_int(getattr(self, name)):
-                raise DomainError(f"F2Args: {name} must not be a nonpositive integer")
-
-
 def appell_f2_series_sets(a, b1, b2, c1, c2, x, y) -> np.ndarray:
     """F2 by its double power series, one parameter set per point, on the
     disk |x| + |y| < 1; all seven arguments are broadcast to one shape, the
@@ -355,9 +336,8 @@ def appell_f2_series_sets(a, b1, b2, c1, c2, x, y) -> np.ndarray:
             if np.any((0.0 < lead_size) & (lead_size < sys.float_info.min)):
                 # rows built on a subnormal lead lose digits, then vanish
                 raise ConvergenceError(
-                    "appell_f2_series: terms underflow before the sum "
-                    "converges")
-    raise ConvergenceError("appell_f2_series: outer index hit the term cap")
+                    "F2 series: terms underflow before the sum converges")
+    raise ConvergenceError("F2 series: outer index hit the term cap")
 
 
 # The batched series takes the terms of a row in blocks, this many first and
@@ -408,14 +388,7 @@ def _series_rows(am, b2, c2, y, lead, floor) -> np.ndarray:
                                                          floor))
         term, row = terms[going, -1], sums[going, -1]
         run = small[going, small.shape[1] - (SERIES_RUN - 1):]
-    raise ConvergenceError("appell_f2_series: inner index hit the term cap")
-
-
-def appell_f2_series(args: F2Args) -> float:
-    """F2 by its double power series at one point, |x| + |y| < 1:
-    ``appell_f2_series_sets`` of one parameter set."""
-    return float(appell_f2_series_sets(args.a, args.b1, args.b2, args.c1,
-                                       args.c2, args.x, args.y))
+    raise ConvergenceError("F2 series: inner index hit the term cap")
 
 
 # -- Euler integral route ----------------------------------------------------
@@ -729,7 +702,7 @@ def _f2_arguments(a, b1, b2, c1, c2, x, y, disk: bool = False):
     if disk:
         radius = np.abs(args[5]) + np.abs(args[6])
         if np.any(radius >= 1.0):
-            raise DomainError("appell_f2_series requires |x| + |y| < 1 "
+            raise DomainError("F2 series requires |x| + |y| < 1 "
                               f"(got {radius.max()})")
     return args
 
@@ -812,8 +785,8 @@ def appell_f2_sets(a, b1, b2, c1, c2, x, y) -> np.ndarray:
     double series at x/(x+y-1), y/(x+y-1), in one ``appell_f2_series_sets``
     call; that series raises ConvergenceError where its terms underflow
     before it converges (see the module docstring).  Agrees with
-    ``appell_f2_series`` on the disk |x| + |y| < 1, and each point's value
-    is bitwise the same in any batch.
+    ``appell_f2_series_sets`` on the disk |x| + |y| < 1, and each point's
+    value is bitwise the same in any batch.
     """
     args = _f2_arguments(a, b1, b2, c1, c2, x, y)
     shape = args[0].shape
@@ -841,10 +814,10 @@ def appell_f2_many(a: float, b1: float, b2: float, c1: float, c2: float,
     return appell_f2_sets(a, b1, b2, c1, c2, x, y)
 
 
-def appell_f2(args: F2Args) -> float:
-    """Appell F2 continued to x <= 0, y <= 0 (single point)."""
-    return float(appell_f2_sets(args.a, args.b1, args.b2, args.c1, args.c2,
-                                args.x, args.y))
+def appell_f2(a: float, b1: float, b2: float, c1: float, c2: float,
+              x: float, y: float) -> float:
+    """Appell F2 continued to x <= 0, y <= 0 at one point."""
+    return float(appell_f2_sets(a, b1, b2, c1, c2, x, y))
 
 
 # ---------------------------------------------------------------------------

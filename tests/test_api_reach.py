@@ -2,18 +2,19 @@
 
 The test runs each command and each verify suite once, in process, on
 tiny configs under ``sys.setprofile``, and asserts that every function in
-``biaxpot.__all__`` and every method written in its classes ran.  Three
+``biaxpot.__all__`` and every method written in its classes ran.  Two
 groups are exempt:
 
 * the functions the benchmark's span tracer wraps (``TARGETS`` in
   ``perfbench/tracing.py``), whose names the traced benchmark resolves;
-* ``appell_f2_series`` and ``F2Args``, the one-point entry to the double
-  series tree that the tests check the Euler-integral routes against;
-* ``log_singular_3f2``, the logarithmic case of F2 at coincident points,
-  kept for the large-argument route still to be built on it.
+* ``EXEMPT``: ``log_singular_3f2``, the logarithmic case of F2 at
+  coincident points, kept for the large-argument route still to be built
+  on it.
 
 A public name that no command runs goes unchecked by every shipped run;
-it is either wired into one or deleted.
+it is either wired into one or deleted.  An ``EXEMPT`` name that is no
+longer public, or that a shipped call now runs, fails the test too, so
+the list cannot go stale.
 """
 
 import importlib.util
@@ -27,7 +28,7 @@ from biaxpot.cli import main
 
 PACKAGE = Path(biaxpot.__file__).resolve().parent
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-EXEMPT = {"appell_f2_series", "F2Args", "log_singular_3f2"}
+EXEMPT = {"log_singular_3f2"}
 
 TINY_VERIFY = {"interior_points": 1, "oncurve_points": 1,
                "exterior_points": 1, "arclengths": 1, "gradient_pairs": 2,
@@ -108,3 +109,9 @@ def test_every_public_function_runs_in_a_shipped_call(tmp_path,
         if code not in ran and name not in EXEMPT and key not in exempt)
     assert not unreached, (
         f"public functions no shipped call runs: {', '.join(unreached)}")
+    gone = sorted(EXEMPT - set(biaxpot.__all__))
+    assert not gone, f"exempt names biaxpot no longer has: {', '.join(gone)}"
+    reached = sorted({name for name, _, code in functions
+                      if name in EXEMPT and code in ran})
+    assert not reached, (
+        f"exempt names a shipped call runs: {', '.join(reached)}")

@@ -113,7 +113,7 @@ def test_nystrom_rows_match_the_graded_trace(alpha, beta, a, b, q):
         values = mu(sys.nodes)
         got = (sys.matrix @ values)[rows] + 0.5 * values[rows]
         want = [potential_mod._trace_integral(p, curve, mu,
-                                              float(sys.nodes[i]), 16, 12)
+                                              float(sys.nodes[i]))
                 for i in rows]
         assert np.max(np.abs(got - want)) <= 2.0e-6 * (64 / n) ** 2
 
@@ -451,9 +451,9 @@ def test_evaluate_many_matches_the_tight_double_layer(monkeypatch, alpha,
 
     def spy(*args, **kwargs):
         bisected.append(True)
-        return potential_mod._bisect(*args, **kwargs)
+        return potential_mod._near_field(*args, **kwargs)
 
-    monkeypatch.setattr(bie_mod, "_bisect", spy)
+    monkeypatch.setattr(bie_mod, "_near_field", spy)
     all_far = 0
     for depth in (0.4, 0.1, 0.03, 3.0e-3):
         P = _inward(curve, 0.55, depth)
@@ -488,10 +488,10 @@ def test_evaluate_many_tiered_far_rule_matches_the_tight_double_layer(
 
     def bisect_spy(*args, **kwargs):
         bisected.append(True)
-        return potential_mod._bisect(*args, **kwargs)
+        return potential_mod._near_field(*args, **kwargs)
 
     monkeypatch.setattr(bie_mod, "_far_orders", spy)
-    monkeypatch.setattr(bie_mod, "_bisect", bisect_spy)
+    monkeypatch.setattr(bie_mod, "_near_field", bisect_spy)
     targets = [_inward(curve, frac, depth) for frac, depth in spots]
     values = evaluate_many(p, curve, mu, targets)
     assert not bisected and len(orders) == 1

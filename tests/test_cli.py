@@ -216,6 +216,21 @@ def test_verify_specfun(tmp_path):
     assert len(rows) == 160
 
 
+@pytest.mark.parametrize("branch", ["_hyp2f1_series", "_hyp2f1_connection"])
+def test_verify_specfun_fails_on_a_wrong_gauss_2f1(tmp_path, monkeypatch,
+                                                  branch):
+    # the edge check compares gauss_2f1 with F2 on its own tree, so either
+    # 2F1 branch one part in a million off fails it, and only it
+    from biaxpot import specfun
+    exact = getattr(specfun, branch)
+    monkeypatch.setattr(specfun, branch,
+                        lambda *args: exact(*args) * (1.0 + 1.0e-6))
+    assert run(tmp_path, {"cases": 40}, "verify", "specfun") == 1
+    checks = read_summary(tmp_path)["checks"]
+    assert [c["name"] for c in checks if c["status"] == "fail"] == [
+        "edge (40 cases)"]
+
+
 def test_verify_flux(tmp_path):
     assert run(tmp_path, None, "verify", "flux") == 0
     summary = read_summary(tmp_path)

@@ -14,12 +14,12 @@ import pytest
 from biaxpot import (AmbiguousClassificationError, Curve, Density,
                      DomainError, Params, Point, SingularPairError, classify,
                      contour_flux, double_layer, dq4_dn,
-                     gauge_identity_verify, graded_rule, k_gauge,
-                     kernel_K4_log_split, kernel_K4_row, nearest_arclength)
+                     gauge_identity_verify, k_gauge, kernel_K4_log_split,
+                     kernel_K4_row, nearest_arclength)
 from biaxpot import potential
 from biaxpot.bie import evaluate_many
-from biaxpot.potential import (NEAR_FIELD_TOL, _panel_nodes, _trace_integral,
-                               _weighted_row, boundary_trace)
+from biaxpot.potential import (NEAR_FIELD_TOL, _graded_rule, _panel_nodes,
+                               _trace_integral, _weighted_row, boundary_trace)
 from biaxpot.errors import ConvergenceError
 from biaxpot.kernel import k4_constant
 from biaxpot.specfun import gauss_2f1, gauss_rule
@@ -31,19 +31,18 @@ P25 = Params(0.25, 0.25)
 
 def test_graded_rule_leaves_gap(curve):
     s0 = 0.3 * curve.length
-    rule = graded_rule(curve.length, s0)
-    assert np.all(rule.weights > 0.0)
-    lo, hi = rule.gap
+    nodes, weights, (lo, hi) = _graded_rule(curve.length, s0)
+    assert np.all(weights > 0.0)
     assert lo < s0 < hi
-    assert not np.any((rule.nodes > lo) & (rule.nodes < hi))
+    assert not np.any((nodes > lo) & (nodes < hi))
     # nodes cover everything else up to the gap
-    assert rule.weights.sum() == pytest.approx(curve.length - (hi - lo),
-                                               rel=1e-12)
+    assert weights.sum() == pytest.approx(curve.length - (hi - lo),
+                                          rel=1e-12)
 
 
 def test_graded_rule_rejects_endpoint_grading(curve):
     with pytest.raises(DomainError):
-        graded_rule(curve.length, 0.0)
+        _graded_rule(curve.length, 0.0)
 
 
 # -- kernel on the curve ----------------------------------------------------------
@@ -510,8 +509,7 @@ def test_trace_integral_continuous_in_s(curve):
     l = curve.length
     mu = Density(lambda t: np.sin(np.pi * np.asarray(t) / l))
     ss = np.linspace(0.2 * l, 0.8 * l, 13)
-    w0 = np.array([_trace_integral(P25, curve, mu, float(s), 12, 8)
-                   for s in ss])
+    w0 = np.array([_trace_integral(P25, curve, mu, float(s)) for s in ss])
     steps = np.abs(np.diff(w0))
     assert steps.max() <= 10.0 * max(np.median(steps), 1.0e-12)
 

@@ -12,10 +12,10 @@ import pathlib
 import numpy as np
 import pytest
 
-from biaxpot import (ConvergenceError, DivergenceError, DomainError, F2Args,
-                     appell_f2, appell_f2_many, appell_f2_series,
-                     appell_f2_series_sets, appell_f2_sets, f2_kernel_families,
-                     gauss_2f1, gauss_2f1_at_one, ln_gamma, log_singular_3f2)
+from biaxpot import (ConvergenceError, DivergenceError, DomainError,
+                     appell_f2, appell_f2_many, appell_f2_series_sets,
+                     appell_f2_sets, f2_kernel_families, gauss_2f1,
+                     gauss_2f1_at_one, ln_gamma, log_singular_3f2)
 from biaxpot import specfun
 from biaxpot.specfun import (_euler_prefactor, _f2_euler_many, _stair_axis,
                              gauss_rule, jacobi_rules)
@@ -151,46 +151,55 @@ def test_2f1_symmetric_in_upper_parameters():
 
 
 def test_2f1_pfaff_reflection():
-    # F(a,b;c;z) = (1-z)^(-b) F(c-a, b; c; z/(z-1))
+    # gauss_2f1 against the y = 0 edge of F2, an independent tree:
+    # F2(a; b, 1; c, 2; z, 0) = 2F1(a, b; c; z), for z > 0 through Pfaff's
+    # (1-z)^(-b) F2(c-a; b, 1; c, 2; z/(z-1), 0).  gauss_2f1 reflects z < 0
+    # itself, and z < -1 lands on its connection branch
     rng = np.random.default_rng(12)
+    cases = []
     for _ in range(200):
         a, b = rng.uniform(0.1, 2.0, 2)
         c = rng.uniform(0.8, 3.0)
         z = rng.uniform(-50.0, 0.9)
-        lhs = gauss_2f1(a, b, c, z)
-        rhs = (1.0 - z) ** (-b) * gauss_2f1(c - a, b, c, z / (z - 1.0))
-        assert REL(lhs, rhs) <= 1.0e-10
+        cases.append((a, b, c, z))
+    a, b, c, z = np.array(cases).T
+    pos = z > 0.0
+    edge = np.where(pos, (1.0 - z) ** -b, 1.0) * appell_f2_sets(
+        np.where(pos, c - a, a), b, 1.0, c, 2.0,
+        np.where(pos, z / (z - 1.0), z), 0.0)
+    for case, want in zip(cases, edge.tolist()):
+        assert REL(gauss_2f1(*case), want) <= 1.0e-10
 
 
 # -- appell F2 series -------------------------------------------------------------
 
 def test_f2_series_at_origin():
-    assert appell_f2_series(F2Args(1.5, 0.75, 0.75, 1.5, 1.5, 0.0, 0.0)) == 1.0
+    assert appell_f2_series_sets(1.5, 0.75, 0.75, 1.5, 1.5, 0.0, 0.0) == 1.0
 
 
 def test_f2_series_collapses_on_axis():
-    args = F2Args(1.1, 0.6, 0.9, 1.4, 1.7, -0.45, 0.0)
+    args = (1.1, 0.6, 0.9, 1.4, 1.7, -0.45, 0.0)
     want = gauss_2f1(1.1, 0.6, 1.4, -0.45)
-    assert REL(appell_f2_series(args), want) <= 1.0e-13
+    assert REL(appell_f2_series_sets(*args), want) <= 1.0e-13
 
 
 def test_f2_series_unit_for_zero_a():
-    assert appell_f2_series(
-        F2Args(0.0, 0.6, 0.9, 1.4, 1.7, -0.3, -0.4)) == 1.0
+    assert appell_f2_series_sets(0.0, 0.6, 0.9, 1.4, 1.7, -0.3, -0.4) == 1.0
 
 
 def test_f2_series_rejects_divergent_arguments():
     with pytest.raises(DomainError):
-        appell_f2_series(F2Args(1.5, 0.75, 0.75, 1.5, 1.5, -0.6, -0.5))
+        appell_f2_series_sets(1.5, 0.75, 0.75, 1.5, 1.5, -0.6, -0.5)
 
 
 def test_f2_series_sums_past_the_crest_of_a_row():
     # near the disk edge at positive arguments the terms of late rows grow
     # before they decay; 30-digit reference of the double series
-    args = F2Args(1.5749078802178267, 0.9678725010533668, 1.4484874592602872,
-                  1.6511501723072097, 1.8005905651157152,
-                  0.32149970052137294, 0.5520107184548619)
-    assert REL(appell_f2_series(args), 7.31237123279686245233) <= 1.0e-13
+    args = (1.5749078802178267, 0.9678725010533668, 1.4484874592602872,
+            1.6511501723072097, 1.8005905651157152,
+            0.32149970052137294, 0.5520107184548619)
+    assert REL(appell_f2_series_sets(*args),
+               7.31237123279686245233) <= 1.0e-13
 
 
 # Values of the point-by-point summation loop that appell_f2_series_sets
@@ -324,7 +333,7 @@ def test_f2_series_sets_keep_the_frozen_loop_values_bitwise():
     sets = np.array([case for case, _ in SERIES_FROZEN])
     want = np.array([float.fromhex(value) for _, value in SERIES_FROZEN])
     for case, value in zip(sets.tolist(), want.tolist()):
-        assert appell_f2_series(F2Args(*case)) == value
+        assert appell_f2_series_sets(*case) == value
     order = np.random.default_rng(15).permutation(len(sets))
     assert np.array_equal(appell_f2_series_sets(*sets[order].T), want[order])
     block = appell_f2_series_sets(*sets.T.reshape(7, 5, 6))
@@ -385,7 +394,7 @@ def test_f2_series_sets_broadcast_one_set_over_points():
     y = np.linspace(0.4, -0.5, 7)
     got = appell_f2_series_sets(1.1, 0.6, 0.9, 1.4, 1.7, x, y)
     for xj, yj, value in zip(x.tolist(), y.tolist(), got.tolist()):
-        assert appell_f2_series(F2Args(1.1, 0.6, 0.9, 1.4, 1.7, xj, yj)) == value
+        assert appell_f2_series_sets(1.1, 0.6, 0.9, 1.4, 1.7, xj, yj) == value
 
 
 def test_f2_series_sets_empty_input_gives_an_empty_result():
@@ -403,7 +412,7 @@ def test_f2_series_rejects_non_finite_arguments(bad):
         args = [1.5, 0.75, 0.75, 1.5, 1.5, -0.2, 0.3]
         args[k] = bad
         with pytest.raises(DomainError):
-            appell_f2_series(F2Args(*args))
+            appell_f2_series_sets(*args)
         batch = np.tile([1.5, 0.75, 0.75, 1.5, 1.5, -0.2, 0.3], (3, 1))
         batch[1, k] = bad
         with pytest.raises(DomainError):
@@ -444,26 +453,26 @@ def test_f2_series_sets_raise_convergence_errors(monkeypatch):
 # -- appell F2 continuation -------------------------------------------------------
 
 def test_f2_at_origin():
-    assert appell_f2(F2Args(1.5, 0.75, 0.75, 1.5, 1.5, 0.0, 0.0)) == 1.0
+    assert appell_f2(1.5, 0.75, 0.75, 1.5, 1.5, 0.0, 0.0) == 1.0
 
 
 def test_f2_reference_value():
     # 30-digit direct double series at (-0.2, -0.3)
-    args = F2Args(1.5, 0.75, 0.75, 1.5, 1.5, -0.2, -0.3)
+    args = (1.5, 0.75, 0.75, 1.5, 1.5, -0.2, -0.3)
     want = 0.726984689365876771752
-    assert REL(appell_f2(args), want) <= 1.0e-12
+    assert REL(appell_f2(*args), want) <= 1.0e-12
 
 
 def test_f2_matches_series_inside_disk():
-    args = F2Args(1.5, 0.75, 0.75, 1.5, 1.5, -0.2, -0.3)
-    assert REL(appell_f2(args), appell_f2_series(args)) <= 1.0e-10
+    args = (1.5, 0.75, 0.75, 1.5, 1.5, -0.2, -0.3)
+    assert REL(appell_f2(*args), appell_f2_series_sets(*args)) <= 1.0e-10
 
 
 def test_f2_single_variable_reduction():
     # y = 0 reduces to a reflected Gauss function:
     # F2(a;b1,b2;c1,c2;-1/2,0) = (3/2)^(-b1) F(c1-a, b1; c1; 1/3)
     a, b1, b2, c1, c2 = 1.3, 0.7, 0.9, 1.6, 1.8
-    got = appell_f2(F2Args(a, b1, b2, c1, c2, -0.5, 0.0))
+    got = appell_f2(a, b1, b2, c1, c2, -0.5, 0.0)
     want = 1.5 ** (-b1) * gauss_2f1(c1 - a, b1, c1, 1.0 / 3.0)
     assert REL(got, want) <= 1.0e-11
 
@@ -477,8 +486,9 @@ def test_f2_agrees_with_series_randomized():
         c1, c2 = rng.uniform(0.9, 2.5, 2)
         x = -rng.uniform(0.0, 0.85)
         y = -rng.uniform(0.0, 0.88 - abs(x))
-        args = F2Args(a, b1, b2, c1, c2, x, y)
-        worst = max(worst, REL(appell_f2(args), appell_f2_series(args)))
+        args = (a, b1, b2, c1, c2, x, y)
+        worst = max(worst,
+                    REL(appell_f2(*args), appell_f2_series_sets(*args)))
     assert worst <= 1.0e-10
 
 
@@ -493,12 +503,10 @@ def test_f2_contiguous_relation():
         c2 = b2 + rng.uniform(0.4, 1.8)
         x, y = -rng.uniform(0.05, 3.0, 2)
         base = (a, b1, b2, c1, c2, x, y)
-        lhs = (b1 / c1 * x * appell_f2(F2Args(a + 1, b1 + 1, b2, c1 + 1, c2,
-                                              x, y))
-               + b2 / c2 * y * appell_f2(F2Args(a + 1, b1, b2 + 1, c1, c2 + 1,
-                                                x, y)))
-        up = appell_f2(F2Args(a + 1, b1, b2, c1, c2, x, y))
-        at = appell_f2(F2Args(*base))
+        lhs = (b1 / c1 * x * appell_f2(a + 1, b1 + 1, b2, c1 + 1, c2, x, y)
+               + b2 / c2 * y * appell_f2(a + 1, b1, b2 + 1, c1, c2 + 1, x, y))
+        up = appell_f2(a + 1, b1, b2, c1, c2, x, y)
+        at = appell_f2(*base)
         scale = max(abs(up), abs(at), 1.0)
         assert abs(lhs - (up - at)) <= 1.0e-9 * scale
 
@@ -509,19 +517,17 @@ def test_f2_contiguous_relation_at_near_integer_excess():
     a, b1, b2 = 1.1670268095962184, 1.0106648752340812, 1.1672350250846228
     c1, c2 = 2.749182427100841, 2.8078362358953264
     x, y = -0.08482690459446762, -1.4024856848406408
-    lhs = (b1 / c1 * x * appell_f2(F2Args(a + 1, b1 + 1, b2, c1 + 1, c2,
-                                          x, y))
-           + b2 / c2 * y * appell_f2(F2Args(a + 1, b1, b2 + 1, c1, c2 + 1,
-                                            x, y)))
-    rhs = (appell_f2(F2Args(a + 1, b1, b2, c1, c2, x, y))
-           - appell_f2(F2Args(a, b1, b2, c1, c2, x, y)))
+    lhs = (b1 / c1 * x * appell_f2(a + 1, b1 + 1, b2, c1 + 1, c2, x, y)
+           + b2 / c2 * y * appell_f2(a + 1, b1, b2 + 1, c1, c2 + 1, x, y))
+    rhs = (appell_f2(a + 1, b1, b2, c1, c2, x, y)
+           - appell_f2(a, b1, b2, c1, c2, x, y))
     assert abs(lhs - rhs) <= 1.0e-12 * abs(rhs)
 
 
 def test_f2_rejects_non_finite_arguments():
     for bad in (math.nan, -math.inf):
         with pytest.raises(DomainError):
-            appell_f2(F2Args(1.5, 0.75, 0.75, 1.5, 1.5, bad, -0.1))
+            appell_f2(1.5, 0.75, 0.75, 1.5, 1.5, bad, -0.1)
         with pytest.raises(DomainError):
             appell_f2_many(1.5, 0.75, 0.75, 1.5, 1.5,
                            np.array([-0.2, -0.1]), np.array([-0.3, bad]))
@@ -541,14 +547,14 @@ def test_f2_leaves_the_rule_caches_alone():
                 for cached in (gauss_rule, _stair_axis, _euler_prefactor)]
 
     rng = np.random.default_rng(27)
-    appell_f2(F2Args(1.5, 0.75, 0.75, 1.5, 1.5, -0.2, -0.3))
+    appell_f2(1.5, 0.75, 0.75, 1.5, 1.5, -0.2, -0.3)
     before = cache_state()
     for _ in range(20):
         b1, b2 = rng.uniform(0.2, 1.2, 2)
-        args = F2Args(rng.uniform(0.3, 2.0), b1, b2,
-                      b1 + rng.uniform(0.4, 1.8), b2 + rng.uniform(0.4, 1.8),
-                      -rng.uniform(0.05, 30.0), -rng.uniform(0.05, 30.0))
-        appell_f2(args)
+        args = (rng.uniform(0.3, 2.0), b1, b2,
+                b1 + rng.uniform(0.4, 1.8), b2 + rng.uniform(0.4, 1.8),
+                -rng.uniform(0.05, 30.0), -rng.uniform(0.05, 30.0))
+        appell_f2(*args)
     assert cache_state() == before
 
 
@@ -597,7 +603,7 @@ def test_f2_sets_equal_one_set_at_a_time():
     batch = appell_f2_sets(*sets.T)
     for (a, b1, b2, c1, c2, x, y), want in zip(sets.tolist(), batch):
         assert appell_f2_many(a, b1, b2, c1, c2, [x], [y])[0] == want
-        assert appell_f2(F2Args(a, b1, b2, c1, c2, x, y)) == want
+        assert appell_f2(a, b1, b2, c1, c2, x, y) == want
     assert np.all(batch[sets[:, 5] + sets[:, 6] == 0.0] == 1.0)
     # one set over many points, and the same points as many sets
     a, b1, b2, c1, c2 = sets[0, :5]
@@ -655,8 +661,8 @@ def test_f2_matches_frozen_kernel_references(case):
 def test_f2_matches_frozen_references_for_c_below_b(case):
     # c1 < b1: outside the Euler integral, served through Appell's
     # transformation to the double series
-    args = F2Args(*case["params"], case["x"], case["y"])
-    assert REL(appell_f2(args), float(case["value"])) <= 1.0e-13
+    args = (*case["params"], case["x"], case["y"])
+    assert REL(appell_f2(*args), float(case["value"])) <= 1.0e-13
 
 
 def test_f2_for_c_below_b_fails_loudly_where_the_series_underflows():
@@ -664,7 +670,7 @@ def test_f2_for_c_below_b_fails_loudly_where_the_series_underflows():
     # while its rows still carry about 1e-9 of the sum; summing on gave a
     # value 6.6e-8 off the single-sum continuation
     with pytest.raises(ConvergenceError):
-        appell_f2(F2Args(1.3, 1.1, 0.9, 1.05, 1.8, -150.0, -150.0))
+        appell_f2(1.3, 1.1, 0.9, 1.05, 1.8, -150.0, -150.0)
 
 
 # -- the four kernel families on one Euler node set --------------------------------
@@ -690,7 +696,7 @@ def test_f2_kernel_families_match_series_inside_disk(alpha, beta):
     values = f2_kernel_families(*families[0], x, y)
     for params, got in zip(families, values):
         for j in range(x.size):
-            want = appell_f2_series(F2Args(*params, x[j], y[j]))
+            want = appell_f2_series_sets(*params, x[j], y[j])
             assert REL(got[j], want) <= 1.0e-13
 
 
@@ -934,15 +940,13 @@ def test_param_shift_matches_finite_differences():
         b1, b2 = rng.uniform(0.3, 1.2, 2)
         c1, c2 = rng.uniform(1.0, 2.0, 2)
         x, y = -rng.uniform(0.1, 0.6, 2)
-        dx = a * b1 / c1 * appell_f2(F2Args(a + 1, b1 + 1, b2, c1 + 1, c2,
-                                            x, y))
-        fd = (appell_f2(F2Args(a, b1, b2, c1, c2, x + h, y))
-              - appell_f2(F2Args(a, b1, b2, c1, c2, x - h, y))) / (2 * h)
+        dx = a * b1 / c1 * appell_f2(a + 1, b1 + 1, b2, c1 + 1, c2, x, y)
+        fd = (appell_f2(a, b1, b2, c1, c2, x + h, y)
+              - appell_f2(a, b1, b2, c1, c2, x - h, y)) / (2 * h)
         assert REL(dx, fd) <= 1.0e-6
-        dy = a * b2 / c2 * appell_f2(F2Args(a + 1, b1, b2 + 1, c1, c2 + 1,
-                                            x, y))
-        fd = (appell_f2(F2Args(a, b1, b2, c1, c2, x, y + h))
-              - appell_f2(F2Args(a, b1, b2, c1, c2, x, y - h))) / (2 * h)
+        dy = a * b2 / c2 * appell_f2(a + 1, b1, b2 + 1, c1, c2 + 1, x, y)
+        fd = (appell_f2(a, b1, b2, c1, c2, x, y + h)
+              - appell_f2(a, b1, b2, c1, c2, x, y - h)) / (2 * h)
         assert REL(dy, fd) <= 1.0e-6
 
 
