@@ -18,13 +18,13 @@ and carries a logarithmic singularity at (x0, y0).
 Derivative formulas need three more F2 parameter families (the x-shift,
 the y-shift, and the a-shift of the main family).  The batched evaluators
 (q4_many, grad_q4_many, weighted_dq4_dn_many, and the scalar q4 and grad_q4
-that wrap them) take all four from one pass over the Euler double integral
-of the main family (specfun.f2_kernel_families).  dq4_dn_many (and the
-scalar dq4_dn that wraps it) evaluates the four families of all its
-points as parameter sets of one specfun.appell_f2_sets call, on the
-tensor Euler route, and assembles a grouped closed form; it is kept as an
-independent second evaluation tree that the tests and ``verify gradient``
-check the batched route against.
+that wrap them) take all four from one specfun.f2_kernel_families call on
+the Euler integral of the main family, one axis graded and the other done
+exactly.  dq4_dn_many (and the scalar dq4_dn that wraps it) evaluates the
+four families of all its points as parameter sets of one
+specfun.appell_f2_sets call, on the tensor Euler route, and assembles a
+grouped closed form; it is kept as an independent second evaluation tree
+that the tests and ``verify gradient`` check the batched route against.
 
 The batched evaluators take the second point either as a fixed Point or
 as per-pair arrays (x0s, y0s), broadcast against the first points; a

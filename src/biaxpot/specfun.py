@@ -4,9 +4,12 @@ weighted potential kernels.
 The functions here are deliberately narrow: real parameters, real arguments,
 double precision.  ``gauss_2f1`` covers z <= 1 through a three-way strategy
 (direct series, Pfaff reflection for negative z, connection formula near
-z = 1 with the Gauss summation handling z = 1 itself).  ``appell_f2``
-continues the F2 double series to the third quadrant x <= 0, y <= 0, which
-is the regime produced by the chord variables of the fundamental solution.
+z = 1 with the Gauss summation handling z = 1 itself).  It is one point of
+the batched route ``_gauss_2f1_sets``, which takes many parameter sets
+over one argument array, so that all their series share one loop over
+terms.  ``appell_f2`` continues the F2 double series to the third
+quadrant x <= 0, y <= 0, which is the regime produced by the chord
+variables of the fundamental solution.
 For c1 > b1 > 0, c2 > b2 > 0, which all kernel parameter families satisfy,
 it takes the Euler integral representation (Erdelyi et al., Higher
 Transcendental Functions I, 5.8)
@@ -32,9 +35,10 @@ never takes it.
 Two routes therefore serve F2:
 
 * ``f2_kernel_families`` evaluates the main family and its x-, y- and
-  a-shifted families (the four the kernel derivatives need) together, on
-  the main family's Euler nodes, over whole argument vectors.  Every
-  batched kernel evaluation goes through it, at any distance.
+  a-shifted families (the four the kernel derivatives need) together, from
+  one graded axis per point and an exact inner integral, over whole
+  argument vectors.  Every batched kernel evaluation goes through it, at
+  any distance.
 * ``appell_f2_sets`` takes one parameter set per point, many sets in one
   call, including sets with c <= b that the Euler integral cannot take;
   ``appell_f2_many`` (one set over many points) and ``appell_f2`` (one
@@ -46,43 +50,42 @@ Two routes therefore serve F2:
 of a call.  It serves the c <= b points of ``appell_f2_sets``, all in one
 call, and it is the reference the Euler routes are checked against.
 
-Both Euler routes grade each axis from a dyadic level L: a left
+Both Euler routes grade an axis from a dyadic level L: a left
 Gauss-Jacobi panel [0, 2^-(L+1)] absorbing s^(b-1), L dyadic
 Gauss-Legendre panels up to 1/2, and a right Gauss-Jacobi panel [1/2, 1]
 absorbing (1-s)^(c-b-1).  They differ in the level of an argument x and
-in how the two axes combine:
+in what they do with the other axis:
 
 * ``appell_f2_sets`` takes L = ceil(log2 max(|x|, 1)), a first panel no
   longer than 1/(2|x|), and the full tensor product of the two axes, with
   12-point Legendre and 24-point Jacobi panels: (48 + 12 L)^2 nodes per
   point at L = Lx = Ly.
-* ``f2_kernel_families`` takes L = ceil(log2 max(|x|/4, 1)), two levels
-  shallower (a first panel no longer than 2/|x|), and a staircase.  The
-  integrand is non-smooth only toward the corner s = t = 0, so the square
-  splits into rectangles that are each smooth in both variables: every
-  s-panel k against [0, end of t-panel k], and every t-panel k >= 1
-  against [0, end of s-panel k - 1] (past an axis's last panel, the whole
-  of [0, 1]).  The side of each rectangle that reaches down to an axis
-  takes one 20-point Gauss-Jacobi prefix rule, cached per axis and level,
-  and the other side keeps its panel's nodes; the panels use 10-point
-  Legendre rules, a 20-point left and a 10-point right Jacobi rule.  That
-  is (40 + 10 Lx + 10 Ly) rows of 20 nodes per point: 800 at
-  |x| = |y| = 1, 4,800 at 2^12 and 13,200 at 2^33, against 2,304, 36,864
-  and 197,136 for the tensor product.  In both blocks (s-panel rows,
-  t-panel rows) a row's own node and weight scale its 20-node sums,
-  outside the node tensor.
+* ``f2_kernel_families`` grades only the axis of the smaller argument,
+  from L = ceil(log2 max(|x|/4, 1)), two levels shallower (a first panel
+  no longer than 2/|x|), with 10-point Legendre panels, a 20-point left
+  and a 10-point right Jacobi panel: 30 + 10 L nodes per point.  The other
+  axis is integrated exactly (DLMF 15.6.1): for x outer, A = 1 - x s,
+
+      int_0^1 t^(b2-1) (1-t)^(c2-b2-1) (A - y t)^(-a-1) dt
+          = A^(-a-1) B(b2, c2-b2) F(a+1, b2; c2; y/A),
+
+  and the t moment takes F(a+1, b2+1; c2+1; y/A), which Pfaff's map turns
+  into the slope of the same series.  At 0 <= y/A the map gives
+  F(c2-a-1, b2; c2; w); for the main family at alpha = beta, c2 - a - 1 =
+  -1 and the series stops after two terms.  Each outer node thus costs
+  one 2F1 series with its slope: 30 nodes per point where the smaller
+  argument is at most 4, 340 where it is 2^33.
 
 Log-gamma comes from the library (``math.lgamma``, mapped over arrays).
 Gauss rules come from ``jacobi_rules`` by Golub-Welsch.  ``gauss_rule``,
-the staircase axes and prefix rules, and the Euler prefactors are cached;
-a level pair's two blocks are gathered from its two axes on each call,
-since one workload touches hundreds of level pairs.  ``appell_f2_sets``
-caches nothing: each call builds the end-panel rules of its distinct
-exponents in one ``jacobi_rules`` call, the prefactor of each distinct
-parameter set, and the axes of its points, since most callers bring new
-parameter sets; a point's rules, axes and reduction are its own, so its
-value is bitwise the same in any batch.  Otherwise every function is a
-pure function of its arguments.
+the kernel route's graded axes, and the 2F1 series' coefficient tables,
+degree maps and connection coefficients are cached per parameter set.
+``appell_f2_sets`` caches nothing: each call builds the end-panel rules of
+its distinct exponents in one ``jacobi_rules`` call, the prefactor of each
+distinct parameter set, and the axes of its points, since most callers
+bring new parameter sets; a point's rules, axes and reduction are its own,
+so its value is bitwise the same in any batch.  Otherwise every function
+is a pure function of its arguments.
 """
 
 from __future__ import annotations
@@ -161,24 +164,196 @@ def _is_nonpos_int(x: float) -> bool:
 # Gauss 2F1
 # ---------------------------------------------------------------------------
 
-def _hyp2f1_series(a: float, b: float, c: float, z: float,
-                   max_terms: int = MAX_TERMS) -> float:
-    """Direct 2F1 power series; caller guarantees |z| < 1 or termination."""
-    term = 1.0
-    total = 1.0
-    small = 0
-    for m in range(max_terms):
-        term *= (a + m) * (b + m) * z / ((c + m) * (m + 1))
-        total += term
-        if abs(term) <= SERIES_RTOL * abs(total):
-            small += 1
-            if small >= SERIES_RUN:
-                return total
-        else:
-            small = 0
-    raise ConvergenceError(
-        f"2F1 series did not converge within {max_terms} terms "
-        f"(a={a}, b={b}, c={c}, z={z})")
+# The 2F1 routes below take several parameter sets at once: a list of
+# (a, b, c) sets and, for each set in turn, a run of points of one array
+# (``counts`` points of set i after those of the sets before it), so that
+# the points of all sets share each loop over series terms.
+#
+# The direct series takes each point straight to an a priori degree: the
+# first past which every term of its set's coefficient table stays below
+# SERIES_RTOL / 4 (1 - |z|) of the leading term, read per bucket of |z|,
+# _SERIES_BUCKETS buckets per doubling of -log2 |z|.  A sum that ends below a
+# quarter of its leading term goes on _SERIES_CHECK_BLOCK terms at a time
+# until its last term is at most SERIES_RTOL (1 - |z|) of it.  Once so few
+# points are left that _SERIES_CHECK_BLOCK terms of each make at most
+# _SERIES_SMALL_BLOCK terms in all, as many terms as make _SERIES_SMALL_BLOCK
+# take one running product and one running sum.
+_SERIES_BUCKETS = 16
+_SERIES_CHECK_BLOCK = 8
+_SERIES_SMALL_BLOCK = 4096
+
+
+def _runs(counts):
+    """(lo, hi) of each set's run of points."""
+    ends = np.cumsum(counts, dtype=np.int64).tolist()
+    return zip([0] + ends[:-1], ends)
+
+
+# The buckets of |z| from 1 - 2^-53 to the least normal double: bucket j
+# holds 2^(j/B) <= -log2 |z| < 2^((j+1)/B), and its largest |z| is
+# 2^(-2^(j/B)).
+_BUCKETS = np.arange(-55 * _SERIES_BUCKETS, 10 * _SERIES_BUCKETS + 1)
+
+
+@functools.lru_cache(maxsize=64)
+def _series_table(a: float, b: float, c: float, terms: int, moment: bool):
+    """(ratios, first, degrees) of the direct series: the term ratios
+    (a+m)(b+m)/((c+m)(m+1)), m < ``terms``, and the a priori degree of
+    every bucket of |z| from ``first`` on that the table serves, to at most
+    half its length or short of its end at MAX_TERMS.
+
+    A degree N admits |z| when every term t_n past N up to the table's end
+    stays below SERIES_RTOL / 4 (1 - |z|) of t_0, and with ``moment`` n t_n
+    below as much of t_1 as well.  Past the coefficients' first irregular
+    stretch the largest such |z| of a single term grows with its index, so
+    a longer table leaves the degrees of a shorter one as they are.
+    Cached; read-only.
+    """
+    m = np.arange(terms, dtype=float)
+    ratio = (a + m) * (b + m) / ((c + m) * (m + 1.0))
+    log_tol = math.log2(0.25 * SERIES_RTOL)
+    with np.errstate(divide="ignore"):
+        log_coef = np.cumsum(np.log2(np.abs(ratio)))  # of terms 1 .. terms
+    # each term against t_0 = 1 over the power m + 1 of z, and n t_n against
+    # t_1 = ratio_0 z over the power m; t_1 itself is never small against
+    # itself
+    bounds = [(log_coef, m + 1.0)]
+    if moment:
+        bounds.append((log_coef + np.log2(m + 1.0) - log_coef[0],
+                       np.maximum(m, 0.5)))
+    reach = np.ones(terms)
+    for log_size, power in bounds:
+        # two conservative steps to the fixed point |size| r^power = tol (1-r)
+        r = np.exp2(np.minimum((log_tol - log_size) / power, 0.0))
+        for _ in range(2):
+            r = np.exp2(np.minimum((log_tol + np.log2(1.0 - np.minimum(
+                r, 0.5 + 0.5 * Z_SERIES_MAX)) - log_size) / power, 0.0))
+        reach = np.minimum(reach, r)
+    if moment:
+        reach[0] = 0.0
+    admits = np.minimum.accumulate(reach[::-1])[::-1]
+    degrees = np.searchsorted(admits, np.exp2(-np.exp2(
+        _BUCKETS / _SERIES_BUCKETS)))
+    served = np.flatnonzero(degrees < (terms if terms == MAX_TERMS
+                                       else terms // 2 + 1))
+    first = served[0] if served.size else _BUCKETS.size
+    degrees = degrees[first:].astype(np.int16)
+    ratio.flags.writeable = False
+    degrees.flags.writeable = False
+    return ratio, int(_BUCKETS[0]) + int(first), degrees
+
+
+def _series_degrees(params, counts, size: np.ndarray, moment: bool):
+    """The a priori degree of each point of the direct series at |z| =
+    ``size`` < 1 (of the sum of n t_n too with ``moment``), and the term
+    ratios of every set as a (terms, sets) table."""
+    bucket = np.log2(np.maximum(size, sys.float_info.min))
+    np.negative(bucket, out=bucket)
+    np.log2(bucket, out=bucket)
+    bucket = np.floor(_SERIES_BUCKETS * bucket).astype(np.int64)
+    degree = np.empty(size.size, dtype=np.int64)
+    ratios = []
+    for (a, b, c), (lo, hi) in zip(params, _runs(counts)):
+        terms = 64
+        ratio, first, degrees = _series_table(a, b, c, terms, moment)
+        least = int(bucket[lo:hi].min()) if hi > lo else first
+        while first > least:
+            if terms >= MAX_TERMS:
+                raise ConvergenceError(
+                    f"2F1 series did not converge within {MAX_TERMS} "
+                    f"terms (a={a}, b={b}, c={c})")
+            terms = min(2 * terms, MAX_TERMS)
+            ratio, first, degrees = _series_table(a, b, c, terms, moment)
+        degree[lo:hi] = degrees.take(bucket[lo:hi] - first)
+        ratios.append(ratio)
+    table = np.zeros((max(r.size for r in ratios), len(ratios)))
+    for i, r in enumerate(ratios):
+        table[:r.size, i] = r
+    return degree, table
+
+
+def _hyp2f1_series(params, counts, z: np.ndarray,
+                   moment: bool = False) -> np.ndarray:
+    """Direct 2F1 power series over a 1-d array z, |z| < 1, in runs of
+    ``counts`` points per set of ``params``; with ``moment``, a (2, points)
+    array of the sums of t_n and of n t_n over the terms t_n.
+
+    Each point sums its terms up to its own degree (``_series_degrees``),
+    with the roundings of term *= ratio_n z, total += term, whether in a
+    loop over terms or as running products and sums; its degree and any
+    continuation follow from its set and its own z, so its value is
+    bitwise the same in any batch.  The points run in order of falling
+    degree, so the ones still summing are a leading slice.
+    """
+    degree, table = _series_degrees(params, counts, np.abs(z), moment)
+    which = np.repeat(np.arange(len(params)), counts)
+    # falling degree: a one-byte key sorts fast; the few points past 255
+    # terms are put in order among themselves
+    order = np.argsort((255 - np.minimum(degree, 255)).astype(np.uint8),
+                       kind="stable")
+    long = np.count_nonzero(degree > 255)
+    if long > 1:
+        order[:long] = order[:long][np.argsort(-degree[order[:long]],
+                                               kind="stable")]
+    z, which, degree = z[order], which[order], degree[order]
+    term = np.ones(z.size)
+    total = np.ones(z.size)
+    first = np.zeros(z.size)  # sum of n t_n
+    step = np.empty(z.size)
+    # live[m]: how many points take term m + 1
+    live = np.searchsorted(-degree, -np.arange(degree[0] if z.size else 0),
+                           side="left").tolist()
+    m = 0
+    while m < len(live):
+        k = live[m]
+        if k * _SERIES_CHECK_BLOCK > _SERIES_SMALL_BLOCK:
+            ratio = (table[m, 0] if len(params) == 1
+                     else table[m].take(which[:k]))
+            np.multiply(z[:k], ratio, out=step[:k])
+            term[:k] *= step[:k]
+            total[:k] += term[:k]
+            if moment:
+                np.multiply(term[:k], m + 1.0, out=step[:k])
+                first[:k] += step[:k]
+            m += 1
+            continue
+        # rows: the terms m .. end of each point, and its row at its degree
+        end = min(m + _SERIES_SMALL_BLOCK // k, len(live))
+        terms = np.multiply.accumulate(np.concatenate(
+            (term[None, :k], table[m:end].take(which[:k], axis=1) * z[:k])),
+            axis=0)
+        last = (np.minimum(degree[:k], end) - m) * k + np.arange(k)
+        term[:k] = terms.take(last)
+        total[:k] = np.add.accumulate(np.concatenate(
+            (total[None, :k], terms[1:])), axis=0).take(last)
+        if moment:
+            terms[1:] *= np.arange(m + 1.0, end + 1.0)[:, None]
+            terms[0] = first[:k]
+            first[:k] = np.add.accumulate(terms, axis=0).take(last)
+        m = end
+    # a sum well below its leading term goes on until its last term is small
+    going = np.flatnonzero(np.abs(total) < 0.25)
+    rtol = np.zeros(z.size)
+    rtol[going] = SERIES_RTOL * (1.0 - np.abs(z[going]))
+    going = going[np.abs(term[going]) > rtol[going] * np.abs(total[going])]
+    a, b, c = (np.array(v)[which[going]] for v in zip(*params))
+    while going.size:
+        if degree[going].max() + _SERIES_CHECK_BLOCK > MAX_TERMS:
+            raise ConvergenceError(
+                f"2F1 series did not converge within {MAX_TERMS} terms")
+        for _ in range(_SERIES_CHECK_BLOCK):
+            n = degree[going].astype(float)
+            term[going] *= z[going] * ((a + n) * (b + n)
+                                       / ((c + n) * (n + 1.0)))
+            total[going] += term[going]
+            first[going] += (n + 1.0) * term[going]
+            degree[going] += 1
+        keep = np.abs(term[going]) > rtol[going] * np.abs(total[going])
+        going, a, b, c = going[keep], a[keep], b[keep], c[keep]
+    out = np.empty((2, z.size) if moment else z.size)
+    for row, value in zip(out.reshape(-1, z.size), (total, first)):
+        row[order] = value
+    return out
 
 
 def gauss_2f1_at_one(a: float, b: float, c: float) -> float:
@@ -204,13 +379,14 @@ def gauss_2f1_at_one(a: float, b: float, c: float) -> float:
     return sg_num * sg_den * math.exp(ln_num - ln_den)
 
 
-def _hyp2f1_connection(a: float, b: float, c: float, z: float) -> float:
-    """2F1 on (Z_SWITCH, 1) through the 1-z connection formula.
+@functools.lru_cache(maxsize=256)
+def _connection_coefficients(a: float, b: float, c: float):
+    """(c1, c2) of the 1-z connection formula
 
-    Requires c - a - b not an integer; both component series run at
-    argument u = 1 - z < 1 - Z_SWITCH.
-    """
-    u = 1.0 - z
+        F(a, b; c; z) = c1 F(a, b; 1-s; u) + c2 u^s F(c-a, c-b; 1+s; u),
+
+    u = 1 - z, s = c - a - b; raises ConvergenceError for an integer s.
+    Cached."""
     s = c - a - b
     lgc, sgc = _ln_gamma_signed(c)
 
@@ -225,52 +401,205 @@ def _hyp2f1_connection(a: float, b: float, c: float, z: float) -> float:
                 "connection formula unusable: integer parameter excess")
         return sgc * st * s1 * s2 * math.exp(lgc + lt - l1 - l2)
 
-    c1 = coeff(s, c - a, c - b)
-    c2 = coeff(-s, a, b)
-    out = 0.0
-    if c1 != 0.0:
-        out += c1 * _hyp2f1_series(a, b, 1.0 - s, u)
-    if c2 != 0.0:
-        out += c2 * u ** s * _hyp2f1_series(c - a, c - b, 1.0 + s, u)
+    return coeff(s, c - a, c - b), coeff(-s, a, b)
+
+
+def _hyp2f1_connection(a: float, b: float, c: float, u: np.ndarray,
+                       first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """2F1 at z = 1 - u, 0 < u < 1 - Z_SWITCH, by the 1-z connection
+    formula, from the direct series of its two terms at u, ``first`` and
+    ``second`` (zero where the coefficient vanishes).  Series given as the
+    sums of t_n give the values; given as (2, points) arrays of the sums of
+    t_n and of n t_n they give a (2, points) array of the values and their
+    z-derivatives.  The caller forms u itself, so that a z near 1 reached
+    from a map keeps the digits of u."""
+    c1, c2 = _connection_coefficients(a, b, c)
+    s = c - a - b
+    power = np.power(u, s)
+    out = c1 * first + c2 * power * second
+    if first.ndim == 2:
+        # d/dz = -d/du, and u dS/du is the sum of n t_n
+        out[1] = -(c1 * first[1] / u
+                   + c2 * (power / u) * (s * second[0] + second[1]))
     return out
 
 
-def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
-    """Gauss hypergeometric 2F1(a, b; c; z) for real z <= 1.
+def _terminating(a: float, b: float) -> int | None:
+    """The last term index of a series that a nonpositive integer a or b
+    stops, else None."""
+    stops = [-round(v) for v in (a, b) if _is_nonpos_int(v)]
+    return int(min(stops)) if stops else None
 
-    Strategy: direct series on [0, Z_SWITCH]; Pfaff reflection
-    F(a,b;c;z) = (1-z)^(-b) F(c-a, b; c; z/(z-1)) for z < 0; the 1-z
-    connection formula on (Z_SWITCH, 1) falling back to the plain series
-    when c - a - b sits too close to an integer; Gauss summation at z = 1.
 
-    Raises DomainError for z > 1 or a nonpositive integer c, and
-    DivergenceError at z = 1 when c - a - b <= 0.
+def _positions(pick: np.ndarray, lo: int):
+    """The positions lo + i of the true entries of ``pick``: a slice when
+    all are true, which spares the copies of gathering them."""
+    return (slice(lo, lo + pick.size) if pick.all()
+            else lo + np.flatnonzero(pick))
+
+
+def _hyp2f1_unit(params, counts, z: np.ndarray, u: np.ndarray,
+                 slope: bool = False) -> np.ndarray:
+    """2F1 on 0 <= z < 1 with u = 1 - z given, in runs of ``counts`` points
+    per set of ``params``; with ``slope``, a (2, points) array of the
+    values and their z-derivatives.
+
+    A series that its set stops is summed as it stands (at any z);
+    otherwise the direct series on [0, Z_SWITCH] and the connection formula
+    beyond, falling back to the direct series up to Z_SERIES_MAX when
+    c - a - b sits within EXCESS_INT_TOL of an integer.  Every direct
+    series, the connection formula's two included, runs in one
+    ``_hyp2f1_series`` call.
     """
-    if z > 1.0:
-        raise DomainError(f"gauss_2f1 defined for z <= 1, got z = {z}")
-    if _is_nonpos_int(c):
+    out = np.empty((2, z.size) if slope else z.size)
+    direct, linked = [], []  # (set, points) by the series, by connection
+    for (a, b, c), (lo, hi) in zip(params, _runs(counts)):
+        n_stop = _terminating(a, b)
+        zi = z[lo:hi]
+        if n_stop is not None:
+            term, total = np.ones(zi.size), np.ones(zi.size)
+            first = np.zeros(zi.size)
+            for m in range(n_stop):
+                term = term * ((a + m) * (b + m) * zi / ((c + m) * (m + 1)))
+                total = total + term
+                first = first + (m + 1.0) * term
+            if slope:
+                out[0, lo:hi] = total
+                out[1, lo:hi] = _slope(a, b, c, zi, first)
+            else:
+                out[lo:hi] = total
+            continue
+        s = c - a - b
+        series = zi <= (Z_SERIES_MAX if abs(s - round(s)) <= EXCESS_INT_TOL
+                        else Z_SWITCH)
+        for group, pick in ((direct, series), (linked, ~series)):
+            if pick.any():
+                group.append(((a, b, c), _positions(pick, lo)))
+    # the direct series, then the connection terms with a nonzero
+    # coefficient, set by set
+    sets = [p for p, _ in direct]
+    args = [z[place] for _, place in direct]
+    for (a, b, c), place in linked:
+        s = c - a - b
+        for coeff, term in zip(_connection_coefficients(a, b, c),
+                               ((a, b, 1.0 - s), (c - a, c - b, 1.0 + s))):
+            if coeff != 0.0:
+                sets.append(term)
+                args.append(u[place])
+    if not sets:
+        return out
+    sizes = [v.size for v in args]
+    sums = iter(np.split(_hyp2f1_series(sets, sizes, np.concatenate(args),
+                                        slope), np.cumsum(sizes)[:-1],
+                         axis=-1))
+    for (a, b, c), place in direct:
+        value = next(sums)
+        if slope:
+            value[1] = _slope(a, b, c, z[place], value[1])
+        out[..., place] = value
+    for p, place in linked:
+        ui = u[place]
+        first, second = (next(sums) if coeff != 0.0 else
+                         np.zeros((2, ui.size) if slope else ui.size)
+                         for coeff in _connection_coefficients(*p))
+        out[..., place] = _hyp2f1_connection(*p, ui, first, second)
+    return out
+
+
+def _slope(a: float, b: float, c: float, z: np.ndarray,
+           first: np.ndarray) -> np.ndarray:
+    """dF/dz from the sum of n t_n of the direct series at z: that sum over
+    z, and a b / c at z = 0."""
+    return np.divide(first, z, out=np.full(z.size, a * b / c), where=z != 0.0)
+
+
+def _gauss_2f1_sets(params, counts, z, neighbours: bool = False):
+    """Gauss hypergeometric 2F1(a, b; c; z) over a 1-d array of z <= 1, in
+    runs of ``counts`` points per set (a, b, c) of ``params``; with
+    ``neighbours``, a (2, points) array of the values and of each set's
+    neighbour F(a, b+1; c+1; z).
+
+    Strategy: a series that a nonpositive integer a or b stops is summed
+    as it stands; z = 1 takes Gauss summation; z < 0 takes Pfaff's map
+    F(a,b;c;z) = (1-z)^(-b) G(w), G = F(c-a, b; c; w), w = z/(z-1), whose
+    complement 1 - w is formed as 1/(1-z), not by a subtraction that would
+    lose its digits at large |z|; on 0 <= w < 1 ``_hyp2f1_unit`` takes
+    over, for the mapped and the unmapped points of every set in one call.
+    The neighbour maps to (1-z)^(-b-1) c G'(w) / ((c-a) b), so a mapped
+    point takes it from the slope of G on the same series terms; any other
+    point takes it from a call for the neighbour's set.  Each value is
+    bitwise the same in any batch.
+
+    Raises DomainError for z > 1, non-finite z or a nonpositive integer c,
+    and DivergenceError at z = 1 when c - a - b <= 0.
+    """
+    z = np.asarray(z, dtype=float)
+    if not np.all(np.isfinite(z)):
+        raise DomainError("gauss_2f1 needs finite z")
+    if np.any(z > 1.0):
+        raise DomainError(f"gauss_2f1 defined for z <= 1, got z = {z.max()}")
+    if any(_is_nonpos_int(c) for _, _, c in params):
         raise DomainError("gauss_2f1: c must not be a nonpositive integer")
-    # terminating series bypass every transformation
-    if _is_nonpos_int(a) or _is_nonpos_int(b):
-        if _is_nonpos_int(a) and _is_nonpos_int(b):
-            n_stop = int(-max(round(a), round(b)))
-        else:
-            n_stop = int(-round(a)) if _is_nonpos_int(a) else int(-round(b))
-        term, total = 1.0, 1.0
-        for m in range(n_stop):
-            term *= (a + m) * (b + m) * z / ((c + m) * (m + 1))
-            total += term
-        return total
-    if z == 1.0:
-        return gauss_2f1_at_one(a, b, c)
-    if z < 0.0:
-        return (1.0 - z) ** (-b) * gauss_2f1(c - a, b, c, z / (z - 1.0))
-    if z <= Z_SWITCH:
-        return _hyp2f1_series(a, b, c, z)
-    s = c - a - b
-    if abs(s - round(s)) > EXCESS_INT_TOL or z > Z_SERIES_MAX:
-        return _hyp2f1_connection(a, b, c, z)
-    return _hyp2f1_series(a, b, c, z)
+    out = np.empty((2, z.size) if neighbours else (1, z.size))
+    # requests on the unit interval: set, points, (w, u), and the factors
+    # of its value and of its slope in rows 0 and 1 of out
+    sets, places, args, factors = [], [], [], []
+    for (a, b, c), (lo, hi) in zip(params, _runs(counts)):
+        zi = z[lo:hi]
+        # terminating series bypass every transformation
+        stops = _terminating(a, b) is not None
+        mapped = (zi < 0.0) & (not stops)
+        plain = ~mapped if stops else (zi >= 0.0) & (zi < 1.0)
+        one = ~(mapped | plain)
+        if one.any():
+            out[0, lo + np.flatnonzero(one)] = gauss_2f1_at_one(a, b, c)
+        slope = neighbours and (c - a) * b != 0.0
+        if neighbours:
+            # the neighbour of every point not mapped with a slope
+            others = ~mapped if slope else np.ones(zi.size, dtype=bool)
+            if others.any():
+                place = _positions(others, lo)
+                out[1, place] = _gauss_2f1_sets([(a, b + 1.0, c + 1.0)],
+                                                [z[place].size], z[place])
+        if plain.any():
+            place = _positions(plain, lo)
+            sets.append((a, b, c))
+            places.append(place)
+            args.append((z[place], 1.0 - z[place]))
+            factors.append((1.0, None))
+        if mapped.any():
+            place = _positions(mapped, lo)
+            q = 1.0 - z[place]
+            rest = np.power(q, -b)
+            sets.append((c - a, b, c))
+            places.append(place)
+            args.append((z[place] / (z[place] - 1.0), 1.0 / q))
+            factors.append((rest, rest / q * (c / ((c - a) * b))
+                            if slope else None))
+    if sets:
+        sizes = [w.size for w, _ in args]
+        values = _hyp2f1_unit(sets, sizes, *(np.concatenate(v)
+                                             for v in zip(*args)),
+                              neighbours).reshape(-1, sum(sizes))
+        for place, (value, slope), (lo, hi) in zip(places, factors,
+                                                   _runs(sizes)):
+            out[0, place] = value * values[0, lo:hi]
+            if slope is not None:
+                out[1, place] = slope * values[1, lo:hi]
+    return out if neighbours else out[0]
+
+
+def _gauss_2f1_many(a: float, b: float, c: float, z) -> np.ndarray:
+    """2F1(a, b; c; z) at one parameter set over an array of z <= 1, in the
+    shape of z: ``_gauss_2f1_sets`` with one set."""
+    z = np.asarray(z, dtype=float)
+    return _gauss_2f1_sets([(a, b, c)], [z.size], z.ravel()).reshape(z.shape)
+
+
+def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
+    """Gauss hypergeometric 2F1(a, b; c; z) for real z <= 1: one point of
+    ``_gauss_2f1_sets``, whose strategy and errors it shares."""
+    return float(_gauss_2f1_many(a, b, c, z))
 
 
 # ---------------------------------------------------------------------------
@@ -355,10 +684,17 @@ def _series_rows(am, b2, c2, y, lead, floor) -> np.ndarray:
     SERIES_RUN-th small term in a row.  cumprod and cumsum along n give
     every term and partial sum with the roundings of the recurrences
     term *= ratio_n, row += term, and the last SERIES_RUN - 1 tests of a
-    block carry a run into the next.
+    block carry a run into the next.  At y = 0 a row is its lead, which
+    the sums reproduce exactly, so those rows take no block.
     """
     rows = np.empty(lead.size)
-    todo = np.arange(lead.size)
+    flat = y == 0.0
+    rows[flat] = lead[flat]
+    todo = np.flatnonzero(~flat)
+    if todo.size == 0:
+        return rows
+    am, b2, c2, y, lead, floor = (v[todo] for v in (am, b2, c2, y, lead,
+                                                    floor))
     term = row = lead
     run = np.zeros((lead.size, SERIES_RUN - 1), dtype=bool)
     n0, width = 0, SERIES_BLOCK
@@ -474,25 +810,28 @@ def gauss_rule(n: int, exponent: float = 0.0,
 
 
 # Gauss orders of the dyadic Legendre panels and of the Jacobi panels: the
-# tensor layout of appell_f2_sets' Euler route, and the staircase layout
-# of f2_kernel_families, whose right panel [1/2, 1] takes its own order.
+# tensor layout of appell_f2_sets' Euler route, and the outer axis of
+# f2_kernel_families, whose right panel [1/2, 1] takes its own order.
 _EULER_LEG_N = 12
 _EULER_JAC_N = 24
-_STAIR_LEG_N = 10
-_STAIR_JAC_N = 20
-_STAIR_RIGHT_N = 10
+_KERNEL_LEG_N = 10
+_KERNEL_JAC_N = 20
+_KERNEL_RIGHT_N = 10
 
-# The staircase grades an axis from level ceil(log2 max(|x| / 4, 1)), two
-# dyadic levels shallower than the tensor route: h0 <= 2/|x|.  The scale is
-# a power of two, so the scaled arguments are exact.
-_STAIR_LEVEL_SCALE = 0.25
+# The kernel route grades its outer axis from level
+# ceil(log2 max(|x| / 4, 1)), two dyadic levels shallower than the tensor
+# route: h0 <= 2/|x|.  The scale is a power of two, so the scaled arguments
+# are exact.
+_KERNEL_LEVEL_SCALE = 0.25
 
-# Euler batches are cut so that the (points, nodes) tensor stays near this
-# many bytes; the staircase counts both its blocks, evaluated in turn.  The
-# tensor route of appell_f2_sets takes smaller chunks, with each chunk's
-# axes built for it, so that a batch of many parameter sets adds little to
-# the transient memory of its single-point calls.
-EULER_CHUNK_BYTES = 1 << 20
+# Euler batches are cut so that one float array over a chunk's nodes stays
+# near EULER_CHUNK_BYTES: the kernel route holds some forty such arrays at
+# once in its 2F1 series, and a larger chunk buys little speed for the
+# memory.  The tensor route of appell_f2_sets holds one (points, nodes,
+# nodes) tensor, with each chunk's axes built for it, so that a batch of
+# many parameter sets adds little to the transient memory of its
+# single-point calls.
+EULER_CHUNK_BYTES = 1 << 16
 TENSOR_CHUNK_BYTES = 1 << 18
 
 
@@ -513,17 +852,17 @@ def _euler_axes(b, cb, left, right, level: int, leg: int = _EULER_LEG_N):
     for each of P points with exponents b, cb given as (P,) arrays.
 
     Returns nodes s_k and weights that already include the full beta-type
-    weight s^(b-1) (1-s)^(cb-1), both (P, nodes), and the panel index of
-    each node, (nodes,).  Panels are graded dyadically from
-    h0 = 2^-(level+1), so that the remaining factor (1 + s|x| + ...)^(-a)
-    is smooth on every panel (h0 <= 1/(2|x|) for the tensor route's
-    |x| <= 2^level, h0 <= 2/|x| for the staircase's |x| <= 2^(level+2)):
-    panel 0 is [0, h0], panels 1..level are [h0 2^(k-1), h0 2^k] (``leg``
-    Gauss-Legendre nodes each), and panel level + 1 is [1/2, 1].  The end
-    panels take the caller's Golub-Welsch Gauss-Jacobi rules on [-1, 1] as
-    (nodes, weights) pairs of (P, n) arrays: ``left`` for the weight
-    (1 + t)^(b-1), ``right`` for (1 + t)^(cb-1).  Every value is an
-    elementwise function of its own point's exponents and rules.
+    weight s^(b-1) (1-s)^(cb-1), both (P, nodes).  Panels are graded
+    dyadically from h0 = 2^-(level+1), so that the remaining factor
+    (1 + s|x| + ...)^(-a) is smooth on every panel (h0 <= 1/(2|x|) for the
+    tensor route's |x| <= 2^level, h0 <= 2/|x| for the kernel route's
+    |x| <= 2^(level+2)): panel 0 is [0, h0], panels 1..level are
+    [h0 2^(k-1), h0 2^k] (``leg`` Gauss-Legendre nodes each), and panel
+    level + 1 is [1/2, 1].  The end panels take the caller's Golub-Welsch
+    Gauss-Jacobi rules on [-1, 1] as (nodes, weights) pairs of (P, n)
+    arrays: ``left`` for the weight (1 + t)^(b-1), ``right`` for
+    (1 + t)^(cb-1).  Every value is an elementwise function of its own
+    point's exponents and rules.
     """
     b = b[:, None]
     cb = cb[:, None]
@@ -546,79 +885,49 @@ def _euler_axes(b, cb, left, right, level: int, leg: int = _EULER_LEG_N):
     nodes = np.concatenate(
         (s_left, np.broadcast_to(s_mid, w_mid.shape), s_right), axis=1)
     weights = np.concatenate((w_left, w_mid, w_right), axis=1)
-    panel = np.repeat(np.arange(level + 2),
-                      [s_left.shape[1]] + [leg] * level + [s_right.shape[1]])
-    return nodes, weights, panel
+    return nodes, weights
 
 
 @functools.lru_cache(maxsize=256)
-def _stair_axis(b: float, cb: float, level: int):
-    """One axis of the staircase layout, |x| <= 2^(level+2).
+def _kernel_axis(b: float, cb: float, level: int):
+    """The outer axis of ``f2_kernel_families`` for |x| <= 2^(level+2).
 
-    Returns (s, ws, panel, qs, qw, qwq): the panels of ``_euler_axes`` at
-    the staircase orders (a 10-point right panel), and the prefix rules as
-    (level + 2, J) arrays, where row k holds J Gauss-Jacobi nodes and
-    weights for the weight s^(b-1) (1-s)^(cb-1) on [0, end of panel k],
-    and their products qwq = qw qs.  The rows below the last absorb
-    s^(b-1); the last covers the whole of [0, 1] and absorbs both ends.
-    Cached per dyadic level; the returned arrays are read-only.
+    Returns (s, ws): the nodes of the ``_euler_axes`` panels at the kernel
+    route's orders (a 20-point left and a 10-point right Gauss-Jacobi
+    panel, 10-point Legendre panels), and weights that carry the Euler
+    weight s^(b-1) (1-s)^(cb-1) divided by its integral B(b, cb), as
+    (nodes,) arrays.  Cached per dyadic level; the returned arrays are
+    read-only.
     """
-    tj, wj = gauss_rule(_STAIR_JAC_N, b - 1.0)
-    tr, wr = gauss_rule(_STAIR_RIGHT_N, cb - 1.0)
-    s, ws, panel = _euler_axes(np.array([b]), np.array([cb]),
-                               (tj[None], wj[None]), (tr[None], wr[None]),
-                               level, _STAIR_LEG_N)
-    s, ws = s[0], ws[0]
-    half = 0.5 ** np.arange(level + 2, 1, -1)[:, None]  # half of each end
-    qs = half * (tj + 1.0)
-    qw = wj * half ** b * (1.0 - qs) ** (cb - 1.0)
-    tj, wj = gauss_rule(_STAIR_JAC_N, b - 1.0, cb - 1.0)
-    qs = np.vstack((qs, 0.5 * (tj + 1.0)))
-    qw = np.vstack((qw, wj * 0.5 ** (b + cb - 1.0)))
-    qwq = qw * qs
-    for arr in (s, ws, panel, qs, qw, qwq):
-        arr.flags.writeable = False
-    return s, ws, panel, qs, qw, qwq
+    tj, wj = gauss_rule(_KERNEL_JAC_N, b - 1.0)
+    tr, wr = gauss_rule(_KERNEL_RIGHT_N, cb - 1.0)
+    s, ws = _euler_axes(np.array([b]), np.array([cb]),
+                           (tj[None], wj[None]), (tr[None], wr[None]),
+                           level, _KERNEL_LEG_N)
+    s = s[0]
+    ws = ws[0] * math.exp(ln_gamma(b + cb) - ln_gamma(b) - ln_gamma(cb))
+    s.flags.writeable = False
+    ws.flags.writeable = False
+    return s, ws
 
 
-def _staircase(b1: float, cb1: float, level_x: int, b2: float, cb2: float,
-               level_y: int):
-    """The two blocks of the staircase layout for one pair of dyadic levels,
-    each (node, w, q, qw, qwq): its own axis's row nodes and weights as
-    (rows,) arrays, and the other axis's prefix rule per row as (rows, J)
-    arrays of nodes q, weights qw and products qw q.
-
-    The lower block pairs every s-node with the t prefix rule up to the end
-    of the s-node's panel; the upper block pairs every t-node of panel
-    k >= 1 with the s prefix rule up to the end of panel k - 1 (panel
-    indices past an axis's last panel mean the whole of [0, 1]).  The two
-    blocks tile the unit square, and on each tile the integrand is smooth
-    in both variables.
-    """
-    s, ws, ps, qs, qws, qwqs = _stair_axis(b1, cb1, level_x)
-    t, wt, pt, qt, qwt, qwqt = _stair_axis(b2, cb2, level_y)
-    ky = np.minimum(ps, qt.shape[0] - 1)
-    up = pt >= 1
-    kx = np.minimum(pt[up] - 1, qs.shape[0] - 1)
-    return ((s, ws, qt[ky], qwt[ky], qwqt[ky]),
-            (t[up], wt[up], qs[kx], qws[kx], qwqs[kx]))
-
-
-@functools.lru_cache(maxsize=256)
 def _euler_prefactor(b1: float, c1: float, b2: float, c2: float) -> float:
     """C = G(c1) G(c2) / (G(b1) G(c1-b1) G(b2) G(c2-b2)) of the Euler integral."""
     return math.exp(ln_gamma(c1) + ln_gamma(c2) - ln_gamma(b1)
                     - ln_gamma(c1 - b1) - ln_gamma(b2) - ln_gamma(c2 - b2))
 
 
+def _levels(x) -> np.ndarray:
+    """The dyadic levels ceil(log2 max(|x|, 1)), as int64."""
+    return np.ceil(np.log2(np.maximum(np.abs(x), 1.0))).astype(np.int64)
+
+
 def _level_groups(x, y):
     """Group points by their dyadic levels ceil(log2 max(|x|, 1)) and
     ceil(log2 max(|y|, 1)); yields (level_x, level_y, indices)."""
-    kx = np.ceil(np.log2(np.maximum(np.abs(x), 1.0))).astype(np.int64)
-    ky = np.ceil(np.log2(np.maximum(np.abs(y), 1.0))).astype(np.int64)
     # one key per level pair; levels of finite doubles stay below 1025
-    keys, group, counts = np.unique(kx * 2048 + ky, return_inverse=True,
-                                    return_counts=True)
+    keys, group, counts = np.unique(_levels(x) * 2048 + _levels(y),
+                                    return_inverse=True, return_counts=True)
     # one stable sort keeps each group's indices ascending
     members = np.split(np.argsort(group, kind="stable"),
                        np.cumsum(counts)[:-1])
@@ -634,13 +943,25 @@ def _chunks(idx: np.ndarray, nodes: int, limit: int):
         yield idx[lo:lo + per]
 
 
+def _node_chunks(count: np.ndarray, limit: int):
+    """Cut points with ``count`` nodes each into runs (lo, hi) of at most
+    ``limit`` nodes, or of one point where that alone is more."""
+    ends = np.cumsum(count)
+    lo = 0
+    while lo < count.size:
+        base = ends[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, base + limit, "right")))
+        yield lo, hi
+        lo = hi
+
+
 def _f2_euler_many(a, b1, b2, c1, c2, x, y) -> np.ndarray:
     """F2 by the 2-D Euler integral, one parameter set per point; the seven
     arguments broadcast to one flat vector, with x, y <= 0, c1 > b1 > 0 and
     c2 > b2 > 0.
 
     Uses the full tensor product of the two axes' panels, an evaluation
-    tree independent of the staircase of ``f2_kernel_families``.  The
+    tree independent of the one graded axis of ``f2_kernel_families``.  The
     end-panel rules of the call's distinct exponents come from one
     ``jacobi_rules`` call, and each chunk of a level group builds the axes
     of all its points at once; every point is then reduced on its own, so
@@ -655,17 +976,17 @@ def _f2_euler_many(a, b1, b2, c1, c2, x, y) -> np.ndarray:
     tj, wj = jacobi_rules(_EULER_JAC_N, exponents)
     # one prefactor per distinct (b1, c1, b2, c2)
     sets = list(zip(b1.tolist(), c1.tolist(), b2.tolist(), c2.tolist()))
-    known = {v: _euler_prefactor.__wrapped__(*v) for v in set(sets)}
+    known = {v: _euler_prefactor(*v) for v in set(sets)}
     pref = np.array([known[v] for v in sets])
     for level_x, level_y, group in _level_groups(x, y):
         nodes = ((2 * _EULER_JAC_N + _EULER_LEG_N * level_x)
                  * (2 * _EULER_JAC_N + _EULER_LEG_N * level_y))
         for idx in _chunks(group, nodes, TENSOR_CHUNK_BYTES):
             left_x, right_x, left_y, right_y = rule[:, idx]
-            s, ws, _ = _euler_axes(b1[idx], c1[idx] - b1[idx],
+            s, ws = _euler_axes(b1[idx], c1[idx] - b1[idx],
                                    (tj[left_x], wj[left_x]),
                                    (tj[right_x], wj[right_x]), level_x)
-            t, wt, _ = _euler_axes(b2[idx], c2[idx] - b2[idx],
+            t, wt = _euler_axes(b2[idx], c2[idx] - b2[idx],
                                    (tj[left_y], wj[left_y]),
                                    (tj[right_y], wj[right_y]), level_y)
             # B = 1 - s x - t y on the (points, s, t) tensor
@@ -709,7 +1030,7 @@ def _f2_arguments(a, b1, b2, c1, c2, x, y, disk: bool = False):
 
 def f2_kernel_families(a: float, b1: float, b2: float, c1: float, c2: float,
                        x, y):
-    """F2 and its three first-shift families on one Euler node set.
+    """F2 and its three first-shift families from one graded axis.
 
     Returns (main, dx, dy, da) over argument vectors x <= 0, y <= 0:
 
@@ -722,12 +1043,21 @@ def f2_kernel_families(a: float, b1: float, b2: float, c1: float, c2: float,
     family, da = C int w P, dx = C (c1/b1) int w s P, dy = C (c2/b2)
     int w t P, and main = C int w B P = da - x C int w s P - y C int w t P.
     Every term of the last sum is nonnegative for x, y <= 0, so nothing
-    cancels.  One power per node serves all four families.  On a lower
-    block row, B = (1 - x s_r) - y q_rj and v_r = sum_j qw_rj P_rj, so the
-    block adds sum_r w_r v_r to int w P and sum_r w_r s_r v_r to int w s P;
-    only int w t P takes a second sum over j, with qw q (the upper block
-    swaps s, x and t, y).  Requires c1 > b1 > 0 and c2 > b2 > 0.  Each
-    point's values are independent of the batch it is evaluated in.
+    cancels.
+
+    Each point grades only the axis of its smaller argument, here s with
+    |x| <= |y| (``_kernel_axis``), and integrates the other exactly
+    (DLMF 15.6.1): with A = 1 - x s,
+
+        int_0^1 t^(b2-1) (1-t)^(c2-b2-1) (A - y t)^(-a-1) dt
+            = A^(-a-1) B(b2, c2-b2) F(a+1, b2; c2; y/A),
+
+    and the t moment is the same with b2 + 1, c2 + 1: the neighbour of the
+    first 2F1.  So every outer node takes A^(-a-1) and one 2F1 value with
+    its neighbour; the nodes of a chunk, for both choices of the outer
+    axis, take theirs from one ``_gauss_2f1_sets`` call.  Chunks hold about
+    EULER_CHUNK_BYTES / 8 nodes.  Requires c1 > b1 > 0 and c2 > b2 > 0.
+    Each point's values are independent of the batch it is evaluated in.
     """
     if np.shape(x) != np.shape(y):
         raise DomainError("F2 arguments x and y must have equal shapes")
@@ -736,42 +1066,60 @@ def f2_kernel_families(a: float, b1: float, b2: float, c1: float, c2: float,
         raise DomainError(
             "f2_kernel_families needs c1 > b1 > 0 and c2 > b2 > 0")
     shape = x.shape
+    if x.size == 0:
+        return tuple(np.empty(shape) for _ in range(4))
     x = x.ravel()
     y = y.ravel()
-    i0 = np.empty(x.size)
-    i_s = np.empty(x.size)
-    i_t = np.empty(x.size)
-    pref = _euler_prefactor(b1, c1, b2, c2)
-    for level_x, level_y, group in _level_groups(_STAIR_LEVEL_SCALE * x,
-                                                 _STAIR_LEVEL_SCALE * y):
-        lower, upper = _staircase(b1, c1 - b1, level_x, b2, c2 - b2, level_y)
-        for idx in _chunks(group, lower[2].size + upper[2].size,
-                           EULER_CHUNK_BYTES):
-            moments = []
-            for (node, w, q, qw, qwq), u, v in ((lower, x[idx], y[idx]),
-                                                (upper, y[idx], x[idx])):
-                # B = (1 - u node) - v q on the (points, rows, J) tensor
-                core = v[:, None, None] * q
-                np.subtract((1.0 - u[:, None] * node)[:, :, None], core,
-                            out=core)
-                np.power(core, -a - 1.0, out=core)
-                # a dot product per row, then one over rows, per point: a
-                # point's values do not depend on the batch it arrives in
-                rows = np.vecdot(core, qw)
-                moments.append((np.vecdot(rows, w), np.vecdot(rows, w * node),
-                                np.vecdot(np.vecdot(core, qwq), w)))
-                # free this tensor before the next block builds its own
-                del core
-            (lo0, lo_s, lo_t), (up0, up_t, up_s) = moments
-            i0[idx], i_s[idx], i_t[idx] = lo0 + up0, lo_s + up_s, lo_t + up_t
-    da = pref * i0
-    i_s *= pref
-    i_t *= pref
-    main = da - x * i_s - y * i_t
+    # the outer axis is y where |y| < |x|; u, v: outer and inner arguments,
+    # and the points taken with x outer first, so that the nodes of every
+    # chunk come in two runs, one per 2F1 set
+    swap = np.abs(y) < np.abs(x)
+    order = np.argsort(swap, kind="stable")
+    y_outer = swap[order]
+    u = np.where(y_outer, y[order], x[order])
+    v = np.where(y_outer, x[order], y[order])
+    # the 2F1 set of the inner integral for x outer and for y outer; the t
+    # moment takes its neighbour
+    sets = [(a + 1.0, b2, c2), (a + 1.0, b1, c1)]
+    # the outer axes present, end to end, and each point's as a segment
+    present, axis = np.unique(
+        2 * _levels(_KERNEL_LEVEL_SCALE * u) + y_outer, return_inverse=True)
+    axes = [_kernel_axis(b2, c2 - b2, k // 2) if k % 2
+            else _kernel_axis(b1, c1 - b1, k // 2) for k in present.tolist()]
+    s_all = np.concatenate([s for s, _ in axes])
+    w_all = np.concatenate([w for _, w in axes])
+    sizes = np.array([s.size for s, _ in axes])
+    first = np.cumsum(sizes) - sizes
+    moments = np.empty((3, x.size))
+    for lo, hi in _node_chunks(sizes[axis], EULER_CHUNK_BYTES // 8):
+        count = sizes[axis[lo:hi]]
+        start = np.cumsum(count) - count
+        take = (np.repeat(first[axis[lo:hi]] - start, count)
+                + np.arange(count.sum()))
+        s = s_all[take]
+        lead = 1.0 - np.repeat(u[lo:hi], count) * s
+        z = np.repeat(v[lo:hi], count) / lead
+        np.power(lead, -a - 1.0, out=lead)
+        lead *= w_all[take]
+        x_outer = count[~y_outer[lo:hi]].sum()
+        f0, ft = _gauss_2f1_sets(sets, [x_outer, z.size - x_outer], z,
+                                 neighbours=True)
+        f0 *= lead
+        ft *= lead
+        # one sum over its own nodes per point: a point's values do not
+        # depend on the batch it arrives in
+        moments[:, order[lo:hi]] = [np.add.reduceat(f0, start),
+                                    np.add.reduceat(f0 * s, start),
+                                    np.add.reduceat(ft, start)]
+    i0, outer, inner = moments
+    inner *= np.where(swap, b1 / c1, b2 / c2)
+    i_s = np.where(swap, inner, outer)
+    i_t = np.where(swap, outer, inner)
+    main = i0 - x * i_s - y * i_t
     dx = (c1 / b1) * i_s
     dy = (c2 / b2) * i_t
     return (main.reshape(shape), dx.reshape(shape), dy.reshape(shape),
-            da.reshape(shape))
+            i0.reshape(shape))
 
 
 def appell_f2_sets(a, b1, b2, c1, c2, x, y) -> np.ndarray:

@@ -1,6 +1,8 @@
 """Generate the frozen Appell F2 references in ``f2_references.json``,
-the Gauss-Jacobi rules in ``gauss_jacobi_references.json`` and the
-superellipse points at given arclengths in ``arclength_references.json``.
+the Gauss 2F1 values of the kernel's inner integrals in
+``gauss_2f1_references.json``, the Gauss-Jacobi rules in
+``gauss_jacobi_references.json`` and the superellipse points at given
+arclengths in ``arclength_references.json``.
 
 Run once, offline, from the repository root:
 
@@ -23,6 +25,13 @@ with ``mpmath.hyp2f1`` continuing the inner Gauss function,
 
 (or the same with the roles of x and y swapped), and stops unless the two
 agree to 25 digits.
+
+The 2F1 references take the sets F(a+1, b; c; z) and F(a+1, b+1; c+1; z)
+with (b, c) = (1 - alpha, 2 - 2 alpha) and (1 - beta, 2 - 2 beta), a =
+2 - alpha - beta, that the inner Euler integral of the kernel families
+needs, at z from -1e-3 to -1e11.  ``mpmath.hyp2f1`` gives each value at z
+and again through Pfaff's map, (1-z)^(-b) F(c-a, b; c; z/(z-1)), and the
+script stops unless the two agree to 25 digits.
 
 The Gauss-Jacobi nodes for the weight (1 - t)^r (1 + t)^e are the zeros of
 the Jacobi polynomial P_n^(r, e), summed from its explicit binomial form,
@@ -66,13 +75,18 @@ KERNEL_PARAMS = [(0.25, 0.25), (0.1, 0.4), (0.01, 0.49)]
 KERNEL_POINTS = [(-0.6, -0.5), (-1.7, -0.3), (-4.0, -9.0), (-25.0, -2.0),
                  (-0.02, -39.0), (-15.0, -15.0)]
 
+# (alpha, beta) of the 2F1 references, and their arguments
+GAUSS_PARAMS = [(0.25, 0.25), (0.1, 0.4), (0.4, 0.1), (0.01, 0.49),
+                (0.49, 0.01), (0.001, 0.001), (0.45, 0.45), (0.3, 0.05)]
+GAUSS_POINTS = [-(10.0 ** k) for k in range(-3, 12)]
+
 # parameter sets with c1 <= b1, outside the Euler integral's range
 GENERAL_CASES = [((1.3, 1.1, 0.9, 1.05, 1.8), (-3.0, -2.0)),
                  ((1.3, 1.1, 0.9, 1.05, 1.8), (-2.0, -5.0))]
 
 
 # Gauss-Jacobi rules: orders, one-ended exponents e (r = 0), and two-ended
-# pairs (e, r) like those of the staircase's whole-interval prefix rule
+# pairs (e, r) with weight at both ends of [-1, 1]
 RULE_ORDERS = [6, 12, 20, 24]
 RULE_EXPONENTS = [-0.999, -0.99, -0.75, -0.5, 0.0, 0.6, 0.99]
 RULE_PAIRS = [(-0.25, -0.25), (-0.49, -0.49), (-0.9, 0.3)]
@@ -120,6 +134,41 @@ def reference(params, x, y):
         raise SystemExit(f"oracles disagree at {params}, ({x}, {y}): "
                          f"{value} against {check}")
     return mp.nstr(value, STORE_DIGITS)
+
+
+def gauss_sets(alpha, beta):
+    """The distinct 2F1 sets of the kernel's inner integrals, the shifts
+    applied to the double-precision main parameters exactly."""
+    a = 2.0 - alpha - beta
+    sets = []
+    for b, c in ((1.0 - alpha, 2.0 - 2.0 * alpha),
+                 (1.0 - beta, 2.0 - 2.0 * beta)):
+        for p in ((a + 1.0, b, c), (a + 1.0, b + 1.0, c + 1.0)):
+            if p not in sets:
+                sets.append(p)
+    return sets
+
+
+def gauss_reference(params, z):
+    a, b, c = (mp.mpf(v) for v in params)
+    z = mp.mpf(z)
+    value = mp.hyp2f1(a, b, c, z)
+    check = (1 - z) ** (-b) * mp.hyp2f1(c - a, b, c, z / (z - 1))
+    if abs(value - check) > AGREE * abs(value):
+        raise SystemExit(f"2F1 oracles disagree at {params}, {z}: "
+                         f"{value} against {check}")
+    return mp.nstr(value, STORE_DIGITS)
+
+
+def gauss():
+    cases = []
+    for alpha, beta in GAUSS_PARAMS:
+        for params in gauss_sets(alpha, beta):
+            cases.append({"alpha": alpha, "beta": beta,
+                          "params": list(params),
+                          "values": [gauss_reference(params, z)
+                                     for z in GAUSS_POINTS]})
+    return {"points": GAUSS_POINTS, "sets": cases}
 
 
 def jacobi_p(n, r, e):
@@ -273,6 +322,8 @@ def main():
     path.write_text(json.dumps(arclengths(), indent=1) + "\n")
     path = pathlib.Path(__file__).with_name("gauss_jacobi_references.json")
     path.write_text(json.dumps(rules(), indent=1) + "\n")
+    path = pathlib.Path(__file__).with_name("gauss_2f1_references.json")
+    path.write_text(json.dumps(gauss(), indent=1) + "\n")
     kernel = []
     for alpha, beta in KERNEL_PARAMS:
         families = {}

@@ -283,7 +283,7 @@ def test_conormal_matches_projected_gradient(curve):
 @pytest.mark.parametrize("a, b", [(1.0, 1.0), (3.0, 0.5)])
 def test_conormal_many_matches_projected_gradient(alpha, beta, q, a, b):
     # two evaluation trees: the grouped closed form on appell_f2_sets'
-    # tensor route, the gradient on f2_kernel_families' staircase
+    # tensor route, the gradient on f2_kernel_families' one graded axis
     p = Params(alpha, beta)
     curve = Curve(a, b, q)
     xs, ys, _, _, nxs, nys, _ = curve.frames(

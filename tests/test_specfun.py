@@ -17,7 +17,7 @@ from biaxpot import (ConvergenceError, DivergenceError, DomainError,
                      appell_f2_sets, f2_kernel_families, gauss_2f1,
                      gauss_2f1_at_one, ln_gamma, log_singular_3f2)
 from biaxpot import specfun
-from biaxpot.specfun import (_euler_prefactor, _f2_euler_many, _stair_axis,
+from biaxpot.specfun import (_f2_euler_many, _gauss_2f1_many, _kernel_axis,
                              gauss_rule, jacobi_rules)
 
 REL = lambda got, want: abs(got - want) / abs(want)
@@ -171,6 +171,66 @@ def test_2f1_pfaff_reflection():
         assert REL(gauss_2f1(*case), want) <= 1.0e-10
 
 
+# The kernel's inner-integral 2F1 sets against 30-digit values
+# (tests/data/make_references.py), at z from -1e-3 to -1e11.
+GAUSS_REFERENCES = json.loads(
+    (pathlib.Path(__file__).parent / "data"
+     / "gauss_2f1_references.json").read_text())
+
+
+@pytest.mark.parametrize("case", GAUSS_REFERENCES["sets"],
+                         ids=lambda c: "{}-{}-{}".format(
+                             c["alpha"], c["beta"], c["params"][1]))
+def test_gauss_2f1_matches_frozen_kernel_references(case):
+    # the batched route, its scalar wrapper, and the set's values and its
+    # neighbour's on the slope of one series, each within 1e-14
+    z = np.array(GAUSS_REFERENCES["points"])
+    want = np.array([float(v) for v in case["values"]])
+    got = _gauss_2f1_many(*case["params"], z)
+    assert np.max(np.abs(got - want) / want) <= 1.0e-14
+    assert [gauss_2f1(*case["params"], v) for v in z] == got.tolist()
+    a, b, c = case["params"]
+    sets = [s["params"] for s in GAUSS_REFERENCES["sets"]]
+    if [a, b + 1.0, c + 1.0] in sets:
+        shifted = GAUSS_REFERENCES["sets"][sets.index([a, b + 1.0, c + 1.0])]
+        value, neighbour = specfun._gauss_2f1_sets([(a, b, c)], [z.size], z,
+                                                   neighbours=True)
+        assert np.max(np.abs(value - want) / want) <= 1.0e-14
+        want = np.array([float(v) for v in shifted["values"]])
+        assert np.max(np.abs(neighbour - want) / want) <= 1.0e-14
+
+
+def test_gauss_2f1_batch_equals_single_points():
+    # a point's value, and its neighbour's, must not depend on the batch:
+    # kernel sets (one terminating, one near an integer excess), generic
+    # sets, z on every branch, and one call over all sets at once against
+    # one call per point; the batches are large enough that their series
+    # take terms one at a time before the running products of the tail
+    rng = np.random.default_rng(41)
+    sets = [(2.5, 0.75, 1.5), (2.5, 0.6, 1.2), (2.5, 0.51, 1.02),
+            (1.3, 0.4, 2.1), (0.7, 1.6, 1.1), (1.2, 0.8, 2.9)]
+    z = np.concatenate((-np.exp(rng.uniform(-7.0, 25.0, 520)),
+                        rng.uniform(0.0, 0.98, 80), [0.0, 1.0]))
+    for p in sets:
+        # z = 1 only where 2F1 converges there
+        zs = z if p[2] - p[0] - p[1] > 0.0 else z[:-1]
+        batch = _gauss_2f1_many(*p, zs.reshape(-1, 1))
+        assert batch.shape == (zs.size, 1)
+        assert [gauss_2f1(*p, v) for v in zs] == batch.ravel().tolist()
+    z = -np.exp(rng.uniform(-7.0, 25.0, 200))
+    counts = rng.integers(0, 200, len(sets))
+    mixed = specfun._gauss_2f1_sets(
+        sets, counts, np.concatenate([z[:n] for n in counts]),
+        neighbours=True)
+    at = 0
+    for p, n in zip(sets, counts):
+        for j in range(n):
+            single = specfun._gauss_2f1_sets([p], [1], z[j:j + 1],
+                                             neighbours=True)
+            assert np.array_equal(single[:, 0], mixed[:, at])
+            at += 1
+
+
 # -- appell F2 series -------------------------------------------------------------
 
 def test_f2_series_at_origin():
@@ -190,6 +250,36 @@ def test_f2_series_unit_for_zero_a():
 def test_f2_series_rejects_divergent_arguments():
     with pytest.raises(DomainError):
         appell_f2_series_sets(1.5, 0.75, 0.75, 1.5, 1.5, -0.6, -0.5)
+
+
+# appell_f2_series_sets at y = 0, as the edge check takes its c <= b cases
+# through Appell's map, frozen bit for bit: a row there is its lead term
+Y_ZERO_EDGE = (
+    "0x1.d18995fd8504bp-1", "0x1.f037551af5c13p-1", "0x1.de0d2de53319ap-1",
+    "0x1.8914af4db2507p-1", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+    "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.f36d883913537p-1",
+    "0x1.fc30e30fa016dp-1", "0x1.fb46f94bfc9dbp-1", "0x1.ed9df49ba0f70p-1",
+    "0x1.317882067a63cp-1", "0x1.c323c26772168p-1", "0x1.055fdc6d01062p+0",
+    "0x1.101209ccb6eeep+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+    "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.c07fea21eef84p-1",
+    "0x1.f0df796cd5b77p-1", "0x1.02cd478598c86p+0", "0x1.087ff05252429p+0",
+    "0x1.d4ccfcfeb9e2cp-4", "0x1.9120ece207863p-1", "0x1.1999999999999p+0",
+    "0x1.4444444444444p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+    "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.5df58484b436fp-1",
+    "0x1.e392c05ac503fp-1", "0x1.07371ce909730p+0", "0x1.124f870e7f9ddp+0",
+)
+
+
+def test_f2_series_at_y_zero_keeps_its_values():
+    cases = np.array([(a, b, c, z) for a in (0.3, 1.1, 1.9)
+                      for b, c in ((1.2, 0.9), (1.9, 1.9), (0.7, 0.65))
+                      for z in (-2.5, -0.4, 0.3, 0.8)])
+    a, b, c, z = cases.T
+    w = np.where(z > 0.0, z / (z - 1.0), z)
+    a = np.where(z > 0.0, c - a, a)
+    d = w - 1.0
+    got = appell_f2_series_sets(a, c - b, 1.0, c, 2.0, w / d, 0.0 / d)
+    assert [v.hex() for v in got.tolist()] == list(Y_ZERO_EDGE)
 
 
 def test_f2_series_sums_past_the_crest_of_a_row():
@@ -538,13 +628,12 @@ def test_f2_rejects_non_finite_arguments():
 
 def test_f2_leaves_the_rule_caches_alone():
     # appell_f2 serves a new parameter set on almost every call; its tensor
-    # axes and prefactors must not pile up in the caches the kernel route
-    # relies on
+    # axes must not pile up in the caches the kernel route relies on
     def cache_state():
         # misses as well as sizes, so that a full cache that evicts still
         # shows a new entry
         return [(cached.cache_info().currsize, cached.cache_info().misses)
-                for cached in (gauss_rule, _stair_axis, _euler_prefactor)]
+                for cached in (gauss_rule, _kernel_axis)]
 
     rng = np.random.default_rng(27)
     appell_f2(1.5, 0.75, 0.75, 1.5, 1.5, -0.2, -0.3)
@@ -729,17 +818,13 @@ def test_f2_kernel_families_batch_equals_single_points(alpha, beta):
             assert fam_batch[j] == fam_single[0]
 
 
-STAIRCASE_PARAMS = [(0.25, 0.25), (0.1, 0.4), (0.01, 0.49), (0.49, 0.01),
-                    (0.45, 0.45), (0.05, 0.05)]
+FAMILY_PARAMS = [(0.25, 0.25), (0.1, 0.4), (0.01, 0.49), (0.49, 0.01),
+                 (0.45, 0.45), (0.05, 0.05)]
 
 
-@pytest.mark.parametrize("alpha, beta", STAIRCASE_PARAMS)
-def test_f2_kernel_families_staircase_matches_tensor_route(alpha, beta):
-    # the staircase node set of f2_kernel_families against the full tensor
-    # product of the same axis panels (appell_f2_many's Euler route), per
-    # family: log-uniform |xi|, |eta| over [1e-3, 1e11] plus correlated
-    # near-singular pairs, where xi and eta grow together
-    families = kernel_families(alpha, beta)
+def tensor_route_draws():
+    """Log-uniform |xi|, |eta| over [1e-3, 1e11] plus correlated
+    near-singular pairs, where xi and eta grow together."""
     rng = np.random.default_rng(26)
     span = (math.log(1.0e-3), math.log(1.0e11))
     x = -np.exp(rng.uniform(*span, 300))
@@ -747,18 +832,43 @@ def test_f2_kernel_families_staircase_matches_tensor_route(alpha, beta):
     near = np.exp(rng.uniform(math.log(1.0e2), span[1], 100))
     x = np.concatenate((x, -near))
     y = np.concatenate((y, -near * rng.uniform(0.2, 5.0, 100)))
+    return x, y
+
+
+def tensor_route_error(alpha, beta, x, y):
+    """The largest relative deviation of the four families from the tensor
+    route."""
+    families = kernel_families(alpha, beta)
     values = f2_kernel_families(*families[0], x, y)
-    for params, got in zip(families, values):
-        want = _f2_euler_many(*params, x, y)
-        assert np.max(np.abs(got - want) / np.abs(want)) <= 2.0e-13
+    return max(np.max(np.abs(got - want) / np.abs(want)) for got, want in zip(
+        values, (_f2_euler_many(*params, x, y) for params in families)))
 
 
-@pytest.mark.parametrize("alpha, beta", STAIRCASE_PARAMS + [(0.001, 0.001)])
+@pytest.mark.parametrize("alpha, beta", FAMILY_PARAMS)
+def test_f2_kernel_families_match_tensor_route(alpha, beta):
+    # the one graded axis and exact inner 2F1 of f2_kernel_families against
+    # the full tensor product of two graded axes (appell_f2_many's Euler
+    # route), per family
+    assert tensor_route_error(alpha, beta, *tensor_route_draws()) <= 2.0e-13
+
+
+def test_f2_kernel_families_need_both_connection_terms(monkeypatch):
+    # mutation check: with the second term of the 1-z connection formula
+    # dropped, the families at 0.1/0.4 must miss the tensor route by more
+    # than the bound above
+    exact = specfun._connection_coefficients
+    monkeypatch.setattr(specfun, "_connection_coefficients",
+                        lambda a, b, c: (exact(a, b, c)[0], 0.0))
+    assert tensor_route_error(0.1, 0.4, *tensor_route_draws()) > 2.0e-13
+
+
+@pytest.mark.parametrize("alpha, beta", FAMILY_PARAMS + [(0.001, 0.001)])
 def test_f2_kernel_families_keep_the_tensor_route_digits(alpha, beta):
-    # the staircase grades from two dyadic levels shallower than the tensor
-    # route and takes a 10-point right panel; it must still agree with the
-    # tensor route to 5e-14 per family, at log-uniform |xi|, |eta| and at
-    # and just above every power of two up to 2^36, where levels change
+    # the kernel route grades its one axis from two dyadic levels shallower
+    # than the tensor route and takes a 10-point right panel; it must still
+    # agree with the tensor route to 5e-14 per family, at log-uniform |xi|,
+    # |eta| and at and just above every power of two up to 2^36, where
+    # levels change
     families = kernel_families(alpha, beta)
     rng = np.random.default_rng(33)
     span = (math.log(1.0e-3), math.log(1.0e11))
@@ -775,12 +885,13 @@ def test_f2_kernel_families_keep_the_tensor_route_digits(alpha, beta):
         assert np.max(np.abs(got - want) / np.abs(want)) <= 5.0e-14
 
 
-@pytest.mark.parametrize("alpha, beta", STAIRCASE_PARAMS)
+@pytest.mark.parametrize("alpha, beta", FAMILY_PARAMS)
 def test_f2_kernel_families_exact_at_a_minus_one(alpha, beta):
     # at a = -1 the integrand is B itself: the shifted families are F2 with
     # a = 0, exactly 1, and main = 1 - (b1/c1) x - (b2/c2) y.  This checks
-    # that the two staircase blocks tile the square and carry both moments;
-    # log-uniform |xi|, |eta| up to 1e11 reach every level pair up to 37
+    # that the graded axis and the exact inner integral carry both moments,
+    # with either axis outer; log-uniform |xi|, |eta| up to 1e11 reach every
+    # outer level up to 35
     _, b1, b2, c1, c2 = kernel_families(alpha, beta)[0]
     rng = np.random.default_rng(28)
     span = (math.log(1.0e-3), math.log(1.0e11))
