@@ -25,7 +25,7 @@ from .errors import (AmbiguousClassificationError, ConvergenceError,
                      DomainError)
 from .geometry import Curve, Point
 from .kernel import Params, k4_constant, weighted_dq4_dn_many
-from .specfun import _gauss_2f1_many, gauss_rule
+from .specfun import gauss_2f1, gauss_rule
 
 __all__ = [
     "Density",
@@ -388,7 +388,7 @@ def k_gauge(p: Params, a: float, b: float, P0: Point) -> float:
     1e-12 of the integral.  On the x axis the limit is that of y^(2b) dq4/dy,
     whose only term surviving y -> 0 carries y^(-2b) and collapses to a 2F1
     in the chord variable (the y axis swaps the roles); the nodes of a
-    bisection level take their 2F1 values in one ``_gauss_2f1_many`` call.
+    bisection level take their 2F1 values in one ``gauss_2f1`` call.
     Defined for any P0 in the open quadrant.
     """
     if a <= 0.0 or b <= 0.0:
@@ -403,8 +403,8 @@ def k_gauge(p: Params, a: float, b: float, P0: Point) -> float:
         # source at c along the axis and h off it, weight exponent e along
         def limit(t):
             d2 = (t - c) ** 2 + h ** 2
-            f = _gauss_2f1_many(2.0 - ab, 1.0 - e, 2.0 - 2.0 * e,
-                                -4.0 * t * c / d2)
+            f = gauss_2f1(2.0 - ab, 1.0 - e, 2.0 - 2.0 * e,
+                          -4.0 * t * c / d2)
             return t * d2 ** (ab - 2.0) * f
         edges = np.array([0.0, c, length] if c < length else [0.0, length])
         return _bisect(lambda lo, hi: _gauss_panels(limit, lo, hi),

@@ -4,10 +4,11 @@ weighted potential kernels.
 The functions here are deliberately narrow: real parameters, real arguments,
 double precision.  ``gauss_2f1`` covers z <= 1 through a three-way strategy
 (direct series, Pfaff reflection for negative z, connection formula near
-z = 1 with the Gauss summation handling z = 1 itself).  It is one point of
-the batched route ``_gauss_2f1_sets``, which takes many parameter sets
-over one argument array, so that all their series share one loop over
-terms.  ``appell_f2`` continues the F2 double series to the third
+z = 1 with the Gauss summation handling z = 1 itself).  It broadcasts
+a, b, c and z and hands the points of every distinct parameter set to the
+batched route ``_gauss_2f1_sets``, which takes many parameter sets over
+one argument array, so that all their series share one loop over terms.
+``appell_f2`` continues the F2 double series to the third
 quadrant x <= 0, y <= 0, which is the regime produced by the chord
 variables of the fundamental solution.
 For c1 > b1 > 0, c2 > b2 > 0, which all kernel parameter families satisfy,
@@ -58,8 +59,8 @@ in what they do with the other axis:
 
 * ``appell_f2_sets`` takes L = ceil(log2 max(|x|, 1)), a first panel no
   longer than 1/(2|x|), and the full tensor product of the two axes, with
-  12-point Legendre and 24-point Jacobi panels: (48 + 12 L)^2 nodes per
-  point at L = Lx = Ly.
+  12 points on every panel, Legendre and Jacobi alike: (24 + 12 L)^2
+  nodes per point at L = Lx = Ly.
 * ``f2_kernel_families`` grades only the axis of the smaller argument,
   from L = ceil(log2 max(|x|/4, 1)), two levels shallower (a first panel
   no longer than 2/|x|), with 10-point Legendre panels, a 20-point left
@@ -79,7 +80,9 @@ in what they do with the other axis:
 Log-gamma comes from the library (``math.lgamma``, mapped over arrays).
 Gauss rules come from ``jacobi_rules`` by Golub-Welsch.  ``gauss_rule``,
 the kernel route's graded axes, and the 2F1 series' coefficient tables,
-degree maps and connection coefficients are cached per parameter set.
+degree maps and connection coefficients are cached per parameter set; the
+coefficient tables that a call does not find cached are built together,
+in one pass per table length over all its sets.
 ``appell_f2_sets`` caches nothing: each call builds the end-panel rules of
 its distinct exponents in one ``jacobi_rules`` call, the prefactor of each
 distinct parameter set, and the axes of its points, since most callers
@@ -191,13 +194,18 @@ def _runs(counts):
 
 # The buckets of |z| from 1 - 2^-53 to the least normal double: bucket j
 # holds 2^(j/B) <= -log2 |z| < 2^((j+1)/B), and its largest |z| is
-# 2^(-2^(j/B)).
+# 2^(-2^(j/B)); _BUCKET_TOPS holds those largest |z|, ascending.
 _BUCKETS = np.arange(-55 * _SERIES_BUCKETS, 10 * _SERIES_BUCKETS + 1)
+_BUCKET_TOPS = np.exp2(-np.exp2(_BUCKETS / _SERIES_BUCKETS))[::-1].copy()
+
+# Tables of _series_tables by (a, b, c, terms, moment) that wait to enter
+# the cache of _series_table.
+_BUILT: dict = {}
 
 
-@functools.lru_cache(maxsize=64)
-def _series_table(a: float, b: float, c: float, terms: int, moment: bool):
-    """(ratios, first, degrees) of the direct series: the term ratios
+def _series_tables(params, terms: int, moment: bool):
+    """(ratios, first, degrees) of the direct series of every set (a, b, c)
+    of ``params``, built in one pass: the term ratios
     (a+m)(b+m)/((c+m)(m+1)), m < ``terms``, and the a priori degree of
     every bucket of |z| from ``first`` on that the table serves, to at most
     half its length or short of its end at MAX_TERMS.
@@ -206,22 +214,25 @@ def _series_table(a: float, b: float, c: float, terms: int, moment: bool):
     stays below SERIES_RTOL / 4 (1 - |z|) of t_0, and with ``moment`` n t_n
     below as much of t_1 as well.  Past the coefficients' first irregular
     stretch the largest such |z| of a single term grows with its index, so
-    a longer table leaves the degrees of a shorter one as they are.
-    Cached; read-only.
+    a longer table leaves the degrees of a shorter one as they are.  Every
+    step is elementwise along a set's row or a sum along it, so a set's
+    table is bitwise the same in any batch.  Returns read-only arrays.
     """
+    a, b, c = (np.array(v)[:, None] for v in zip(*params))
     m = np.arange(terms, dtype=float)
     ratio = (a + m) * (b + m) / ((c + m) * (m + 1.0))
     log_tol = math.log2(0.25 * SERIES_RTOL)
     with np.errstate(divide="ignore"):
-        log_coef = np.cumsum(np.log2(np.abs(ratio)))  # of terms 1 .. terms
+        # of terms 1 .. terms
+        log_coef = np.cumsum(np.log2(np.abs(ratio)), axis=1)
     # each term against t_0 = 1 over the power m + 1 of z, and n t_n against
     # t_1 = ratio_0 z over the power m; t_1 itself is never small against
     # itself
     bounds = [(log_coef, m + 1.0)]
     if moment:
-        bounds.append((log_coef + np.log2(m + 1.0) - log_coef[0],
+        bounds.append((log_coef + np.log2(m + 1.0) - log_coef[:, :1],
                        np.maximum(m, 0.5)))
-    reach = np.ones(terms)
+    reach = np.ones(ratio.shape)
     for log_size, power in bounds:
         # two conservative steps to the fixed point |size| r^power = tol (1-r)
         r = np.exp2(np.minimum((log_tol - log_size) / power, 0.0))
@@ -230,40 +241,79 @@ def _series_table(a: float, b: float, c: float, terms: int, moment: bool):
                 r, 0.5 + 0.5 * Z_SERIES_MAX)) - log_size) / power, 0.0))
         reach = np.minimum(reach, r)
     if moment:
-        reach[0] = 0.0
-    admits = np.minimum.accumulate(reach[::-1])[::-1]
-    degrees = np.searchsorted(admits, np.exp2(-np.exp2(
-        _BUCKETS / _SERIES_BUCKETS)))
-    served = np.flatnonzero(degrees < (terms if terms == MAX_TERMS
-                                       else terms // 2 + 1))
-    first = served[0] if served.size else _BUCKETS.size
-    degrees = degrees[first:].astype(np.int16)
+        reach[:, 0] = 0.0
+    admits = np.minimum.accumulate(reach[:, ::-1], axis=1)[:, ::-1]
+    # the degree of bucket j counts the terms whose admitted |z| lies below
+    # the bucket's top, that is the terms past the first top above it
+    tops = _BUCKET_TOPS.size
+    above = tops - np.searchsorted(_BUCKET_TOPS, admits, side="right")
+    above += (tops + 1) * np.arange(len(params))[:, None]
+    degrees = np.bincount(above.ravel(), minlength=(tops + 1) * len(params))
+    degrees = np.cumsum(degrees.reshape(-1, tops + 1)[:, :0:-1],
+                        axis=1)[:, ::-1]
+    # the degrees fall with the bucket; those served form a tail
+    first = np.count_nonzero(
+        degrees >= (terms if terms == MAX_TERMS else terms // 2 + 1), axis=1)
     ratio.flags.writeable = False
-    degrees.flags.writeable = False
-    return ratio, int(_BUCKETS[0]) + int(first), degrees
+    out = []
+    for row, start, served in zip(ratio, first.tolist(), degrees):
+        served = served[start:].astype(np.int16)
+        served.flags.writeable = False
+        out.append((row, int(_BUCKETS[0]) + start, served))
+    return out
+
+
+@functools.lru_cache(maxsize=64)
+def _series_table(a: float, b: float, c: float, terms: int, moment: bool):
+    """One set's table of ``_series_tables``, from the cache or else from
+    _BUILT, where ``_series_degrees`` puts the tables it builds; raises
+    KeyError, which the cache does not keep, where neither holds it."""
+    return _BUILT.pop((a, b, c, terms, moment))
 
 
 def _series_degrees(params, counts, size: np.ndarray, moment: bool):
     """The a priori degree of each point of the direct series at |z| =
     ``size`` < 1 (of the sum of n t_n too with ``moment``), and the term
-    ratios of every set as a (terms, sets) table."""
+    ratios of every set as a (terms, sets) table.
+
+    Each set starts from a 64-term table and doubles it until the table
+    serves its smallest bucket; the tables that the cache of
+    ``_series_table`` misses are built in one ``_series_tables`` call per
+    length, and enter the cache on their first use."""
     bucket = np.log2(np.maximum(size, sys.float_info.min))
     np.negative(bucket, out=bucket)
     np.log2(bucket, out=bucket)
     bucket = np.floor(_SERIES_BUCKETS * bucket).astype(np.int64)
     degree = np.empty(size.size, dtype=np.int64)
+    runs = list(_runs(counts))
+    # each set's smallest bucket; a set without points takes any table
+    least = [int(bucket[lo:hi].min()) if hi > lo else math.inf
+             for lo, hi in runs]
+    found = [None] * len(params)
+    todo = dict.fromkeys(range(len(params)), 64)  # set: table length
+    while todo:
+        missing = {}
+        for i, terms in list(todo.items()):
+            try:
+                while (table := _series_table(*params[i], terms,
+                                              moment))[1] > least[i]:
+                    if terms >= MAX_TERMS:
+                        raise ConvergenceError(
+                            "2F1 series did not converge within {} terms "
+                            "(a={}, b={}, c={})".format(MAX_TERMS, *params[i]))
+                    terms = min(2 * terms, MAX_TERMS)
+            except KeyError:
+                key = (*params[i], terms, moment)
+                missing.setdefault(terms, {})[key] = None
+                todo[i] = terms
+            else:
+                found[i] = table
+                del todo[i]
+        for terms, keys in missing.items():
+            _BUILT.update(zip(keys, _series_tables(
+                [key[:3] for key in keys], terms, moment)))
     ratios = []
-    for (a, b, c), (lo, hi) in zip(params, _runs(counts)):
-        terms = 64
-        ratio, first, degrees = _series_table(a, b, c, terms, moment)
-        least = int(bucket[lo:hi].min()) if hi > lo else first
-        while first > least:
-            if terms >= MAX_TERMS:
-                raise ConvergenceError(
-                    f"2F1 series did not converge within {MAX_TERMS} "
-                    f"terms (a={a}, b={b}, c={c})")
-            terms = min(2 * terms, MAX_TERMS)
-            ratio, first, degrees = _series_table(a, b, c, terms, moment)
+    for (ratio, first, degrees), (lo, hi) in zip(found, runs):
         degree[lo:hi] = degrees.take(bucket[lo:hi] - first)
         ratios.append(ratio)
     table = np.zeros((max(r.size for r in ratios), len(ratios)))
@@ -358,6 +408,8 @@ def _hyp2f1_series(params, counts, z: np.ndarray,
 
 def gauss_2f1_at_one(a: float, b: float, c: float) -> float:
     """2F1(a, b; c; 1) by Gauss summation; requires c - a - b > 0."""
+    if not all(math.isfinite(v) for v in (a, b, c)):
+        raise DomainError("gauss_2f1_at_one parameters must be finite")
     if c <= 0.0 and _is_nonpos_int(c):
         raise DomainError("gauss_2f1_at_one: c must not be a nonpositive integer")
     s = c - a - b
@@ -589,17 +641,43 @@ def _gauss_2f1_sets(params, counts, z, neighbours: bool = False):
     return out if neighbours else out[0]
 
 
-def _gauss_2f1_many(a: float, b: float, c: float, z) -> np.ndarray:
-    """2F1(a, b; c; z) at one parameter set over an array of z <= 1, in the
-    shape of z: ``_gauss_2f1_sets`` with one set."""
-    z = np.asarray(z, dtype=float)
-    return _gauss_2f1_sets([(a, b, c)], [z.size], z.ravel()).reshape(z.shape)
+def gauss_2f1(a, b, c, z):
+    """Gauss hypergeometric 2F1(a, b; c; z) for real z <= 1; a, b, c and z
+    are broadcast to one shape, the shape of the result, and four scalars
+    give a float.
 
-
-def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
-    """Gauss hypergeometric 2F1(a, b; c; z) for real z <= 1: one point of
-    ``_gauss_2f1_sets``, whose strategy and errors it shares."""
-    return float(_gauss_2f1_many(a, b, c, z))
+    The points of each distinct parameter set go to ``_gauss_2f1_sets``
+    together, all sets in one call, whose strategy and errors it shares;
+    each value is bitwise that of its point alone.  Raises DomainError
+    unless the arguments broadcast and a, b and c are finite.
+    """
+    *params, z = (np.asarray(v, dtype=float) for v in (a, b, c, z))
+    # checked before broadcasting, so scalar parameters are checked once
+    if not np.isfinite(np.concatenate([v.ravel() for v in params])).all():
+        raise DomainError("gauss_2f1 parameters must be finite")
+    try:
+        shape = np.broadcast(z, *params).shape
+    except ValueError:
+        raise DomainError("gauss_2f1 arguments must broadcast to one "
+                          "shape") from None
+    if z.shape != shape:
+        z = np.broadcast_to(z, shape)
+    z = z.ravel()
+    if all(v.size == 1 for v in params):
+        out = _gauss_2f1_sets([tuple(v.item() for v in params)], [z.size], z)
+    else:
+        # the points of each set in a run, the runs in order of their sets
+        sets, which = np.unique(np.stack(
+            [np.broadcast_to(v, shape).ravel() for v in params], axis=1),
+            axis=0, return_inverse=True)
+        which = which.ravel()
+        order = np.argsort(which, kind="stable")
+        out = np.empty(z.size)
+        out[order] = _gauss_2f1_sets(
+            [tuple(p) for p in sets.tolist()],
+            np.bincount(which, minlength=len(sets)), z[order])
+    # four scalars give a float
+    return out.reshape(shape) if shape else float(out[0])
 
 
 # ---------------------------------------------------------------------------
@@ -729,8 +807,9 @@ def _series_rows(am, b2, c2, y, lead, floor) -> np.ndarray:
 
 # -- Euler integral route ----------------------------------------------------
 
-# jacobi_rules builds its rules this many at a time: for 32 rules of 24
-# points each of its four largest arrays takes about 147 kB.
+# jacobi_rules builds its rules this many at a time: for 32 rules of 12
+# points, the order of the tensor route's end panels, each of its four
+# largest arrays takes about 37 kB.
 JACOBI_SLICE = 32
 
 
@@ -809,11 +888,12 @@ def gauss_rule(n: int, exponent: float = 0.0,
     return nodes, weights
 
 
-# Gauss orders of the dyadic Legendre panels and of the Jacobi panels: the
-# tensor layout of appell_f2_sets' Euler route, and the outer axis of
-# f2_kernel_families, whose right panel [1/2, 1] takes its own order.
-_EULER_LEG_N = 12
-_EULER_JAC_N = 24
+# Gauss orders of the panels: one for every panel of the tensor layout of
+# appell_f2_sets' Euler route, and the Legendre, left and right Jacobi
+# orders of the outer axis of f2_kernel_families.  Every tensor panel's
+# nearest singularity maps to |t| >= 3 of its [-1, 1], so Bernstein's
+# ellipse bound rho^(-2n), rho = 3 + sqrt(8), puts 12 points at 4e-19.
+_TENSOR_N = 12
 _KERNEL_LEG_N = 10
 _KERNEL_JAC_N = 20
 _KERNEL_RIGHT_N = 10
@@ -847,7 +927,7 @@ def _powers(base, exponent) -> np.ndarray:
                     dtype=float).reshape(base.shape)
 
 
-def _euler_axes(b, cb, left, right, level: int, leg: int = _EULER_LEG_N):
+def _euler_axes(b, cb, left, right, level: int, leg: int = _TENSOR_N):
     """Nodes/weights for int_0^1 s^(b-1) (1-s)^(cb-1) g(s|x|) ds, one axis
     for each of P points with exponents b, cb given as (P,) arrays.
 
@@ -973,14 +1053,13 @@ def _f2_euler_many(a, b1, b2, c1, c2, x, y) -> np.ndarray:
     exponents, rule = np.unique(
         np.stack((b1 - 1.0, c1 - b1 - 1.0, b2 - 1.0, c2 - b2 - 1.0)),
         return_inverse=True)
-    tj, wj = jacobi_rules(_EULER_JAC_N, exponents)
+    tj, wj = jacobi_rules(_TENSOR_N, exponents)
     # one prefactor per distinct (b1, c1, b2, c2)
     sets = list(zip(b1.tolist(), c1.tolist(), b2.tolist(), c2.tolist()))
     known = {v: _euler_prefactor(*v) for v in set(sets)}
     pref = np.array([known[v] for v in sets])
     for level_x, level_y, group in _level_groups(x, y):
-        nodes = ((2 * _EULER_JAC_N + _EULER_LEG_N * level_x)
-                 * (2 * _EULER_JAC_N + _EULER_LEG_N * level_y))
+        nodes = _TENSOR_N ** 2 * (2 + level_x) * (2 + level_y)
         for idx in _chunks(group, nodes, TENSOR_CHUNK_BYTES):
             left_x, right_x, left_y, right_y = rule[:, idx]
             s, ws = _euler_axes(b1[idx], c1[idx] - b1[idx],

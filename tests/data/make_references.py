@@ -1,6 +1,7 @@
 """Generate the frozen Appell F2 references in ``f2_references.json``,
-the Gauss 2F1 values of the kernel's inner integrals in
-``gauss_2f1_references.json``, the Gauss-Jacobi rules in
+the F2 values on the two edges of the quadrant in
+``f2_edge_references.json``, the Gauss 2F1 values of the kernel's inner
+integrals in ``gauss_2f1_references.json``, the Gauss-Jacobi rules in
 ``gauss_jacobi_references.json`` and the superellipse points at given
 arclengths in ``arclength_references.json``.
 
@@ -33,6 +34,17 @@ needs, at z from -1e-3 to -1e11.  ``mpmath.hyp2f1`` gives each value at z
 and again through Pfaff's map, (1-z)^(-b) F(c-a, b; c; z/(z-1)), and the
 script stops unless the two agree to 25 digits.
 
+On its edges F2 is a Gauss function of the other argument,
+
+    F2(a; b1, b2; c1, c2; x, 0) = 2F1(a, b1; c1; x),
+
+and F2(a; b1, b2; c1, c2; 0, y) = 2F1(a, b2; c2; y) by symmetry.  The edge
+references take EDGE_SETS parameter sets with c1 > b1 > 0, c2 > b2 > 0 and
+end exponents b - 1, c - b - 1 from -0.99 up, drawn by a seeded generator,
+each at EDGE_POINTS on both edges, from -1e-3 to -1e6.  ``mpmath.hyp2f1``
+gives each value at its argument and again through Pfaff's map, and the
+script stops unless the two agree to 25 digits.
+
 The Gauss-Jacobi nodes for the weight (1 - t)^r (1 + t)^e are the zeros of
 the Jacobi polynomial P_n^(r, e), summed from its explicit binomial form,
 bracketed by sign changes on a grid uniform in arccos t, bisected and
@@ -61,6 +73,7 @@ the two routes place every point and give the length to 25 digits.
 
 import json
 import pathlib
+import random
 
 import mpmath as mp
 
@@ -84,6 +97,12 @@ GAUSS_POINTS = [-(10.0 ** k) for k in range(-3, 12)]
 GENERAL_CASES = [((1.3, 1.1, 0.9, 1.05, 1.8), (-3.0, -2.0)),
                  ((1.3, 1.1, 0.9, 1.05, 1.8), (-2.0, -5.0))]
 
+
+# F2 on the edges y = 0 and x = 0: the number of parameter sets, the seed of
+# their draw, and the arguments on each edge
+EDGE_SETS = 40
+EDGE_SEED = 29
+EDGE_POINTS = [-1.0e-3, -0.1, -3.0, -100.0, -1.0e4, -1.0e6]
 
 # Gauss-Jacobi rules: orders, one-ended exponents e (r = 0), and two-ended
 # pairs (e, r) with weight at both ends of [-1, 1]
@@ -169,6 +188,33 @@ def gauss():
                           "values": [gauss_reference(params, z)
                                      for z in GAUSS_POINTS]})
     return {"points": GAUSS_POINTS, "sets": cases}
+
+
+def edge_sets():
+    """EDGE_SETS sets (a, b1, b2, c1, c2) with the four end exponents
+    b1 - 1, c1 - b1 - 1, b2 - 1, c2 - b2 - 1 in [-0.99, 0.61], one of them
+    at -0.99 in turn."""
+    rng = random.Random(EDGE_SEED)
+    sets = []
+    for k in range(EDGE_SETS):
+        ends = [round(-0.99 + 1.6 * rng.random(), 2) for _ in range(4)]
+        ends[k % 4] = -0.99
+        a = round(0.1 + 2.9 * rng.random(), 2)
+        b1, b2 = 1.0 + ends[0], 1.0 + ends[2]
+        sets.append((a, b1, b2, b1 + 1.0 + ends[1], b2 + 1.0 + ends[3]))
+    return sets
+
+
+def edges():
+    cases = []
+    for params in edge_sets():
+        a, b1, b2, c1, c2 = params
+        cases.append({"params": list(params),
+                      "y_zero": [gauss_reference((a, b1, c1), x)
+                                 for x in EDGE_POINTS],
+                      "x_zero": [gauss_reference((a, b2, c2), y)
+                                 for y in EDGE_POINTS]})
+    return {"points": EDGE_POINTS, "sets": cases}
 
 
 def jacobi_p(n, r, e):
@@ -324,6 +370,8 @@ def main():
     path.write_text(json.dumps(rules(), indent=1) + "\n")
     path = pathlib.Path(__file__).with_name("gauss_2f1_references.json")
     path.write_text(json.dumps(gauss(), indent=1) + "\n")
+    path = pathlib.Path(__file__).with_name("f2_edge_references.json")
+    path.write_text(json.dumps(edges(), indent=1) + "\n")
     kernel = []
     for alpha, beta in KERNEL_PARAMS:
         families = {}

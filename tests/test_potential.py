@@ -440,7 +440,7 @@ def test_k_gauge_matches_quad(curve, alpha, beta):
 def test_k_gauge_raises_when_the_bisection_stalls(monkeypatch):
     # an integrand that never settles leaves an error estimate above 1e-9
     rng = np.random.default_rng(0)
-    monkeypatch.setattr(potential, "_gauss_2f1_many",
+    monkeypatch.setattr(potential, "gauss_2f1",
                         lambda a, b, c, z: rng.normal(size=np.shape(z)))
     with pytest.raises(ConvergenceError):
         k_gauge(P25, 1.0, 1.0, Point(0.5, 0.5))

@@ -17,8 +17,8 @@ from biaxpot import (ConvergenceError, DivergenceError, DomainError,
                      appell_f2_sets, f2_kernel_families, gauss_2f1,
                      gauss_2f1_at_one, ln_gamma, log_singular_3f2)
 from biaxpot import specfun
-from biaxpot.specfun import (_f2_euler_many, _gauss_2f1_many, _kernel_axis,
-                             gauss_rule, jacobi_rules)
+from biaxpot.specfun import (_f2_euler_many, _kernel_axis, gauss_rule,
+                             jacobi_rules)
 
 REL = lambda got, want: abs(got - want) / abs(want)
 
@@ -186,7 +186,7 @@ def test_gauss_2f1_matches_frozen_kernel_references(case):
     # neighbour's on the slope of one series, each within 1e-14
     z = np.array(GAUSS_REFERENCES["points"])
     want = np.array([float(v) for v in case["values"]])
-    got = _gauss_2f1_many(*case["params"], z)
+    got = gauss_2f1(*case["params"], z)
     assert np.max(np.abs(got - want) / want) <= 1.0e-14
     assert [gauss_2f1(*case["params"], v) for v in z] == got.tolist()
     a, b, c = case["params"]
@@ -214,7 +214,7 @@ def test_gauss_2f1_batch_equals_single_points():
     for p in sets:
         # z = 1 only where 2F1 converges there
         zs = z if p[2] - p[0] - p[1] > 0.0 else z[:-1]
-        batch = _gauss_2f1_many(*p, zs.reshape(-1, 1))
+        batch = gauss_2f1(*p, zs.reshape(-1, 1))
         assert batch.shape == (zs.size, 1)
         assert [gauss_2f1(*p, v) for v in zs] == batch.ravel().tolist()
     z = -np.exp(rng.uniform(-7.0, 25.0, 200))
@@ -229,6 +229,165 @@ def test_gauss_2f1_batch_equals_single_points():
                                              neighbours=True)
             assert np.array_equal(single[:, 0], mixed[:, at])
             at += 1
+
+
+def edge_check_draws(count=200, seed=0):
+    """The (a, b, c, z) draws of the edge check of ``verify specfun``."""
+    rng = np.random.default_rng(seed)
+    return np.array([(rng.uniform(0.1, 2.0), rng.uniform(0.1, 2.0),
+                      rng.uniform(0.6, 3.0), rng.uniform(-3.0, 0.85))
+                     for _ in range(count)])
+
+
+def test_gauss_2f1_arrays_equal_scalar_calls_bitwise():
+    # one call over many parameter sets gives each point's scalar value bit
+    # for bit: the edge check's draws, and every kernel reference set over
+    # all its points as one (sets, points) block
+    cases = edge_check_draws()
+    got = gauss_2f1(*cases.T)
+    assert got.shape == (len(cases),)
+    assert got.tolist() == [gauss_2f1(*case) for case in cases.tolist()]
+    params = np.array([c["params"] for c in GAUSS_REFERENCES["sets"]])
+    z = np.array(GAUSS_REFERENCES["points"])
+    block = gauss_2f1(*(params.T[:, :, None]), z)
+    assert block.shape == (len(params), z.size)
+    assert block.tolist() == [[gauss_2f1(*p, v) for v in z.tolist()]
+                              for p in params.tolist()]
+
+
+def test_gauss_2f1_broadcasts_and_gives_floats_for_scalars():
+    assert type(gauss_2f1(0.5, 0.7, 1.5, -0.3)) is float
+    assert type(gauss_2f1(*(np.float64(v) for v in (0.5, 0.7, 1.5, -0.3)))) \
+        is float
+    assert type(gauss_2f1(1, 1, 2, 0)) is float
+    assert gauss_2f1(0.5, 0.7, 1.5, [-0.3]).shape == (1,)
+    b = np.array([0.2, 0.7, 1.1])
+    z = np.array([[-0.4], [0.0], [0.6], [1.0]])
+    got = gauss_2f1(0.5, b, 2.5, z)
+    assert got.shape == (4, 3)
+    for i, j in np.ndindex(got.shape):
+        assert got[i, j] == gauss_2f1(0.5, b[j], 2.5, z[i, 0])
+    assert gauss_2f1(0.5, b, 2.5, np.empty((0, 1))).shape == (0, 3)
+    with pytest.raises(DomainError):
+        gauss_2f1(0.5, b, 2.5, np.zeros(2))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_gauss_2f1_rejects_non_finite_parameters(bad):
+    # a typed error, not the ValueError or OverflowError of round(), and no
+    # NaN from the Gauss summation
+    for column in range(3):
+        params = [0.5, 0.7, 1.5]
+        params[column] = bad
+        with pytest.raises(DomainError):
+            gauss_2f1(*params, -0.3)
+        with pytest.raises(DomainError):
+            gauss_2f1_at_one(*params)
+        params[column] = np.array([params[column], 0.6])
+        with pytest.raises(DomainError):
+            gauss_2f1(*params, np.array([-0.3, 0.2]))
+    with pytest.raises(DomainError):
+        gauss_2f1_at_one(1, 1, bad)
+    with pytest.raises(DomainError):
+        gauss_2f1(0.5, 0.7, 1.5, np.array([-0.3, bad]))
+
+
+def test_gauss_2f1_arrays_raise_the_scalar_domain_errors():
+    # a z beyond 1 or a nonpositive integer c anywhere in an array call
+    with pytest.raises(DomainError):
+        gauss_2f1(0.5, 0.5, 1.5, np.array([0.2, 1.0 + 1.0e-12, -3.0]))
+    with pytest.raises(DomainError):
+        gauss_2f1(0.5, 0.5, np.array([1.5, -2.0]), 0.3)
+    with pytest.raises(DomainError):
+        gauss_2f1(np.array([0.5, 0.6]), 0.5, -1.0, np.array([0.3, -0.2]))
+
+
+def series_table_loop(a, b, c, terms, moment):
+    """One set's (ratios, first, degrees) as the table was built set by set,
+    each bucket's degree by a binary search: the reference of the batched
+    ``specfun._series_tables``."""
+    m = np.arange(terms, dtype=float)
+    ratio = (a + m) * (b + m) / ((c + m) * (m + 1.0))
+    log_tol = math.log2(0.25 * specfun.SERIES_RTOL)
+    with np.errstate(divide="ignore"):
+        log_coef = np.cumsum(np.log2(np.abs(ratio)))
+    bounds = [(log_coef, m + 1.0)]
+    if moment:
+        bounds.append((log_coef + np.log2(m + 1.0) - log_coef[0],
+                       np.maximum(m, 0.5)))
+    reach = np.ones(terms)
+    for log_size, power in bounds:
+        r = np.exp2(np.minimum((log_tol - log_size) / power, 0.0))
+        for _ in range(2):
+            r = np.exp2(np.minimum((log_tol + np.log2(1.0 - np.minimum(
+                r, 0.5 + 0.5 * specfun.Z_SERIES_MAX)) - log_size) / power,
+                0.0))
+        reach = np.minimum(reach, r)
+    if moment:
+        reach[0] = 0.0
+    admits = np.minimum.accumulate(reach[::-1])[::-1]
+    buckets = specfun._BUCKETS
+    degrees = np.searchsorted(admits, np.exp2(-np.exp2(
+        buckets / specfun._SERIES_BUCKETS)))
+    served = np.flatnonzero(degrees < (
+        terms if terms == specfun.MAX_TERMS else terms // 2 + 1))
+    first = served[0] if served.size else buckets.size
+    degrees = degrees[first:].astype(np.int16)
+    return ratio, int(buckets[0]) + int(first), degrees
+
+
+def test_series_tables_batch_equals_one_set_bitwise():
+    # a table built with many others is the table built alone, and the
+    # table of the set-by-set loop, for both kinds of degree and lengths up
+    # to MAX_TERMS; among the sets are terminating ones, and ones whose
+    # coefficients grow before they fall
+    rng = np.random.default_rng(42)
+    sets = [(float(a), float(b), float(c)) for a, b, c in zip(
+        rng.uniform(-3.0, 4.0, 40), rng.uniform(-3.0, 4.0, 40),
+        rng.uniform(0.05, 5.0, 40))]
+    sets += [(2.5, 0.75, 1.5), (-2.0, 0.5, 1.5), (1.0, 1.0, 2.0)]
+    for terms in (64, 512, specfun.MAX_TERMS):
+        for moment in (False, True):
+            batch = specfun._series_tables(sets, terms, moment)
+            for p, (ratio, first, degrees) in zip(sets, batch):
+                for one in (specfun._series_tables([p], terms, moment)[0],
+                            series_table_loop(*p, terms, moment)):
+                    assert np.array_equal(ratio, one[0]) and first == one[1]
+                    assert degrees.dtype == one[2].dtype
+                    assert np.array_equal(degrees, one[2])
+
+
+@pytest.mark.parametrize("moment", [False, True])
+def test_series_degrees_batch_equals_one_set_bitwise(monkeypatch, moment):
+    # sets that grow their tables to MAX_TERMS (|z| up to 0.994) and sets
+    # that stop at 64 terms, all in one call and each in a call alone
+    sets = [(0.3, 0.45, 1.2), (1.7, 0.2, 2.6), (0.75, 1.25, 2.1),
+            (2.5, 0.75, 1.5)]
+    counts = [3, 2, 1, 2]
+    size = np.array([0.994, 0.1, 1.0e-5, 0.5, 0.9, 0.3, 0.02, 0.2])
+    built = []
+    build = specfun._series_tables
+
+    def spy(params, terms, moment):
+        built.append((len(params), terms))
+        return build(params, terms, moment)
+
+    monkeypatch.setattr(specfun, "_series_tables", spy)
+    specfun._series_table.cache_clear()
+    degree, table = specfun._series_degrees(sets, counts, size, moment)
+    # every length once, all sets together at 64 terms
+    assert built[0] == (len(sets), 64)
+    assert built[-1][1] == specfun.MAX_TERMS
+    assert len({terms for _, terms in built}) == len(built)
+    lo = 0
+    for i, (p, n) in enumerate(zip(sets, counts)):
+        specfun._series_table.cache_clear()
+        one, ratios = specfun._series_degrees([p], [n], size[lo:lo + n],
+                                              moment)
+        assert np.array_equal(degree[lo:lo + n], one)
+        assert np.array_equal(table[:ratios.shape[0], i], ratios[:, 0])
+        assert not table[ratios.shape[0]:, i].any()
+        lo += n
 
 
 # -- appell F2 series -------------------------------------------------------------
@@ -754,6 +913,32 @@ def test_f2_matches_frozen_references_for_c_below_b(case):
     assert REL(appell_f2(*args), float(case["value"])) <= 1.0e-13
 
 
+# F2 on the edges of the quadrant, a Gauss function of the other argument
+# (tests/data/make_references.py): 40 sets with end exponents down to -0.99
+F2_EDGE_REFERENCES = json.loads(
+    (pathlib.Path(__file__).parent / "data"
+     / "f2_edge_references.json").read_text())
+
+
+def test_f2_sets_match_frozen_edge_references():
+    # every set at |x| from 1e-3 to 1e6 on the y = 0 edge and on the x = 0
+    # edge, in one call; the tensor route read 4.4e-14 here, and at most
+    # 7.4e-14 over 1200 more sets of the same draw
+    points = np.array(F2_EDGE_REFERENCES["points"])
+    zero = np.zeros(points.size)
+    rows, want = [], []
+    for case in F2_EDGE_REFERENCES["sets"]:
+        for x, y, edge in ((points, zero, "y_zero"), (zero, points, "x_zero")):
+            rows.append(np.broadcast_arrays(*case["params"], x, y))
+            want.append([float(v) for v in case[edge]])
+    args = np.concatenate(rows, axis=1)
+    assert np.all((args[3] > args[1]) & (args[1] > 0.0))
+    assert min(np.min(args[1] - 1.0), np.min(args[3] - args[1] - 1.0)) < -0.98
+    want = np.ravel(want)
+    got = appell_f2_sets(*args)
+    assert np.max(np.abs(got - want) / want) <= 2.0e-13
+
+
 def test_f2_for_c_below_b_fails_loudly_where_the_series_underflows():
     # at (-150, -150) the transformed series' leading terms underflow
     # while its rows still carry about 1e-9 of the sum; summing on gave a
@@ -919,6 +1104,31 @@ def test_f2_kernel_families_chunk_boundaries_move_no_bits(monkeypatch):
             for got, want in zip(f2_kernel_families(*main, x, y), default):
                 assert np.array_equal(got, want)
             monkeypatch.undo()
+
+
+def test_f2_kernel_families_repeat_builds_no_series_table(monkeypatch):
+    # the kernel brings the same 2F1 sets call after call: the second of
+    # two identical calls finds every series table cached
+    built = []
+    build = specfun._series_tables
+
+    def spy(params, terms, moment):
+        built.extend(params)
+        return build(params, terms, moment)
+
+    monkeypatch.setattr(specfun, "_series_tables", spy)
+    specfun._series_table.cache_clear()
+    main = kernel_families(0.1, 0.4)[0]
+    rng = np.random.default_rng(30)
+    x = -np.exp(rng.uniform(math.log(1.0e-3), math.log(1.0e9), 300))
+    y = -np.exp(rng.uniform(math.log(1.0e-3), math.log(1.0e9), 300))
+    first = f2_kernel_families(*main, x, y)
+    assert built
+    built.clear()
+    second = f2_kernel_families(*main, x, y)
+    assert built == []
+    for got, want in zip(second, first):
+        assert np.array_equal(got, want)
 
 
 def test_level_groups_match_the_scan_per_group():
