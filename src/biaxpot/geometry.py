@@ -86,12 +86,18 @@ def _quintic_hermite(x, y, dy, d2y):
     return hermite
 
 
-def _graph(t, q, run, rise):
-    """(f, f', f'') at t of the graph f(t) = rise (1 - (t/run)^q)^(1/q): the
-    arc over x near B (run a, rise b) and over y near A (run b, rise a)."""
-    g = (1.0 - (t / run) ** q) ** (1.0 / q)     # f / rise
+def _graph_slope(t, q, run, rise):
+    """(f / rise, f') at t of the graph f(t) = rise (1 - (t/run)^q)^(1/q):
+    the arc over x near B (run a, rise b) and over y near A (run b,
+    rise a)."""
+    g = (1.0 - (t / run) ** q) ** (1.0 / q)
     # f' = -(rise/run) (t/run)^(q-1) g^(1-q)
-    d1 = -(rise / run) * (t / run) ** (q - 1.0) * g ** (1.0 - q)
+    return g, -(rise / run) * (t / run) ** (q - 1.0) * g ** (1.0 - q)
+
+
+def _graph(t, q, run, rise):
+    """(f, f', f'') at t of the graph of ``_graph_slope``."""
+    g, d1 = _graph_slope(t, q, run, rise)
     # f'' = -(q-1) (rise/run^2) (t/run)^(q-2) g^(1-2q)
     d2 = -(q - 1.0) * (rise / run ** 2) \
         * (t / run) ** (q - 2.0) * g ** (1.0 - 2.0 * q)
@@ -147,8 +153,8 @@ class Curve:
             edges = end * grade
             mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
             nodes = mid[:, None] + half[:, None] * gl_x
-            cell = half * (np.hypot(1.0, _graph(nodes, self.q, run, rise)[1])
-                           @ gl_w)
+            cell = half * (np.hypot(1.0, _graph_slope(nodes, self.q, run,
+                                                      rise)[1]) @ gl_w)
             s = np.concatenate(([0.0], np.cumsum(cell)))
             _, d1, d2 = _graph(edges, self.q, run, rise)
             speed = np.hypot(1.0, d1)
@@ -177,7 +183,7 @@ class Curve:
             s = self.length - s
         par = np.clip(np.interp(s, *table), 0.0, end)
         for _ in range(3):
-            dpar = _graph(par, self.q, run, rise)[1]
+            dpar = _graph_slope(par, self.q, run, rise)[1]
             par = np.clip(par - (s_of(par) - s) / np.hypot(1.0, dpar), 0.0,
                           end)
         other, d1, d2 = _graph(par, self.q, run, rise)

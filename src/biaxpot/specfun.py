@@ -51,31 +51,29 @@ Two routes therefore serve F2:
 of a call.  It serves the c <= b points of ``appell_f2_sets``, all in one
 call, and it is the reference the Euler routes are checked against.
 
-Both Euler routes grade an axis from a dyadic level L: a left
-Gauss-Jacobi panel [0, 2^-(L+1)] absorbing s^(b-1), L dyadic
-Gauss-Legendre panels up to 1/2, and a right Gauss-Jacobi panel [1/2, 1]
-absorbing (1-s)^(c-b-1).  They differ in the level of an argument x and
-in what they do with the other axis:
+``appell_f2_sets`` grades both axes from dyadic levels L =
+ceil(log2 max(|x|, 1)): a left Gauss-Jacobi panel [0, 2^-(L+1)]
+absorbing s^(b-1), no longer than 1/(2|x|), L dyadic Gauss-Legendre panels
+up to 1/2, and a right Gauss-Jacobi panel [1/2, 1] absorbing
+(1-s)^(c-b-1), with 12 points on every panel, and takes the full tensor
+product of the two axes: (24 + 12 L)^2 nodes per point at L = Lx = Ly.
 
-* ``appell_f2_sets`` takes L = ceil(log2 max(|x|, 1)), a first panel no
-  longer than 1/(2|x|), and the full tensor product of the two axes, with
-  12 points on every panel, Legendre and Jacobi alike: (24 + 12 L)^2
-  nodes per point at L = Lx = Ly.
-* ``f2_kernel_families`` grades only the axis of the smaller argument,
-  from L = ceil(log2 max(|x|/4, 1)), two levels shallower (a first panel
-  no longer than 2/|x|), with 10-point Legendre panels, a 20-point left
-  and a 10-point right Jacobi panel: 30 + 10 L nodes per point.  The other
-  axis is integrated exactly (DLMF 15.6.1): for x outer, A = 1 - x s,
+``f2_kernel_families`` grades only the axis of the smaller argument u and
+integrates the other exactly (DLMF 15.6.1): for x outer, A = 1 - x s,
 
-      int_0^1 t^(b2-1) (1-t)^(c2-b2-1) (A - y t)^(-a-1) dt
-          = A^(-a-1) B(b2, c2-b2) F(a+1, b2; c2; y/A),
+    int_0^1 t^(b2-1) (1-t)^(c2-b2-1) (A - y t)^(-a-1) dt
+        = A^(-a-1) B(b2, c2-b2) F(a+1, b2; c2; y/A),
 
-  and the t moment takes F(a+1, b2+1; c2+1; y/A), which Pfaff's map turns
-  into the slope of the same series.  At 0 <= y/A the map gives
-  F(c2-a-1, b2; c2; w); for the main family at alpha = beta, c2 - a - 1 =
-  -1 and the series stops after two terms.  Each outer node thus costs
-  one 2F1 series with its slope: 30 nodes per point where the smaller
-  argument is at most 4, 340 where it is 2^33.
+and the t moment takes F(a+1, b2+1; c2+1; y/A), which Pfaff's map turns
+into the slope of the same series.  At 0 <= y/A the map gives
+F(c2-a-1, b2; c2; w); for the main family at alpha = beta, c2 - a - 1 =
+-1 and the series stops after two terms.  Each outer node thus costs one
+2F1 series with its slope.  The outer axis is sized per half-octave bin
+of |u| by Bernstein's ellipse bound for the integrand's singularities at
+s = -1/|u|, 0 and 1 (``_kernel_panels``): one two-sided Gauss-Jacobi
+panel of 7 to 18 points up to |u| = 2^1.5, and beyond, Gauss-Jacobi end
+panels with Gauss-Legendre panels in sigma = ln s between, 27 nodes at
+|u| = 4, 66 at 1e3 and 119 at 2^33.
 
 Log-gamma comes from the library (``math.lgamma``, mapped over arrays).
 Gauss rules come from ``jacobi_rules`` by Golub-Welsch.  ``gauss_rule``,
@@ -565,6 +563,40 @@ def _slope(a: float, b: float, c: float, z: np.ndarray,
     return np.divide(first, z, out=np.full(z.size, a * b / c), where=z != 0.0)
 
 
+def _gauss_2f1_negative(params, counts, z, neighbours: bool = False):
+    """2F1(a, b; c; z) over a 1-d array of z <= 0, in runs of ``counts``
+    points per set (a, b, c) of ``params``, none of which a nonpositive
+    integer a or b stops; with ``neighbours``, a (2, points) array of the
+    values and of each set's neighbour F(a, b+1; c+1; z).
+
+    Pfaff's map F(a,b;c;z) = (1-z)^(-b) G(w), G = F(c-a, b; c; w),
+    w = z/(z-1), takes every point to 0 <= w < 1, whose complement 1 - w is
+    formed as 1/(1-z), not by a subtraction that would lose its digits at
+    large |z|; ``_hyp2f1_unit`` sums G for all sets in one call.  The
+    neighbour maps to (1-z)^(-b-1) c G'(w) / ((c-a) b), from the slope of G
+    on the same series terms; a set with c = a, whose G is 1, takes it from
+    ``_gauss_2f1_sets`` for the neighbour's set instead.  Each value is
+    bitwise the same in any batch.
+    """
+    q = 1.0 - z
+    values = _hyp2f1_unit([(c - a, b, c) for a, b, c in params], counts,
+                          z / (z - 1.0), 1.0 / q,
+                          neighbours).reshape(-1, z.size)
+    out = np.empty((2, z.size) if neighbours else (1, z.size))
+    for (a, b, c), (lo, hi) in zip(params, _runs(counts)):
+        rest = np.power(q[lo:hi], -b)
+        out[0, lo:hi] = rest * values[0, lo:hi]
+        if not neighbours:
+            continue
+        if (c - a) * b != 0.0:
+            out[1, lo:hi] = (rest / q[lo:hi] * (c / ((c - a) * b))
+                             * values[1, lo:hi])
+        else:
+            out[1, lo:hi] = _gauss_2f1_sets([(a, b + 1.0, c + 1.0)],
+                                            [hi - lo], z[lo:hi])
+    return out if neighbours else out[0]
+
+
 def _gauss_2f1_sets(params, counts, z, neighbours: bool = False):
     """Gauss hypergeometric 2F1(a, b; c; z) over a 1-d array of z <= 1, in
     runs of ``counts`` points per set (a, b, c) of ``params``; with
@@ -572,15 +604,12 @@ def _gauss_2f1_sets(params, counts, z, neighbours: bool = False):
     neighbour F(a, b+1; c+1; z).
 
     Strategy: a series that a nonpositive integer a or b stops is summed
-    as it stands; z = 1 takes Gauss summation; z < 0 takes Pfaff's map
-    F(a,b;c;z) = (1-z)^(-b) G(w), G = F(c-a, b; c; w), w = z/(z-1), whose
-    complement 1 - w is formed as 1/(1-z), not by a subtraction that would
-    lose its digits at large |z|; on 0 <= w < 1 ``_hyp2f1_unit`` takes
-    over, for the mapped and the unmapped points of every set in one call.
-    The neighbour maps to (1-z)^(-b-1) c G'(w) / ((c-a) b), so a mapped
-    point takes it from the slope of G on the same series terms; any other
-    point takes it from a call for the neighbour's set.  Each value is
-    bitwise the same in any batch.
+    as it stands; z = 1 takes Gauss summation; z < 0 takes Pfaff's map in
+    ``_gauss_2f1_negative``, for the mapped points of every set in one
+    call; on 0 <= z < 1 ``_hyp2f1_unit`` takes over, for the unmapped
+    points of every set in one call.  The neighbour of an unmapped point
+    comes from a call for the neighbour's set.  Each value is bitwise the
+    same in any batch.
 
     Raises DomainError for z > 1, non-finite z or a nonpositive integer c,
     and DivergenceError at z = 1 when c - a - b <= 0.
@@ -593,9 +622,9 @@ def _gauss_2f1_sets(params, counts, z, neighbours: bool = False):
     if any(_is_nonpos_int(c) for _, _, c in params):
         raise DomainError("gauss_2f1: c must not be a nonpositive integer")
     out = np.empty((2, z.size) if neighbours else (1, z.size))
-    # requests on the unit interval: set, points, (w, u), and the factors
-    # of its value and of its slope in rows 0 and 1 of out
-    sets, places, args, factors = [], [], [], []
+    # requests by the unit interval and by Pfaff's map: sets and points
+    plain_sets, plain_places = [], []
+    mapped_sets, mapped_places = [], []
     for (a, b, c), (lo, hi) in zip(params, _runs(counts)):
         zi = z[lo:hi]
         # terminating series bypass every transformation
@@ -605,39 +634,29 @@ def _gauss_2f1_sets(params, counts, z, neighbours: bool = False):
         one = ~(mapped | plain)
         if one.any():
             out[0, lo + np.flatnonzero(one)] = gauss_2f1_at_one(a, b, c)
-        slope = neighbours and (c - a) * b != 0.0
-        if neighbours:
-            # the neighbour of every point not mapped with a slope
-            others = ~mapped if slope else np.ones(zi.size, dtype=bool)
-            if others.any():
-                place = _positions(others, lo)
-                out[1, place] = _gauss_2f1_sets([(a, b + 1.0, c + 1.0)],
-                                                [z[place].size], z[place])
-        if plain.any():
-            place = _positions(plain, lo)
-            sets.append((a, b, c))
-            places.append(place)
-            args.append((z[place], 1.0 - z[place]))
-            factors.append((1.0, None))
-        if mapped.any():
-            place = _positions(mapped, lo)
-            q = 1.0 - z[place]
-            rest = np.power(q, -b)
-            sets.append((c - a, b, c))
-            places.append(place)
-            args.append((z[place] / (z[place] - 1.0), 1.0 / q))
-            factors.append((rest, rest / q * (c / ((c - a) * b))
-                            if slope else None))
-    if sets:
-        sizes = [w.size for w, _ in args]
-        values = _hyp2f1_unit(sets, sizes, *(np.concatenate(v)
-                                             for v in zip(*args)),
-                              neighbours).reshape(-1, sum(sizes))
-        for place, (value, slope), (lo, hi) in zip(places, factors,
-                                                   _runs(sizes)):
-            out[0, place] = value * values[0, lo:hi]
-            if slope is not None:
-                out[1, place] = slope * values[1, lo:hi]
+        if neighbours and not mapped.all():
+            place = _positions(~mapped, lo)
+            out[1, place] = _gauss_2f1_sets([(a, b + 1.0, c + 1.0)],
+                                            [z[place].size], z[place])
+        for sets, places, pick in ((plain_sets, plain_places, plain),
+                                   (mapped_sets, mapped_places, mapped)):
+            if pick.any():
+                sets.append((a, b, c))
+                places.append(_positions(pick, lo))
+    if plain_sets:
+        sizes = [z[place].size for place in plain_places]
+        zs = np.concatenate([z[place] for place in plain_places])
+        values = _hyp2f1_unit(plain_sets, sizes, zs, 1.0 - zs,
+                              neighbours).reshape(-1, zs.size)
+        for place, (lo, hi) in zip(plain_places, _runs(sizes)):
+            out[0, place] = values[0, lo:hi]
+    if mapped_sets:
+        sizes = [z[place].size for place in mapped_places]
+        zs = np.concatenate([z[place] for place in mapped_places])
+        values = _gauss_2f1_negative(mapped_sets, sizes, zs,
+                                     neighbours).reshape(-1, zs.size)
+        for place, (lo, hi) in zip(mapped_places, _runs(sizes)):
+            out[:, place] = values[:, lo:hi]
     return out if neighbours else out[0]
 
 
@@ -888,21 +907,24 @@ def gauss_rule(n: int, exponent: float = 0.0,
     return nodes, weights
 
 
-# Gauss orders of the panels: one for every panel of the tensor layout of
-# appell_f2_sets' Euler route, and the Legendre, left and right Jacobi
-# orders of the outer axis of f2_kernel_families.  Every tensor panel's
-# nearest singularity maps to |t| >= 3 of its [-1, 1], so Bernstein's
-# ellipse bound rho^(-2n), rho = 3 + sqrt(8), puts 12 points at 4e-19.
+# The Gauss order of every panel of the tensor layout of appell_f2_sets'
+# Euler route.  Every tensor panel's nearest singularity maps to |t| >= 3 of
+# its [-1, 1], so Bernstein's ellipse bound rho^(-2n), rho = 3 + sqrt(8),
+# puts 12 points at 4e-19.
 _TENSOR_N = 12
-_KERNEL_LEG_N = 10
-_KERNEL_JAC_N = 20
-_KERNEL_RIGHT_N = 10
 
-# The kernel route grades its outer axis from level
-# ceil(log2 max(|x| / 4, 1)), two dyadic levels shallower than the tensor
-# route: h0 <= 2/|x|.  The scale is a power of two, so the scaled arguments
-# are exact.
-_KERNEL_LEVEL_SCALE = 0.25
+# The outer axis of f2_kernel_families takes each panel's Gauss order from
+# the same bound (Trefethen 2008, SIAM Rev. 50:67): the least n with
+# rho^(-2n) <= _KERNEL_EPS, rho that of the largest Bernstein ellipse about
+# the panel that leaves out every singularity of its integrand.
+_KERNEL_EPS = 1.0e-17
+
+# The most points of the kernel route's one two-sided Gauss-Jacobi panel on
+# [0, 1].  Past about 20 points the Golub-Welsch weights of a rule's end
+# nodes, where this integrand puts most of its mass, carry errors of 5e-14
+# relative and more (7.7e-14 at 34 points for exponents -0.4, -0.2), and
+# recorded kernel values drift from 4.5e-15 to 1.2e-14 off the tensor route.
+_KERNEL_JACOBI_MAX = 20
 
 # Euler batches are cut so that one float array over a chunk's nodes stays
 # near EULER_CHUNK_BYTES: the kernel route holds some forty such arrays at
@@ -927,17 +949,16 @@ def _powers(base, exponent) -> np.ndarray:
                     dtype=float).reshape(base.shape)
 
 
-def _euler_axes(b, cb, left, right, level: int, leg: int = _TENSOR_N):
+def _euler_axes(b, cb, left, right, level: int):
     """Nodes/weights for int_0^1 s^(b-1) (1-s)^(cb-1) g(s|x|) ds, one axis
     for each of P points with exponents b, cb given as (P,) arrays.
 
     Returns nodes s_k and weights that already include the full beta-type
     weight s^(b-1) (1-s)^(cb-1), both (P, nodes).  Panels are graded
     dyadically from h0 = 2^-(level+1), so that the remaining factor
-    (1 + s|x| + ...)^(-a) is smooth on every panel (h0 <= 1/(2|x|) for the
-    tensor route's |x| <= 2^level, h0 <= 2/|x| for the kernel route's
-    |x| <= 2^(level+2)): panel 0 is [0, h0], panels 1..level are
-    [h0 2^(k-1), h0 2^k] (``leg`` Gauss-Legendre nodes each), and panel
+    (1 + s|x| + ...)^(-a) is smooth on every panel (h0 <= 1/(2|x|) for
+    |x| <= 2^level): panel 0 is [0, h0], panels 1..level are
+    [h0 2^(k-1), h0 2^k] (_TENSOR_N Gauss-Legendre nodes each), and panel
     level + 1 is [1/2, 1].  The end panels take the caller's Golub-Welsch
     Gauss-Jacobi rules on [-1, 1] as (nodes, weights) pairs of (P, n)
     arrays: ``left`` for the weight (1 + t)^(b-1), ``right`` for
@@ -952,7 +973,7 @@ def _euler_axes(b, cb, left, right, level: int, leg: int = _TENSOR_N):
     s_left = 0.5 * h0 * (tj + 1.0)
     w_left = wj * _powers(0.5 * h0, b) * (1.0 - s_left) ** (cb - 1.0)
     # dyadic Gauss-Legendre panels [h0 2^k, h0 2^(k+1)] up to 1/2
-    tl, wl = gauss_rule(leg)
+    tl, wl = gauss_rule(_TENSOR_N)
     lo = h0 * 2.0 ** np.arange(level)[:, None]
     hi = 2.0 * lo
     s_mid = (0.5 * (hi + lo) + 0.5 * (hi - lo) * tl).ravel()
@@ -968,24 +989,124 @@ def _euler_axes(b, cb, left, right, level: int, leg: int = _TENSOR_N):
     return nodes, weights
 
 
-@functools.lru_cache(maxsize=256)
-def _kernel_axis(b: float, cb: float, level: int):
-    """The outer axis of ``f2_kernel_families`` for |x| <= 2^(level+2).
+def _kernel_bins(u) -> np.ndarray:
+    """The half-octave bins ceil(2 log2 max(|u|, 1/4)) of the smaller
+    arguments u of the kernel route, as int64: bin k holds
+    2^((k-1)/2) < |u| <= 2^(k/2), bin -4 every |u| <= 1/4, and bin 2047,
+    whose top is the last finite half-octave, the doubles above it too."""
+    return np.minimum(np.ceil(2.0 * np.log2(np.maximum(np.abs(u), 0.25))),
+                      2047).astype(np.int64)
 
-    Returns (s, ws): the nodes of the ``_euler_axes`` panels at the kernel
-    route's orders (a 20-point left and a 10-point right Gauss-Jacobi
-    panel, 10-point Legendre panels), and weights that carry the Euler
-    weight s^(b-1) (1-s)^(cb-1) divided by its integral B(b, cb), as
-    (nodes,) arrays.  Cached per dyadic level; the returned arrays are
-    read-only.
+
+def _bernstein_order(lo: float, hi: float, poles) -> int:
+    """The least Gauss order n with rho^(-2n) <= _KERNEL_EPS on the panel
+    [lo, hi], rho the parameter of the largest Bernstein ellipse about it
+    (foci lo and hi) that leaves out every point of ``poles``."""
+    with np.errstate(over="ignore"):
+        # a pole beyond the largest double is as good as none
+        t = (2.0 * np.asarray(poles, dtype=complex) - (lo + hi)) / (hi - lo)
+    # the ellipse through t has foci -1 and 1, semi-major axis half and
+    # semi-axis sum rho = exp(arccosh(half)); a pole that rounds onto the
+    # panel's end (log rho = 0) asks for more points than any rule has
+    half = 0.5 * (np.abs(t - 1.0) + np.abs(t + 1.0))
+    log_rho = max(float(np.min(np.arccosh(half))), sys.float_info.epsilon)
+    return math.ceil(-math.log(_KERNEL_EPS) / (2.0 * log_rho))
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel_panels(k: int):
+    """The panels of the outer axis for the smaller arguments of bin k
+    (``_kernel_bins``), as (kind, lo, hi, n) tuples: a Gauss rule of n
+    points on [lo, hi], for s or, where kind is "log", for sigma = ln s.
+
+    The integrand (1 - u s)^(-a-1) F(a+1, b2; c2; v / (1 - u s)), u <= v
+    <= 0, is singular at s = -1/|u|, where the power and the inner 2F1's
+    argument blow up; the inner 2F1's own branch point z = 1 sits at
+    s = -(1+|v|)/|u|, farther out (in sigma, past the s = 1 point
+    sigma = 0).  The Euler weight adds s = 0 wherever a panel does not
+    absorb s^(b-1), and s = 1 wherever it does not absorb (1-s)^(cb-1).
+    Each panel takes its ``_bernstein_order`` for its singularities at
+    both ends of the bin; every pole stays off the panel's span as |u|
+    runs over the bin, so one of the two ends is the nearest.  Two
+    layouts:
+
+    * "jacobi": one two-sided Gauss-Jacobi panel on [0, 1], while it takes
+      at most _KERNEL_JACOBI_MAX points (up to bin 3, |u| <= 2^1.5);
+    * beyond, with h0 = 2^-(L+1) <= 2/|u|, L = max(ceil(k/2 - 2), 0):
+      "left", a Gauss-Jacobi panel on [0, h0]; "log", Gauss-Legendre
+      panels in sigma over [h0, 1/4], equal and at most four octaves long;
+      "legendre", one Gauss-Legendre panel on [1/4, 1/2]; and "right", a
+      Gauss-Jacobi panel on [1/2, 1].  In sigma the singularities are
+      -ln|u| +- i pi (and their 2 pi i copies) and 0, s = 1; s = 0 has
+      gone to -infinity.
+
+    The layout depends on k alone.  Cached.
     """
-    tj, wj = gauss_rule(_KERNEL_JAC_N, b - 1.0)
-    tr, wr = gauss_rule(_KERNEL_RIGHT_N, cb - 1.0)
-    s, ws = _euler_axes(np.array([b]), np.array([cb]),
-                           (tj[None], wj[None]), (tr[None], wr[None]),
-                           level, _KERNEL_LEG_N)
-    s = s[0]
-    ws = ws[0] * math.exp(ln_gamma(b + cb) - ln_gamma(b) - ln_gamma(cb))
+    sizes = [2.0 ** (0.5 * k)]
+    if k > -4:
+        sizes.append(2.0 ** (0.5 * (k - 1)))
+
+    def panel(kind, lo, hi, poles):
+        return kind, lo, hi, max(_bernstein_order(lo, hi, poles(r))
+                                 for r in sizes)
+
+    one = panel("jacobi", 0.0, 1.0, lambda r: [-1.0 / r])
+    if one[3] <= _KERNEL_JACOBI_MAX:
+        return (one,)
+    level = max((k - 3) // 2, 0)
+    h0 = 0.5 ** (level + 1)
+    graded = [panel("left", 0.0, h0, lambda r: [-1.0 / r, 1.0])]
+    if level >= 2:
+        ends = np.linspace(math.log(h0), math.log(0.25),
+                           (level + 2) // 4 + 1).tolist()
+        graded += [panel("log", lo, hi,
+                         lambda r: [complex(-math.log(r), math.pi), 0.0])
+                   for lo, hi in zip(ends[:-1], ends[1:])]
+    if level >= 1:
+        graded.append(panel("legendre", 0.25, 0.5,
+                            lambda r: [-1.0 / r, 0.0, 1.0]))
+    graded.append(panel("right", 0.5, 1.0, lambda r: [-1.0 / r, 0.0]))
+    return tuple(graded)
+
+
+@functools.lru_cache(maxsize=256)
+def _kernel_axis(b: float, cb: float, k: int):
+    """The outer axis of ``f2_kernel_families`` for the smaller arguments of
+    bin k, on the panels of ``_kernel_panels(k)``.
+
+    Returns (s, ws): the nodes, and weights that carry the Euler weight
+    s^(b-1) (1-s)^(cb-1) divided by its integral B(b, cb), as (nodes,)
+    arrays.  Cached per bin; the returned arrays are read-only.
+    """
+    nodes, weights = [], []
+    for kind, lo, hi, n in _kernel_panels(k):
+        half = 0.5 * (hi - lo)
+        if kind == "jacobi":
+            t, w = gauss_rule(n, b - 1.0, cb - 1.0)
+            s = half * (t + 1.0)
+            ws = w * half ** (b + cb - 1.0)
+        elif kind == "left":
+            t, w = gauss_rule(n, b - 1.0)
+            s = half * (t + 1.0)
+            ws = w * half ** b * (1.0 - s) ** (cb - 1.0)
+        elif kind == "right":
+            t, w = gauss_rule(n, cb - 1.0)
+            s = 1.0 - half * (t + 1.0)
+            ws = w * half ** cb * s ** (b - 1.0)
+        else:
+            t, w = gauss_rule(n)
+            s = lo + half * (t + 1.0)
+            ws = half * w
+            if kind == "log":
+                # ds = s dsigma
+                s = np.exp(s)
+                ws = ws * s
+            ws = ws * s ** (b - 1.0) * (1.0 - s) ** (cb - 1.0)
+        nodes.append(s)
+        weights.append(ws)
+    s = np.concatenate(nodes)
+    ws = np.concatenate(weights) * math.exp(
+        ln_gamma(b + cb) - ln_gamma(b) - ln_gamma(cb))
     s.flags.writeable = False
     ws.flags.writeable = False
     return s, ws
@@ -1125,18 +1246,21 @@ def f2_kernel_families(a: float, b1: float, b2: float, c1: float, c2: float,
     cancels.
 
     Each point grades only the axis of its smaller argument, here s with
-    |x| <= |y| (``_kernel_axis``), and integrates the other exactly
-    (DLMF 15.6.1): with A = 1 - x s,
+    |x| <= |y|, on the axis of its half-octave bin of |x|
+    (``_kernel_axis``), and integrates the other exactly (DLMF 15.6.1):
+    with A = 1 - x s,
 
         int_0^1 t^(b2-1) (1-t)^(c2-b2-1) (A - y t)^(-a-1) dt
             = A^(-a-1) B(b2, c2-b2) F(a+1, b2; c2; y/A),
 
     and the t moment is the same with b2 + 1, c2 + 1: the neighbour of the
     first 2F1.  So every outer node takes A^(-a-1) and one 2F1 value with
-    its neighbour; the nodes of a chunk, for both choices of the outer
-    axis, take theirs from one ``_gauss_2f1_sets`` call.  Chunks hold about
-    EULER_CHUNK_BYTES / 8 nodes.  Requires c1 > b1 > 0 and c2 > b2 > 0.
-    Each point's values are independent of the batch it is evaluated in.
+    its neighbour at y/A <= 0; the nodes of a chunk, for both choices of
+    the outer axis, take theirs from one ``_gauss_2f1_negative`` call
+    (``_gauss_2f1_sets`` where a nonpositive integer a + 1 stops the
+    series, as at a = -1).  Chunks hold about EULER_CHUNK_BYTES / 8 nodes.
+    Requires c1 > b1 > 0 and c2 > b2 > 0.  Each point's values are
+    independent of the batch it is evaluated in.
     """
     if np.shape(x) != np.shape(y):
         raise DomainError("F2 arguments x and y must have equal shapes")
@@ -1158,11 +1282,15 @@ def f2_kernel_families(a: float, b1: float, b2: float, c1: float, c2: float,
     u = np.where(y_outer, y[order], x[order])
     v = np.where(y_outer, x[order], y[order])
     # the 2F1 set of the inner integral for x outer and for y outer; the t
-    # moment takes its neighbour
+    # moment takes its neighbour.  Every node has z <= 0, so the sets go to
+    # Pfaff's map directly, unless their own a or b stops them
     sets = [(a + 1.0, b2, c2), (a + 1.0, b1, c1)]
+    gauss = (_gauss_2f1_sets if any(_terminating(p, q) is not None
+                                    for p, q, _ in sets)
+             else _gauss_2f1_negative)
     # the outer axes present, end to end, and each point's as a segment
-    present, axis = np.unique(
-        2 * _levels(_KERNEL_LEVEL_SCALE * u) + y_outer, return_inverse=True)
+    present, axis = np.unique(2 * _kernel_bins(u) + y_outer,
+                              return_inverse=True)
     axes = [_kernel_axis(b2, c2 - b2, k // 2) if k % 2
             else _kernel_axis(b1, c1 - b1, k // 2) for k in present.tolist()]
     s_all = np.concatenate([s for s, _ in axes])
@@ -1181,8 +1309,7 @@ def f2_kernel_families(a: float, b1: float, b2: float, c1: float, c2: float,
         np.power(lead, -a - 1.0, out=lead)
         lead *= w_all[take]
         x_outer = count[~y_outer[lo:hi]].sum()
-        f0, ft = _gauss_2f1_sets(sets, [x_outer, z.size - x_outer], z,
-                                 neighbours=True)
+        f0, ft = gauss(sets, [x_outer, z.size - x_outer], z, neighbours=True)
         f0 *= lead
         ft *= lead
         # one sum over its own nodes per point: a point's values do not

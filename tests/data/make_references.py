@@ -1,5 +1,6 @@
 """Generate the frozen Appell F2 references in ``f2_references.json``,
-the F2 values on the two edges of the quadrant in
+the kernel families at far arguments in ``f2_far_references.json``, the F2
+values on the two edges of the quadrant in
 ``f2_edge_references.json``, the Gauss 2F1 values of the kernel's inner
 integrals in ``gauss_2f1_references.json``, the Gauss-Jacobi rules in
 ``gauss_jacobi_references.json`` and the superellipse points at given
@@ -26,6 +27,27 @@ with ``mpmath.hyp2f1`` continuing the inner Gauss function,
 
 (or the same with the roles of x and y swapped), and stops unless the two
 agree to 25 digits.
+
+The far-argument references take the four kernel families at points
+whose smaller argument u runs from -1e-3 to -1e10, the larger v at FAR_RATIOS
+times u in turn, each point with x and with y as the smaller argument.
+Beyond |x| + |y| of a few hundred the double series no longer serves, so
+these values come from the Euler integral over the smaller argument's
+axis, with the other integrated exactly (DLMF 15.6.1), for u = x:
+
+    F2 = G(c1) / (G(b1) G(c1-b1)) int_0^1 s^(b1-1) (1-s)^(c1-b1-1)
+             * (1 - x s)^(-a) 2F1(a, b2; c2; y / (1 - x s)) ds,
+
+by ``mpmath.quad`` split at the dyadic points 2^-j down to about 1/|u|,
+where the integrand turns, with ``mpmath.hyp2f1`` inside.  The script stops
+unless the main family agrees to 25 digits with the same integral over the
+other axis, and, where |x| + |y| <= FAR_ORACLE_RADIUS, every family with the
+transformed double series above.  The series does not reach farther:
+within its default term cap at WORK_DPS, ``mpmath.appellf2`` already fails
+the da family at (-20, -50), alpha = beta = 1/4, and every family tried
+at (-60, -66).  Beyond the radius, only the main family's second axis
+checks the values, by the same Euler representation.  The integrals run at
+FAR_DPS digits.
 
 The 2F1 references take the sets F(a+1, b; c; z) and F(a+1, b+1; c+1; z)
 with (b, c) = (1 - alpha, 2 - 2 alpha) and (1 - beta, 2 - 2 beta), a =
@@ -93,6 +115,19 @@ GAUSS_PARAMS = [(0.25, 0.25), (0.1, 0.4), (0.4, 0.1), (0.01, 0.49),
                 (0.49, 0.01), (0.001, 0.001), (0.45, 0.45), (0.3, 0.05)]
 GAUSS_POINTS = [-(10.0 ** k) for k in range(-3, 12)]
 
+# far-argument kernel references: (alpha, beta), the smaller argument's
+# sizes (every few half-octave bins of the kernel route's outer axis, from
+# 1e-3 to 1e10), the ratios of the larger to the smaller in turn, and the
+# radius |x| + |y| up to which the double series cross-checks them
+FAR_PARAMS = [(0.25, 0.25), (0.1, 0.4), (0.01, 0.49)]
+FAR_SMALLER = [1.0e-3, 0.03, 0.9, 2.6, 6.0, 40.0, 900.0, 5.0e4, 3.0e6,
+               2.0e8, 1.0e10]
+FAR_RATIOS = [1.1, 2.5, 40.0]
+FAR_ORACLE_RADIUS = 50.0
+# the far integrals' working digits: at WORK_DPS the quad over the larger
+# axis kept 21 digits at x = y = -1e10
+FAR_DPS = 55
+
 # parameter sets with c1 <= b1, outside the Euler integral's range
 GENERAL_CASES = [((1.3, 1.1, 0.9, 1.05, 1.8), (-3.0, -2.0)),
                  ((1.3, 1.1, 0.9, 1.05, 1.8), (-2.0, -5.0))]
@@ -153,6 +188,71 @@ def reference(params, x, y):
         raise SystemExit(f"oracles disagree at {params}, ({x}, {y}): "
                          f"{value} against {check}")
     return mp.nstr(value, STORE_DIGITS)
+
+
+def f2_outer_integral(a, b1, b2, c1, c2, x, y):
+    """F2 by the Euler integral over the x axis with the y axis exact.
+
+    The halves [0, 1/2] of s and of r = 1 - s take w = s^b1 and
+    w = r^(c1-b1) as their variables, which absorb the end powers of the
+    weight into dw: the integrand stays bounded, and rounded nodes next to
+    an end cost no digits."""
+    x, y = mp.mpf(x), mp.mpf(y)
+
+    def smooth(s):
+        return (1 - x * s) ** (-a) * mp.hyp2f1(a, b2, c2, y / (1 - x * s))
+
+    deepest = max(2, int(mp.ceil(mp.log(1 - x, 2))) + 3)
+    split = [mp.mpf(0)] + [mp.mpf(2) ** (-j * b1)
+                           for j in range(deepest, 0, -1)]
+    left = mp.quad(lambda w: (1 - w ** (1 / b1)) ** (c1 - b1 - 1)
+                   * smooth(w ** (1 / b1)), split) / b1
+    e = c1 - b1
+    right = mp.quad(lambda w: (1 - w ** (1 / e)) ** (b1 - 1)
+                    * smooth(1 - w ** (1 / e)), [0, mp.mpf(0.5) ** e]) / e
+    return (left + right) * mp.gamma(c1) / (mp.gamma(b1) * mp.gamma(e))
+
+
+def far_points():
+    """(x, y) with the smaller argument from FAR_SMALLER, x and y in turn."""
+    points = []
+    for k, u in enumerate(FAR_SMALLER):
+        v = u * FAR_RATIOS[k % len(FAR_RATIOS)]
+        points += [(-u, -v), (-v, -u)]
+    return points
+
+
+def far_reference(name, params, x, y):
+    """The value of one family at (x, y), over the smaller argument's axis;
+    the main family is checked over the other axis too."""
+    outer = (params if abs(x) <= abs(y) else
+             (params[0], params[2], params[1], params[4], params[3]))
+    if abs(x) > abs(y):
+        x, y = y, x
+    with mp.workdps(FAR_DPS):
+        value = f2_outer_integral(*outer, x, y)
+        checks = []
+        if name == "main":
+            checks.append(f2_outer_integral(outer[0], outer[2], outer[1],
+                                            outer[4], outer[3], y, x))
+    if abs(x) + abs(y) <= FAR_ORACLE_RADIUS:
+        checks.append(f2_transformed(*outer, x, y))
+    for check in checks:
+        if abs(value - check) > AGREE * abs(value):
+            raise SystemExit(f"far-argument oracles disagree at {params}, "
+                             f"({x}, {y}): {value} against {check}")
+    return mp.nstr(value, STORE_DIGITS)
+
+
+def far():
+    cases = []
+    for alpha, beta in FAR_PARAMS:
+        families = {}
+        for name, params in kernel_families(alpha, beta).items():
+            families[name] = [far_reference(name, params, x, y)
+                              for x, y in far_points()]
+        cases.append({"alpha": alpha, "beta": beta, "values": families})
+    return {"points": [list(p) for p in far_points()], "kernel": cases}
 
 
 def gauss_sets(alpha, beta):
@@ -372,6 +472,8 @@ def main():
     path.write_text(json.dumps(gauss(), indent=1) + "\n")
     path = pathlib.Path(__file__).with_name("f2_edge_references.json")
     path.write_text(json.dumps(edges(), indent=1) + "\n")
+    path = pathlib.Path(__file__).with_name("f2_far_references.json")
+    path.write_text(json.dumps(far(), indent=1) + "\n")
     kernel = []
     for alpha, beta in KERNEL_PARAMS:
         families = {}

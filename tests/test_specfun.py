@@ -8,6 +8,8 @@ and are frozen here as decimal literals.
 import json
 import math
 import pathlib
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -1129,6 +1131,104 @@ def test_f2_kernel_families_repeat_builds_no_series_table(monkeypatch):
     assert built == []
     for got, want in zip(second, first):
         assert np.array_equal(got, want)
+
+
+# Nodes of the kernel route's outer axis per half-octave bin of the smaller
+# argument |u|, bins -4 (|u| <= 1/4) to 70 (|u| <= 2^35).
+KERNEL_AXIS_NODES = [
+    7, 8, 9, 10, 12, 13, 15, 18, 27, 37, 39, 46, 48, 49, 51, 51, 53, 52, 54,
+    60, 62, 62, 64, 64, 66, 65, 66, 72, 74, 72, 74, 74, 76, 75, 76, 82, 84,
+    84, 86, 84, 86, 85, 86, 92, 92, 93, 94, 93, 95, 94, 95, 101, 102, 101,
+    102, 101, 103, 102, 103, 109, 110, 109, 110, 109, 111, 110, 111, 117,
+    118, 117, 119, 117, 119, 118, 119]
+
+
+def test_kernel_axis_nodes_per_bin_are_pinned():
+    # a change of the Bernstein target or of a panel's singularities moves
+    # these counts; growth would go unseen by the accuracy tests
+    bins = range(-4, 71)
+    assert [sum(n for *_, n in specfun._kernel_panels(k))
+            for k in bins] == KERNEL_AXIS_NODES
+    for k in (-4, 3, 4, 20, 66):
+        s, ws = _kernel_axis(0.9, 0.7, k)
+        assert s.size == ws.size == KERNEL_AXIS_NODES[k + 4]
+        assert np.all((s > 0.0) & (s < 1.0) & (ws > 0.0))
+    # every point of a bin stays inside it; a rounded odd half-octave may
+    # land in the next bin, which covers it too
+    edges = 2.0 ** (0.5 * np.arange(-4, 71))
+    bins = specfun._kernel_bins(edges)
+    assert np.array_equal(bins[::2], np.arange(-4, 71, 2))
+    assert np.all((bins == np.arange(-4, 71)) | (bins == np.arange(-3, 72)))
+    assert np.array_equal(specfun._kernel_bins(edges * (1.0 + 2.0 ** -40)),
+                          np.arange(-3, 72))
+    assert np.all(specfun._kernel_bins([0.0, -1.0e-300, -0.25]) == -4)
+    # arguments far past the kernel's singular-pair guard still get an axis:
+    # the one panel's pole rounds onto its end from 1.8e16 on, and the last
+    # bin takes the doubles above 2^1023.5
+    huge = np.array([-1.0e20, -1.0e300, -1.5e308, -sys.float_info.max])
+    assert specfun._kernel_bins(huge)[-2:].tolist() == [2047, 2047]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = f2_kernel_families(2.5, 0.75, 0.75, 1.5, 1.5, huge, huge)
+    assert all(np.all(np.isfinite(v) & (v >= 0.0)) for v in values)
+
+
+def test_kernel_axis_integrates_the_euler_weight():
+    # the weights carry s^(b-1) (1-s)^(cb-1) / B(b, cb), so they sum to 1
+    # and the first moment is b / (b + cb), on every layout
+    for b, cb in [(0.75, 0.75), (0.9, 0.7), (0.51, 0.99)]:
+        for k in (-4, 2, 4, 9, 30, 66):
+            s, ws = _kernel_axis(b, cb, k)
+            assert abs(np.sum(ws) - 1.0) <= 1.0e-14
+            assert abs(np.sum(ws * s) - b / (b + cb)) <= 1.0e-14
+
+
+def test_gauss_2f1_negative_is_the_sets_route_bitwise():
+    # f2_kernel_families calls Pfaff's branch directly; its values and
+    # neighbours are those of _gauss_2f1_sets, which routes its z < 0
+    # points through it, including a set with c = a whose neighbour takes
+    # its own call
+    rng = np.random.default_rng(34)
+    z = -np.exp(rng.uniform(math.log(1.0e-4), math.log(1.0e10), 300))
+    sets = [(2.5, 0.75, 1.5), (2.6, 0.9, 1.8), (1.3, 0.6, 1.3)]
+    counts = [120, 100, 80]
+    direct = specfun._gauss_2f1_negative(sets, counts, z, neighbours=True)
+    routed = specfun._gauss_2f1_sets(sets, counts, z, neighbours=True)
+    assert np.array_equal(direct, routed)
+    assert np.array_equal(specfun._gauss_2f1_negative(sets, counts, z),
+                          specfun._gauss_2f1_sets(sets, counts, z))
+    # c = a: F(a, b; a; z) = (1 - z)^(-b), and its neighbour
+    # F(a, b+1; a+1; z) against the scalar route
+    lo = sum(counts[:2])
+    assert np.allclose(direct[0, lo:], (1.0 - z[lo:]) ** -0.6, rtol=1e-14,
+                       atol=0.0)
+    a, b, c = sets[2]
+    want = gauss_2f1(a, b + 1.0, c + 1.0, z[lo:])
+    assert np.array_equal(direct[1, lo:], want)
+
+
+# F2 kernel families at far arguments (tests/data/make_references.py):
+# Euler integrals over the smaller argument's axis at 55 digits, stored to
+# 30, |u| from 1e-3 to 1e10, with x and with y the smaller
+F2_FAR_REFERENCES = json.loads(
+    (pathlib.Path(__file__).parent / "data"
+     / "f2_far_references.json").read_text())
+
+
+@pytest.mark.parametrize("case", F2_FAR_REFERENCES["kernel"],
+                         ids=lambda c: f"{c['alpha']}-{c['beta']}")
+def test_f2_kernel_families_match_frozen_far_references(case):
+    # orders from a Bernstein target of 1e-12 instead of 1e-17 read
+    # 2.8e-13 here, and log panels blind to s = 1 read 7.8e-10
+    x, y = np.array(F2_FAR_REFERENCES["points"]).T
+    smaller = np.minimum(np.abs(x), np.abs(y))
+    assert smaller.min() <= 1.0e-3 and smaller.max() >= 1.0e10
+    assert np.any(np.abs(x) < np.abs(y)) and np.any(np.abs(y) < np.abs(x))
+    families = kernel_families(case["alpha"], case["beta"])
+    values = f2_kernel_families(*families[0], x, y)
+    for got, name in zip(values, ("main", "dx", "dy", "da")):
+        want = np.array([float(v) for v in case["values"][name]])
+        assert np.max(np.abs(got - want) / want) <= 1.0e-14
 
 
 def test_level_groups_match_the_scan_per_group():
