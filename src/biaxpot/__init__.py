@@ -11,7 +11,7 @@ from .kernel import (Params, dq4_dn, dq4_dn_many, grad_q4, grad_q4_many,
                      k4_constant, q4, q4_many, weighted_dq4_dn_many)
 from .specfun import (appell_f2, appell_f2_many, appell_f2_series_sets,
                       appell_f2_sets, f2_kernel_families, gauss_2f1,
-                      gauss_2f1_at_one, ln_gamma, log_singular_3f2)
+                      gauss_2f1_at_one, ln_gamma)
 from .potential import (Density, GaugeIdentityResult, boundary_trace,
                         classify, contour_flux, double_layer,
                         gauge_identity_verify, k_gauge, kernel_K4_log_split,
@@ -35,7 +35,6 @@ __all__ = [
     # specfun
     "appell_f2", "appell_f2_many", "appell_f2_series_sets", "appell_f2_sets",
     "f2_kernel_families", "gauss_2f1", "gauss_2f1_at_one", "ln_gamma",
-    "log_singular_3f2",
     # potential
     "Density", "GaugeIdentityResult", "boundary_trace", "classify",
     "contour_flux", "double_layer", "gauge_identity_verify", "k_gauge",

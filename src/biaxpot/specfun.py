@@ -77,10 +77,11 @@ panels with Gauss-Legendre panels in sigma = ln s between, 27 nodes at
 
 Log-gamma comes from the library (``math.lgamma``, mapped over arrays).
 Gauss rules come from ``jacobi_rules`` by Golub-Welsch.  ``gauss_rule``,
-the kernel route's graded axes, and the 2F1 series' coefficient tables,
-degree maps and connection coefficients are cached per parameter set; the
-coefficient tables that a call does not find cached are built together,
-in one pass per table length over all its sets.
+the kernel route's graded axes and the 2F1 connection coefficients are
+cached per parameter set.  The 2F1 series' coefficient tables and degree
+maps are kept in one dict, ``_SERIES_TABLES``, of the 64 most recently
+used; the tables that a call does not find there are built together, in
+one pass per table length over all its sets.
 ``appell_f2_sets`` caches nothing: each call builds the end-panel rules of
 its distinct exponents in one ``jacobi_rules`` call, the prefactor of each
 distinct parameter set, and the axes of its points, since most callers
@@ -196,9 +197,11 @@ def _runs(counts):
 _BUCKETS = np.arange(-55 * _SERIES_BUCKETS, 10 * _SERIES_BUCKETS + 1)
 _BUCKET_TOPS = np.exp2(-np.exp2(_BUCKETS / _SERIES_BUCKETS))[::-1].copy()
 
-# Tables of _series_tables by (a, b, c, terms, moment) that wait to enter
-# the cache of _series_table.
-_BUILT: dict = {}
+# The tables of _series_tables by (a, b, c, terms, moment), least recently
+# used first; every _series_degrees call that returns leaves at most
+# _SERIES_TABLES_MAX of them.
+_SERIES_TABLES: dict = {}
+_SERIES_TABLES_MAX = 64
 
 
 def _series_tables(params, terms: int, moment: bool):
@@ -261,23 +264,15 @@ def _series_tables(params, terms: int, moment: bool):
     return out
 
 
-@functools.lru_cache(maxsize=64)
-def _series_table(a: float, b: float, c: float, terms: int, moment: bool):
-    """One set's table of ``_series_tables``, from the cache or else from
-    _BUILT, where ``_series_degrees`` puts the tables it builds; raises
-    KeyError, which the cache does not keep, where neither holds it."""
-    return _BUILT.pop((a, b, c, terms, moment))
-
-
 def _series_degrees(params, counts, size: np.ndarray, moment: bool):
     """The a priori degree of each point of the direct series at |z| =
     ``size`` < 1 (of the sum of n t_n too with ``moment``), and the term
     ratios of every set as a (terms, sets) table.
 
     Each set starts from a 64-term table and doubles it until the table
-    serves its smallest bucket; the tables that the cache of
-    ``_series_table`` misses are built in one ``_series_tables`` call per
-    length, and enter the cache on their first use."""
+    serves its smallest bucket; the tables that _SERIES_TABLES misses are
+    built in one ``_series_tables`` call per length.  Once the call is done,
+    the least recently used tables past _SERIES_TABLES_MAX are dropped."""
     bucket = np.log2(np.maximum(size, sys.float_info.min))
     np.negative(bucket, out=bucket)
     np.log2(bucket, out=bucket)
@@ -292,24 +287,26 @@ def _series_degrees(params, counts, size: np.ndarray, moment: bool):
     while todo:
         missing = {}
         for i, terms in list(todo.items()):
-            try:
-                while (table := _series_table(*params[i], terms,
-                                              moment))[1] > least[i]:
-                    if terms >= MAX_TERMS:
-                        raise ConvergenceError(
-                            "2F1 series did not converge within {} terms "
-                            "(a={}, b={}, c={})".format(MAX_TERMS, *params[i]))
-                    terms = min(2 * terms, MAX_TERMS)
-            except KeyError:
-                key = (*params[i], terms, moment)
+            while (key := (*params[i], terms, moment)) in _SERIES_TABLES:
+                # a hit moves to the most recently used end
+                table = _SERIES_TABLES[key] = _SERIES_TABLES.pop(key)
+                if table[1] <= least[i]:
+                    found[i] = table
+                    del todo[i]
+                    break
+                if terms >= MAX_TERMS:
+                    raise ConvergenceError(
+                        "2F1 series did not converge within {} terms "
+                        "(a={}, b={}, c={})".format(MAX_TERMS, *params[i]))
+                terms = min(2 * terms, MAX_TERMS)
+            else:
                 missing.setdefault(terms, {})[key] = None
                 todo[i] = terms
-            else:
-                found[i] = table
-                del todo[i]
         for terms, keys in missing.items():
-            _BUILT.update(zip(keys, _series_tables(
+            _SERIES_TABLES.update(zip(keys, _series_tables(
                 [key[:3] for key in keys], terms, moment)))
+    for key in list(_SERIES_TABLES)[:-_SERIES_TABLES_MAX]:
+        del _SERIES_TABLES[key]
     ratios = []
     for (ratio, first, degrees), (lo, hi) in zip(found, runs):
         degree[lo:hi] = degrees.take(bucket[lo:hi] - first)
@@ -646,10 +643,9 @@ def _gauss_2f1_sets(params, counts, z, neighbours: bool = False):
     if plain_sets:
         sizes = [z[place].size for place in plain_places]
         zs = np.concatenate([z[place] for place in plain_places])
-        values = _hyp2f1_unit(plain_sets, sizes, zs, 1.0 - zs,
-                              neighbours).reshape(-1, zs.size)
+        values = _hyp2f1_unit(plain_sets, sizes, zs, 1.0 - zs)
         for place, (lo, hi) in zip(plain_places, _runs(sizes)):
-            out[0, place] = values[0, lo:hi]
+            out[0, place] = values[lo:hi]
     if mapped_sets:
         sizes = [z[place].size for place in mapped_places]
         zs = np.concatenate([z[place] for place in mapped_places])
@@ -1002,14 +998,14 @@ def _bernstein_order(lo: float, hi: float, poles) -> int:
     """The least Gauss order n with rho^(-2n) <= _KERNEL_EPS on the panel
     [lo, hi], rho the parameter of the largest Bernstein ellipse about it
     (foci lo and hi) that leaves out every point of ``poles``."""
-    with np.errstate(over="ignore"):
-        # a pole beyond the largest double is as good as none
-        t = (2.0 * np.asarray(poles, dtype=complex) - (lo + hi)) / (hi - lo)
+    # scalar float and complex arithmetic overflows to inf without a
+    # warning: a pole beyond the largest double is as good as none
+    ts = [(2.0 * pole - (lo + hi)) / (hi - lo) for pole in poles]
     # the ellipse through t has foci -1 and 1, semi-major axis half and
     # semi-axis sum rho = exp(arccosh(half)); a pole that rounds onto the
     # panel's end (log rho = 0) asks for more points than any rule has
-    half = 0.5 * (np.abs(t - 1.0) + np.abs(t + 1.0))
-    log_rho = max(float(np.min(np.arccosh(half))), sys.float_info.epsilon)
+    log_rho = max(min(math.acosh(0.5 * (abs(t - 1.0) + abs(t + 1.0)))
+                      for t in ts), sys.float_info.epsilon)
     return math.ceil(-math.log(_KERNEL_EPS) / (2.0 * log_rho))
 
 
@@ -1136,14 +1132,6 @@ def _level_groups(x, y):
         yield key // 2048, key % 2048, idx
 
 
-def _chunks(idx: np.ndarray, nodes: int, limit: int):
-    """Cut a group's point indices so that each (points, nodes) tensor
-    stays near ``limit`` bytes."""
-    per = max(1, limit // (8 * nodes))
-    for lo in range(0, idx.size, per):
-        yield idx[lo:lo + per]
-
-
 def _node_chunks(count: np.ndarray, limit: int):
     """Cut points with ``count`` nodes each into runs (lo, hi) of at most
     ``limit`` nodes, or of one point where that alone is more."""
@@ -1181,7 +1169,8 @@ def _f2_euler_many(a, b1, b2, c1, c2, x, y) -> np.ndarray:
     pref = np.array([known[v] for v in sets])
     for level_x, level_y, group in _level_groups(x, y):
         nodes = _TENSOR_N ** 2 * (2 + level_x) * (2 + level_y)
-        for idx in _chunks(group, nodes, TENSOR_CHUNK_BYTES):
+        for idx in (group[lo:hi] for lo, hi in _node_chunks(
+                np.full(group.size, nodes), TENSOR_CHUNK_BYTES // 8)):
             left_x, right_x, left_y, right_y = rule[:, idx]
             s, ws = _euler_axes(b1[idx], c1[idx] - b1[idx],
                                    (tj[left_x], wj[left_x]),
@@ -1373,95 +1362,3 @@ def appell_f2(a: float, b1: float, b2: float, c1: float, c2: float,
     """Appell F2 continued to x <= 0, y <= 0 at one point."""
     return float(appell_f2_sets(a, b1, b2, c1, c2, x, y))
 
-
-# ---------------------------------------------------------------------------
-# zero-balanced 3F2 near unit argument
-# ---------------------------------------------------------------------------
-
-def _li2(z: float) -> float:
-    if z < -1.0 or z > 1.0:
-        raise DomainError("_li2 wants z in [-1, 1]")
-    if z > 0.5:
-        w = 1.0 - z
-        return (math.pi ** 2 / 6.0 - math.log(z) * math.log(w) - _li2(w))
-    term_z = z
-    total = 0.0
-    zk = 1.0
-    for k in range(1, 2000):
-        zk *= z
-        t = zk / (k * k)
-        total += t
-        if abs(t) <= 1e-17 * max(abs(total), 1e-300):
-            break
-    return total
-
-
-def _li3(z: float) -> float:
-    if z > 0.5:
-        w = 1.0 - z
-        lz = math.log(z)
-        zeta3 = 1.2020569031595942854
-        return (zeta3 + lz ** 3 / 6.0 + (math.pi ** 2 / 6.0) * lz
-                - 0.5 * lz ** 2 * math.log(w) - _li3(w) - _li3(-w / z))
-    total = 0.0
-    zk = 1.0
-    for k in range(1, 2000):
-        zk *= z
-        t = zk / (k * k * k)
-        total += t
-        if abs(t) <= 1e-17 * max(abs(total), 1e-300):
-            break
-    return total
-
-
-def _gamma_ratio_g1(p: float, q: float) -> float:
-    # Gamma(n+p)/Gamma(n+q) ~ n^(p-q) (1 + G1/n + G2/n^2 + ...)
-    return 0.5 * (p - q) * (p + q - 1.0)
-
-
-def _gamma_ratio_g2(p: float, q: float) -> float:
-    d = p - q
-    return d * (d - 1.0) * (3.0 * (p + q - 1.0) ** 2 - (d + 1.0)) / 24.0
-
-
-_LOG3F2_NMAX = 30000
-
-
-def log_singular_3f2(a1: float, a2: float, a3: float,
-                     b1: float, b2: float, z: float) -> float:
-    """Zero-balanced 3F2(a1, a2, a3; b1, b2; z) on 0 < z < 1.
-
-    Requires b1 + b2 = a1 + a2 + a3 (the logarithmic case at z = 1) and
-    positive parameters.  The value is assembled from the standard
-    logarithmic-case expansion: the gamma-ratio asymptotics of the series
-    coefficients turn the tail into polylogarithms Li1..Li3 (Li1 carries
-    the ln(1-z) factor, the reflection identities of Li2/Li3 carry the
-    higher (1-z)^k ln(1-z) terms) plus an explicitly summed, absolutely
-    convergent remainder.  Standalone library API: no pipeline code
-    (kernel, potential, solver or CLI) calls it.
-    """
-    if not (0.0 < z < 1.0):
-        raise DomainError("log_singular_3f2 requires 0 < z < 1")
-    if min(a1, a2, a3, b1, b2) <= 0.0:
-        raise DomainError("log_singular_3f2 requires positive parameters")
-    bal = b1 + b2 - a1 - a2 - a3
-    if abs(bal) > 1e-12:
-        raise DomainError(
-            f"log_singular_3f2 requires zero parameter balance, got {bal}")
-    K = math.exp(ln_gamma(b1) + ln_gamma(b2)
-                 - ln_gamma(a1) - ln_gamma(a2) - ln_gamma(a3))
-    pairs = ((a1, b1), (a2, b2), (a3, 1.0))
-    g1s = [_gamma_ratio_g1(p, q) for p, q in pairs]
-    g2s = [_gamma_ratio_g2(p, q) for p, q in pairs]
-    u1 = sum(g1s)
-    u2 = sum(g2s) + g1s[0] * g1s[1] + g1s[0] * g1s[2] + g1s[1] * g1s[2]
-
-    n = np.arange(1.0, _LOG3F2_NMAX + 1.0)
-    ratios = ((a1 + n - 1.0) * (a2 + n - 1.0) * (a3 + n - 1.0)
-              / ((b1 + n - 1.0) * (b2 + n - 1.0) * n))
-    t_n = np.cumprod(ratios)  # T_n for n = 1..N
-    model = (K / n) * (1.0 + u1 / n + u2 / n ** 2)
-    rem = float(np.sum((t_n - model) * z ** n))
-
-    li1 = -math.log1p(-z)
-    return 1.0 + K * (li1 + u1 * _li2(z) + u2 * _li3(z)) + rem

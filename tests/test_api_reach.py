@@ -7,9 +7,8 @@ groups are exempt:
 
 * the functions the benchmark's span tracer wraps (``TARGETS`` in
   ``perfbench/tracing.py``), whose names the traced benchmark resolves;
-* ``EXEMPT``: ``log_singular_3f2``, the logarithmic case of F2 at
-  coincident points, kept for the large-argument route still to be built
-  on it.
+* ``EXEMPT``: public names kept for code still to be built on them;
+  the set is empty.
 
 A public name that no command runs goes unchecked by every shipped run;
 it is either wired into one or deleted.  An ``EXEMPT`` name that is no
@@ -28,7 +27,7 @@ from biaxpot.cli import main
 
 PACKAGE = Path(biaxpot.__file__).resolve().parent
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-EXEMPT = {"log_singular_3f2"}
+EXEMPT = set()
 
 TINY_VERIFY = {"interior_points": 1, "oncurve_points": 1,
                "exterior_points": 1, "arclengths": 1, "gradient_pairs": 2,

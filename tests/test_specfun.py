@@ -17,7 +17,7 @@ import pytest
 from biaxpot import (ConvergenceError, DivergenceError, DomainError,
                      appell_f2, appell_f2_many, appell_f2_series_sets,
                      appell_f2_sets, f2_kernel_families, gauss_2f1,
-                     gauss_2f1_at_one, ln_gamma, log_singular_3f2)
+                     gauss_2f1_at_one, ln_gamma)
 from biaxpot import specfun
 from biaxpot.specfun import (_f2_euler_many, _kernel_axis, gauss_rule,
                              jacobi_rules)
@@ -375,7 +375,7 @@ def test_series_degrees_batch_equals_one_set_bitwise(monkeypatch, moment):
         return build(params, terms, moment)
 
     monkeypatch.setattr(specfun, "_series_tables", spy)
-    specfun._series_table.cache_clear()
+    specfun._SERIES_TABLES.clear()
     degree, table = specfun._series_degrees(sets, counts, size, moment)
     # every length once, all sets together at 64 terms
     assert built[0] == (len(sets), 64)
@@ -383,13 +383,35 @@ def test_series_degrees_batch_equals_one_set_bitwise(monkeypatch, moment):
     assert len({terms for _, terms in built}) == len(built)
     lo = 0
     for i, (p, n) in enumerate(zip(sets, counts)):
-        specfun._series_table.cache_clear()
+        specfun._SERIES_TABLES.clear()
         one, ratios = specfun._series_degrees([p], [n], size[lo:lo + n],
                                               moment)
         assert np.array_equal(degree[lo:lo + n], one)
         assert np.array_equal(table[:ratios.shape[0], i], ratios[:, 0])
         assert not table[ratios.shape[0]:, i].any()
         lo += n
+
+
+@pytest.mark.parametrize("moment", [False, True])
+def test_series_degrees_keeps_a_bounded_cache(moment):
+    # one call with more distinct sets than the cache holds leaves the cache
+    # at its bound, and every set reads as in a call of its own
+    rng = np.random.default_rng(31)
+    sets = [(float(a), float(b), float(c)) for a, b, c in zip(
+        rng.uniform(0.1, 3.0, 100), rng.uniform(0.1, 3.0, 100),
+        rng.uniform(0.5, 4.0, 100))]
+    size = rng.uniform(0.0, 0.9, 2 * len(sets))
+    specfun._SERIES_TABLES.clear()
+    degree, table = specfun._series_degrees(sets, [2] * len(sets), size,
+                                            moment)
+    assert len(specfun._SERIES_TABLES) == specfun._SERIES_TABLES_MAX == 64
+    for i, p in enumerate(sets):
+        specfun._SERIES_TABLES.clear()
+        one, ratios = specfun._series_degrees([p], [2], size[2 * i:2 * i + 2],
+                                              moment)
+        assert np.array_equal(degree[2 * i:2 * i + 2], one)
+        assert np.array_equal(table[:ratios.shape[0], i], ratios[:, 0])
+        assert not table[ratios.shape[0]:, i].any()
 
 
 # -- appell F2 series -------------------------------------------------------------
@@ -1119,7 +1141,7 @@ def test_f2_kernel_families_repeat_builds_no_series_table(monkeypatch):
         return build(params, terms, moment)
 
     monkeypatch.setattr(specfun, "_series_tables", spy)
-    specfun._series_table.cache_clear()
+    specfun._SERIES_TABLES.clear()
     main = kernel_families(0.1, 0.4)[0]
     rng = np.random.default_rng(30)
     x = -np.exp(rng.uniform(math.log(1.0e-3), math.log(1.0e9), 300))
@@ -1167,6 +1189,18 @@ def test_kernel_axis_nodes_per_bin_are_pinned():
     # bin takes the doubles above 2^1023.5
     huge = np.array([-1.0e20, -1.0e300, -1.5e308, -sys.float_info.max])
     assert specfun._kernel_bins(huge)[-2:].tolist() == [2047, 2047]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = f2_kernel_families(2.5, 0.75, 0.75, 1.5, 1.5, huge, huge)
+    assert all(np.all(np.isfinite(v) & (v >= 0.0)) for v in values)
+
+
+def test_kernel_axis_of_a_near_overflow_bin_builds_without_warning():
+    # bin 2045 sizes its panels for poles whose ellipse parameter overflows;
+    # building them must not warn
+    specfun._kernel_panels.cache_clear()
+    huge = np.array([-5.0e307])
+    assert specfun._kernel_bins(huge).tolist() == [2045]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         values = f2_kernel_families(2.5, 0.75, 0.75, 1.5, 1.5, huge, huge)
@@ -1370,69 +1404,3 @@ def test_param_shift_matches_finite_differences():
               - appell_f2(a, b1, b2, c1, c2, x, y - h)) / (2 * h)
         assert REL(dy, fd) <= 1.0e-6
 
-
-# -- log-singular 3F2 -------------------------------------------------------------
-
-BAL = (1.5, 0.75, 0.75, 1.5, 1.5)  # zero-balanced parameter set
-
-
-def direct_3f2(a1, a2, a3, b1, b2, z, terms=500):
-    total, t = 1.0, 1.0
-    for n in range(terms):
-        t *= (a1 + n) * (a2 + n) * (a3 + n) * z / ((b1 + n) * (b2 + n)
-                                                   * (n + 1))
-        total += t
-    return total
-
-
-def test_3f2_tends_to_one_at_zero():
-    assert abs(log_singular_3f2(*BAL, 1.0e-8) - 1.0) <= 1.0e-7
-
-
-def test_3f2_matches_direct_series():
-    got = log_singular_3f2(*BAL, 0.3)
-    assert abs(got - direct_3f2(*BAL, 0.3)) <= 1.0e-8
-    # 30-digit reference at the same point
-    assert REL(got, 1.13903179138800218534) <= 1.0e-12
-
-
-def test_3f2_reference_values():
-    # 30-digit references at z = 0.4 and deep in the log regime
-    assert REL(log_singular_3f2(*BAL, 0.4),
-               1.20229852611730671744) <= 1.0e-12
-    assert REL(log_singular_3f2(*BAL, 0.999),
-               4.67953797942472297215) <= 1.0e-11
-
-
-def test_3f2_log_law_near_one():
-    # F(z) ~ -K ln(1-z) + L with K the gamma-product constant; the ratio
-    # deviates from K by O(1/ln(1/(1-z)))
-    a1, a2, a3, b1, b2 = BAL
-    K = math.exp(ln_gamma(b1) + ln_gamma(b2) - ln_gamma(a1) - ln_gamma(a2)
-                 - ln_gamma(a3))
-    assert REL(K, 0.590170299508048113023) <= 1.0e-13
-    devs = []
-    for ex in (6, 9, 12):
-        z = 1.0 - 10.0 ** (-ex)
-        ratio = log_singular_3f2(*BAL, z) / (-math.log1p(-z))
-        dev = abs(ratio - K)
-        assert dev <= 1.5 / abs(math.log1p(-z))
-        devs.append(dev)
-    assert devs[2] < devs[1] < devs[0]
-    # 30-digit value of the bounded offset F + K ln(1-z) at z = 1 - 1e-9;
-    # the summed remainder is truncated, which caps the absolute accuracy
-    # of the offset near 2e-8 this close to the unit argument
-    offset = log_singular_3f2(*BAL, 1.0 - 1.0e-9) + K * math.log(1.0e-9)
-    assert abs(offset - 0.60037460461987610586) <= 5.0e-8
-
-
-def test_3f2_rejects_unbalanced_parameters():
-    with pytest.raises(DomainError):
-        log_singular_3f2(1.5, 0.75, 0.75, 1.5, 1.6, 0.3)
-
-
-def test_3f2_rejects_arguments_outside_unit_interval():
-    with pytest.raises(DomainError):
-        log_singular_3f2(*BAL, 0.0)
-    with pytest.raises(DomainError):
-        log_singular_3f2(*BAL, 1.0)
