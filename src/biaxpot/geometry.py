@@ -30,7 +30,7 @@ import numpy as np
 from numpy.polynomial.polynomial import polyval
 
 from .errors import DomainError
-from .specfun import gauss_rule
+from .specfun import _quintic_cells, gauss_rule
 
 
 @dataclass(frozen=True)
@@ -70,14 +70,7 @@ def _quintic_hermite(x, y, dy, d2y):
     derivatives d2y at the increasing knots x, in closed form on each cell;
     a vectorised evaluator that extends the end quintics."""
     h = np.diff(x)
-    d0, d1 = h * dy[:-1], h * dy[1:]
-    c0, c1 = 0.5 * h * h * d2y[:-1], 0.5 * h * h * d2y[1:]
-    # in t = (u - x[k]) / h: y + d0 t + c0 t^2, plus the t^3, t^4 and t^5
-    # terms that fit the value, slope and curvature at t = 1
-    r0, r1, r2 = np.diff(y) - d0 - c0, d1 - d0 - 2.0 * c0, c1 - c0
-    coef = np.array((y[:-1], d0, c0, 10.0 * r0 - 4.0 * r1 + r2,
-                     -15.0 * r0 + 7.0 * r1 - 2.0 * r2,
-                     6.0 * r0 - 3.0 * r1 + r2))
+    coef = _quintic_cells(h, y, dy, d2y)
 
     def hermite(u):
         k = np.clip(np.searchsorted(x, u, side="right") - 1, 0, h.size - 1)

@@ -66,22 +66,26 @@ integrates the other exactly (DLMF 15.6.1): for x outer, A = 1 - x s,
 
 and the t moment takes F(a+1, b2+1; c2+1; y/A), which Pfaff's map turns
 into the slope of the same series.  At 0 <= y/A the map gives
-F(c2-a-1, b2; c2; w); for the main family at alpha = beta, c2 - a - 1 =
--1 and the series stops after two terms.  Each outer node thus costs one
-2F1 series with its slope.  The outer axis is sized per half-octave bin
-of |u| by Bernstein's ellipse bound for the integrand's singularities at
-s = -1/|u|, 0 and 1 (``_kernel_panels``): one two-sided Gauss-Jacobi
-panel of 7 to 18 points up to |u| = 2^1.5, and beyond, Gauss-Jacobi end
-panels with Gauss-Legendre panels in sigma = ln s between, 27 nodes at
-|u| = 4, 66 at 1e3 and 119 at 2^33.
+G = F(c2-a-1, b2; c2; w); for the main family at alpha = beta, c2 - a - 1
+= -1 and the series stops after two terms.  At alpha != beta each set's G
+and G' come from piecewise quintic Hermite tables on uniform cells, built
+once per set from the series and the hypergeometric equation (the direct
+function up to w = 3/4, the connection formula's two series beyond).
+Each outer node thus costs one 2F1 value with its slope.  The outer axis
+is sized per half-octave bin of |u| by Bernstein's ellipse bound for the
+integrand's singularities at s = -1/|u|, 0 and 1 (``_kernel_panels``):
+one two-sided Gauss-Jacobi panel of 7 to 18 points up to |u| = 2^1.5, and
+beyond, Gauss-Jacobi end panels with Gauss-Legendre panels in sigma =
+ln s between, 27 nodes at |u| = 4, 66 at 1e3 and 119 at 2^33.
 
 Log-gamma comes from the library (``math.lgamma``, mapped over arrays).
 Gauss rules come from ``jacobi_rules`` by Golub-Welsch.  ``gauss_rule``,
 the kernel route's graded axes and the 2F1 connection coefficients are
 cached per parameter set.  The 2F1 series' coefficient tables and degree
-maps are kept in one dict, ``_SERIES_TABLES``, of the 64 most recently
-used; the tables that a call does not find there are built together, in
-one pass per table length over all its sets.
+maps, and the kernel route's Hermite tables of G, are kept in one dict,
+``_SERIES_TABLES``, of the 64 most recently used; the tables that a call
+does not find there are built together, in one pass per table length (one
+series call for the Hermite tables) over all its sets.
 ``appell_f2_sets`` caches nothing: each call builds the end-panel rules of
 its distinct exponents in one ``jacobi_rules`` call, the prefactor of each
 distinct parameter set, and the axes of its points, since most callers
@@ -204,6 +208,12 @@ _SERIES_TABLES: dict = {}
 _SERIES_TABLES_MAX = 64
 
 
+def _trim_series_tables():
+    """Drop the least recently used tables past _SERIES_TABLES_MAX."""
+    for key in list(_SERIES_TABLES)[:-_SERIES_TABLES_MAX]:
+        del _SERIES_TABLES[key]
+
+
 def _series_tables(params, terms: int, moment: bool):
     """(ratios, first, degrees) of the direct series of every set (a, b, c)
     of ``params``, built in one pass: the term ratios
@@ -305,8 +315,7 @@ def _series_degrees(params, counts, size: np.ndarray, moment: bool):
         for terms, keys in missing.items():
             _SERIES_TABLES.update(zip(keys, _series_tables(
                 [key[:3] for key in keys], terms, moment)))
-    for key in list(_SERIES_TABLES)[:-_SERIES_TABLES_MAX]:
-        del _SERIES_TABLES[key]
+    _trim_series_tables()
     ratios = []
     for (ratio, first, degrees), (lo, hi) in zip(found, runs):
         degree[lo:hi] = degrees.take(bucket[lo:hi] - first)
@@ -560,7 +569,163 @@ def _slope(a: float, b: float, c: float, z: np.ndarray,
     return np.divide(first, z, out=np.full(z.size, a * b / c), where=z != 0.0)
 
 
-def _gauss_2f1_negative(params, counts, z, neighbours: bool = False):
+# -- the kernel's inner 2F1 from tables --------------------------------------
+
+# f2_kernel_families reads the Pfaff-mapped inner 2F1 G = F(A, B; C; w) of
+# a set at alpha != beta from tables: A = +-(alpha - beta) - 1, B = 1 -
+# beta or 1 - alpha and C = 2 B put it in _GAUSS_BOX, the box of A, B and C
+# ranges, and sets whose excess s = C - A - B lies within EXCESS_INT_TOL of
+# an integer, or that a nonpositive integer A or B stops, keep the series.
+# The tables are piecewise quintic Hermites on _GAUSS_CELLS uniform cells:
+# of G and G' on [0, _GAUSS_SWITCH], and of the connection formula's two
+# regular series and their slopes in u = 1 - w on [0, 1 - _GAUSS_SWITCH].
+# A quintic Hermite of f misses by at most max|f^(6)| h^6 / 46080 on a cell
+# of width h.  Over the box's kernel sets (alpha, beta in {0.05, 0.1, 0.2,
+# 0.3, 0.4, 0.49}), |G^(6)| stays below 1.8e3 |G| and |G^(7)| below 6.1e4
+# |G'| up to w = 3/4, so 256 cells bound the value tables' error by 2.4e-17
+# and the slope tables' by 8.3e-16 relative, where 128 cells would allow
+# 5.3e-14; the connection tables, on the shorter span u <= 1/4, by 5e-17.
+# The switch sits at w = 3/4, not at Z_SWITCH: just past w = 1/2 the
+# connection formula's neighbour loses up to 5e-14 to cancellation, and from
+# 3/4 on it is within 6e-15 where the direct tables hold 2e-15.
+_GAUSS_CELLS = 256
+_GAUSS_SWITCH = 0.75
+_GAUSS_BOX = ((-1.5, -0.5), (0.5, 1.0), (1.0, 2.0))
+
+
+def _quintic_cells(h, y, dy, d2y) -> np.ndarray:
+    """The (6, ..., cells) coefficients in t = (x - x_k) / h of the piecewise
+    quintic that matches the values y, slopes dy and second derivatives d2y
+    at the knots x_k along the last axis, cells of width h apart."""
+    d0, d1 = h * dy[..., :-1], h * dy[..., 1:]
+    c0, c1 = 0.5 * h * h * d2y[..., :-1], 0.5 * h * h * d2y[..., 1:]
+    # in t: y + d0 t + c0 t^2, plus the t^3, t^4 and t^5 terms that fit the
+    # value, slope and curvature at t = 1
+    r0, r1, r2 = np.diff(y) - d0 - c0, d1 - d0 - 2.0 * c0, c1 - c0
+    return np.array((y[..., :-1], d0, c0, 10.0 * r0 - 4.0 * r1 + r2,
+                     -15.0 * r0 + 7.0 * r1 - 2.0 * r2,
+                     6.0 * r0 - 3.0 * r1 + r2))
+
+
+def _build_gauss_tables(params):
+    """The tables of ``_gauss_tables`` for the sets (A, B, C) of ``params``:
+    per set, the (6, 2, cells) quintics of G and G' in w, and the (6, 4,
+    cells) quintics of S1, S1', S2 and S2' in u, the two regular series of
+    the connection formula G = c1 S1(u) + c2 u^s S2(u) and their slopes.
+
+    The values and slopes at the knots of all sets come from one
+    ``_hyp2f1_series`` call; the second and third derivatives from the
+    hypergeometric equation x (1-x) y'' = A B y - (C - (A+B+1) x) y' and its
+    derivative, and at x = 0 from the series' coefficients."""
+    knots = np.arange(_GAUSS_CELLS + 1) / _GAUSS_CELLS
+    spans, sets = [], []
+    for a, b, c in params:
+        s = c - a - b
+        spans += [_GAUSS_SWITCH, 1.0 - _GAUSS_SWITCH, 1.0 - _GAUSS_SWITCH]
+        sets += [(a, b, c), (a, b, 1.0 - s), (c - a, c - b, 1.0 + s)]
+    x = np.array(spans)[:, None] * knots
+    y, first = _hyp2f1_series(sets, [knots.size] * len(sets), x.ravel(),
+                              moment=True).reshape(2, len(sets), knots.size)
+    a, b, c = (np.array(v)[:, None] for v in zip(*sets))
+    dy = np.divide(first, x, out=np.broadcast_to(a * b / c, x.shape).copy(),
+                   where=x != 0.0)
+    inner = np.where(x == 0.0, 1.0, x * (1.0 - x))
+    d2y = np.where(x == 0.0, a * (a + 1.0) * b * (b + 1.0) / (c * (c + 1.0)),
+                   (a * b * y - (c - (a + b + 1.0) * x) * dy) / inner)
+    d3y = np.where(x == 0.0, d2y * (a + 2.0) * (b + 2.0) / (c + 2.0),
+                   ((a + 1.0) * (b + 1.0) * dy
+                    - (c + 1.0 - (a + b + 3.0) * x) * d2y) / inner)
+    h = np.array(spans)[:, None] / _GAUSS_CELLS
+    values = _quintic_cells(h, y, dy, d2y)
+    slopes = _quintic_cells(h, dy, d2y, d3y)
+    return [(np.stack((values[:, j], slopes[:, j]), axis=1),
+             np.stack((values[:, j + 1], slopes[:, j + 1],
+                       values[:, j + 2], slopes[:, j + 2]), axis=1))
+            for j in range(0, len(sets), 3)]
+
+
+def _gauss_tables(params):
+    """The tables of each set (A, B, C) of ``params`` that f2_kernel_families
+    reads from tables (see _GAUSS_CELLS), else None.
+
+    They are kept in _SERIES_TABLES by (A, B, C, "hermite"); the tables
+    that it misses are built together, in one ``_build_gauss_tables``
+    call."""
+    keys, missing = [], {}
+    for a, b, c in params:
+        s = c - a - b
+        if (_terminating(a, b) is not None
+                or abs(s - round(s)) <= EXCESS_INT_TOL
+                or not all(lo <= v <= hi for v, (lo, hi) in zip(
+                    (a, b, c), _GAUSS_BOX))):
+            keys.append(None)
+            continue
+        key = (a, b, c, "hermite")
+        if key in _SERIES_TABLES:
+            _SERIES_TABLES[key] = _SERIES_TABLES.pop(key)
+        else:
+            missing[key] = None
+        keys.append(key)
+    if missing:
+        _SERIES_TABLES.update(zip(missing, _build_gauss_tables(
+            [key[:3] for key in missing])))
+    tables = [None if key is None else _SERIES_TABLES[key] for key in keys]
+    _trim_series_tables()
+    return tables
+
+
+def _quintic_at(coef, t):
+    """The quintics of (6, functions, cells) coefficients at t, a cell index
+    plus the offset in it, as a (functions, points) array."""
+    k = np.minimum(t.astype(np.int64), coef.shape[-1] - 1)
+    t = t - k
+    out = coef[5].take(k, axis=-1)
+    for j in range(4, -1, -1):
+        out *= t
+        out += coef[j].take(k, axis=-1)
+    return out
+
+
+def _hyp2f1_tabled(params, counts, z, u):
+    """``_hyp2f1_unit`` with slopes, with the sets that ``_gauss_tables``
+    serves read from their tables: G and G' up to z = _GAUSS_SWITCH, beyond
+    it the connection formula from its series' tables at u.  Every value is
+    an elementwise function of its own point, so it is bitwise the same in
+    any batch."""
+    tables = _gauss_tables(params)
+    if all(table is None for table in tables):
+        return _hyp2f1_unit(params, counts, z, u, slope=True)
+    out = np.empty((2, z.size))
+    rest_sets, rest_runs = [], []
+    for p, table, (lo, hi) in zip(params, tables, _runs(counts)):
+        if table is None:
+            rest_sets.append(p)
+            rest_runs.append((lo, hi))
+            continue
+        direct, linked = table
+        near = z[lo:hi] <= _GAUSS_SWITCH
+        place = _positions(near, lo)
+        out[:, place] = _quintic_at(
+            direct, z[place] * (_GAUSS_CELLS / _GAUSS_SWITCH))
+        if near.all():
+            continue
+        place = _positions(~near, lo)
+        ui = u[place]
+        series = _quintic_at(linked,
+                             ui * (_GAUSS_CELLS / (1.0 - _GAUSS_SWITCH)))
+        # the connection formula takes each series with u times its slope
+        series[1::2] *= ui
+        out[:, place] = _hyp2f1_connection(*p, ui, series[:2], series[2:])
+    if rest_sets:
+        rest = np.concatenate([np.arange(lo, hi) for lo, hi in rest_runs])
+        sizes = [hi - lo for lo, hi in rest_runs]
+        out[:, rest] = _hyp2f1_unit(rest_sets, sizes, z[rest], u[rest],
+                                    slope=True)
+    return out
+
+
+def _gauss_2f1_negative(params, counts, z, neighbours: bool = False,
+                        tables: bool = False):
     """2F1(a, b; c; z) over a 1-d array of z <= 0, in runs of ``counts``
     points per set (a, b, c) of ``params``, none of which a nonpositive
     integer a or b stops; with ``neighbours``, a (2, points) array of the
@@ -569,16 +734,18 @@ def _gauss_2f1_negative(params, counts, z, neighbours: bool = False):
     Pfaff's map F(a,b;c;z) = (1-z)^(-b) G(w), G = F(c-a, b; c; w),
     w = z/(z-1), takes every point to 0 <= w < 1, whose complement 1 - w is
     formed as 1/(1-z), not by a subtraction that would lose its digits at
-    large |z|; ``_hyp2f1_unit`` sums G for all sets in one call.  The
-    neighbour maps to (1-z)^(-b-1) c G'(w) / ((c-a) b), from the slope of G
-    on the same series terms; a set with c = a, whose G is 1, takes it from
-    ``_gauss_2f1_sets`` for the neighbour's set instead.  Each value is
-    bitwise the same in any batch.
+    large |z|; ``_hyp2f1_unit`` sums G for all sets in one call, or with
+    ``tables`` ``_hyp2f1_tabled`` reads G and G' from tables where it can.
+    The neighbour maps to (1-z)^(-b-1) c G'(w) / ((c-a) b), from the slope
+    of G on the same series terms; a set with c = a, whose G is 1, takes it
+    from ``_gauss_2f1_sets`` for the neighbour's set instead.  Each value
+    is bitwise the same in any batch.
     """
     q = 1.0 - z
-    values = _hyp2f1_unit([(c - a, b, c) for a, b, c in params], counts,
-                          z / (z - 1.0), 1.0 / q,
-                          neighbours).reshape(-1, z.size)
+    args = ([(c - a, b, c) for a, b, c in params], counts, z / (z - 1.0),
+            1.0 / q)
+    values = (_hyp2f1_tabled(*args) if tables
+              else _hyp2f1_unit(*args, neighbours).reshape(-1, z.size))
     out = np.empty((2, z.size) if neighbours else (1, z.size))
     for (a, b, c), (lo, hi) in zip(params, _runs(counts)):
         rest = np.power(q[lo:hi], -b)
@@ -1248,12 +1415,36 @@ def f2_kernel_families(a: float, b1: float, b2: float, c1: float, c2: float,
     the outer axis, take theirs from one ``_gauss_2f1_negative`` call
     (``_gauss_2f1_sets`` where a nonpositive integer a + 1 stops the
     series, as at a = -1).  Chunks hold about EULER_CHUNK_BYTES / 8 nodes.
-    Requires c1 > b1 > 0 and c2 > b2 > 0.  Each point's values are
-    independent of the batch it is evaluated in.
+
+    Pfaff's map turns each 2F1 into G = F(c-a-1, b; c; w), 0 <= w < 1.  At
+    alpha = beta the main family's G is a two-term series.  Otherwise G is
+    read from its set's tables (``_hyp2f1_tabled``), built once per set from
+    the series and kept with the series tables: a quintic Hermite of G and
+    one of G' on 256 uniform cells up to w = 3/4, and beyond it the
+    connection formula on tables of its two regular series in 1 - w.  A
+    point then costs a cell index, a gather and two degree-5 Horner passes
+    (plus u^s past w = 3/4) instead of 20 to 58 series terms.  A set whose
+    G is no kernel set at alpha != beta, or whose excess c - (c-a-1) - b
+    lies within EXCESS_INT_TOL of an integer (alpha or beta below about
+    0.05), takes the series route of ``_hyp2f1_unit``.
+
+    Requires c1 > b1 > 0 and c2 > b2 > 0; the five parameters are checked
+    as scalars.  Each point's values are independent of the batch it is
+    evaluated in.
     """
     if np.shape(x) != np.shape(y):
         raise DomainError("F2 arguments x and y must have equal shapes")
-    x, y = _f2_arguments(a, b1, b2, c1, c2, x, y)[5:]
+    # the checks of _f2_arguments, with the five parameters as scalars
+    a, b1, b2, c1, c2 = (float(v) for v in (a, b1, b2, c1, c2))
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if not (all(map(math.isfinite, (a, b1, b2, c1, c2)))
+            and np.isfinite(x).all() and np.isfinite(y).all()):
+        raise DomainError("F2 arguments must be finite")
+    if np.any(x > 0.0) or np.any(y > 0.0):
+        raise DomainError("appell_f2 is defined for x <= 0 and y <= 0")
+    if _is_nonpos_int(c1) or _is_nonpos_int(c2):
+        raise DomainError(
+            "appell_f2: c parameters must not be nonpositive integers")
     if not ((c1 > b1 > 0.0) and (c2 > b2 > 0.0)):
         raise DomainError(
             "f2_kernel_families needs c1 > b1 > 0 and c2 > b2 > 0")
@@ -1276,7 +1467,7 @@ def f2_kernel_families(a: float, b1: float, b2: float, c1: float, c2: float,
     sets = [(a + 1.0, b2, c2), (a + 1.0, b1, c1)]
     gauss = (_gauss_2f1_sets if any(_terminating(p, q) is not None
                                     for p, q, _ in sets)
-             else _gauss_2f1_negative)
+             else functools.partial(_gauss_2f1_negative, tables=True))
     # the outer axes present, end to end, and each point's as a segment
     present, axis = np.unique(2 * _kernel_bins(u) + y_outer,
                               return_inverse=True)

@@ -3,7 +3,9 @@ the kernel families at far arguments in ``f2_far_references.json``, the F2
 values on the two edges of the quadrant in
 ``f2_edge_references.json``, the Gauss 2F1 values of the kernel's inner
 integrals in ``gauss_2f1_references.json``, the Gauss-Jacobi rules in
-``gauss_jacobi_references.json`` and the superellipse points at given
+``gauss_jacobi_references.json``, the same kernel Gauss functions at
+alpha != beta over a wider range of arguments in
+``gauss_table_references.json``, and the superellipse points at given
 arclengths in ``arclength_references.json``.
 
 Run once, offline, from the repository root:
@@ -54,7 +56,10 @@ with (b, c) = (1 - alpha, 2 - 2 alpha) and (1 - beta, 2 - 2 beta), a =
 2 - alpha - beta, that the inner Euler integral of the kernel families
 needs, at z from -1e-3 to -1e11.  ``mpmath.hyp2f1`` gives each value at z
 and again through Pfaff's map, (1-z)^(-b) F(c-a, b; c; z/(z-1)), and the
-script stops unless the two agree to 25 digits.
+script stops unless the two agree to 25 digits.  The table references
+take the same sets and their neighbours at GAUSS_TABLE_PARAMS, all with
+alpha != beta, at z from -1e-6 to -1e14 and at GAUSS_TABLE_EXTRA, which
+Pfaff's map sends to w = z/(z-1) around 1/2 and on both sides of 3/4.
 
 On its edges F2 is a Gauss function of the other argument,
 
@@ -114,6 +119,11 @@ KERNEL_POINTS = [(-0.6, -0.5), (-1.7, -0.3), (-4.0, -9.0), (-25.0, -2.0),
 GAUSS_PARAMS = [(0.25, 0.25), (0.1, 0.4), (0.4, 0.1), (0.01, 0.49),
                 (0.49, 0.01), (0.001, 0.001), (0.45, 0.45), (0.3, 0.05)]
 GAUSS_POINTS = [-(10.0 ** k) for k in range(-3, 12)]
+GAUSS_TABLE_PARAMS = [(0.1, 0.4), (0.06, 0.44), (0.44, 0.06), (0.3, 0.15),
+                      (0.49, 0.2)]
+GAUSS_TABLE_EXTRA = [-0.3, -0.9, -1.1, -2.9, -3.1, -9.0, -99.0]
+GAUSS_TABLE_POINTS = ([-(10.0 ** k) for k in range(-6, 15)]
+                      + GAUSS_TABLE_EXTRA)
 
 # far-argument kernel references: (alpha, beta), the smaller argument's
 # sizes (every few half-octave bins of the kernel route's outer axis, from
@@ -279,15 +289,15 @@ def gauss_reference(params, z):
     return mp.nstr(value, STORE_DIGITS)
 
 
-def gauss():
+def gauss(pairs=GAUSS_PARAMS, points=GAUSS_POINTS):
     cases = []
-    for alpha, beta in GAUSS_PARAMS:
+    for alpha, beta in pairs:
         for params in gauss_sets(alpha, beta):
             cases.append({"alpha": alpha, "beta": beta,
                           "params": list(params),
                           "values": [gauss_reference(params, z)
-                                     for z in GAUSS_POINTS]})
-    return {"points": GAUSS_POINTS, "sets": cases}
+                                     for z in points]})
+    return {"points": points, "sets": cases}
 
 
 def edge_sets():
@@ -470,6 +480,9 @@ def main():
     path.write_text(json.dumps(rules(), indent=1) + "\n")
     path = pathlib.Path(__file__).with_name("gauss_2f1_references.json")
     path.write_text(json.dumps(gauss(), indent=1) + "\n")
+    path = pathlib.Path(__file__).with_name("gauss_table_references.json")
+    path.write_text(json.dumps(gauss(GAUSS_TABLE_PARAMS, GAUSS_TABLE_POINTS),
+                               indent=1) + "\n")
     path = pathlib.Path(__file__).with_name("f2_edge_references.json")
     path.write_text(json.dumps(edges(), indent=1) + "\n")
     path = pathlib.Path(__file__).with_name("f2_far_references.json")

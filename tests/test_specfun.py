@@ -1241,6 +1241,123 @@ def test_gauss_2f1_negative_is_the_sets_route_bitwise():
     assert np.array_equal(direct[1, lo:], want)
 
 
+# -- the kernel's inner 2F1 from per-set tables ---------------------------------
+
+TABLE_PARAMS = [(0.1, 0.4), (0.06, 0.44), (0.44, 0.06), (0.3, 0.15),
+                (0.49, 0.2)]
+
+
+def inner_sets(alpha, beta):
+    """The two 2F1 sets of f2_kernel_families' inner integral, x outer
+    first, and their Pfaff-mapped sets (c - a, b, c)."""
+    a = 2.0 - alpha - beta
+    sets = [(a + 1.0, 1.0 - beta, 2.0 - 2.0 * beta),
+            (a + 1.0, 1.0 - alpha, 2.0 - 2.0 * alpha)]
+    return sets, [(c - p, b, c) for p, b, c in sets]
+
+
+# The kernel's 2F1 sets and their neighbours at alpha != beta, z from -1e-6
+# to -1e14 and around w = z/(z-1) = 1/2 and 3/4 (tests/data/make_references.py)
+GAUSS_TABLE_REFERENCES = json.loads(
+    (pathlib.Path(__file__).parent / "data"
+     / "gauss_table_references.json").read_text())
+
+
+@pytest.mark.parametrize("case", [
+    c for c in GAUSS_TABLE_REFERENCES["sets"]
+    if [c["params"][0], c["params"][1] + 1.0, c["params"][2] + 1.0]
+    in [s["params"] for s in GAUSS_TABLE_REFERENCES["sets"]]],
+    ids=lambda c: "{}-{}-{}".format(c["alpha"], c["beta"], c["params"][1]))
+def test_gauss_tables_match_frozen_references(case):
+    # value and neighbour read from the set's tables; measured 1.8e-15 and
+    # 4.7e-15 at most
+    a, b, c = case["params"]
+    assert specfun._gauss_tables([(c - a, b, c)])[0] is not None
+    z = np.array(GAUSS_TABLE_REFERENCES["points"])
+    sets = {tuple(s["params"]): s for s in GAUSS_TABLE_REFERENCES["sets"]}
+    value, neighbour = specfun._gauss_2f1_negative(
+        [(a, b, c)], [z.size], z, neighbours=True, tables=True)
+    for got, ref in ((value, case),
+                     (neighbour, sets[(a, b + 1.0, c + 1.0)])):
+        want = np.array([float(v) for v in ref["values"]])
+        assert np.max(np.abs(got - want) / want) <= 1.0e-14
+
+
+@pytest.mark.parametrize("alpha, beta", TABLE_PARAMS)
+def test_gauss_tables_match_the_series_route(alpha, beta):
+    # against the series route at log-uniform z from -1e-6 to -1e14 and at
+    # w uniform on [0.3, 0.95], both sides of the switch: measured 2.8e-15
+    # for values and 1.5e-14 for neighbours (0.06/0.44), where the series
+    # route itself loses up to 1.5e-14 just past w = 1/2
+    rng = np.random.default_rng(42)
+    w = rng.uniform(0.3, 0.95, 1000)
+    z = np.concatenate((-np.exp(rng.uniform(math.log(1.0e-6),
+                                            math.log(1.0e14), 2000)),
+                        w / (w - 1.0)))
+    sets, mapped = inner_sets(alpha, beta)
+    assert all(t is not None for t in specfun._gauss_tables(mapped))
+    z = np.concatenate((z, z))
+    want = specfun._gauss_2f1_negative(sets, [z.size // 2] * 2, z,
+                                       neighbours=True)
+    got = specfun._gauss_2f1_negative(sets, [z.size // 2] * 2, z,
+                                      neighbours=True, tables=True)
+    error = np.max(np.abs(got - want) / np.abs(want), axis=1)
+    assert error[0] <= 1.0e-14 and error[1] <= 5.0e-14
+
+
+def test_gauss_tables_leave_the_series_sets_alone(monkeypatch):
+    # alpha = beta (a terminating G), alpha = 0.01 (the x-outer set's excess
+    # 1.99 near an integer) and a = -1 (a + 1 = 0 stops the series) build
+    # no table for those sets; 0.01/0.49's y-outer set, at excess 1.51,
+    # builds one
+    built = []
+    build = specfun._build_gauss_tables
+
+    def spy(params):
+        built.extend(params)
+        return build(params)
+
+    monkeypatch.setattr(specfun, "_build_gauss_tables", spy)
+    specfun._SERIES_TABLES.clear()
+    rng = np.random.default_rng(43)
+    x = -np.exp(rng.uniform(math.log(1.0e-3), math.log(1.0e9), 200))
+    y = -np.exp(rng.uniform(math.log(1.0e-3), math.log(1.0e9), 200))
+    for alpha, beta in [(0.25, 0.25), (0.01, 0.01), (0.45, 0.45)]:
+        f2_kernel_families(*kernel_families(alpha, beta)[0], x, y)
+    _, b1, b2, c1, c2 = kernel_families(0.1, 0.4)[0]
+    f2_kernel_families(-1.0, b1, b2, c1, c2, x, y)
+    assert built == []
+    f2_kernel_families(*kernel_families(0.01, 0.49)[0], x, y)
+    assert built == [inner_sets(0.01, 0.49)[1][1]]
+    built.clear()
+    f2_kernel_families(*kernel_families(0.1, 0.4)[0], x, y)
+    assert built == inner_sets(0.1, 0.4)[1]
+    built.clear()
+    f2_kernel_families(*kernel_families(0.1, 0.4)[0], x, y)
+    assert built == []
+
+
+def test_gauss_tables_batch_equals_single_points():
+    # a tabled point's value and neighbour do not depend on the batch, with
+    # a series set (0.01/0.49's x-outer set) in the same call
+    rng = np.random.default_rng(44)
+    w = rng.uniform(0.6, 0.9, 40)
+    z = np.concatenate((-np.exp(rng.uniform(math.log(1.0e-6),
+                                            math.log(1.0e14), 260)),
+                        w / (w - 1.0)))
+    sets = inner_sets(0.1, 0.4)[0] + inner_sets(0.01, 0.49)[0][:1]
+    counts = [100, 120, 80]
+    batch = specfun._gauss_2f1_negative(sets, counts, z, neighbours=True,
+                                        tables=True)
+    lo = 0
+    for params, count in zip(sets, counts):
+        for j in range(lo, lo + count, 7):
+            single = specfun._gauss_2f1_negative(
+                [params], [1], z[j:j + 1], neighbours=True, tables=True)
+            assert np.array_equal(batch[:, j], single[:, 0])
+        lo += count
+
+
 # F2 kernel families at far arguments (tests/data/make_references.py):
 # Euler integrals over the smaller argument's axis at 55 digits, stored to
 # 30, |u| from 1e-3 to 1e10, with x and with y the smaller
@@ -1294,6 +1411,27 @@ def test_f2_kernel_families_rejects_bad_input():
     with pytest.raises(DomainError):
         f2_kernel_families(1.5, 1.5, 0.75, 1.2, 1.5,
                            np.array([-0.1]), np.array([-0.1]))
+
+
+@pytest.mark.parametrize("bad", [
+    (math.nan, 0.75, 0.75, 1.5, 1.5, [-0.1], [-0.1]),
+    (2.5, 0.75, math.inf, 1.5, 1.5, [-0.1], [-0.1]),
+    (2.5, 0.75, 0.75, 1.5, 1.5, [-0.1, math.nan], [-0.1, -0.2]),
+    (2.5, 0.75, 0.75, 1.5, 1.5, [-0.1], [math.inf]),
+    (2.5, 0.75, 0.75, 1.5, 1.5, [0.1], [-0.1]),
+    (2.5, 0.75, 0.75, 1.5, 1.5, [[-0.1, -0.2]], [[-0.3, 1.0e-300]]),
+    (2.5, 0.75, 0.75, 0.0, 1.5, [-0.1], [-0.1]),
+    (2.5, 0.75, 0.75, 1.5, -2.0, [-0.1], [-0.1]),
+    (2.5, 0.75, 0.75, -1.0, 1.5, [-0.1], [math.nan]),
+    (2.5, -0.75, 0.75, 1.5, 1.5, [0.1], [-0.1]),
+])
+def test_f2_kernel_families_checks_scalar_parameters_like_f2(bad):
+    # the scalar checks raise the DomainError of the broadcast F2 checks
+    with pytest.raises(DomainError) as want:
+        specfun._f2_arguments(*bad)
+    with pytest.raises(DomainError) as got:
+        f2_kernel_families(*bad[:5], np.array(bad[5]), np.array(bad[6]))
+    assert str(got.value) == str(want.value)
 
 
 def test_gauss_rule_integrates_jacobi_moments():
