@@ -8,6 +8,9 @@ z = 1 with the Gauss summation handling z = 1 itself).  It broadcasts
 a, b, c and z and hands the points of every distinct parameter set to the
 batched route ``_gauss_2f1_sets``, which takes many parameter sets over
 one argument array, so that all their series share one loop over terms.
+It gives values only; ``_kernel_gauss`` gives the kernel's inner 2F1 with
+its neighbour at z <= 0 (see below).  Beneath both, every series stage
+returns a value with its slope.
 ``appell_f2`` continues the F2 double series to the third
 quadrant x <= 0, y <= 0, which is the regime produced by the chord
 variables of the fundamental solution.
@@ -65,18 +68,19 @@ integrates the other exactly (DLMF 15.6.1): for x outer, A = 1 - x s,
         = A^(-a-1) B(b2, c2-b2) F(a+1, b2; c2; y/A),
 
 and the t moment takes F(a+1, b2+1; c2+1; y/A), which Pfaff's map turns
-into the slope of the same series.  At 0 <= y/A the map gives
-G = F(c2-a-1, b2; c2; w); for the main family at alpha = beta, c2 - a - 1
-= -1 and the series stops after two terms.  At alpha != beta each set's G
-and G' come from piecewise quintic Hermite tables on uniform cells, built
-once per set from the series and the hypergeometric equation (the direct
-function up to w = 3/4, the connection formula's two series beyond).
-Each outer node thus costs one 2F1 value with its slope.  The outer axis
-is sized per half-octave bin of |u| by Bernstein's ellipse bound for the
-integrand's singularities at s = -1/|u|, 0 and 1 (``_kernel_panels``):
-one two-sided Gauss-Jacobi panel of 7 to 18 points up to |u| = 2^1.5, and
-beyond, Gauss-Jacobi end panels with Gauss-Legendre panels in sigma =
-ln s between, 27 nodes at |u| = 4, 66 at 1e3 and 119 at 2^33.
+into the slope of the same series; one ``_kernel_gauss`` call per chunk of
+nodes gives both.  For y/A <= 0 the map gives G = F(c2-a-1, b2; c2; w); for
+the main family at alpha = beta, c2 - a - 1 = -1 and the series stops after
+two terms.  At alpha != beta each set's G and G' come from piecewise quintic
+Hermite tables on uniform cells, built once per set from the series and the
+hypergeometric equation (the direct function up to w = 3/4, the connection
+formula's two series beyond).  Each outer node thus costs one 2F1 value with
+its slope.  The outer axis is sized per half-octave bin of |u| by Bernstein's
+ellipse bound for the integrand's singularities at s = -1/|u|, 0 and 1
+(``_kernel_panels``): one two-sided Gauss-Jacobi panel of 7 to 18 points up
+to |u| = 2^1.5, and beyond, Gauss-Jacobi end panels with Gauss-Legendre
+panels in sigma = ln s between, 27 nodes at |u| = 4, 66 at 1e3 and 119 at
+2^33.
 
 Log-gamma comes from the library (``math.lgamma``, mapped over arrays).
 Gauss rules come from ``jacobi_rules`` by Golub-Welsch.  ``gauss_rule``,
@@ -201,8 +205,8 @@ def _runs(counts):
 _BUCKETS = np.arange(-55 * _SERIES_BUCKETS, 10 * _SERIES_BUCKETS + 1)
 _BUCKET_TOPS = np.exp2(-np.exp2(_BUCKETS / _SERIES_BUCKETS))[::-1].copy()
 
-# The tables of _series_tables by (a, b, c, terms, moment), least recently
-# used first; every _series_degrees call that returns leaves at most
+# The tables of _series_tables by (a, b, c, terms), least recently used
+# first; every _series_degrees call that returns leaves at most
 # _SERIES_TABLES_MAX of them.
 _SERIES_TABLES: dict = {}
 _SERIES_TABLES_MAX = 64
@@ -214,7 +218,7 @@ def _trim_series_tables():
         del _SERIES_TABLES[key]
 
 
-def _series_tables(params, terms: int, moment: bool):
+def _series_tables(params, terms: int):
     """(ratios, first, degrees) of the direct series of every set (a, b, c)
     of ``params``, built in one pass: the term ratios
     (a+m)(b+m)/((c+m)(m+1)), m < ``terms``, and the a priori degree of
@@ -222,12 +226,12 @@ def _series_tables(params, terms: int, moment: bool):
     half its length or short of its end at MAX_TERMS.
 
     A degree N admits |z| when every term t_n past N up to the table's end
-    stays below SERIES_RTOL / 4 (1 - |z|) of t_0, and with ``moment`` n t_n
-    below as much of t_1 as well.  Past the coefficients' first irregular
-    stretch the largest such |z| of a single term grows with its index, so
-    a longer table leaves the degrees of a shorter one as they are.  Every
-    step is elementwise along a set's row or a sum along it, so a set's
-    table is bitwise the same in any batch.  Returns read-only arrays.
+    stays below SERIES_RTOL / 4 (1 - |z|) of t_0, and n t_n below as much of
+    t_1.  Past the coefficients' first irregular stretch the largest such |z|
+    of a single term grows with its index, so a longer table leaves the
+    degrees of a shorter one as they are.  Every step is elementwise along a
+    set's row or a sum along it, so a set's table is bitwise the same in any
+    batch.  Returns read-only arrays.
     """
     a, b, c = (np.array(v)[:, None] for v in zip(*params))
     m = np.arange(terms, dtype=float)
@@ -239,10 +243,9 @@ def _series_tables(params, terms: int, moment: bool):
     # each term against t_0 = 1 over the power m + 1 of z, and n t_n against
     # t_1 = ratio_0 z over the power m; t_1 itself is never small against
     # itself
-    bounds = [(log_coef, m + 1.0)]
-    if moment:
-        bounds.append((log_coef + np.log2(m + 1.0) - log_coef[:, :1],
-                       np.maximum(m, 0.5)))
+    bounds = [(log_coef, m + 1.0),
+              (log_coef + np.log2(m + 1.0) - log_coef[:, :1],
+               np.maximum(m, 0.5))]
     reach = np.ones(ratio.shape)
     for log_size, power in bounds:
         # two conservative steps to the fixed point |size| r^power = tol (1-r)
@@ -251,8 +254,7 @@ def _series_tables(params, terms: int, moment: bool):
             r = np.exp2(np.minimum((log_tol + np.log2(1.0 - np.minimum(
                 r, 0.5 + 0.5 * Z_SERIES_MAX)) - log_size) / power, 0.0))
         reach = np.minimum(reach, r)
-    if moment:
-        reach[:, 0] = 0.0
+    reach[:, 0] = 0.0
     admits = np.minimum.accumulate(reach[:, ::-1], axis=1)[:, ::-1]
     # the degree of bucket j counts the terms whose admitted |z| lies below
     # the bucket's top, that is the terms past the first top above it
@@ -274,10 +276,10 @@ def _series_tables(params, terms: int, moment: bool):
     return out
 
 
-def _series_degrees(params, counts, size: np.ndarray, moment: bool):
+def _series_degrees(params, counts, size: np.ndarray):
     """The a priori degree of each point of the direct series at |z| =
-    ``size`` < 1 (of the sum of n t_n too with ``moment``), and the term
-    ratios of every set as a (terms, sets) table.
+    ``size`` < 1, for the sums of t_n and of n t_n, and the term ratios of
+    every set as a (terms, sets) table.
 
     Each set starts from a 64-term table and doubles it until the table
     serves its smallest bucket; the tables that _SERIES_TABLES misses are
@@ -297,7 +299,7 @@ def _series_degrees(params, counts, size: np.ndarray, moment: bool):
     while todo:
         missing = {}
         for i, terms in list(todo.items()):
-            while (key := (*params[i], terms, moment)) in _SERIES_TABLES:
+            while (key := (*params[i], terms)) in _SERIES_TABLES:
                 # a hit moves to the most recently used end
                 table = _SERIES_TABLES[key] = _SERIES_TABLES.pop(key)
                 if table[1] <= least[i]:
@@ -314,7 +316,7 @@ def _series_degrees(params, counts, size: np.ndarray, moment: bool):
                 todo[i] = terms
         for terms, keys in missing.items():
             _SERIES_TABLES.update(zip(keys, _series_tables(
-                [key[:3] for key in keys], terms, moment)))
+                [key[:3] for key in keys], terms)))
     _trim_series_tables()
     ratios = []
     for (ratio, first, degrees), (lo, hi) in zip(found, runs):
@@ -326,11 +328,10 @@ def _series_degrees(params, counts, size: np.ndarray, moment: bool):
     return degree, table
 
 
-def _hyp2f1_series(params, counts, z: np.ndarray,
-                   moment: bool = False) -> np.ndarray:
+def _hyp2f1_series(params, counts, z: np.ndarray) -> np.ndarray:
     """Direct 2F1 power series over a 1-d array z, |z| < 1, in runs of
-    ``counts`` points per set of ``params``; with ``moment``, a (2, points)
-    array of the sums of t_n and of n t_n over the terms t_n.
+    ``counts`` points per set of ``params``: a (2, points) array of the
+    sums of t_n and of n t_n over the terms t_n.
 
     Each point sums its terms up to its own degree (``_series_degrees``),
     with the roundings of term *= ratio_n z, total += term, whether in a
@@ -339,7 +340,7 @@ def _hyp2f1_series(params, counts, z: np.ndarray,
     bitwise the same in any batch.  The points run in order of falling
     degree, so the ones still summing are a leading slice.
     """
-    degree, table = _series_degrees(params, counts, np.abs(z), moment)
+    degree, table = _series_degrees(params, counts, np.abs(z))
     which = np.repeat(np.arange(len(params)), counts)
     # falling degree: a one-byte key sorts fast; the few points past 255
     # terms are put in order among themselves
@@ -366,9 +367,8 @@ def _hyp2f1_series(params, counts, z: np.ndarray,
             np.multiply(z[:k], ratio, out=step[:k])
             term[:k] *= step[:k]
             total[:k] += term[:k]
-            if moment:
-                np.multiply(term[:k], m + 1.0, out=step[:k])
-                first[:k] += step[:k]
+            np.multiply(term[:k], m + 1.0, out=step[:k])
+            first[:k] += step[:k]
             m += 1
             continue
         # rows: the terms m .. end of each point, and its row at its degree
@@ -380,10 +380,9 @@ def _hyp2f1_series(params, counts, z: np.ndarray,
         term[:k] = terms.take(last)
         total[:k] = np.add.accumulate(np.concatenate(
             (total[None, :k], terms[1:])), axis=0).take(last)
-        if moment:
-            terms[1:] *= np.arange(m + 1.0, end + 1.0)[:, None]
-            terms[0] = first[:k]
-            first[:k] = np.add.accumulate(terms, axis=0).take(last)
+        terms[1:] *= np.arange(m + 1.0, end + 1.0)[:, None]
+        terms[0] = first[:k]
+        first[:k] = np.add.accumulate(terms, axis=0).take(last)
         m = end
     # a sum well below its leading term goes on until its last term is small
     going = np.flatnonzero(np.abs(total) < 0.25)
@@ -404,9 +403,9 @@ def _hyp2f1_series(params, counts, z: np.ndarray,
             degree[going] += 1
         keep = np.abs(term[going]) > rtol[going] * np.abs(total[going])
         going, a, b, c = going[keep], a[keep], b[keep], c[keep]
-    out = np.empty((2, z.size) if moment else z.size)
-    for row, value in zip(out.reshape(-1, z.size), (total, first)):
-        row[order] = value
+    out = np.empty((2, z.size))
+    out[0, order] = total
+    out[1, order] = first
     return out
 
 
@@ -464,25 +463,25 @@ def _hyp2f1_connection(a: float, b: float, c: float, u: np.ndarray,
                        first: np.ndarray, second: np.ndarray) -> np.ndarray:
     """2F1 at z = 1 - u, 0 < u < 1 - Z_SWITCH, by the 1-z connection
     formula, from the direct series of its two terms at u, ``first`` and
-    ``second`` (zero where the coefficient vanishes).  Series given as the
-    sums of t_n give the values; given as (2, points) arrays of the sums of
-    t_n and of n t_n they give a (2, points) array of the values and their
-    z-derivatives.  The caller forms u itself, so that a z near 1 reached
-    from a map keeps the digits of u."""
+    ``second``, each a (2, points) array of the sums of t_n and of n t_n
+    (zero where the coefficient vanishes): a (2, points) array of the
+    values and their z-derivatives.  The caller forms u itself, so that a
+    z near 1 reached from a map keeps the digits of u."""
     c1, c2 = _connection_coefficients(a, b, c)
     s = c - a - b
     power = np.power(u, s)
-    out = c1 * first + c2 * power * second
-    if first.ndim == 2:
-        # d/dz = -d/du, and u dS/du is the sum of n t_n
-        out[1] = -(c1 * first[1] / u
-                   + c2 * (power / u) * (s * second[0] + second[1]))
-    return out
+    # d/dz = -d/du, and u dS/du is the sum of n t_n; at s < 1 the slope
+    # grows as u^(s-1) and may overflow where the value does not
+    with np.errstate(over="ignore"):
+        slope = -(c1 * first[1] / u
+                  + c2 * (power / u) * (s * second[0] + second[1]))
+    return np.array((c1 * first[0] + c2 * power * second[0], slope))
 
 
+@functools.lru_cache(maxsize=256)
 def _terminating(a: float, b: float) -> int | None:
     """The last term index of a series that a nonpositive integer a or b
-    stops, else None."""
+    stops, else None.  Cached: the kernel asks for its sets chunk by chunk."""
     stops = [-round(v) for v in (a, b) if _is_nonpos_int(v)]
     return int(min(stops)) if stops else None
 
@@ -494,11 +493,10 @@ def _positions(pick: np.ndarray, lo: int):
             else lo + np.flatnonzero(pick))
 
 
-def _hyp2f1_unit(params, counts, z: np.ndarray, u: np.ndarray,
-                 slope: bool = False) -> np.ndarray:
+def _hyp2f1_unit(params, counts, z: np.ndarray, u: np.ndarray) -> np.ndarray:
     """2F1 on 0 <= z < 1 with u = 1 - z given, in runs of ``counts`` points
-    per set of ``params``; with ``slope``, a (2, points) array of the
-    values and their z-derivatives.
+    per set of ``params``: a (2, points) array of the values and their
+    z-derivatives.
 
     A series that its set stops is summed as it stands (at any z);
     otherwise the direct series on [0, Z_SWITCH] and the connection formula
@@ -507,7 +505,7 @@ def _hyp2f1_unit(params, counts, z: np.ndarray, u: np.ndarray,
     series, the connection formula's two included, runs in one
     ``_hyp2f1_series`` call.
     """
-    out = np.empty((2, z.size) if slope else z.size)
+    out = np.empty((2, z.size))
     direct, linked = [], []  # (set, points) by the series, by connection
     for (a, b, c), (lo, hi) in zip(params, _runs(counts)):
         n_stop = _terminating(a, b)
@@ -519,11 +517,8 @@ def _hyp2f1_unit(params, counts, z: np.ndarray, u: np.ndarray,
                 term = term * ((a + m) * (b + m) * zi / ((c + m) * (m + 1)))
                 total = total + term
                 first = first + (m + 1.0) * term
-            if slope:
-                out[0, lo:hi] = total
-                out[1, lo:hi] = _slope(a, b, c, zi, first)
-            else:
-                out[lo:hi] = total
+            out[0, lo:hi] = total
+            out[1, lo:hi] = _slope(a, b, c, zi, first)
             continue
         s = c - a - b
         series = zi <= (Z_SERIES_MAX if abs(s - round(s)) <= EXCESS_INT_TOL
@@ -545,20 +540,17 @@ def _hyp2f1_unit(params, counts, z: np.ndarray, u: np.ndarray,
     if not sets:
         return out
     sizes = [v.size for v in args]
-    sums = iter(np.split(_hyp2f1_series(sets, sizes, np.concatenate(args),
-                                        slope), np.cumsum(sizes)[:-1],
-                         axis=-1))
+    sums = iter(np.split(_hyp2f1_series(sets, sizes, np.concatenate(args)),
+                         np.cumsum(sizes)[:-1], axis=1))
     for (a, b, c), place in direct:
         value = next(sums)
-        if slope:
-            value[1] = _slope(a, b, c, z[place], value[1])
-        out[..., place] = value
+        value[1] = _slope(a, b, c, z[place], value[1])
+        out[:, place] = value
     for p, place in linked:
         ui = u[place]
-        first, second = (next(sums) if coeff != 0.0 else
-                         np.zeros((2, ui.size) if slope else ui.size)
+        first, second = (next(sums) if coeff != 0.0 else np.zeros((2, ui.size))
                          for coeff in _connection_coefficients(*p))
-        out[..., place] = _hyp2f1_connection(*p, ui, first, second)
+        out[:, place] = _hyp2f1_connection(*p, ui, first, second)
     return out
 
 
@@ -616,7 +608,8 @@ def _build_gauss_tables(params):
     The values and slopes at the knots of all sets come from one
     ``_hyp2f1_series`` call; the second and third derivatives from the
     hypergeometric equation x (1-x) y'' = A B y - (C - (A+B+1) x) y' and its
-    derivative, and at x = 0 from the series' coefficients."""
+    derivative, and at x = 0 from the series' coefficients.  The series
+    tables the call adds serve it alone and are dropped once it returns."""
     knots = np.arange(_GAUSS_CELLS + 1) / _GAUSS_CELLS
     spans, sets = [], []
     for a, b, c in params:
@@ -624,8 +617,11 @@ def _build_gauss_tables(params):
         spans += [_GAUSS_SWITCH, 1.0 - _GAUSS_SWITCH, 1.0 - _GAUSS_SWITCH]
         sets += [(a, b, c), (a, b, 1.0 - s), (c - a, c - b, 1.0 + s)]
     x = np.array(spans)[:, None] * knots
-    y, first = _hyp2f1_series(sets, [knots.size] * len(sets), x.ravel(),
-                              moment=True).reshape(2, len(sets), knots.size)
+    kept = set(_SERIES_TABLES)
+    y, first = _hyp2f1_series(sets, [knots.size] * len(sets),
+                              x.ravel()).reshape(2, len(sets), knots.size)
+    for key in [key for key in _SERIES_TABLES if key not in kept]:
+        del _SERIES_TABLES[key]
     a, b, c = (np.array(v)[:, None] for v in zip(*sets))
     dy = np.divide(first, x, out=np.broadcast_to(a * b / c, x.shape).copy(),
                    where=x != 0.0)
@@ -686,94 +682,80 @@ def _quintic_at(coef, t):
     return out
 
 
-def _hyp2f1_tabled(params, counts, z, u):
-    """``_hyp2f1_unit`` with slopes, with the sets that ``_gauss_tables``
-    serves read from their tables: G and G' up to z = _GAUSS_SWITCH, beyond
-    it the connection formula from its series' tables at u.  Every value is
-    an elementwise function of its own point, so it is bitwise the same in
-    any batch."""
-    tables = _gauss_tables(params)
-    if all(table is None for table in tables):
-        return _hyp2f1_unit(params, counts, z, u, slope=True)
-    out = np.empty((2, z.size))
-    rest_sets, rest_runs = [], []
-    for p, table, (lo, hi) in zip(params, tables, _runs(counts)):
-        if table is None:
-            rest_sets.append(p)
-            rest_runs.append((lo, hi))
-            continue
-        direct, linked = table
-        near = z[lo:hi] <= _GAUSS_SWITCH
-        place = _positions(near, lo)
-        out[:, place] = _quintic_at(
-            direct, z[place] * (_GAUSS_CELLS / _GAUSS_SWITCH))
-        if near.all():
-            continue
-        place = _positions(~near, lo)
-        ui = u[place]
-        series = _quintic_at(linked,
-                             ui * (_GAUSS_CELLS / (1.0 - _GAUSS_SWITCH)))
-        # the connection formula takes each series with u times its slope
-        series[1::2] *= ui
-        out[:, place] = _hyp2f1_connection(*p, ui, series[:2], series[2:])
-    if rest_sets:
-        rest = np.concatenate([np.arange(lo, hi) for lo, hi in rest_runs])
-        sizes = [hi - lo for lo, hi in rest_runs]
-        out[:, rest] = _hyp2f1_unit(rest_sets, sizes, z[rest], u[rest],
-                                    slope=True)
-    return out
-
-
-def _gauss_2f1_negative(params, counts, z, neighbours: bool = False,
-                        tables: bool = False):
-    """2F1(a, b; c; z) over a 1-d array of z <= 0, in runs of ``counts``
-    points per set (a, b, c) of ``params``, none of which a nonpositive
-    integer a or b stops; with ``neighbours``, a (2, points) array of the
-    values and of each set's neighbour F(a, b+1; c+1; z).
+def _kernel_gauss(params, counts, z):
+    """The inner Gauss function of ``f2_kernel_families``: 2F1(a, b; c; z)
+    and its neighbour F(a, b+1; c+1; z) over a 1-d array of z <= 0, in runs
+    of ``counts`` points per set (a, b, c) of ``params``, as (2, points).
 
     Pfaff's map F(a,b;c;z) = (1-z)^(-b) G(w), G = F(c-a, b; c; w),
     w = z/(z-1), takes every point to 0 <= w < 1, whose complement 1 - w is
     formed as 1/(1-z), not by a subtraction that would lose its digits at
-    large |z|; ``_hyp2f1_unit`` sums G for all sets in one call, or with
-    ``tables`` ``_hyp2f1_tabled`` reads G and G' from tables where it can.
-    The neighbour maps to (1-z)^(-b-1) c G'(w) / ((c-a) b), from the slope
-    of G on the same series terms; a set with c = a, whose G is 1, takes it
-    from ``_gauss_2f1_sets`` for the neighbour's set instead.  Each value
-    is bitwise the same in any batch.
+    large |z|; the neighbour is (1-z)^(-b-1) c G'(w) / ((c-a) b).  G and G'
+    come from the tables of ``_gauss_tables`` where they serve the mapped
+    set, else from one ``_hyp2f1_unit`` call for all other sets (on the
+    whole arrays when every set is summed, as at alpha = beta).  A set that a
+    nonpositive integer a or b stops, or with c = a, takes both from
+    ``_gauss_2f1_sets``.  Each value is bitwise the same in any batch.
     """
     q = 1.0 - z
-    args = ([(c - a, b, c) for a, b, c in params], counts, z / (z - 1.0),
-            1.0 / q)
-    values = (_hyp2f1_tabled(*args) if tables
-              else _hyp2f1_unit(*args, neighbours).reshape(-1, z.size))
-    out = np.empty((2, z.size) if neighbours else (1, z.size))
-    for (a, b, c), (lo, hi) in zip(params, _runs(counts)):
-        rest = np.power(q[lo:hi], -b)
-        out[0, lo:hi] = rest * values[0, lo:hi]
-        if not neighbours:
-            continue
-        if (c - a) * b != 0.0:
-            out[1, lo:hi] = (rest / q[lo:hi] * (c / ((c - a) * b))
-                             * values[1, lo:hi])
+    w, u = z / (z - 1.0), 1.0 / q
+    mapped = [(c - a, b, c) for a, b, c in params]
+    tables = _gauss_tables(mapped)
+    special = [c == a or _terminating(a, b) is not None for a, b, c in params]
+    runs = list(_runs(counts))
+    # the sets whose G is summed: neither tabled nor special
+    series = [i for i, (table, odd) in enumerate(zip(tables, special))
+              if table is None and not odd]
+    if len(series) == len(params):
+        values = _hyp2f1_unit(mapped, counts, w, u)
+    else:
+        values = np.empty((2, z.size))
+        if series:
+            rest = np.concatenate([np.arange(*runs[i]) for i in series])
+            values[:, rest] = _hyp2f1_unit(
+                [mapped[i] for i in series], [counts[i] for i in series],
+                w[rest], u[rest])
+        for p, table, (lo, hi) in zip(mapped, tables, runs):
+            if table is None:
+                continue
+            direct, linked = table
+            near = w[lo:hi] <= _GAUSS_SWITCH
+            place = _positions(near, lo)
+            values[:, place] = _quintic_at(
+                direct, w[place] * (_GAUSS_CELLS / _GAUSS_SWITCH))
+            if near.all():
+                continue
+            place = _positions(~near, lo)
+            ui = u[place]
+            terms = _quintic_at(linked,
+                                ui * (_GAUSS_CELLS / (1.0 - _GAUSS_SWITCH)))
+            # the connection formula takes each series with u times its slope
+            terms[1::2] *= ui
+            values[:, place] = _hyp2f1_connection(*p, ui, terms[:2],
+                                                  terms[2:])
+    for (a, b, c), odd, (lo, hi) in zip(params, special, runs):
+        if odd:
+            values[:, lo:hi] = _gauss_2f1_sets(
+                [(a, b, c), (a, b + 1.0, c + 1.0)], [hi - lo] * 2,
+                np.tile(z[lo:hi], 2)).reshape(2, hi - lo)
         else:
-            out[1, lo:hi] = _gauss_2f1_sets([(a, b + 1.0, c + 1.0)],
-                                            [hi - lo], z[lo:hi])
-    return out if neighbours else out[0]
+            rest = np.power(q[lo:hi], -b)
+            values[0, lo:hi] *= rest
+            values[1, lo:hi] *= rest / q[lo:hi] * (c / ((c - a) * b))
+    return values
 
 
-def _gauss_2f1_sets(params, counts, z, neighbours: bool = False):
+def _gauss_2f1_sets(params, counts, z):
     """Gauss hypergeometric 2F1(a, b; c; z) over a 1-d array of z <= 1, in
-    runs of ``counts`` points per set (a, b, c) of ``params``; with
-    ``neighbours``, a (2, points) array of the values and of each set's
-    neighbour F(a, b+1; c+1; z).
+    runs of ``counts`` points per set (a, b, c) of ``params``.
 
     Strategy: a series that a nonpositive integer a or b stops is summed
-    as it stands; z = 1 takes Gauss summation; z < 0 takes Pfaff's map in
-    ``_gauss_2f1_negative``, for the mapped points of every set in one
-    call; on 0 <= z < 1 ``_hyp2f1_unit`` takes over, for the unmapped
-    points of every set in one call.  The neighbour of an unmapped point
-    comes from a call for the neighbour's set.  Each value is bitwise the
-    same in any batch.
+    as it stands; z = 1 takes Gauss summation; z < 0 takes Pfaff's map
+    F(a,b;c;z) = (1-z)^(-b) F(c-a, b; c; w), w = z/(z-1), to 0 <= w < 1,
+    whose complement 1 - w is formed as 1/(1-z), not by a subtraction that
+    would lose its digits at large |z|.  ``_hyp2f1_unit`` takes the points
+    on 0 <= z < 1 and the mapped points of every set in one call.  Each
+    value is bitwise the same in any batch.
 
     Raises DomainError for z > 1, non-finite z or a nonpositive integer c,
     and DivergenceError at z = 1 when c - a - b <= 0.
@@ -785,42 +767,35 @@ def _gauss_2f1_sets(params, counts, z, neighbours: bool = False):
         raise DomainError(f"gauss_2f1 defined for z <= 1, got z = {z.max()}")
     if any(_is_nonpos_int(c) for _, _, c in params):
         raise DomainError("gauss_2f1: c must not be a nonpositive integer")
-    out = np.empty((2, z.size) if neighbours else (1, z.size))
-    # requests by the unit interval and by Pfaff's map: sets and points
-    plain_sets, plain_places = [], []
-    mapped_sets, mapped_places = [], []
+    out = np.empty(z.size)
+    # _hyp2f1_unit's requests: (set, places, z, 1 - z, Pfaff's factor or 1)
+    requests = []
     for (a, b, c), (lo, hi) in zip(params, _runs(counts)):
         zi = z[lo:hi]
-        # terminating series bypass every transformation
-        stops = _terminating(a, b) is not None
-        mapped = (zi < 0.0) & (not stops)
-        plain = ~mapped if stops else (zi >= 0.0) & (zi < 1.0)
-        one = ~(mapped | plain)
+        if _terminating(a, b) is not None:
+            # terminating series bypass every transformation
+            requests.append(((a, b, c), slice(lo, hi), zi, 1.0 - zi, 1.0))
+            continue
+        one = zi == 1.0
         if one.any():
-            out[0, lo + np.flatnonzero(one)] = gauss_2f1_at_one(a, b, c)
-        if neighbours and not mapped.all():
-            place = _positions(~mapped, lo)
-            out[1, place] = _gauss_2f1_sets([(a, b + 1.0, c + 1.0)],
-                                            [z[place].size], z[place])
-        for sets, places, pick in ((plain_sets, plain_places, plain),
-                                   (mapped_sets, mapped_places, mapped)):
-            if pick.any():
-                sets.append((a, b, c))
-                places.append(_positions(pick, lo))
-    if plain_sets:
-        sizes = [z[place].size for place in plain_places]
-        zs = np.concatenate([z[place] for place in plain_places])
-        values = _hyp2f1_unit(plain_sets, sizes, zs, 1.0 - zs)
-        for place, (lo, hi) in zip(plain_places, _runs(sizes)):
-            out[0, place] = values[lo:hi]
-    if mapped_sets:
-        sizes = [z[place].size for place in mapped_places]
-        zs = np.concatenate([z[place] for place in mapped_places])
-        values = _gauss_2f1_negative(mapped_sets, sizes, zs,
-                                     neighbours).reshape(-1, zs.size)
-        for place, (lo, hi) in zip(mapped_places, _runs(sizes)):
-            out[:, place] = values[:, lo:hi]
-    return out if neighbours else out[0]
+            out[lo + np.flatnonzero(one)] = gauss_2f1_at_one(a, b, c)
+        plain, mapped = (zi >= 0.0) & ~one, zi < 0.0
+        if plain.any():
+            place = _positions(plain, lo)
+            requests.append(((a, b, c), place, z[place], 1.0 - z[place], 1.0))
+        if mapped.any():
+            place = _positions(mapped, lo)
+            q = 1.0 - z[place]
+            requests.append(((c - a, b, c), place, z[place] / (z[place] - 1.0),
+                             1.0 / q, np.power(q, -b)))
+    if requests:
+        sets, places, args, comps, factors = zip(*requests)
+        sizes = [v.size for v in args]
+        values = _hyp2f1_unit(sets, sizes, np.concatenate(args),
+                              np.concatenate(comps))[0]
+        for place, factor, (lo, hi) in zip(places, factors, _runs(sizes)):
+            out[place] = factor * values[lo:hi]
+    return out
 
 
 def gauss_2f1(a, b, c, z):
@@ -890,9 +865,8 @@ def appell_f2_series_sets(a, b1, b2, c1, c2, x, y) -> np.ndarray:
     row underflows before the sum has converged, or once a sum reaches
     MAX_TERMS rows or a row MAX_TERMS terms.
     """
-    args = _f2_arguments(a, b1, b2, c1, c2, x, y, disk=True)
-    shape = args[0].shape
-    a, b1, b2, c1, c2, x, y = (v.ravel() for v in args)
+    shape, args = _f2_arguments(a, b1, b2, c1, c2, x, y, disk=True)
+    a, b1, b2, c1, c2, x, y = (v.ravel() for v in np.broadcast_arrays(*args))
     out = np.empty(x.size)
     live = np.arange(x.size)  # the points still summing, and their state:
     total = np.zeros(x.size)
@@ -1358,22 +1332,26 @@ def _f2_euler_many(a, b1, b2, c1, c2, x, y) -> np.ndarray:
 
 
 def _f2_arguments(a, b1, b2, c1, c2, x, y, disk: bool = False):
-    """The seven F2 arguments as float arrays of one broadcast shape;
-    raises DomainError unless they broadcast, are finite, no c is a
-    nonpositive integer and x, y <= 0 (with ``disk``, |x| + |y| < 1)."""
+    """The broadcast shape of the seven F2 arguments, and the arguments:
+    each of the five parameters a Python float where it is a scalar, else
+    a float array, and x and y float arrays.  Raises DomainError unless
+    they broadcast, are finite, no c is a nonpositive integer and x, y <= 0
+    (with ``disk``, |x| + |y| < 1)."""
     args = [np.asarray(v, dtype=float) for v in (a, b1, b2, c1, c2, x, y)]
-    # checked before broadcasting, so scalar parameters are checked once
-    if not all(np.all(np.isfinite(v)) for v in args):
+    args[:5] = [v.item() if v.ndim == 0 else v for v in args[:5]]
+    # checked before broadcasting, scalar parameters as floats
+    if not all(math.isfinite(v) if type(v) is float else np.isfinite(v).all()
+               for v in args):
         raise DomainError("F2 arguments must be finite")
-    if not disk and (np.any(args[5] > 0.0) or np.any(args[6] > 0.0)):
+    if not disk and ((args[5] > 0.0).any() or (args[6] > 0.0).any()):
         raise DomainError("appell_f2 is defined for x <= 0 and y <= 0")
     for c in args[3:5]:
-        if np.any((c <= 0.5) & (np.abs(c - np.round(c))
-                                < _INT_TOL * np.maximum(1.0, np.abs(c)))):
+        if any(map(_is_nonpos_int,
+                   [c] if type(c) is float else c.ravel().tolist())):
             raise DomainError(
                 "appell_f2: c parameters must not be nonpositive integers")
     try:
-        args = np.broadcast_arrays(*args)
+        shape = np.broadcast(*args).shape
     except ValueError:
         raise DomainError("F2 arguments must broadcast to one shape") from None
     if disk:
@@ -1381,7 +1359,7 @@ def _f2_arguments(a, b1, b2, c1, c2, x, y, disk: bool = False):
         if np.any(radius >= 1.0):
             raise DomainError("F2 series requires |x| + |y| < 1 "
                               f"(got {radius.max()})")
-    return args
+    return shape, args
 
 
 def f2_kernel_families(a: float, b1: float, b2: float, c1: float, c2: float,
@@ -1412,47 +1390,38 @@ def f2_kernel_families(a: float, b1: float, b2: float, c1: float, c2: float,
     and the t moment is the same with b2 + 1, c2 + 1: the neighbour of the
     first 2F1.  So every outer node takes A^(-a-1) and one 2F1 value with
     its neighbour at y/A <= 0; the nodes of a chunk, for both choices of
-    the outer axis, take theirs from one ``_gauss_2f1_negative`` call
-    (``_gauss_2f1_sets`` where a nonpositive integer a + 1 stops the
-    series, as at a = -1).  Chunks hold about EULER_CHUNK_BYTES / 8 nodes.
+    the outer axis, take theirs from one ``_kernel_gauss`` call.  Chunks
+    hold about EULER_CHUNK_BYTES / 8 nodes.
 
     Pfaff's map turns each 2F1 into G = F(c-a-1, b; c; w), 0 <= w < 1.  At
-    alpha = beta the main family's G is a two-term series.  Otherwise G is
-    read from its set's tables (``_hyp2f1_tabled``), built once per set from
-    the series and kept with the series tables: a quintic Hermite of G and
-    one of G' on 256 uniform cells up to w = 3/4, and beyond it the
-    connection formula on tables of its two regular series in 1 - w.  A
-    point then costs a cell index, a gather and two degree-5 Horner passes
-    (plus u^s past w = 3/4) instead of 20 to 58 series terms.  A set whose
-    G is no kernel set at alpha != beta, or whose excess c - (c-a-1) - b
-    lies within EXCESS_INT_TOL of an integer (alpha or beta below about
-    0.05), takes the series route of ``_hyp2f1_unit``.
+    alpha = beta the main family's G is a two-term series, summed for the
+    whole chunk in one ``_hyp2f1_unit`` call.  Otherwise G is read from its
+    set's tables (``_gauss_tables``), built once per set from the series
+    and kept with the series tables: a quintic Hermite of G and one of G'
+    on 256 uniform cells up to w = 3/4, and beyond it the connection
+    formula on tables of its two regular series in 1 - w.  A point then
+    costs a cell index, a gather and two degree-5 Horner passes (plus u^s
+    past w = 3/4) instead of 20 to 58 series terms.  A set whose G is no
+    kernel set at alpha != beta, or whose excess c - (c-a-1) - b lies
+    within EXCESS_INT_TOL of an integer (alpha or beta below about 0.05),
+    takes the series route of ``_hyp2f1_unit``; a set that a nonpositive
+    integer a + 1 stops (as at a = -1) takes the values of
+    ``_gauss_2f1_sets``.
 
-    Requires c1 > b1 > 0 and c2 > b2 > 0; the five parameters are checked
-    as scalars.  Each point's values are independent of the batch it is
-    evaluated in.
+    Requires c1 > b1 > 0 and c2 > b2 > 0; the five parameters are scalars,
+    checked as floats by ``_f2_arguments``.  Each point's values are
+    independent of the batch it is evaluated in.
     """
     if np.shape(x) != np.shape(y):
         raise DomainError("F2 arguments x and y must have equal shapes")
-    # the checks of _f2_arguments, with the five parameters as scalars
-    a, b1, b2, c1, c2 = (float(v) for v in (a, b1, b2, c1, c2))
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    if not (all(map(math.isfinite, (a, b1, b2, c1, c2)))
-            and np.isfinite(x).all() and np.isfinite(y).all()):
-        raise DomainError("F2 arguments must be finite")
-    if np.any(x > 0.0) or np.any(y > 0.0):
-        raise DomainError("appell_f2 is defined for x <= 0 and y <= 0")
-    if _is_nonpos_int(c1) or _is_nonpos_int(c2):
-        raise DomainError(
-            "appell_f2: c parameters must not be nonpositive integers")
+    _, (a, b1, b2, c1, c2, x, y) = _f2_arguments(a, b1, b2, c1, c2, x, y)
     if not ((c1 > b1 > 0.0) and (c2 > b2 > 0.0)):
         raise DomainError(
             "f2_kernel_families needs c1 > b1 > 0 and c2 > b2 > 0")
     shape = x.shape
     if x.size == 0:
         return tuple(np.empty(shape) for _ in range(4))
-    x = x.ravel()
-    y = y.ravel()
+    x, y = x.ravel(), y.ravel()
     # the outer axis is y where |y| < |x|; u, v: outer and inner arguments,
     # and the points taken with x outer first, so that the nodes of every
     # chunk come in two runs, one per 2F1 set
@@ -1462,12 +1431,8 @@ def f2_kernel_families(a: float, b1: float, b2: float, c1: float, c2: float,
     u = np.where(y_outer, y[order], x[order])
     v = np.where(y_outer, x[order], y[order])
     # the 2F1 set of the inner integral for x outer and for y outer; the t
-    # moment takes its neighbour.  Every node has z <= 0, so the sets go to
-    # Pfaff's map directly, unless their own a or b stops them
+    # moment takes its neighbour
     sets = [(a + 1.0, b2, c2), (a + 1.0, b1, c1)]
-    gauss = (_gauss_2f1_sets if any(_terminating(p, q) is not None
-                                    for p, q, _ in sets)
-             else functools.partial(_gauss_2f1_negative, tables=True))
     # the outer axes present, end to end, and each point's as a segment
     present, axis = np.unique(2 * _kernel_bins(u) + y_outer,
                               return_inverse=True)
@@ -1489,7 +1454,7 @@ def f2_kernel_families(a: float, b1: float, b2: float, c1: float, c2: float,
         np.power(lead, -a - 1.0, out=lead)
         lead *= w_all[take]
         x_outer = count[~y_outer[lo:hi]].sum()
-        f0, ft = gauss(sets, [x_outer, z.size - x_outer], z, neighbours=True)
+        f0, ft = _kernel_gauss(sets, [x_outer, z.size - x_outer], z)
         f0 *= lead
         ft *= lead
         # one sum over its own nodes per point: a point's values do not
@@ -1522,9 +1487,8 @@ def appell_f2_sets(a, b1, b2, c1, c2, x, y) -> np.ndarray:
     ``appell_f2_series_sets`` on the disk |x| + |y| < 1, and each point's
     value is bitwise the same in any batch.
     """
-    args = _f2_arguments(a, b1, b2, c1, c2, x, y)
-    shape = args[0].shape
-    a, b1, b2, c1, c2, x, y = (v.ravel() for v in args)
+    shape, args = _f2_arguments(a, b1, b2, c1, c2, x, y)
+    a, b1, b2, c1, c2, x, y = (v.ravel() for v in np.broadcast_arrays(*args))
     euler = (c1 > b1) & (b1 > 0.0) & (c2 > b2) & (b2 > 0.0)
     out = np.empty(x.size)
     out[euler] = _f2_euler_many(*(v[euler] for v in (a, b1, b2, c1, c2,

@@ -185,7 +185,7 @@ GAUSS_REFERENCES = json.loads(
                              c["alpha"], c["beta"], c["params"][1]))
 def test_gauss_2f1_matches_frozen_kernel_references(case):
     # the batched route, its scalar wrapper, and the set's values and its
-    # neighbour's on the slope of one series, each within 1e-14
+    # neighbour's from the kernel's inner route, each within 1e-14
     z = np.array(GAUSS_REFERENCES["points"])
     want = np.array([float(v) for v in case["values"]])
     got = gauss_2f1(*case["params"], z)
@@ -195,8 +195,7 @@ def test_gauss_2f1_matches_frozen_kernel_references(case):
     sets = [s["params"] for s in GAUSS_REFERENCES["sets"]]
     if [a, b + 1.0, c + 1.0] in sets:
         shifted = GAUSS_REFERENCES["sets"][sets.index([a, b + 1.0, c + 1.0])]
-        value, neighbour = specfun._gauss_2f1_sets([(a, b, c)], [z.size], z,
-                                                   neighbours=True)
+        value, neighbour = specfun._kernel_gauss([(a, b, c)], [z.size], z)
         assert np.max(np.abs(value - want) / want) <= 1.0e-14
         want = np.array([float(v) for v in shifted["values"]])
         assert np.max(np.abs(neighbour - want) / want) <= 1.0e-14
@@ -221,14 +220,12 @@ def test_gauss_2f1_batch_equals_single_points():
         assert [gauss_2f1(*p, v) for v in zs] == batch.ravel().tolist()
     z = -np.exp(rng.uniform(-7.0, 25.0, 200))
     counts = rng.integers(0, 200, len(sets))
-    mixed = specfun._gauss_2f1_sets(
-        sets, counts, np.concatenate([z[:n] for n in counts]),
-        neighbours=True)
+    mixed = specfun._kernel_gauss(
+        sets, counts, np.concatenate([z[:n] for n in counts]))
     at = 0
     for p, n in zip(sets, counts):
         for j in range(n):
-            single = specfun._gauss_2f1_sets([p], [1], z[j:j + 1],
-                                             neighbours=True)
+            single = specfun._kernel_gauss([p], [1], z[j:j + 1])
             assert np.array_equal(single[:, 0], mixed[:, at])
             at += 1
 
@@ -294,6 +291,17 @@ def test_gauss_2f1_rejects_non_finite_parameters(bad):
         gauss_2f1(0.5, 0.7, 1.5, np.array([-0.3, bad]))
 
 
+def test_gauss_2f1_far_argument_takes_no_warning_from_its_slope():
+    # every series stage returns a slope with its value; past Pfaff's map
+    # at excess s = -1/2 the connection formula's slope grows as u^(s-1)
+    # and overflows at z = -1e300, where the value does not.
+    # F(1/2, 1; 3/2; -x^2) = arctan(x) / x
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = gauss_2f1(0.5, 1.0, 1.5, -1.0e300)
+    assert REL(got, math.atan(1.0e150) / 1.0e150) <= 1.0e-14
+
+
 def test_gauss_2f1_arrays_raise_the_scalar_domain_errors():
     # a z beyond 1 or a nonpositive integer c anywhere in an array call
     with pytest.raises(DomainError):
@@ -304,7 +312,7 @@ def test_gauss_2f1_arrays_raise_the_scalar_domain_errors():
         gauss_2f1(np.array([0.5, 0.6]), 0.5, -1.0, np.array([0.3, -0.2]))
 
 
-def series_table_loop(a, b, c, terms, moment):
+def series_table_loop(a, b, c, terms):
     """One set's (ratios, first, degrees) as the table was built set by set,
     each bucket's degree by a binary search: the reference of the batched
     ``specfun._series_tables``."""
@@ -313,10 +321,8 @@ def series_table_loop(a, b, c, terms, moment):
     log_tol = math.log2(0.25 * specfun.SERIES_RTOL)
     with np.errstate(divide="ignore"):
         log_coef = np.cumsum(np.log2(np.abs(ratio)))
-    bounds = [(log_coef, m + 1.0)]
-    if moment:
-        bounds.append((log_coef + np.log2(m + 1.0) - log_coef[0],
-                       np.maximum(m, 0.5)))
+    bounds = [(log_coef, m + 1.0),
+              (log_coef + np.log2(m + 1.0) - log_coef[0], np.maximum(m, 0.5))]
     reach = np.ones(terms)
     for log_size, power in bounds:
         r = np.exp2(np.minimum((log_tol - log_size) / power, 0.0))
@@ -325,8 +331,7 @@ def series_table_loop(a, b, c, terms, moment):
                 r, 0.5 + 0.5 * specfun.Z_SERIES_MAX)) - log_size) / power,
                 0.0))
         reach = np.minimum(reach, r)
-    if moment:
-        reach[0] = 0.0
+    reach[0] = 0.0
     admits = np.minimum.accumulate(reach[::-1])[::-1]
     buckets = specfun._BUCKETS
     degrees = np.searchsorted(admits, np.exp2(-np.exp2(
@@ -340,27 +345,25 @@ def series_table_loop(a, b, c, terms, moment):
 
 def test_series_tables_batch_equals_one_set_bitwise():
     # a table built with many others is the table built alone, and the
-    # table of the set-by-set loop, for both kinds of degree and lengths up
-    # to MAX_TERMS; among the sets are terminating ones, and ones whose
-    # coefficients grow before they fall
+    # table of the set-by-set loop, for lengths up to MAX_TERMS; among the
+    # sets are terminating ones, and ones whose coefficients grow before
+    # they fall
     rng = np.random.default_rng(42)
     sets = [(float(a), float(b), float(c)) for a, b, c in zip(
         rng.uniform(-3.0, 4.0, 40), rng.uniform(-3.0, 4.0, 40),
         rng.uniform(0.05, 5.0, 40))]
     sets += [(2.5, 0.75, 1.5), (-2.0, 0.5, 1.5), (1.0, 1.0, 2.0)]
     for terms in (64, 512, specfun.MAX_TERMS):
-        for moment in (False, True):
-            batch = specfun._series_tables(sets, terms, moment)
-            for p, (ratio, first, degrees) in zip(sets, batch):
-                for one in (specfun._series_tables([p], terms, moment)[0],
-                            series_table_loop(*p, terms, moment)):
-                    assert np.array_equal(ratio, one[0]) and first == one[1]
-                    assert degrees.dtype == one[2].dtype
-                    assert np.array_equal(degrees, one[2])
+        batch = specfun._series_tables(sets, terms)
+        for p, (ratio, first, degrees) in zip(sets, batch):
+            for one in (specfun._series_tables([p], terms)[0],
+                        series_table_loop(*p, terms)):
+                assert np.array_equal(ratio, one[0]) and first == one[1]
+                assert degrees.dtype == one[2].dtype
+                assert np.array_equal(degrees, one[2])
 
 
-@pytest.mark.parametrize("moment", [False, True])
-def test_series_degrees_batch_equals_one_set_bitwise(monkeypatch, moment):
+def test_series_degrees_batch_equals_one_set_bitwise(monkeypatch):
     # sets that grow their tables to MAX_TERMS (|z| up to 0.994) and sets
     # that stop at 64 terms, all in one call and each in a call alone
     sets = [(0.3, 0.45, 1.2), (1.7, 0.2, 2.6), (0.75, 1.25, 2.1),
@@ -370,13 +373,13 @@ def test_series_degrees_batch_equals_one_set_bitwise(monkeypatch, moment):
     built = []
     build = specfun._series_tables
 
-    def spy(params, terms, moment):
+    def spy(params, terms):
         built.append((len(params), terms))
-        return build(params, terms, moment)
+        return build(params, terms)
 
     monkeypatch.setattr(specfun, "_series_tables", spy)
     specfun._SERIES_TABLES.clear()
-    degree, table = specfun._series_degrees(sets, counts, size, moment)
+    degree, table = specfun._series_degrees(sets, counts, size)
     # every length once, all sets together at 64 terms
     assert built[0] == (len(sets), 64)
     assert built[-1][1] == specfun.MAX_TERMS
@@ -384,16 +387,14 @@ def test_series_degrees_batch_equals_one_set_bitwise(monkeypatch, moment):
     lo = 0
     for i, (p, n) in enumerate(zip(sets, counts)):
         specfun._SERIES_TABLES.clear()
-        one, ratios = specfun._series_degrees([p], [n], size[lo:lo + n],
-                                              moment)
+        one, ratios = specfun._series_degrees([p], [n], size[lo:lo + n])
         assert np.array_equal(degree[lo:lo + n], one)
         assert np.array_equal(table[:ratios.shape[0], i], ratios[:, 0])
         assert not table[ratios.shape[0]:, i].any()
         lo += n
 
 
-@pytest.mark.parametrize("moment", [False, True])
-def test_series_degrees_keeps_a_bounded_cache(moment):
+def test_series_degrees_keeps_a_bounded_cache():
     # one call with more distinct sets than the cache holds leaves the cache
     # at its bound, and every set reads as in a call of its own
     rng = np.random.default_rng(31)
@@ -402,13 +403,11 @@ def test_series_degrees_keeps_a_bounded_cache(moment):
         rng.uniform(0.5, 4.0, 100))]
     size = rng.uniform(0.0, 0.9, 2 * len(sets))
     specfun._SERIES_TABLES.clear()
-    degree, table = specfun._series_degrees(sets, [2] * len(sets), size,
-                                            moment)
+    degree, table = specfun._series_degrees(sets, [2] * len(sets), size)
     assert len(specfun._SERIES_TABLES) == specfun._SERIES_TABLES_MAX == 64
     for i, p in enumerate(sets):
         specfun._SERIES_TABLES.clear()
-        one, ratios = specfun._series_degrees([p], [2], size[2 * i:2 * i + 2],
-                                              moment)
+        one, ratios = specfun._series_degrees([p], [2], size[2 * i:2 * i + 2])
         assert np.array_equal(degree[2 * i:2 * i + 2], one)
         assert np.array_equal(table[:ratios.shape[0], i], ratios[:, 0])
         assert not table[ratios.shape[0]:, i].any()
@@ -1136,9 +1135,9 @@ def test_f2_kernel_families_repeat_builds_no_series_table(monkeypatch):
     built = []
     build = specfun._series_tables
 
-    def spy(params, terms, moment):
+    def spy(params, terms):
         built.extend(params)
-        return build(params, terms, moment)
+        return build(params, terms)
 
     monkeypatch.setattr(specfun, "_series_tables", spy)
     specfun._SERIES_TABLES.clear()
@@ -1217,20 +1216,18 @@ def test_kernel_axis_integrates_the_euler_weight():
             assert abs(np.sum(ws * s) - b / (b + cb)) <= 1.0e-14
 
 
-def test_gauss_2f1_negative_is_the_sets_route_bitwise():
-    # f2_kernel_families calls Pfaff's branch directly; its values and
-    # neighbours are those of _gauss_2f1_sets, which routes its z < 0
-    # points through it, including a set with c = a whose neighbour takes
-    # its own call
+def test_gauss_2f1_negative_is_the_sets_route_bitwise(monkeypatch):
+    # off the tables, the kernel's inner route takes its values by the
+    # Pfaff branch of _gauss_2f1_sets, bit for bit, including a set with
+    # c = a, whose value and neighbour come from _gauss_2f1_sets itself
     rng = np.random.default_rng(34)
     z = -np.exp(rng.uniform(math.log(1.0e-4), math.log(1.0e10), 300))
     sets = [(2.5, 0.75, 1.5), (2.6, 0.9, 1.8), (1.3, 0.6, 1.3)]
     counts = [120, 100, 80]
-    direct = specfun._gauss_2f1_negative(sets, counts, z, neighbours=True)
-    routed = specfun._gauss_2f1_sets(sets, counts, z, neighbours=True)
-    assert np.array_equal(direct, routed)
-    assert np.array_equal(specfun._gauss_2f1_negative(sets, counts, z),
-                          specfun._gauss_2f1_sets(sets, counts, z))
+    monkeypatch.setattr(specfun, "_gauss_tables",
+                        lambda params: [None] * len(params))
+    direct = specfun._kernel_gauss(sets, counts, z)
+    assert np.array_equal(direct[0], specfun._gauss_2f1_sets(sets, counts, z))
     # c = a: F(a, b; a; z) = (1 - z)^(-b), and its neighbour
     # F(a, b+1; a+1; z) against the scalar route
     lo = sum(counts[:2])
@@ -1275,8 +1272,7 @@ def test_gauss_tables_match_frozen_references(case):
     assert specfun._gauss_tables([(c - a, b, c)])[0] is not None
     z = np.array(GAUSS_TABLE_REFERENCES["points"])
     sets = {tuple(s["params"]): s for s in GAUSS_TABLE_REFERENCES["sets"]}
-    value, neighbour = specfun._gauss_2f1_negative(
-        [(a, b, c)], [z.size], z, neighbours=True, tables=True)
+    value, neighbour = specfun._kernel_gauss([(a, b, c)], [z.size], z)
     for got, ref in ((value, case),
                      (neighbour, sets[(a, b + 1.0, c + 1.0)])):
         want = np.array([float(v) for v in ref["values"]])
@@ -1284,7 +1280,7 @@ def test_gauss_tables_match_frozen_references(case):
 
 
 @pytest.mark.parametrize("alpha, beta", TABLE_PARAMS)
-def test_gauss_tables_match_the_series_route(alpha, beta):
+def test_gauss_tables_match_the_series_route(monkeypatch, alpha, beta):
     # against the series route at log-uniform z from -1e-6 to -1e14 and at
     # w uniform on [0.3, 0.95], both sides of the switch: measured 2.8e-15
     # for values and 1.5e-14 for neighbours (0.06/0.44), where the series
@@ -1297,10 +1293,10 @@ def test_gauss_tables_match_the_series_route(alpha, beta):
     sets, mapped = inner_sets(alpha, beta)
     assert all(t is not None for t in specfun._gauss_tables(mapped))
     z = np.concatenate((z, z))
-    want = specfun._gauss_2f1_negative(sets, [z.size // 2] * 2, z,
-                                       neighbours=True)
-    got = specfun._gauss_2f1_negative(sets, [z.size // 2] * 2, z,
-                                      neighbours=True, tables=True)
+    got = specfun._kernel_gauss(sets, [z.size // 2] * 2, z)
+    monkeypatch.setattr(specfun, "_gauss_tables",
+                        lambda params: [None] * len(params))
+    want = specfun._kernel_gauss(sets, [z.size // 2] * 2, z)
     error = np.max(np.abs(got - want) / np.abs(want), axis=1)
     assert error[0] <= 1.0e-14 and error[1] <= 5.0e-14
 
@@ -1337,6 +1333,40 @@ def test_gauss_tables_leave_the_series_sets_alone(monkeypatch):
     assert built == []
 
 
+def test_gauss_tables_keep_no_series_table_of_their_build():
+    # the Hermite build sums its knots with series tables that nothing reads
+    # again: from a cleared cache, one call at 0.1/0.4 leaves the two sets'
+    # Hermite tables and nothing else
+    specfun._SERIES_TABLES.clear()
+    rng = np.random.default_rng(45)
+    x = -np.exp(rng.uniform(math.log(1.0e-3), math.log(1.0e9), 200))
+    y = -np.exp(rng.uniform(math.log(1.0e-3), math.log(1.0e9), 200))
+    f2_kernel_families(*kernel_families(0.1, 0.4)[0], x, y)
+    assert set(specfun._SERIES_TABLES) == {
+        (*p, "hermite") for p in inner_sets(0.1, 0.4)[1]}
+
+
+def test_gauss_2f1_builds_no_gauss_table(monkeypatch):
+    # the public route sums the series: the kernel's inner sets at 0.1/0.4
+    # and their neighbours' sets, over the kernel's range of z, build no
+    # Hermite table
+    built = []
+    build = specfun._build_gauss_tables
+
+    def spy(params):
+        built.extend(params)
+        return build(params)
+
+    monkeypatch.setattr(specfun, "_build_gauss_tables", spy)
+    specfun._SERIES_TABLES.clear()
+    z = -np.exp(np.linspace(math.log(1.0e-3), math.log(1.0e10), 300))
+    for a, b, c in inner_sets(0.1, 0.4)[0]:
+        gauss_2f1(a, b, c, z)
+        gauss_2f1(a, b + 1.0, c + 1.0, z)
+    assert built == []
+    assert not any("hermite" in key for key in specfun._SERIES_TABLES)
+
+
 def test_gauss_tables_batch_equals_single_points():
     # a tabled point's value and neighbour do not depend on the batch, with
     # a series set (0.01/0.49's x-outer set) in the same call
@@ -1347,13 +1377,11 @@ def test_gauss_tables_batch_equals_single_points():
                         w / (w - 1.0)))
     sets = inner_sets(0.1, 0.4)[0] + inner_sets(0.01, 0.49)[0][:1]
     counts = [100, 120, 80]
-    batch = specfun._gauss_2f1_negative(sets, counts, z, neighbours=True,
-                                        tables=True)
+    batch = specfun._kernel_gauss(sets, counts, z)
     lo = 0
     for params, count in zip(sets, counts):
         for j in range(lo, lo + count, 7):
-            single = specfun._gauss_2f1_negative(
-                [params], [1], z[j:j + 1], neighbours=True, tables=True)
+            single = specfun._kernel_gauss([params], [1], z[j:j + 1])
             assert np.array_equal(batch[:, j], single[:, 0])
         lo += count
 
