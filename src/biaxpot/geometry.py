@@ -12,13 +12,13 @@ the point of the arc where x/a = y/b: near B the arc is the graph
 x -> (x, y(x)), near A the graph y -> (x(y), y).  Both graphs have
 bounded slope on their half, so speed, tangent and curvature follow from
 stable closed forms.  The only numerical content is each branch's
-arclength: Gauss-summed cell lengths, read between cell edges by a
-cell-local quintic Hermite and inverted by Newton's method.
+arclength: Gauss-summed cell lengths, the knots of a cell-local quintic
+Hermite of the graph parameter as a function of arclength.
 
 ``Curve.frames(s)`` is the array evaluator: point, unit tangent, outward
-normal and curvature at a whole batch of arclengths, with one vectorized
-Newton polish of the table inverse per branch.  ``point_at`` and
-``points_at`` wrap it in ``CurvePoint`` objects.
+normal and curvature at a whole batch of arclengths, with one table read
+per branch.  ``point_at`` and ``points_at`` wrap it in ``CurvePoint``
+objects.
 """
 
 from __future__ import annotations
@@ -107,10 +107,10 @@ class Curve:
     """
 
     def __init__(self, a: float, b: float, q: float):
-        if a <= 0.0 or b <= 0.0:
+        if not (0.0 < a < math.inf and 0.0 < b < math.inf):  # NaN fails both
             raise DomainError("curve endpoints must sit on the positive axes")
-        if q < 2.0:
-            raise DomainError(f"superellipse exponent must satisfy q >= 2, got {q}")
+        if not 2.0 <= q < math.inf:
+            raise DomainError(f"superellipse exponent must be a finite q >= 2, got {q}")
         self.a = float(a)
         self.b = float(b)
         self.q = float(q)
@@ -119,10 +119,13 @@ class Curve:
     def implicit_value(self, x: float, y: float) -> float:
         """Signed implicit function (x/a)^q + (y/b)^q - 1.
 
-        Negative inside the arc, zero on it, positive outside; used by the
-        point classifier in the potential module.
+        Negative inside the arc, zero on it, positive outside (+inf past the
+        largest double); used by the point classifier in the potential module.
         """
-        return (x / self.a) ** self.q + (y / self.b) ** self.q - 1.0
+        try:
+            return (x / self.a) ** self.q + (y / self.b) ** self.q - 1.0
+        except OverflowError:
+            return math.inf
 
     # -- arclength machinery -------------------------------------------------
 
@@ -139,9 +142,9 @@ class Curve:
                                                  _TABLE_CELLS + 1)) ** 2
 
         def branch(run, rise):
-            # arclength from the branch's axis end as a function of the
-            # parameter: Gauss-summed cell lengths, and s' = speed and
-            # s'' = f' f'' / speed at the cell edges
+            # the graph parameter as a function of arclength from the
+            # branch's axis end: Gauss-summed cell lengths as knots, with
+            # par' = 1 / speed and par'' = -f' f'' / speed^4 there
             end = run * glue
             edges = end * grade
             mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
@@ -151,34 +154,29 @@ class Curve:
             s = np.concatenate(([0.0], np.cumsum(cell)))
             _, d1, d2 = _graph(edges, self.q, run, rise)
             speed = np.hypot(1.0, d1)
-            return (run, rise, _quintic_hermite(edges, s, speed,
-                                                d1 * d2 / speed),
-                    (s, edges), end)
+            return (run, rise, _quintic_hermite(s, edges, 1.0 / speed,
+                                                -d1 * d2 / speed ** 4),
+                    end, s[-1])
 
         self._branches = branch(self.a, self.b), branch(self.b, self.a)
         # both arclength tables run from an axis end to the glue point
-        s_x, s_y = (table[0] for _, _, _, table, _ in self._branches)
-        self._s_glue = s_x[-1]
-        self.length = s_x[-1] + s_y[-1]
+        s_x, s_y = (table[-1] for table in self._branches)
+        self._s_glue = s_x
+        self.length = s_x + s_y
 
     def _branch_frames(self, s: np.ndarray, branch: int):
         """(x, y, tx, ty, kappa) at arclengths s on one graph branch.
 
-        The table's linear reading seeds a Newton polish of the quintic
-        forward map at the arclength from the branch's axis end (l - s on
-        branch 2), which places points within 1e-14 of an mpmath arclength
-        (tests/data/arclength_references.json).  The seed and every step
-        are clamped into the branch's range: rounding can land a parameter
-        just outside it, where the graph's fractional powers are NaN.
+        The table reads the graph parameter at the arclength from the
+        branch's axis end (l - s on branch 2), within 1e-14 of an mpmath
+        arclength (tests/data/arclength_references.json), clamped into the
+        branch's range: rounding can land a parameter just outside it,
+        where the graph's fractional powers are NaN.
         """
-        run, rise, s_of, table, end = self._branches[branch - 1]
+        run, rise, par_of, end, _ = self._branches[branch - 1]
         if branch == 2:
             s = self.length - s
-        par = np.clip(np.interp(s, *table), 0.0, end)
-        for _ in range(3):
-            dpar = _graph_slope(par, self.q, run, rise)[1]
-            par = np.clip(par - (s_of(par) - s) / np.hypot(1.0, dpar), 0.0,
-                          end)
+        par = np.clip(par_of(s), 0.0, end)
         other, d1, d2 = _graph(par, self.q, run, rise)
         sp = np.hypot(1.0, d1)
         kappa = d2 / sp ** 3
@@ -192,8 +190,8 @@ class Curve:
         """Arrays (x, y, tx, ty, nx, ny, kappa) at arclengths s in [0, l].
 
         Point, unit tangent (dx/ds, dy/ds), outward unit normal (-ty, tx)
-        and signed curvature, each with the shape of ``s``.  One array
-        Newton polish per graph branch serves the whole batch.
+        and signed curvature, each with the shape of ``s``.  One table read
+        per graph branch serves the whole batch.
         """
         s = np.asarray(s, dtype=float)
         if not np.all(np.isfinite(s)):

@@ -279,13 +279,14 @@ def classify(curve: Curve, P: Point) -> str:
     value = curve.implicit_value(P.x, P.y)
     if abs(value) <= ON_CURVE_TOL:
         return "on"
-    # cheap distance bound from the implicit gradient before the expensive
-    # nearest-point search
-    q = curve.q
-    gx = q / curve.a * (P.x / curve.a) ** (q - 1.0)
-    gy = q / curve.b * (P.y / curve.b) ** (q - 1.0)
-    d_est = abs(value) / math.hypot(gx, gy)
-    if d_est <= 10.0 * AMBIGUOUS_DIST:
+    # cheap distance test |F| <= band |grad F| before the nearest-point
+    # search, divided by r^(q-1) beyond the box lest F and grad F overflow
+    q, u, v = curve.q, P.x / curve.a, P.y / curve.b
+    r = max(u, v, 1.0)
+    gx = q / curve.a * (u / r) ** (q - 1.0)
+    gy = q / curve.b * (v / r) ** (q - 1.0)
+    scaled = r * ((u / r) ** q + (v / r) ** q) - r ** (1.0 - q)
+    if abs(scaled) <= 10.0 * AMBIGUOUS_DIST * math.hypot(gx, gy):
         _, dist = nearest_arclength(curve, P)
         if dist <= AMBIGUOUS_DIST:
             raise AmbiguousClassificationError(

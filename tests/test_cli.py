@@ -238,6 +238,17 @@ def test_verify_flux(tmp_path):
     assert summary["counts"]["pass"] == 5
 
 
+def test_verify_flux_takes_a_far_exterior_source(tmp_path):
+    # classifying the source overflowed at this exponent (exit 3)
+    cfg = {"domain": {"curve": "superellipse", "a": 1.0, "b": 1.0,
+                      "exponent": 40.0},
+           "exterior_sources": [[1.0e10, 0.5]]}
+    assert run(tmp_path, cfg, "verify", "flux") == 0
+    summary = read_summary(tmp_path)
+    assert summary["counts"]["fail"] == 0
+    assert summary["counts"]["pass"] == 3
+
+
 @pytest.mark.parametrize("cfg, entry", [
     ({"exterior_sources": [[2.0, 2.0], [0.5, 0.5]]},
      "'exterior_sources' entry 1"),
@@ -447,6 +458,14 @@ def test_solve_rejects_a_probe_outside_the_domain(tmp_path):
     # the exact solution holds only inside, so its "error" there is moot
     assert_config_error_before_solving(
         tmp_path, {"nodes": 16, "probes": [[1.2, 1.2]]})
+
+
+def test_solve_rejects_a_far_probe_as_outside(tmp_path, capsys):
+    # the classifier's powers overflowed here (exit 3)
+    assert_config_error_before_solving(
+        tmp_path, {"nodes": 16, "probes": [[1.0e120, 0.5]]})
+    assert ("config field 'probes' entry 0 (1e+120, 0.5) lies outside the "
+            "domain; it must lie inside") in capsys.readouterr().err
 
 
 def test_solve_rejects_a_probe_on_the_arc(tmp_path, capsys):

@@ -4,6 +4,7 @@ import gc
 import json
 import math
 import pathlib
+import warnings
 import weakref
 
 import numpy as np
@@ -54,6 +55,17 @@ def test_quarter_circle_length():
 def test_rejects_exponent_below_two():
     with pytest.raises(DomainError):
         Curve(1.0, 1.0, 1.5)
+
+
+@pytest.mark.parametrize("a, b, q", [
+    (math.nan, 1.0, 3.0), (1.0, math.nan, 3.0), (1.0, 1.0, math.nan),
+    (math.inf, 1.0, 3.0), (1.0, 1.0, math.inf)],
+    ids=["nan-a", "nan-b", "nan-q", "inf-a", "inf-q"])
+def test_rejects_non_finite_shape(a, b, q):
+    # NaN passes every ordering test, and an infinite a or q built a curve
+    # of length NaN, or of length 2 with NaN frames
+    with pytest.raises(DomainError):
+        Curve(a, b, q)
 
 
 def test_point_at_midpoint_on_curve(curve):
@@ -167,8 +179,8 @@ def test_frames_keep_shape_and_reject_out_of_range(curve):
 @pytest.mark.parametrize("q", [2.0, 2.5, 3.7, 8.0])
 @pytest.mark.parametrize("a, b", [(1.0, 1.0), (6.0, 1.0)])
 def test_endpoints_finite_for_all_shapes(q, a, b):
-    # the table inverse can seed the Newton polish a rounding error below
-    # zero at s = l, where the graph's fractional powers are NaN
+    # the table can read a parameter a rounding error below zero at s = l,
+    # where the graph's fractional powers are NaN
     curve = Curve(a, b, q)
     start = curve.point_at(0.0)
     end = curve.point_at(curve.length)
@@ -231,7 +243,7 @@ def test_points_match_the_mpmath_arclength_references(ref):
 @pytest.mark.parametrize("a, b", [(1.0, 1.0), (1.0, 6.0), (6.0, 1.0)])
 def test_frames_match_a_scipy_spline_curve(monkeypatch, q, a, b):
     # the same curve with scipy's piecewise quintic Hermite (a Bernstein
-    # basis spline) as the forward map: the Newton polish removes the seed,
+    # basis spline) as the arclength table: both read the same knot data,
     # so only the two evaluators' rounding remains
     from scipy.interpolate import BPoly
     mine = Curve(a, b, q)
@@ -246,3 +258,40 @@ def test_frames_match_a_scipy_spline_curve(monkeypatch, q, a, b):
     for k in range(2, 7):
         scale = np.max(np.abs(want[k]))
         assert np.max(np.abs(got[k] - want[k])) <= 1.0e-12 * scale
+
+
+@pytest.mark.parametrize("q", [2.0, 2.5, 3.0, 4.7, 8.0, 20.0, 40.0])
+@pytest.mark.parametrize("a, b", [(1.0, 1.0), (6.0, 1.0), (1.0, 6.0),
+                                  (1.0, 0.3)])
+def test_frames_match_a_quadrature_of_the_analytic_speed(q, a, b):
+    # no table involved: the arclength from the branch's axis end to the
+    # parameter that frames returns (x on branch 1, y on branch 2), as an
+    # adaptive quadrature of sqrt(1 + f'^2) for the graph f over it
+    from scipy.integrate import IntegrationWarning, quad
+    curve = Curve(a, b, q)
+    l = curve.length
+    s = np.concatenate((
+        np.random.default_rng(7).uniform(0.0, l, 60),
+        l * np.array([1e-6, 1e-3, 0.5, 1.0 - 1e-3, 1.0 - 1e-6]),
+        [np.nextafter(curve._s_glue, 0.0)]))
+    x, y = curve.frames(s)[:2]
+
+    def speed(t, run, rise):
+        u = t / run
+        slope = (rise / run) * u ** (q - 1.0) * (1.0 - u ** q) ** (1.0 / q - 1.0)
+        return math.hypot(1.0, slope)
+
+    # quad's error estimate is pessimistic on this smooth integrand: its
+    # sums reach rounding level well before the estimate meets the bound,
+    # and a tighter request only draws a roundoff warning
+    scale = max(1.0, l)
+    worst = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        for si, xi, yi in zip(s, x, y):
+            top, run, rise, want = ((xi, a, b, si) if si <= curve._s_glue
+                                    else (yi, b, a, l - si))
+            got = quad(speed, 0.0, top, args=(run, rise),
+                       epsabs=2e-14 * scale, epsrel=0.0)[0]
+            worst = max(worst, abs(got - want))
+    assert worst <= 1.0e-14 * scale

@@ -210,6 +210,20 @@ def test_classify_ambiguous_band_raises(curve):
         classify(curve, shifted)
 
 
+def test_classify_far_and_deep_points_without_overflow():
+    # Python float powers raised OverflowError far out and underflowed to
+    # a zero gradient (ZeroDivisionError) next to the origin
+    cubic, flat = Curve(1.0, 1.0, 3.0), Curve(1.0, 1.0, 40.0)
+    assert cubic.implicit_value(1.0e120, 0.5) == math.inf
+    assert classify(cubic, Point(1.0e120, 0.5)) == "outside"
+    assert classify(flat, Point(1.0e10, 0.5)) == "outside"
+    assert classify(cubic, Point(1.0e-200, 1.0e-200)) == "inside"
+    assert classify(flat, Point(1.0e-10, 1.0e-10)) == "inside"
+    # just beyond the box the ambiguity band still applies
+    with pytest.raises(AmbiguousClassificationError):
+        classify(cubic, Point(1.0 + 1.0e-7, 0.01))
+
+
 def test_classify_rejects_axis_points(curve):
     with pytest.raises(DomainError):
         classify(curve, Point(0.0, 0.5))
